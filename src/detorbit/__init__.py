@@ -46,6 +46,7 @@ from .tensors import (
 from .invariant import (
     HomPoly,
     det_power_invariant,
+    elementary_det_power,
     elementary_matrix_expansion,
     polarized_coefficient,
     polarized_det_power,

@@ -8,17 +8,28 @@ i-tuples evaluates the (unique up to scale) SL(i)-invariant of degree i on
 the space of degree-m forms.  At the power-sum point sum_j x_j^m the value
 has the closed form i! * (m'!)^i / (i*m')!.
 
+At elementary matrices E(r_1,c_1), ..., E(r_k,c_k), k = i*m', the
+polarization of det^{m'} is 1/k! times a signed count: the ways to deal the
+k (row, col) pairs out to m' ordered determinant factors so that each factor
+is a permutation, weighted by the product of the factors' permutation signs.
+This is the Latin-square combinatorics that ties det^m to the Alon-Tarsi
+count.  :func:`det_power_invariant` carries words as pair tuples and
+evaluates every term through that count (:func:`elementary_det_power`);
+:func:`polarized_det_power`, the general Gray-code inclusion-exclusion with a
+Bareiss determinant per subset, is kept as its independent oracle.
+
 All arithmetic is exact; the only approximations are the configurable work
 budgets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
-from typing import Iterable, Mapping, Sequence
+from math import comb, factorial, gcd
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded
 
@@ -28,12 +39,14 @@ __all__ = [
     "polarized_coefficient",
     "elementary_matrix_expansion",
     "polarized_det_power",
+    "elementary_det_power",
     "det_power_invariant",
     "power_sum_invariant_check",
     "exact_det",
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Pair = tuple[int, int]
 
 DEFAULT_DET_BUDGET = 10**9
 
@@ -209,6 +222,31 @@ def _elementary(i: int, r: int, c: int) -> Matrix:
     )
 
 
+def _pair_words(f: HomPoly) -> Iterator[tuple[Fraction, tuple[Pair, ...]]]:
+    """Index words of f with nonzero polarized coefficient, read as pair words.
+
+    The word (l_1..l_m) yields its coefficient and the pairs
+    ((l_1,l_2), ..., (l_{m-1},l_m)), 0-based; at most i^m words.
+    """
+    m = f.degree
+    if m % 2:
+        raise ValueError("the invariant requires even degree")
+    i = f.nvars
+    coeff_cache: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in f.coeffs.items():
+        num = 1
+        for e in exp:
+            num *= factorial(e)
+        coeff_cache[exp] = c * Fraction(num, factorial(m))
+    for word in product(range(i), repeat=m):
+        content = [0] * i
+        for s in word:
+            content[s] += 1
+        coeff = coeff_cache.get(tuple(content))
+        if coeff:
+            yield coeff, tuple(zip(word[0::2], word[1::2]))
+
+
 def elementary_matrix_expansion(f: HomPoly) -> list[MatrixTensorTerm]:
     """Expand the polarized form into elementary-matrix words of length m/2.
 
@@ -216,30 +254,11 @@ def elementary_matrix_expansion(f: HomPoly) -> list[MatrixTensorTerm]:
     that coefficient times E(l_1,l_2) ox ... ox E(l_{m-1},l_m).  Zero terms
     are omitted; at most i^m terms.
     """
-    m = f.degree
-    if m % 2:
-        raise ValueError("the invariant requires even degree")
     i = f.nvars
-    half = m // 2
-    coeff_cache: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.coeffs.items():
-        num = 1
-        for e in exp:
-            num *= factorial(e)
-        coeff_cache[exp] = c * Fraction(num, factorial(m))
-    terms = []
-    for word in product(range(i), repeat=m):
-        content = [0] * i
-        for s in word:
-            content[s] += 1
-        coeff = coeff_cache.get(tuple(content))
-        if not coeff:
-            continue
-        mats = tuple(
-            _elementary(i, word[2 * p], word[2 * p + 1]) for p in range(half)
-        )
-        terms.append(MatrixTensorTerm(coeff, mats))
-    return terms
+    return [
+        MatrixTensorTerm(coeff, tuple(_elementary(i, r, c) for r, c in pairs))
+        for coeff, pairs in _pair_words(f)
+    ]
 
 
 def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -255,7 +274,7 @@ def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
         scale = 1
         for x in row:
             f = Fraction(x)
-            scale = scale * f.denominator // _gcd(scale, f.denominator)
+            scale = scale * f.denominator // gcd(scale, f.denominator)
         denom *= scale
         rows.append([int(Fraction(x) * scale) for x in row])
     sign = 1
@@ -278,12 +297,6 @@ def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], denom)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def polarized_det_power(
     size: int, power: int, matrices: Sequence[Matrix]
 ) -> Fraction:
@@ -292,6 +305,11 @@ def polarized_det_power(
     Computed by subset inclusion-exclusion over the size*power arguments with
     Gray-code updates of the running sum.  Symmetric and multilinear; at
     equal arguments (X,..,X) it returns det(X)^power.
+
+    The invariant never calls this: it evaluates the polarization only at
+    elementary matrices, through :func:`elementary_det_power`.  This general
+    route is kept on purpose as the independent oracle the tests compare
+    that kernel against.
     """
     k = size * power
     if len(matrices) != k:
@@ -330,6 +348,61 @@ def polarized_det_power(
     return total / factorial(k)
 
 
+def elementary_det_power(size: int, power: int, pairs: Sequence[Pair]) -> Fraction:
+    """Full polarization of A |-> det(A)^power at E(r_1,c_1), ..., E(r_k,c_k).
+
+    ``pairs`` holds the k = size*power 0-based (row, col) positions.  The
+    value is 1/k! times a signed count: the ways to deal the k pairs out to
+    ``power`` ordered determinant factors so that each factor's pairs form a
+    permutation matrix, each way weighted by the product of the factors'
+    permutation signs.  It is 0 unless every row holds exactly ``power``
+    pairs.  Equal pairs are dealt as one column multiset and the count is
+    scaled by prod mult!; factors are interchangeable, so row 0 is dealt in
+    sorted order and the count scaled by its number of arrangements.  The
+    search visits at most (power!)^(size-1) leaves and uses integers only.
+    """
+    if size < 1 or power < 1:
+        raise ValueError("size and power must be positive")
+    k = size * power
+    if len(pairs) != k:
+        raise ValueError(f"expected {k} pairs")
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    for r, c in pairs:
+        if not (0 <= r < size and 0 <= c < size):
+            raise ValueError("pair out of range")
+        rows[r][c] = rows[r].get(c, 0) + 1
+    if any(sum(counts.values()) != power for counts in rows):
+        return Fraction(0)
+    weight = factorial(power)
+    for counts in rows[1:]:
+        for e in counts.values():
+            weight *= factorial(e)
+    # used[f]: bitmask of the columns factor f holds in the rows dealt so far.
+    used = [1 << c for c in sorted(c for c, e in rows[0].items() for _ in range(e))]
+
+    def deal(r: int, f: int, left: dict[int, int], parity: int) -> int:
+        if f == power:
+            r += 1
+            if r == size:
+                return -1 if parity & 1 else 1
+            f = 0
+            left = dict(rows[r])
+        mask = used[f]
+        total = 0
+        for c, n in left.items():
+            if n and not mask >> c & 1:
+                left[c] = n - 1
+                used[f] = mask | 1 << c
+                # Columns of factor f above c sit in earlier rows: inversions.
+                total += deal(r, f + 1, left, parity + (mask >> c + 1).bit_count())
+                left[c] = n
+        used[f] = mask
+        return total
+
+    # Row 0 is dealt through ``used``: the search starts at row 1.
+    return Fraction(weight * deal(0, power, {}, 0), factorial(k))
+
+
 def det_power_invariant(
     m: int, i: int, f: HomPoly, *, budget: int = DEFAULT_DET_BUDGET
 ) -> Fraction:
@@ -337,9 +410,11 @@ def det_power_invariant(
 
     Sums, over all i-tuples of elementary-matrix words of f, the product of
     word coefficients times the polarized determinant power of the i*m/2
-    concatenated matrices.  Words are grouped by matrix multiset (the
-    polarization is symmetric in its arguments), so the loop runs over
-    multisets with multinomial weights.
+    concatenated matrices, evaluated as a signed count by
+    :func:`elementary_det_power` on the (row, col) pairs of the words.
+    Words are grouped by sorted pair word (the polarization is symmetric in
+    its arguments), so the loop runs over class multisets with multinomial
+    weights.  ``budget`` caps the estimated number of search leaves.
     """
     if m % 2:
         raise ValueError("the invariant requires even degree")
@@ -357,42 +432,41 @@ def det_power_invariant(
         }
         f = HomPoly(i, m, coeffs)
     half = m // 2
-    terms = elementary_matrix_expansion(f)
-    if not terms:
-        return Fraction(0)
-    # Group by sorted matrix word; members share the coefficient.
-    classes: dict[tuple, list] = {}
-    for term in terms:
-        key = tuple(sorted(term.matrices))
+    # Group by sorted pair word; members share the coefficient.
+    classes: dict[tuple[Pair, ...], list] = {}
+    for coeff, pairs in _pair_words(f):
+        key = tuple(sorted(pairs))
         entry = classes.get(key)
         if entry is None:
-            classes[key] = [term.coefficient, 1, term.matrices]
+            classes[key] = [coeff, 1]
         else:
-            if entry[0] != term.coefficient:
+            if entry[0] != coeff:
                 raise RuntimeError("internal error: class coefficient mismatch")
             entry[1] += 1
-    class_list = list(classes.values())
-    est = len(class_list) ** i * (1 << (i * half))
+    if not classes:
+        return Fraction(0)
+    class_list = [(key, a * n) for key, (a, n) in classes.items()]
+    est = comb(len(class_list) + i - 1, i) * factorial(half) ** (i - 1)
     if est > budget:
         raise BudgetExceeded(
-            f"invariant evaluation needs ~{est} determinant steps", est
+            f"invariant evaluation needs ~{est} search leaves "
+            f"({len(class_list)} word classes, {i}-element multisets)",
+            est,
         )
     total = Fraction(0)
     fact_i = factorial(i)
     for combo in combinations_with_replacement(range(len(class_list)), i):
-        reps: dict[int, int] = {}
-        for idx in combo:
-            reps[idx] = reps.get(idx, 0) + 1
-        weight = fact_i
-        coeff = Fraction(1)
-        mats: list[Matrix] = []
+        reps = Counter(combo)
+        pairs: list[Pair] = []
         for idx, e in reps.items():
-            weight //= factorial(e)
-            a, n, matrices = class_list[idx]
-            coeff *= (a * n) ** e
-            mats.extend(matrices * e)
-        value = polarized_det_power(i, half, mats)
+            pairs.extend(class_list[idx][0] * e)
+        value = elementary_det_power(i, half, pairs)
         if value:
+            weight = fact_i
+            coeff = Fraction(1)
+            for idx, e in reps.items():
+                weight //= factorial(e)
+                coeff *= class_list[idx][1] ** e
             total += weight * coeff * value
     return total
 

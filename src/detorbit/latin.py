@@ -15,6 +15,7 @@ public input and output.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from math import factorial
 from multiprocessing import Pool
@@ -702,18 +703,36 @@ def load_checkpoint(
 
     Records carrying (i, m, reduced) metadata that disagrees with the
     requested configuration are skipped; bare records are accepted.
+
+    The file is streamed line by line.  A record is complete only with its
+    newline, and a line that does not decode is held back: it raises
+    ``ValueError`` only if a further non-empty line follows.  Otherwise it is
+    the torn tail of an interrupted write, and it is cut from the file so
+    that the next appended record starts on a fresh line.
     """
     done: dict[tuple, dict] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         return done
+    torn_at: Optional[int] = None
+    error: Optional[ValueError] = None
+    pos = 0
     with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for raw in fh:
+            start, pos = pos, pos + len(raw)
+            if not raw.strip():
                 continue
-            rec = json.loads(line)
+            if error is not None:
+                raise error
+            if not raw.endswith(b"\n"):
+                torn_at = start
+                break
+            try:
+                rec = json.loads(raw)
+            except ValueError as exc:
+                torn_at, error = start, exc
+                continue
             if "m" in rec and rec["m"] != m:
                 continue
             if i is not None and "i" in rec and rec["i"] != i:
@@ -734,4 +753,6 @@ def load_checkpoint(
                 key = tuple((1 << m) - 1 for _ in range(m))
                 bucket = {key: (int(rec["plus"]), int(rec["minus"]))}
             done[prefix] = bucket
+    if torn_at is not None:
+        os.truncate(path, torn_at)
     return done

@@ -91,6 +91,7 @@ def test_criterion_4_sign_sum_and_translation_scan():
 
 
 CLOSED_FORM_SHAPES = [(m, i) for m in (2, 4, 6) for i in range(1, min(m, 4) + 1)]
+CLOSED_FORM_SHAPES += [(6, 5), (6, 6), (8, 4)]
 
 
 @pytest.mark.parametrize("m,i", CLOSED_FORM_SHAPES)
@@ -101,6 +102,9 @@ def test_criterion_5_power_sum_closed_form(m, i):
         (2, 1): Fraction(1),
         (2, 2): Fraction(1),
         (4, 2): Fraction(1, 3),
+        (6, 5): Fraction(1, 1401400),
+        (6, 6): Fraction(1, 190590400),  # 6! * (3!)^6 / 18!
+        (8, 4): Fraction(1, 2627625),
     }.get((m, i))
     if expected is not None:
         assert computed == expected
@@ -109,17 +113,24 @@ def test_criterion_5_power_sum_closed_form(m, i):
 
 def test_criterion_6_witnesses():
     expected = {
-        (2, 1): Fraction(1),
-        (2, 2): Fraction(-1, 4),
-        (4, 1): Fraction(1),
-        (4, 2): Fraction(1, 36),
+        (2, 1): (Fraction(1), 0),
+        (2, 2): (Fraction(-1, 4), 0),
+        (4, 1): (Fraction(1), 0),
+        (4, 2): (Fraction(1, 36), 0),
+        (6, 2): (Fraction(-1, 400), 0),
+        (8, 2): (Fraction(1, 4900), 0),
+        (6, 3): (Fraction(-1, 2268000), 0),
+        (4, 3): (Fraction(1, 15), 2),  # vandermonde; indices 0 and 1 vanish
     }
-    for (m, i), value in expected.items():
+    for (m, i), (value, index) in expected.items():
         result = orbit.witness_search(m, i)
         assert result is not None
         assert result.value == value
-        assert result.schedule_index == 0
-    _report("criterion 6: nonvanishing witnesses at (2,1),(2,2),(4,1),(4,2)")
+        assert result.schedule_index == index
+    _report(
+        "criterion 6: nonvanishing witnesses at "
+        + ",".join(f"({m},{i})" for m, i in expected)
+    )
 
 
 @pytest.mark.parametrize("m,i", [(2, 2), (4, 2)])

@@ -102,6 +102,24 @@ def test_tally_checkpoint_resume(capsys, tmp_path):
     assert full_obj["patterns"] == resumed_obj["patterns"]
 
 
+def test_torn_checkpoint_tail_resumes(capsys, tmp_path):
+    cp = tmp_path / "cp.ndjson"
+    code, full = _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")
+    assert code == 0
+    lines = cp.read_text().splitlines(keepends=True)
+    half = len(lines) // 2
+    # A write cut short: the last record stops mid-line, with no newline.
+    torn = "".join(lines[:half]) + lines[half][: len(lines[half]) // 2]
+    cp.write_text(torn)
+    code, resumed = _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")
+    assert code == 0
+    assert resumed == full
+    # A corrupt line with records after it is not a torn tail: bad input.
+    cp.write_text(torn + "\n" + "".join(lines[half:]))
+    code, _ = _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")
+    assert code == 3
+
+
 def test_threads_flag_matches_serial(capsys):
     _, serial = _run(capsys, "tally", "3", "4")
     _, parallel = _run(capsys, "--threads", "2", "tally", "3", "4")

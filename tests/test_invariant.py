@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
 from random import Random
 
 import pytest
@@ -11,7 +14,9 @@ from helpers import random_hompoly, random_sl_matrix
 from detorbit.errors import BudgetExceeded
 from detorbit.invariant import (
     HomPoly,
+    _elementary,
     det_power_invariant,
+    elementary_det_power,
     elementary_matrix_expansion,
     exact_det,
     polarized_coefficient,
@@ -145,6 +150,82 @@ def test_polarized_det_power_symmetry_and_multilinearity():
     assert polarized_det_power(2, 2, [scaled] + mats[1:]) == 3 * base
 
 
+def test_elementary_det_power_examples():
+    assert elementary_det_power(2, 1, [(0, 0), (1, 1)]) == Fraction(1, 2)
+    assert elementary_det_power(2, 1, [(0, 1), (1, 0)]) == Fraction(-1, 2)
+    assert elementary_det_power(2, 1, [(0, 0), (0, 1)]) == 0  # row 1 empty
+    assert elementary_det_power(1, 3, [(0, 0)] * 3) == 1
+    with pytest.raises(ValueError, match="expected 4 pairs"):
+        elementary_det_power(2, 2, [(0, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        elementary_det_power(1, 1, [(0, 1)])
+
+
+def test_elementary_det_power_matches_general_polarization():
+    rng = Random(31)
+    checked = zero = 0
+    for trial in range(240):
+        size = rng.randint(1, 3)
+        power = rng.randint(1, 3)
+        if trial % 3:
+            # Balanced rows; a narrow column range forces repeated pairs.
+            width = rng.randint(1, size)
+            pairs = [
+                (r, rng.randrange(width)) for r in range(size) for _ in range(power)
+            ]
+        else:
+            pairs = [
+                (rng.randrange(size), rng.randrange(size))
+                for _ in range(size * power)
+            ]
+        rng.shuffle(pairs)
+        value = elementary_det_power(size, power, pairs)
+        mats = [_elementary(size, r, c) for r, c in pairs]
+        assert value == polarized_det_power(size, power, mats), (size, power, pairs)
+        rows = Counter(r for r, _ in pairs)
+        if any(rows[r] != power for r in range(size)):
+            assert value == 0
+        checked += 1
+        zero += value == 0
+    assert checked == 240 and 0 < zero < checked
+
+
+def _class_multiset_reference(m, i, f):
+    """The invariant from matrix-word classes and the Gray-code polarization."""
+    classes = {}
+    for term in elementary_matrix_expansion(f):
+        key = tuple(sorted(term.matrices))
+        coeff, n = classes.get(key, (term.coefficient, 0))
+        classes[key] = (coeff, n + 1)
+    keys = list(classes)
+    total = Fraction(0)
+    for combo in combinations_with_replacement(range(len(keys)), i):
+        weight = factorial(i)
+        coeff = Fraction(1)
+        mats = []
+        for idx, e in Counter(combo).items():
+            c, n = classes[keys[idx]]
+            weight //= factorial(e)
+            coeff *= (c * n) ** e
+            mats.extend(keys[idx] * e)
+        total += weight * coeff * polarized_det_power(i, m // 2, mats)
+    return total
+
+
+@pytest.mark.parametrize(
+    "m,i,forms,density", [(2, 2, 8, 0.7), (4, 2, 8, 0.7), (4, 3, 3, 0.3)]
+)
+def test_invariant_matches_class_multiset_reference(m, i, forms, density):
+    rng = Random(100 * m + i)
+    values = []
+    for _ in range(forms):
+        f = random_hompoly(i, m, rng, density=density)
+        value = det_power_invariant(m, i, f)
+        assert value == _class_multiset_reference(m, i, f), f
+        values.append(value)
+    assert any(values)
+
+
 def test_invariant_values_small():
     f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
     assert det_power_invariant(2, 2, f) == Fraction(-1, 4)
@@ -182,6 +263,8 @@ def test_budget_guard():
     f = HomPoly.power_sum(6, 6)
     with pytest.raises(BudgetExceeded):
         det_power_invariant(6, 6, f, budget=10)
+    # C(6+5, 6) class multisets, at most (3!)^5 leaves each.
+    assert det_power_invariant(6, 6, f) == Fraction(1, 190590400)
 
 
 def test_binary_quartic_classical_invariant_oracle():

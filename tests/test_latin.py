@@ -229,6 +229,28 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.counts == full.counts
 
 
+def test_torn_checkpoint_tail_is_dropped_before_appending(tmp_path):
+    cp = tmp_path / "tally.ndjson"
+    full = signed_tally(3, 4, checkpoint_path=str(cp))
+    lines = cp.read_text().splitlines(keepends=True)
+    kept = len(lines) // 2
+    head = "".join(lines[:kept])
+    cp.write_text(head + lines[kept][:7])
+    assert signed_tally(3, 4, checkpoint_path=str(cp)).counts == full.counts
+    # The torn bytes are gone: every line decodes and no block is missing.
+    recs = [json.loads(line) for line in cp.read_text().splitlines()]
+    assert len(recs) == len(lines)
+    # A record is complete only with its newline; loading cuts the tail.
+    for tail in (lines[kept][:7], lines[kept].rstrip("\n"), "{oops\n\n"):
+        cp.write_text(head + tail)
+        assert len(latin.load_checkpoint(str(cp), 4, i=3)) == kept
+        assert cp.read_text() == head
+    # Corruption followed by further records still raises.
+    cp.write_text(head + "{oops\n" + "".join(lines[kept:]))
+    with pytest.raises(ValueError):
+        latin.load_checkpoint(str(cp), 4, i=3)
+
+
 def test_alon_tarsi_checkpoint_records(tmp_path):
     cp = str(tmp_path / "at.ndjson")
     value = alon_tarsi_difference(3, checkpoint_path=cp)
