@@ -27,13 +27,13 @@ def _frac(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = report.get("csv")
-        if text is None:
-            raise ValueError("csv output is only available for tally reports")
+def _emit(report, args) -> None:
+    """Write a report dict as JSON, or a report the command rendered itself."""
+    if isinstance(report, str):
+        text = report
+    elif getattr(args, "format", "json") == "csv":
+        raise ValueError("csv output is only available for tally reports")
     else:
-        report = {k: v for k, v in report.items() if k != "csv"}
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -41,17 +41,17 @@ def _emit(report: dict, args) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_tally(args) -> tuple[int, dict]:
+def _cmd_tally(args) -> tuple[int, str]:
     tally = latin.signed_tally(
         args.i,
         args.m,
         processes=args.threads,
         checkpoint_path=args.checkpoint,
     )
-    report = tally.to_json_dict()
-    report["total"] = str(tally.total())
-    report["csv"] = tally.to_csv_text()
-    return EXIT_OK, report
+    if args.format == "csv":
+        return EXIT_OK, tally.to_csv_text()
+    # The report can hold tens of thousands of patterns: render it directly.
+    return EXIT_OK, tally.to_json_text(total=str(tally.total()), seed=args.seed)
 
 
 def _cmd_alon_tarsi(args) -> tuple[int, dict]:
@@ -251,7 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact signed Latin square counts, symmetrizer pairings, "
         "polarized determinant invariants and symmetric Kronecker checks.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes (at most one per block and per CPU)",
+    )
     parser.add_argument(
         "--budget", type=int, default=10**9, help="work cap for heavy evaluations"
     )
@@ -329,7 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
         code, report = args.func(args)
-        report.setdefault("seed", args.seed)
+        if isinstance(report, dict):
+            report.setdefault("seed", args.seed)
         _emit(report, args)
     except BudgetExceeded as exc:
         _emit_error(str(exc), "infeasible", args)

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from math import factorial
 from multiprocessing import Pool
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "LatinRectangle",
@@ -160,10 +160,22 @@ def _pattern_masks(pattern: Pattern, i: int, m: int) -> list[int]:
     return masks
 
 
-def _pattern_from_masks(masks: Sequence[int], m: int) -> Pattern:
-    return tuple(
-        tuple(s + 1 for s in range(m) if mask >> s & 1) for mask in masks
-    )
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on first use and then looked up."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _subset_of_mask(mask: int) -> tuple[int, ...]:
+    """Sorted 1-based subset of a column mask; a run memoizes it per mask
+    (at most 2^m of them) with :class:`_Memo`."""
+    return tuple(s + 1 for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +187,62 @@ def _pattern_from_masks(masks: Sequence[int], m: int) -> Pattern:
 # ---------------------------------------------------------------------------
 
 
+class _RowQuotient(NamedTuple):
+    """One Latin rectangle per orbit of the row permutations that fix eps_c.
+
+    Permuting the rows by tau keeps the pattern and multiplies eps_c by
+    sgn(tau)^m, so those permutations form G = S_i for even m and G = A_i for
+    odd m.  Rows have distinct first entries, so G acts freely and each orbit
+    has exactly one rectangle whose first column c satisfies
+
+    * even m: c_0 < c_1 < ... < c_{i-1};
+    * odd m:  c_0 < ... < c_{i-3} < min(c_{i-2}, c_{i-1}).
+
+    As a DFS bound, row p's first entry must exceed that of row ``ref[p]``
+    (-1: no bound) and be at most ``cap[p]``, which leaves room for the rows
+    that must exceed it.  Each kept rectangle stands for ``order`` = |G|
+    rectangles of the same pattern and sign.
+    """
+
+    group: str  # "S3", "A5": the group, as written into checkpoint records
+    order: int
+    ref: tuple[int, ...]
+    cap: tuple[int, ...]
+
+
+def _row_quotient(i: int, m: int) -> _RowQuotient:
+    """The eps_c-preserving row-orbit quotient of the Latin (i, m)-rectangles."""
+    if m % 2 == 0:
+        name, order = "S", factorial(i)
+        ref = [p - 1 for p in range(i)]
+    else:
+        name, order = "A", max(1, factorial(i) // 2)
+        ref = [max(min(p, i - 2) - 1, -1) for p in range(i)]
+    above = [0] * i  # rows whose first entry must exceed row p's
+    for p in reversed(range(i)):
+        if ref[p] >= 0:
+            above[ref[p]] += 1 + above[p]
+    return _RowQuotient(
+        f"{name}{i}", order, tuple(ref), tuple(m - 1 - a for a in above)
+    )
+
+
 def _run_rows(
     i: int,
     m: int,
     allowed: Sequence[int],
     prefix: Sequence[Sequence[int]],
     on_leaf: Optional[Callable[[list[tuple[int, ...]], list[int], int], None]],
-    forced_first: Optional[Sequence[int]] = None,
+    quotient: Optional[_RowQuotient] = None,
 ) -> int:
     """DFS over rectangles extending ``prefix`` (0-based rows).
 
     ``on_leaf(rows, col_masks, parity)`` sees transient state; parity is the
     inversion parity of eps_c.  Returns the number of leaves visited.
-    ``forced_first`` pins the first-column entry of each row.
+    With ``quotient`` (built for i or more rows) only the rectangles it keeps
+    are visited, one per row orbit; each leaf then stands for
+    ``quotient.order`` rectangles, which the caller weights.  Every sign is
+    still computed leaf by leaf.  ``prefix`` rows are taken as given.
     """
     col_mask = [0] * m
     parity0 = 0
@@ -215,8 +270,10 @@ def _run_rows(
             rows.pop()
             return
         avail = allowed[q] & ~col_mask[q] & ~row_mask
-        if forced_first is not None and q == 0:
-            avail &= 1 << forced_first[p]
+        if q == 0 and quotient is not None:
+            r = quotient.ref[p]
+            low = rows[r][0] + 1 if r >= 0 else 0
+            avail &= ((2 << quotient.cap[p]) - 1) >> low << low
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -241,9 +298,12 @@ def _run_columns(
     m: int,
     allowed: Sequence[int],
     on_leaf: Optional[Callable[[list[int], int], None]],
-    forced_first: Optional[Sequence[int]] = None,
+    quotient: Optional[_RowQuotient] = None,
 ) -> int:
-    """Column-by-column DFS; ``on_leaf(col_masks, parity)`` per rectangle."""
+    """Column-by-column DFS; ``on_leaf(col_masks, parity)`` per rectangle.
+
+    ``quotient`` keeps one rectangle per row orbit, as in :func:`_run_rows`.
+    """
     col_masks = [0] * m
     row_mask = [0] * i
     count = 0
@@ -261,8 +321,11 @@ def _run_columns(
             col_masks[q] = 0
             return
         avail = allowed[q] & ~cmask & ~row_mask[p]
-        if forced_first is not None and q == 0:
-            avail &= 1 << forced_first[p]
+        if q == 0 and quotient is not None:
+            # In column 0 a filled row's mask holds just its first entry.
+            r = quotient.ref[p]
+            low = row_mask[r].bit_length() if r >= 0 else 0
+            avail &= ((2 << quotient.cap[p]) - 1) >> low << low
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -295,14 +358,16 @@ def enumerate_latin_rectangles(
     """Visit every Latin (i, m)-rectangle once, in row-major lexicographic order.
 
     With ``pattern`` given, visits exactly the rectangles of that pattern.
-    Returns the number visited.
+    Returns the number of rectangles.  Without a visitor they are only
+    counted, one per row orbit (:class:`_RowQuotient`) times the orbit size.
     """
     _check_dims(i, m)
     allowed = (
         _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
     )
     if visitor is None:
-        return _run_rows(i, m, allowed, (), None)
+        quotient = _row_quotient(i, m)
+        return quotient.order * _run_rows(i, m, allowed, (), None, quotient)
 
     def leaf(rows, _masks, _parity):
         visitor(LatinRectangle(tuple(rows)))
@@ -365,11 +430,49 @@ class SignedTally:
         }
         return cls(int(obj["i"]), int(obj["m"]), counts)
 
+    def to_json_text(self, **extra) -> str:
+        """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
+        byte, where ``report`` is :meth:`to_json_dict` plus the fields
+        ``extra`` (any but ``patterns``).
+
+        The patterns are rendered directly, each distinct column subset once,
+        without building a dict per pattern or running the pure-Python indent
+        encoder over them.
+        """
+        column = _Memo(
+            lambda sub: "        [\n"
+            + ",\n".join(f"          {s}" for s in sub)
+            + "\n        ]"
+        )
+        record = (
+            '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
+            '      "plus": "%d"\n    }'
+        )
+        report = {"i": self.i, "m": self.m, **extra, "patterns": []}
+        pieces = []
+        for name in sorted(report):
+            pieces.append(",\n  " if pieces else "{\n  ")
+            pieces.append(json.dumps(name) + ": ")
+            if name != "patterns" or not self.counts:
+                value = json.dumps(report[name], indent=2, sort_keys=True)
+                pieces.append(value.replace("\n", "\n  "))
+                continue
+            pieces.append("[\n")
+            for key, (p, n) in sorted(self.counts.items()):
+                pieces.append(record % (n, ",\n".join(map(column.__getitem__, key)), p))
+                pieces.append(",\n")
+            pieces[-1] = "\n  ]"
+        pieces.append("\n}\n")
+        return "".join(pieces)
+
     def to_csv_text(self) -> str:
+        column = _Memo(lambda sub: ",".join(map(str, sub)))
+        head = f"{self.i},{self.m},"
         lines = ["i,m,pattern,plus,minus"]
-        for key, (p, n) in sorted(self.counts.items()):
-            pat = ";".join(",".join(str(s) for s in sub) for sub in key)
-            lines.append(f"{self.i},{self.m},{pat},{p},{n}")
+        lines += [
+            f"{head}{';'.join(map(column.__getitem__, key))},{p},{n}"
+            for key, (p, n) in sorted(self.counts.items())
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -386,9 +489,8 @@ def _tally_leaf_factory(bucket: dict):
 
 
 def _bucket_to_tally(i: int, m: int, bucket: dict) -> SignedTally:
-    counts = {
-        _pattern_from_masks(key, m): (pn[0], pn[1]) for key, pn in bucket.items()
-    }
+    subset = _Memo(_subset_of_mask).__getitem__
+    counts = {tuple(map(subset, key)): (pn[0], pn[1]) for key, pn in bucket.items()}
     return SignedTally(i, m, counts)
 
 
@@ -398,76 +500,79 @@ def _prefix_depth(i: int) -> int:
 
 
 def _list_prefixes(
-    i: int, m: int, allowed: Sequence[int], forced_first: Optional[Sequence[int]]
+    i: int, m: int, allowed: Sequence[int], quotient: _RowQuotient
 ) -> list[tuple[tuple[int, ...], ...]]:
-    depth = _prefix_depth(i)
     out: list[tuple[tuple[int, ...], ...]] = []
     _run_rows(
-        depth,
+        _prefix_depth(i),
         m,
         allowed,
         (),
         lambda rows, _m, _p: out.append(tuple(rows)),
-        forced_first[:depth] if forced_first is not None else None,
+        quotient,
     )
     return out
 
 
 def _block_job(args) -> tuple[tuple, dict]:
-    i, m, allowed, prefix, forced_first = args
+    i, m, allowed, prefix, quotient = args
     bucket: dict = {}
-    _run_rows(i, m, allowed, prefix, _tally_leaf_factory(bucket), forced_first)
-    return prefix, {key: tuple(pn) for key, pn in bucket.items()}
+    _run_rows(i, m, allowed, prefix, _tally_leaf_factory(bucket), quotient)
+    w = quotient.order
+    return prefix, {key: (pn[0] * w, pn[1] * w) for key, pn in bucket.items()}
 
 
 def _tally_by_blocks(
     i: int,
     m: int,
     allowed: Sequence[int],
-    forced_first: Optional[Sequence[int]],
     processes: int,
     checkpoint_path: Optional[str],
     record_patterns: bool,
 ) -> dict:
-    """Prefix-partitioned tally with optional worker pool and checkpointing.
+    """Tally of the row-orbit quotient, by prefix blocks, with counts weighted
+    by the orbit size |G|; optional worker pool and checkpointing.
 
+    Blocks are the first rows of the kept rectangles (:class:`_RowQuotient`).
     Results are merged in lexicographic prefix order, so they do not depend
-    on the worker schedule.  Checkpoint records carry (i, m, reduced) and
-    records from a different configuration are ignored, as are prefixes
-    outside the current partition.
+    on the worker schedule.  The pool gets min(processes, blocks to do,
+    ``os.cpu_count()``) workers.  Checkpoint records carry the full
+    configuration (i, m, allowed masks, quotient group) and weighted counts;
+    records of any other configuration are ignored, as are prefixes outside
+    the current partition.
     """
-    prefixes = _list_prefixes(i, m, allowed, forced_first)
-    reduced = forced_first is not None
+    quotient = _row_quotient(i, m)
+    prefixes = _list_prefixes(i, m, allowed, quotient)
+    config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}
     done: dict[tuple, dict] = {}
     if checkpoint_path is not None:
-        loaded = load_checkpoint(checkpoint_path, m, i=i, reduced=reduced)
+        loaded = load_checkpoint(
+            checkpoint_path, m, i=i, allowed=allowed, group=quotient.group
+        )
         valid = set(prefixes)
         done = {p: b for p, b in loaded.items() if p in valid}
-    todo = [p for p in prefixes if p not in done]
     results: dict[tuple, dict] = dict(done)
-    meta = {"i": i, "m": m, "reduced": reduced}
-    jobs = [(i, m, tuple(allowed), p, forced_first) for p in todo]
-    if processes > 1 and len(jobs) > 1:
+    jobs = [(i, m, tuple(allowed), p, quotient) for p in prefixes if p not in done]
+    subsets = _Memo(_subset_of_mask) if record_patterns else None
+
+    def finish(prefix: tuple, bucket: dict) -> None:
+        results[prefix] = bucket
+        if checkpoint_path is not None:
+            write_checkpoint_record(checkpoint_path, prefix, bucket, config, subsets)
+
+    processes = min(processes, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
         with Pool(processes) as pool:
             for prefix, bucket in pool.imap_unordered(
                 _block_job, jobs, chunksize=max(1, len(jobs) // (8 * processes))
             ):
-                results[prefix] = bucket
-                if checkpoint_path is not None:
-                    write_checkpoint_record(
-                        checkpoint_path, prefix, bucket, m, record_patterns, meta
-                    )
+                finish(prefix, bucket)
     else:
         for job in jobs:
-            prefix, bucket = _block_job(job)
-            results[prefix] = bucket
-            if checkpoint_path is not None:
-                write_checkpoint_record(
-                    checkpoint_path, prefix, bucket, m, record_patterns, meta
-                )
+            finish(*_block_job(job))
     merged: dict = {}
     for prefix in sorted(results):
-        for key, (p, n) in sorted(results[prefix].items()):
+        for key, (p, n) in results[prefix].items():
             cur = merged.get(key)
             if cur is None:
                 merged[key] = [p, n]
@@ -485,19 +590,24 @@ def signed_tally(
     processes: int = 1,
     checkpoint_path: Optional[str] = None,
 ) -> SignedTally:
-    """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles."""
+    """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles.
+
+    Enumerates one rectangle per eps_c-preserving row orbit and weights it by
+    the orbit size; :func:`column_order_tally` is the unreduced oracle.
+    """
     _check_dims(i, m)
     allowed = (
         _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
     )
-    bucket = _tally_by_blocks(i, m, allowed, None, processes, checkpoint_path, True)
+    bucket = _tally_by_blocks(i, m, allowed, processes, checkpoint_path, True)
     return _bucket_to_tally(i, m, bucket)
 
 
 def column_order_tally(
     i: int, m: int, *, pattern: Optional[Pattern] = None
 ) -> SignedTally:
-    """Independent column-by-column tally; must agree with :func:`signed_tally`."""
+    """Independent column-by-column tally over every rectangle (no quotient);
+    the oracle that :func:`signed_tally` must agree with."""
     _check_dims(i, m)
     allowed = (
         _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
@@ -527,35 +637,32 @@ def alon_tarsi_difference(
     """Signed sum of eps_c over all Latin (m, m)-squares.
 
     ``order`` selects the row-major or the column-major enumeration; the two
-    must agree exactly.  ``fix_first_column`` quotients out the free symbol
-    relabelling action (valid for even m only, where relabelling preserves
-    eps_c) and multiplies the fixed-first-column sum by m!.
+    must agree exactly.  The rows route enumerates one square per
+    eps_c-preserving row orbit (:class:`_RowQuotient`) and weights it by the
+    orbit size.  At odd m its value 0 comes out of the enumeration: each S_m
+    orbit splits into two A_m orbits of opposite sign, and both
+    representatives are visited.  The columns route visits every square and
+    is the independent oracle.  ``fix_first_column`` (even m only) matters on
+    the columns route alone: it keeps the squares whose first column is
+    1..m, one per row orbit, and multiplies their sum by m!.
     """
     _check_dims(m, m)
-    forced_first = None
-    scale = 1
-    if fix_first_column:
-        if m % 2:
-            raise ValueError("first-column reduction requires even m")
-        forced_first = tuple(range(m))
-        scale = factorial(m)
+    if fix_first_column and m % 2:
+        raise ValueError("first-column reduction requires even m")
     allowed = [(1 << m) - 1] * m
     if order == "rows":
-        bucket = _tally_by_blocks(
-            m, m, allowed, forced_first, processes, checkpoint_path, False
-        )
-        diff = sum(pn[0] - pn[1] for pn in bucket.values())
-    elif order == "columns":
-        acc = [0, 0]
-
-        def leaf(_masks, parity):
-            acc[parity] += 1
-
-        _run_columns(m, m, allowed, leaf, forced_first)
-        diff = acc[0] - acc[1]
-    else:
+        bucket = _tally_by_blocks(m, m, allowed, processes, checkpoint_path, False)
+        return sum(pn[0] - pn[1] for pn in bucket.values())
+    if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
-    return scale * diff
+    quotient = _row_quotient(m, m) if fix_first_column else None
+    acc = [0, 0]
+
+    def leaf(_masks, parity):
+        acc[parity] += 1
+
+    _run_columns(m, m, allowed, leaf, quotient)
+    return (quotient.order if quotient else 1) * (acc[0] - acc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +759,37 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # ---------------------------------------------------------------------------
 # Checkpoint files: one newline-delimited JSON record per completed prefix
 # block, restart-safe via prefix deduplication.
+#
+# A record holds the 1-based "prefix" rows of its block, the block's "plus"
+# and "minus" totals and, for tallies, its per-pattern counts ("patterns").
+# It is keyed by the full configuration of the run: "i", "m", the "allowed"
+# column masks (all ones unless the tally is pattern-filtered) and the row
+# quotient "group" (S<i> or A<i>).  Counts are already multiplied by the
+# group order, so the records of a run sum to its result.
 # ---------------------------------------------------------------------------
-
 
 def write_checkpoint_record(
     path: str,
     prefix: tuple,
     bucket: dict,
-    m: int,
-    record_patterns: bool,
-    meta: Optional[dict] = None,
+    config: dict,
+    subsets: Optional[dict] = None,
 ) -> None:
+    """Append one block's record; ``config`` maps each of i, m, allowed and
+    group to its value.  With ``subsets`` (column mask -> sorted 1-based
+    subset) the per-pattern counts are recorded too."""
     plus = sum(pn[0] for pn in bucket.values())
     minus = sum(pn[1] for pn in bucket.values())
     rec: dict = {
         "prefix": [[s + 1 for s in row] for row in prefix],
         "plus": str(plus),
         "minus": str(minus),
+        **config,
     }
-    if meta:
-        rec.update(meta)
-    if record_patterns:
+    if subsets is not None:
         rec["patterns"] = [
             {
-                "pattern": [list(sub) for sub in _pattern_from_masks(key, m)],
+                "pattern": [subsets[mask] for mask in key],
                 "plus": str(pn[0]),
                 "minus": str(pn[1]),
             }
@@ -697,12 +811,16 @@ def load_checkpoint(
     m: int,
     *,
     i: Optional[int] = None,
-    reduced: Optional[bool] = None,
+    allowed: Optional[Sequence[int]] = None,
+    group: Optional[str] = None,
 ) -> dict[tuple, dict]:
     """Completed prefix blocks from a checkpoint file (later records win).
 
-    Records carrying (i, m, reduced) metadata that disagrees with the
-    requested configuration are skipped; bare records are accepted.
+    Only records keyed by a full configuration (i, m, allowed, group) are
+    read, and of those only the ones that match ``m`` and each of ``i``,
+    ``allowed`` and ``group`` that is given.  Records of an earlier format,
+    without allowed masks or quotient group, are skipped: they count every
+    rectangle of a block, not one per row orbit.
 
     The file is streamed line by line.  A record is complete only with its
     newline, and a line that does not decode is held back: it raises
@@ -710,6 +828,12 @@ def load_checkpoint(
     the torn tail of an interrupted write, and it is cut from the file so
     that the next appended record starts on a fresh line.
     """
+    want = {
+        "i": i,
+        "m": m,
+        "allowed": None if allowed is None else list(allowed),
+        "group": group,
+    }
     done: dict[tuple, dict] = {}
     try:
         fh = open(path, "rb")
@@ -733,11 +857,10 @@ def load_checkpoint(
             except ValueError as exc:
                 torn_at, error = start, exc
                 continue
-            if "m" in rec and rec["m"] != m:
-                continue
-            if i is not None and "i" in rec and rec["i"] != i:
-                continue
-            if reduced is not None and rec.get("reduced", reduced) != reduced:
+            if not isinstance(rec, dict) or any(
+                key not in rec or value is not None and rec[key] != value
+                for key, value in want.items()
+            ):
                 continue
             prefix = tuple(tuple(s - 1 for s in row) for row in rec["prefix"])
             if "patterns" in rec:

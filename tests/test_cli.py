@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from detorbit import latin
 from detorbit.cli import main
 
 
@@ -182,3 +185,29 @@ def test_invariant_eval_from_form_literal(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["value"] == {"num": "-1", "den": "4"}
+
+
+@pytest.mark.parametrize("i,m", [(2, 4), (3, 4), (2, 5)])
+def test_tally_report_bytes(capsys, tmp_path, i, m):
+    # References rendered the plain way from the unreduced column oracle.
+    oracle = latin.column_order_tally(i, m)
+    report = {**oracle.to_json_dict(), "total": str(oracle.total()), "seed": 0}
+    want_json = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    want_csv = "\n".join(
+        ["i,m,pattern,plus,minus"]
+        + [
+            f"{i},{m},{';'.join(','.join(map(str, sub)) for sub in key)},{p},{n}"
+            for key, (p, n) in sorted(oracle.counts.items())
+        ]
+    ) + "\n"
+    out_path = tmp_path / "report"
+    code, out = _run(capsys, "--out", str(out_path), "tally", str(i), str(m))
+    assert code == 0
+    assert out == want_json
+    assert out_path.read_text() == want_json
+    code, out = _run(
+        capsys, "--format", "csv", "--out", str(out_path), "tally", str(i), str(m)
+    )
+    assert code == 0
+    assert out == want_csv
+    assert out_path.read_text() == want_csv

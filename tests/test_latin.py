@@ -132,7 +132,9 @@ def _factorial(n: int) -> int:
     return out
 
 
-@pytest.mark.parametrize("i,m", [(1, 4), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
+# Every shape up to m = 5: signed_tally enumerates one rectangle per row
+# orbit, column_order_tally every rectangle.
+@pytest.mark.parametrize("i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)])
 def test_two_enumeration_orders_agree(i, m):
     assert signed_tally(i, m).counts == column_order_tally(i, m).counts
 
@@ -353,3 +355,152 @@ def test_pattern_validation():
     assert not latin.is_valid_pattern(((1, 2), (1, 3)), 2, 3)
     with pytest.raises(ValueError):
         signed_tally(2, 2, pattern=((1,), (1, 2)))
+
+
+# A (2,4) pattern with 4 rectangles, all column-even.
+PATTERN_2_4 = ((1, 2), (1, 2), (3, 4), (3, 4))
+
+
+def test_filtered_tally_ignores_unfiltered_checkpoint(tmp_path):
+    cp = str(tmp_path / "tally.ndjson")
+    signed_tally(2, 4, checkpoint_path=cp)
+    resumed = signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=cp)
+    assert resumed.counts == {PATTERN_2_4: (4, 0)}
+
+
+def test_unfiltered_tally_ignores_filtered_checkpoint(tmp_path):
+    cp = str(tmp_path / "tally.ndjson")
+    signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=cp)
+    assert signed_tally(2, 4, checkpoint_path=cp).counts == signed_tally(2, 4).counts
+
+
+def test_checkpoint_records_without_full_configuration_are_ignored(tmp_path):
+    # The earlier record format: (i, m, reduced), no allowed masks and no
+    # quotient group, with counts over every rectangle of the block.
+    cp = tmp_path / "old.ndjson"
+    rec = {
+        "i": 2,
+        "m": 4,
+        "reduced": False,
+        "prefix": [[1, 2, 3, 4]],
+        "plus": "99",
+        "minus": "0",
+        "patterns": [{"pattern": [[1, 2], [1, 2], [3, 4], [3, 4]], "plus": "99", "minus": "0"}],
+    }
+    cp.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    assert latin.load_checkpoint(str(cp), 4, i=2) == {}
+    assert signed_tally(2, 4, checkpoint_path=str(cp)).counts == signed_tally(2, 4).counts
+
+
+def test_checkpoint_records_carry_configuration_and_weighted_counts(tmp_path):
+    cp = tmp_path / "tally.ndjson"
+    tally = signed_tally(3, 3, checkpoint_path=str(cp))
+    recs = [json.loads(line) for line in cp.read_text().splitlines()]
+    assert all(
+        (r["i"], r["m"], r["allowed"], r["group"]) == (3, 3, [7] * 3, "A3")
+        for r in recs
+    )
+    assert sum(int(r["plus"]) + int(r["minus"]) for r in recs) == tally.total()
+    assert tally.total() == 12
+
+
+# ---------------------------------------------------------------------------
+# Row-orbit quotient: one rectangle per orbit of G (S_i at even m, A_i at odd
+# m), weighted by |G|, against the unreduced enumerations.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i,m", [(2, 4), (3, 4)])
+def test_filtered_quotient_tallies_match_column_oracle(i, m):
+    for pattern, counts in column_order_tally(i, m).counts.items():
+        assert signed_tally(i, m, pattern=pattern).counts == {pattern: counts}
+        assert enumerate_latin_rectangles(i, m, pattern=pattern) == sum(counts)
+
+
+@pytest.mark.parametrize("i,m,total", [(2, 6, 190800), (3, 5, 66240), (5, 5, 161280)])
+def test_quotient_leaf_counts(i, m, total):
+    quotient = latin._row_quotient(i, m)
+    allowed = [(1 << m) - 1] * m
+    leaves = latin._run_rows(i, m, allowed, (), None, quotient)
+    assert leaves * quotient.order == total
+    assert latin._run_columns(i, m, allowed, None, quotient) == leaves
+
+
+@pytest.mark.parametrize("i,m", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5)])
+def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
+    from itertools import permutations
+
+    quotient = latin._row_quotient(i, m)
+    kept = []
+    latin._run_rows(
+        i, m, [(1 << m) - 1] * m, (), lambda rows, _c, _p: kept.append(tuple(rows)),
+        quotient,
+    )
+    group = [
+        tau
+        for tau in permutations(range(i))
+        if m % 2 == 0 or _inversions(tau) % 2 == 0
+    ]
+    assert len(group) == quotient.order
+    orbits = [tuple(rows[t] for t in tau) for rows in kept for tau in group]
+    everything = []
+    enumerate_latin_rectangles(i, m, visitor=lambda r: everything.append(r.entries))
+    assert sorted(orbits) == sorted(everything)  # covers all, each once
+    for rows in kept:
+        first = [row[0] for row in rows]
+        if m % 2 == 0:
+            assert first == sorted(first)
+        else:  # the i-2 smallest entries come first, in order
+            assert first[: max(i - 2, 0)] == sorted(first)[: max(i - 2, 0)]
+        rect = LatinRectangle(rows)
+        for tau in group:
+            image = LatinRectangle(tuple(rows[t] for t in tau))
+            assert pattern_of(image) == pattern_of(rect)
+            assert rect_sign(image) == rect_sign(rect)
+
+
+def _inversions(perm) -> int:
+    return sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+
+
+def test_worker_count_is_capped(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(latin, "Pool", FakePool)
+    monkeypatch.setattr(latin.os, "cpu_count", lambda: 3)
+    expected = column_order_tally(2, 3).counts
+    # (2,3) has 6 prefix blocks: capped by the CPU count, then by the blocks.
+    assert signed_tally(2, 3, processes=1000).counts == expected
+    monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
+    assert signed_tally(2, 3, processes=1000).counts == expected
+    assert signed_tally(2, 3, processes=4).counts == expected
+    monkeypatch.setattr(latin.os, "cpu_count", lambda: None)
+    assert signed_tally(2, 3, processes=4).counts == expected  # serial
+    assert sizes == [3, 6, 4]
+
+
+def _json_reference(tally, **extra) -> str:
+    return json.dumps({**tally.to_json_dict(), **extra}, indent=2, sort_keys=True) + "\n"
+
+
+def test_tally_json_text_matches_indent_encoder():
+    for i, m in [(1, 1), (2, 3), (2, 4), (3, 4)]:
+        tally = signed_tally(i, m)
+        assert tally.to_json_text() == _json_reference(tally)
+        extra = {"a": {"z": [1, {"y": None}], "b": []}, "seed": -3, "total": "7"}
+        assert tally.to_json_text(**extra) == _json_reference(tally, **extra)
+    empty = latin.SignedTally(2, 2, {})
+    assert empty.to_json_text(seed=0) == _json_reference(empty, seed=0)
