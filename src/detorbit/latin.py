@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from multiprocessing import Pool
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -160,21 +161,9 @@ def _pattern_masks(pattern: Pattern, i: int, m: int) -> list[int]:
     return masks
 
 
-class _Memo(dict):
-    """``fn(key)`` for each key, computed on first use and then looked up."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
+@cache
 def _subset_of_mask(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based subset of a column mask; a run memoizes it per mask
-    (at most 2^m of them) with :class:`_Memo`."""
+    """Sorted 1-based subset of a column mask (cached: at most 2^m masks per m)."""
     return tuple(s + 1 for s in range(mask.bit_length()) if mask >> s & 1)
 
 
@@ -439,7 +428,7 @@ class SignedTally:
         without building a dict per pattern or running the pure-Python indent
         encoder over them.
         """
-        column = _Memo(
+        column = cache(
             lambda sub: "        [\n"
             + ",\n".join(f"          {s}" for s in sub)
             + "\n        ]"
@@ -459,18 +448,18 @@ class SignedTally:
                 continue
             pieces.append("[\n")
             for key, (p, n) in sorted(self.counts.items()):
-                pieces.append(record % (n, ",\n".join(map(column.__getitem__, key)), p))
+                pieces.append(record % (n, ",\n".join(map(column, key)), p))
                 pieces.append(",\n")
             pieces[-1] = "\n  ]"
         pieces.append("\n}\n")
         return "".join(pieces)
 
     def to_csv_text(self) -> str:
-        column = _Memo(lambda sub: ",".join(map(str, sub)))
+        column = cache(lambda sub: ",".join(map(str, sub)))
         head = f"{self.i},{self.m},"
         lines = ["i,m,pattern,plus,minus"]
         lines += [
-            f"{head}{';'.join(map(column.__getitem__, key))},{p},{n}"
+            f"{head}{';'.join(map(column, key))},{p},{n}"
             for key, (p, n) in sorted(self.counts.items())
         ]
         return "\n".join(lines) + "\n"
@@ -489,8 +478,7 @@ def _tally_leaf_factory(bucket: dict):
 
 
 def _bucket_to_tally(i: int, m: int, bucket: dict) -> SignedTally:
-    subset = _Memo(_subset_of_mask).__getitem__
-    counts = {tuple(map(subset, key)): (pn[0], pn[1]) for key, pn in bucket.items()}
+    counts = {tuple(map(_subset_of_mask, key)): (pn[0], pn[1]) for key, pn in bucket.items()}
     return SignedTally(i, m, counts)
 
 
@@ -546,19 +534,18 @@ def _tally_by_blocks(
     config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}
     done: dict[tuple, dict] = {}
     if checkpoint_path is not None:
-        loaded = load_checkpoint(
-            checkpoint_path, m, i=i, allowed=allowed, group=quotient.group
-        )
+        loaded = load_checkpoint(checkpoint_path, config)
         valid = set(prefixes)
         done = {p: b for p, b in loaded.items() if p in valid}
     results: dict[tuple, dict] = dict(done)
     jobs = [(i, m, tuple(allowed), p, quotient) for p in prefixes if p not in done]
-    subsets = _Memo(_subset_of_mask) if record_patterns else None
 
     def finish(prefix: tuple, bucket: dict) -> None:
         results[prefix] = bucket
         if checkpoint_path is not None:
-            write_checkpoint_record(checkpoint_path, prefix, bucket, config, subsets)
+            write_checkpoint_record(
+                checkpoint_path, prefix, bucket, config, record_patterns
+            )
 
     processes = min(processes, len(jobs), os.cpu_count() or 1)
     if processes > 1:
@@ -773,11 +760,11 @@ def write_checkpoint_record(
     prefix: tuple,
     bucket: dict,
     config: dict,
-    subsets: Optional[dict] = None,
+    patterns: bool,
 ) -> None:
     """Append one block's record; ``config`` maps each of i, m, allowed and
-    group to its value.  With ``subsets`` (column mask -> sorted 1-based
-    subset) the per-pattern counts are recorded too."""
+    group to its value.  With ``patterns`` the per-pattern counts are
+    recorded too."""
     plus = sum(pn[0] for pn in bucket.values())
     minus = sum(pn[1] for pn in bucket.values())
     rec: dict = {
@@ -786,10 +773,10 @@ def write_checkpoint_record(
         "minus": str(minus),
         **config,
     }
-    if subsets is not None:
+    if patterns:
         rec["patterns"] = [
             {
-                "pattern": [subsets[mask] for mask in key],
+                "pattern": list(map(_subset_of_mask, key)),
                 "plus": str(pn[0]),
                 "minus": str(pn[1]),
             }
@@ -806,21 +793,15 @@ def _mask_of(subset: Iterable[int]) -> int:
     return mask
 
 
-def load_checkpoint(
-    path: str,
-    m: int,
-    *,
-    i: Optional[int] = None,
-    allowed: Optional[Sequence[int]] = None,
-    group: Optional[str] = None,
-) -> dict[tuple, dict]:
-    """Completed prefix blocks from a checkpoint file (later records win).
+def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
+    """Completed prefix blocks of the run ``config`` from a checkpoint file
+    (later records win).
 
-    Only records keyed by a full configuration (i, m, allowed, group) are
-    read, and of those only the ones that match ``m`` and each of ``i``,
-    ``allowed`` and ``group`` that is given.  Records of an earlier format,
-    without allowed masks or quotient group, are skipped: they count every
-    rectangle of a block, not one per row orbit.
+    ``config`` is the dict that :func:`write_checkpoint_record` writes (i, m,
+    allowed, group); a record is read only if it holds every one of its keys
+    with the same value.  So records of an earlier format, without allowed
+    masks or quotient group, are skipped: they count every rectangle of a
+    block, not one per row orbit.
 
     The file is streamed line by line.  A record is complete only with its
     newline, and a line that does not decode is held back: it raises
@@ -828,12 +809,7 @@ def load_checkpoint(
     the torn tail of an interrupted write, and it is cut from the file so
     that the next appended record starts on a fresh line.
     """
-    want = {
-        "i": i,
-        "m": m,
-        "allowed": None if allowed is None else list(allowed),
-        "group": group,
-    }
+    m = config["m"]
     done: dict[tuple, dict] = {}
     try:
         fh = open(path, "rb")
@@ -858,8 +834,7 @@ def load_checkpoint(
                 torn_at, error = start, exc
                 continue
             if not isinstance(rec, dict) or any(
-                key not in rec or value is not None and rec[key] != value
-                for key, value in want.items()
+                rec.get(key) != value for key, value in config.items()
             ):
                 continue
             prefix = tuple(tuple(s - 1 for s in row) for row in rec["prefix"])

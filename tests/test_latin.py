@@ -236,6 +236,7 @@ def test_torn_checkpoint_tail_is_dropped_before_appending(tmp_path):
     full = signed_tally(3, 4, checkpoint_path=str(cp))
     lines = cp.read_text().splitlines(keepends=True)
     kept = len(lines) // 2
+    config = {"i": 3, "m": 4, "allowed": [15] * 4, "group": "S3"}
     head = "".join(lines[:kept])
     cp.write_text(head + lines[kept][:7])
     assert signed_tally(3, 4, checkpoint_path=str(cp)).counts == full.counts
@@ -245,12 +246,12 @@ def test_torn_checkpoint_tail_is_dropped_before_appending(tmp_path):
     # A record is complete only with its newline; loading cuts the tail.
     for tail in (lines[kept][:7], lines[kept].rstrip("\n"), "{oops\n\n"):
         cp.write_text(head + tail)
-        assert len(latin.load_checkpoint(str(cp), 4, i=3)) == kept
+        assert len(latin.load_checkpoint(str(cp), config)) == kept
         assert cp.read_text() == head
     # Corruption followed by further records still raises.
     cp.write_text(head + "{oops\n" + "".join(lines[kept:]))
     with pytest.raises(ValueError):
-        latin.load_checkpoint(str(cp), 4, i=3)
+        latin.load_checkpoint(str(cp), config)
 
 
 def test_alon_tarsi_checkpoint_records(tmp_path):
@@ -272,7 +273,9 @@ def test_checkpoint_ignores_foreign_configurations(tmp_path):
     assert tally.counts == signed_tally(3, 4).counts
     # The full-square run still resumes correctly from its own records.
     assert alon_tarsi_difference(3, checkpoint_path=cp) == at3
-    # Reduced and full runs do not share records either.
+    # With the row quotient, fix_first_column only acts on the columns route:
+    # both rows-route runs have one configuration and resume from each
+    # other's records.
     cp2 = str(tmp_path / "reduced.ndjson")
     reduced = alon_tarsi_difference(4, fix_first_column=True, checkpoint_path=cp2)
     assert alon_tarsi_difference(4, checkpoint_path=cp2) == reduced == 576
@@ -388,7 +391,8 @@ def test_checkpoint_records_without_full_configuration_are_ignored(tmp_path):
         "patterns": [{"pattern": [[1, 2], [1, 2], [3, 4], [3, 4]], "plus": "99", "minus": "0"}],
     }
     cp.write_text(json.dumps(rec, sort_keys=True) + "\n")
-    assert latin.load_checkpoint(str(cp), 4, i=2) == {}
+    config = {"i": 2, "m": 4, "allowed": [15] * 4, "group": "S2"}
+    assert latin.load_checkpoint(str(cp), config) == {}
     assert signed_tally(2, 4, checkpoint_path=str(cp)).counts == signed_tally(2, 4).counts
 
 
