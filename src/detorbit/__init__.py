@@ -56,7 +56,6 @@ from .orbit import (
     RestrictionMatrix,
     content_coefficient,
     det_restriction,
-    perm_restriction,
     permanent,
     permanent_naive,
     witness_search,

@@ -201,11 +201,10 @@ def _verify_all_checks(m: int, seed: int, budget: int) -> list[dict]:
             lhs=_frac(rep["lhs_latin"]),
             rhs=_frac(rep["rhs"]),
         )
-    if m <= 4:
-        add(
-            "sign-sum-pairing-cross-check",
-            tensors.latin_sign_sum_pairing(m) == rows,
-        )
+    add(
+        "sign-sum-pairing-cross-check",
+        tensors.latin_sign_sum_pairing(m) == rows,
+    )
     for i in range(1, min(m, 4) + 1):
         computed, closed = invariant.power_sum_invariant_check(m, i)
         add(

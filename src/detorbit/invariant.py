@@ -297,6 +297,22 @@ def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], denom)
 
 
+def _gray_steps(k: int) -> Iterator[tuple[int, bool, int]]:
+    """Visit the nonempty subsets of k items in Gray-code order.
+
+    Each step flips one item; yields (item, whether it entered, subset size).
+    Drives the inclusion-exclusion sums here and in :func:`orbit.permanent`.
+    """
+    prev = size = 0
+    for s in range(1, 1 << k):
+        gray = s ^ (s >> 1)
+        bit = gray ^ prev
+        prev = gray
+        added = bool(gray & bit)
+        size += 1 if added else -1
+        yield bit.bit_length() - 1, added, size
+
+
 def polarized_det_power(
     size: int, power: int, matrices: Sequence[Matrix]
 ) -> Fraction:
@@ -319,28 +335,20 @@ def polarized_det_power(
             raise ValueError("matrix of wrong size")
     cur = [[Fraction(0)] * size for _ in range(size)]
     total = Fraction(0)
-    prev_gray = 0
-    popcount = 0
-    for s in range(1, 1 << k):
-        gray = s ^ (s >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
+    for j, added, popcount in _gray_steps(k):
         mat = matrices[j]
-        if gray & bit:
-            popcount += 1
+        if added:
             for a in range(size):
                 row = cur[a]
                 mrow = mat[a]
                 for b in range(size):
                     row[b] += mrow[b]
         else:
-            popcount -= 1
             for a in range(size):
                 row = cur[a]
                 mrow = mat[a]
                 for b in range(size):
                     row[b] -= mrow[b]
-        prev_gray = gray
         d = exact_det(cur)
         if d:
             term = d**power

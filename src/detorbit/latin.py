@@ -107,7 +107,9 @@ class LatinRectangle:
 def column_sign(column: Sequence[int]) -> int:
     """Sign of prod_{p<p'} (a_{p'} - a_p) over a distinct-entry column.
 
-    The empty product convention gives +1 for a single entry.
+    The empty product convention gives +1 for a single entry.  This is the
+    inversion parity of the package: the sign of a permutation in one-line
+    notation is its column sign.
     """
     if len(set(column)) != len(column):
         raise ValueError("not a valid Latin column")
@@ -149,7 +151,10 @@ def is_valid_pattern(pattern: Pattern, i: int, m: int) -> bool:
     return all(c == i for c in occur)
 
 
-def _pattern_masks(pattern: Pattern, i: int, m: int) -> list[int]:
+def _pattern_masks(pattern: Optional[Pattern], i: int, m: int) -> list[int]:
+    """Allowed symbols per column: the pattern's subsets, or all for None."""
+    if pattern is None:
+        return [(1 << m) - 1] * m
     if not is_valid_pattern(pattern, i, m):
         raise ValueError("invalid pattern")
     masks = []
@@ -174,6 +179,11 @@ def _subset_of_mask(mask: int) -> tuple[int, ...]:
 # the sign parity incrementally: placing s under a column with used-mask u
 # adds popcount(u >> (s+1)) inversions.
 # ---------------------------------------------------------------------------
+
+
+# on_leaf(rows, col_masks, parity) of both DFS kernels; the column order
+# builds no rows and passes None.
+_Leaf = Callable[[Optional[list[tuple[int, ...]]], list[int], int], None]
 
 
 class _RowQuotient(NamedTuple):
@@ -221,7 +231,7 @@ def _run_rows(
     m: int,
     allowed: Sequence[int],
     prefix: Sequence[Sequence[int]],
-    on_leaf: Optional[Callable[[list[tuple[int, ...]], list[int], int], None]],
+    on_leaf: Optional[_Leaf],
     quotient: Optional[_RowQuotient] = None,
 ) -> int:
     """DFS over rectangles extending ``prefix`` (0-based rows).
@@ -286,10 +296,10 @@ def _run_columns(
     i: int,
     m: int,
     allowed: Sequence[int],
-    on_leaf: Optional[Callable[[list[int], int], None]],
+    on_leaf: Optional[_Leaf],
     quotient: Optional[_RowQuotient] = None,
 ) -> int:
-    """Column-by-column DFS; ``on_leaf(col_masks, parity)`` per rectangle.
+    """Column-by-column DFS; ``on_leaf(None, col_masks, parity)`` per rectangle.
 
     ``quotient`` keeps one rectangle per row orbit, as in :func:`_run_rows`.
     """
@@ -304,7 +314,7 @@ def _run_columns(
             if q + 1 == m:
                 count += 1
                 if on_leaf is not None:
-                    on_leaf(col_masks, parity)
+                    on_leaf(None, col_masks, parity)
             else:
                 fill(q + 1, 0, 0, parity)
             col_masks[q] = 0
@@ -351,9 +361,7 @@ def enumerate_latin_rectangles(
     counted, one per row orbit (:class:`_RowQuotient`) times the orbit size.
     """
     _check_dims(i, m)
-    allowed = (
-        _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
-    )
+    allowed = _pattern_masks(pattern, i, m)
     if visitor is None:
         quotient = _row_quotient(i, m)
         return quotient.order * _run_rows(i, m, allowed, (), None, quotient)
@@ -583,9 +591,7 @@ def signed_tally(
     the orbit size; :func:`column_order_tally` is the unreduced oracle.
     """
     _check_dims(i, m)
-    allowed = (
-        _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
-    )
+    allowed = _pattern_masks(pattern, i, m)
     bucket = _tally_by_blocks(i, m, allowed, processes, checkpoint_path, True)
     return _bucket_to_tally(i, m, bucket)
 
@@ -594,22 +600,12 @@ def column_order_tally(
     i: int, m: int, *, pattern: Optional[Pattern] = None
 ) -> SignedTally:
     """Independent column-by-column tally over every rectangle (no quotient);
-    the oracle that :func:`signed_tally` must agree with."""
+    the oracle that :func:`signed_tally` and both routes of
+    :func:`alon_tarsi_difference` must agree with."""
     _check_dims(i, m)
-    allowed = (
-        _pattern_masks(pattern, i, m) if pattern is not None else [(1 << m) - 1] * m
-    )
+    allowed = _pattern_masks(pattern, i, m)
     bucket: dict = {}
-
-    def leaf(col_masks, parity):
-        key = tuple(col_masks)
-        cur = bucket.get(key)
-        if cur is None:
-            cur = [0, 0]
-            bucket[key] = cur
-        cur[parity] += 1
-
-    _run_columns(i, m, allowed, leaf)
+    _run_columns(i, m, allowed, _tally_leaf_factory(bucket))
     return _bucket_to_tally(i, m, bucket)
 
 
@@ -617,39 +613,36 @@ def alon_tarsi_difference(
     m: int,
     *,
     order: str = "rows",
-    fix_first_column: bool = False,
     processes: int = 1,
     checkpoint_path: Optional[str] = None,
 ) -> int:
     """Signed sum of eps_c over all Latin (m, m)-squares.
 
     ``order`` selects the row-major or the column-major enumeration; the two
-    must agree exactly.  The rows route enumerates one square per
-    eps_c-preserving row orbit (:class:`_RowQuotient`) and weights it by the
-    orbit size.  At odd m its value 0 comes out of the enumeration: each S_m
-    orbit splits into two A_m orbits of opposite sign, and both
-    representatives are visited.  The columns route visits every square and
-    is the independent oracle.  ``fix_first_column`` (even m only) matters on
-    the columns route alone: it keeps the squares whose first column is
-    1..m, one per row orbit, and multiplies their sum by m!.
+    are independent DFS kernels and must agree exactly.  Both enumerate one
+    square per eps_c-preserving row orbit (:class:`_RowQuotient`: S_m at
+    even m, where the kept squares have first column 1..m, and A_m at odd m)
+    and weight it by the orbit size.  At odd m the value 0 comes out of the
+    enumeration: each S_m orbit splits into two A_m orbits of opposite sign,
+    and both representatives are visited.  ``column_order_tally(m, m)`` is
+    the unreduced oracle; the rows route alone takes ``processes`` and
+    ``checkpoint_path``.
     """
     _check_dims(m, m)
-    if fix_first_column and m % 2:
-        raise ValueError("first-column reduction requires even m")
-    allowed = [(1 << m) - 1] * m
+    allowed = _pattern_masks(None, m, m)
     if order == "rows":
         bucket = _tally_by_blocks(m, m, allowed, processes, checkpoint_path, False)
         return sum(pn[0] - pn[1] for pn in bucket.values())
     if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
-    quotient = _row_quotient(m, m) if fix_first_column else None
+    quotient = _row_quotient(m, m)
     acc = [0, 0]
 
-    def leaf(_masks, parity):
+    def leaf(_rows, _masks, parity):
         acc[parity] += 1
 
     _run_columns(m, m, allowed, leaf, quotient)
-    return (quotient.order if quotient else 1) * (acc[0] - acc[1])
+    return quotient.order * (acc[0] - acc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +679,7 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
     if i < 2:
         raise ValueError("need at least two rows")
     _check_dims(i, m)
-    allowed = [(1 << m) - 1] * m
+    allowed = _pattern_masks(None, i, m)
     fiber_sign: dict[tuple, int] = {}
     state = {"ok": True, "count": 0, "bad": None}
 

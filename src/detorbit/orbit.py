@@ -8,7 +8,8 @@ Points of this shape are used to certify that the degree-i invariant of
 matrix A with nonzero invariant value is a witness.
 
 The permanent comes in two exact flavours: a Ryser-style inclusion-exclusion
-with Gray-code row-sum updates (production) and the factorial-sum definition
+with row-sum updates along the Gray-code walk of
+:mod:`detorbit.invariant` (production) and the factorial-sum definition
 (oracle).
 """
 
@@ -22,7 +23,7 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .invariant import HomPoly, det_power_invariant
+from .invariant import HomPoly, _gray_steps, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
@@ -30,7 +31,6 @@ __all__ = [
     "permanent",
     "permanent_naive",
     "det_restriction",
-    "perm_restriction",
     "content_coefficient",
     "candidate_schedule",
     "witness_search",
@@ -56,21 +56,13 @@ def permanent(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
     rows = [[Fraction(x) for x in row] for row in mat]
     sums = [Fraction(0)] * n
     total = Fraction(0)
-    prev_gray = 0
-    popcount = 0
-    for s in range(1, 1 << n):
-        gray = s ^ (s >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        if gray & bit:
-            popcount += 1
+    for j, added, popcount in _gray_steps(n):
+        if added:
             for p in range(n):
                 sums[p] += rows[p][j]
         else:
-            popcount -= 1
             for p in range(n):
                 sums[p] -= rows[p][j]
-        prev_gray = gray
         prod = Fraction(1)
         for p in range(n):
             prod *= sums[p]
@@ -192,17 +184,6 @@ def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:
 
 def det_restriction(A: RestrictionMatrix) -> HomPoly:
     """Expand prod_p (sum_j x_j A[p][j]) into a degree-m form in i variables."""
-    return _product_form(A.rows, A.i)
-
-
-def perm_restriction(A: RestrictionMatrix, basis: str = "diagonal") -> HomPoly:
-    """Permanent restriction; identical to the determinant one on the diagonal basis.
-
-    Only the diagonal basis is supported: there both ambient functions reduce
-    to the same product form.
-    """
-    if basis != "diagonal":
-        raise ValueError("unsupported basis image")
     return _product_form(A.rows, A.i)
 
 

@@ -273,15 +273,8 @@ def _iter_block_perms(
             for src, dst in zip(block, image):
                 perm[src] = dst
             if signed:
-                inv = 0
                 pos = {c: t for t, c in enumerate(block)}
-                idx = [pos[c] for c in image]
-                for a in range(len(idx)):
-                    for b in range(a + 1, len(idx)):
-                        if idx[b] < idx[a]:
-                            inv += 1
-                if inv & 1:
-                    sign = -sign
+                sign *= latin.column_sign([pos[c] for c in image])
         yield tuple(perm), sign
 
 
@@ -393,18 +386,6 @@ def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
     return total / Fraction(factorial(m)) ** i
 
 
-def _perms_with_signs(n: int) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for perm in permutations(range(n)):
-        inv = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[b] < perm[a]:
-                    inv += 1
-        out.append((perm, -1 if inv & 1 else 1))
-    return out
-
-
 def rectangle_symmetrizer_pairing(
     i: int,
     m: int,
@@ -431,7 +412,7 @@ def rectangle_symmetrizer_pairing(
     if method != "latin":
         raise ValueError("method must be 'latin' or 'full'")
 
-    perms_i = _perms_with_signs(i)
+    perms_i = [(perm, latin.column_sign(perm)) for perm in permutations(range(i))]
     total = 0
 
     def per_rectangle(rows, _masks, _parity):
@@ -496,9 +477,11 @@ def latin_sign_sum_pairing(
 
     Equals the sum of sign products over all m-tuples of column permutations
     whose matrix is a Latin square, i.e. the signed Latin square count.
-    ``method='search'`` runs a column-by-column backtracking sum;
-    ``method='explicit'`` materializes the symmetrizer image and contracts
-    (small m only).
+    ``method='search'`` returns that count from the column-major enumeration
+    of :func:`latin.alon_tarsi_difference`.  ``method='explicit'``
+    materializes the symmetrizer image and contracts (small m only); it is
+    the independent tensor-side oracle for the identity.  Both are refused
+    above ``max_squares`` known Latin squares.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -516,28 +499,7 @@ def latin_sign_sum_pairing(
         return value.numerator
     if method != "search":
         raise ValueError("method must be 'search' or 'explicit'")
-    row_used = [0] * m
-    total = 0
-    perms_m = _perms_with_signs(m)
-
-    def fill(q: int, sign: int) -> None:
-        nonlocal total
-        if q == m:
-            total += sign
-            return
-        for perm, psign in perms_m:
-            for p in range(m):
-                if row_used[p] >> perm[p] & 1:
-                    break
-            else:
-                for p in range(m):
-                    row_used[p] |= 1 << perm[p]
-                fill(q + 1, sign * psign)
-                for p in range(m):
-                    row_used[p] &= ~(1 << perm[p])
-
-    fill(0, 1)
-    return total
+    return latin.alon_tarsi_difference(m, order="columns")
 
 
 @dataclass

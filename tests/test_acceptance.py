@@ -67,8 +67,8 @@ def test_criterion_2_alon_tarsi_values():
     reason="m=6 stretch (about a minute); set DETORBIT_STRETCH=1",
 )
 def test_criterion_2_stretch_m6():
-    rows = latin.alon_tarsi_difference(6, fix_first_column=True, processes=4)
-    cols = latin.alon_tarsi_difference(6, order="columns", fix_first_column=True)
+    rows = latin.alon_tarsi_difference(6, processes=4)
+    cols = latin.alon_tarsi_difference(6, order="columns")
     assert rows == cols == -199065600  # == -6! * 5! * 2304
     _report("criterion 2 stretch: m=6 signed count, two orders agree")
 

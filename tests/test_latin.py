@@ -201,14 +201,26 @@ def test_alon_tarsi_odd_cancellation():
 
 
 def test_first_column_reduction_matches_full_enumeration():
+    # At even m both routes keep the squares whose first column is 1..m, one
+    # per row orbit, and weight each by m!.
     for m in (2, 4):
-        full = alon_tarsi_difference(m)
-        assert alon_tarsi_difference(m, fix_first_column=True) == full
-        assert (
-            alon_tarsi_difference(m, order="columns", fix_first_column=True) == full
-        )
-    with pytest.raises(ValueError):
-        alon_tarsi_difference(3, fix_first_column=True)
+        squares = []
+        enumerate_latin_rectangles(m, m, visitor=squares.append)
+        fixed = [sq for sq in squares if sq.column(0) == tuple(range(1, m + 1))]
+        full = sum(map(rect_sign, squares))
+        assert _factorial(m) * sum(map(rect_sign, fixed)) == full
+        assert alon_tarsi_difference(m) == full
+        assert alon_tarsi_difference(m, order="columns") == full
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_reduced_columns_route_matches_unreduced_oracle(m):
+    oracle = column_order_tally(m, m).signed_sum()
+    assert oracle == alon_tarsi_difference(m, order="columns")
+    assert oracle == alon_tarsi_difference(m)
+    if m == 5:  # 161,280 squares / |A_5|, as on the rows route
+        quotient = latin._row_quotient(5, 5)
+        assert latin._run_columns(5, 5, [31] * 5, None, quotient) == 2688
 
 
 def test_parallel_tally_matches_serial():
@@ -273,12 +285,14 @@ def test_checkpoint_ignores_foreign_configurations(tmp_path):
     assert tally.counts == signed_tally(3, 4).counts
     # The full-square run still resumes correctly from its own records.
     assert alon_tarsi_difference(3, checkpoint_path=cp) == at3
-    # With the row quotient, fix_first_column only acts on the columns route:
-    # both rows-route runs have one configuration and resume from each
-    # other's records.
-    cp2 = str(tmp_path / "reduced.ndjson")
-    reduced = alon_tarsi_difference(4, fix_first_column=True, checkpoint_path=cp2)
-    assert alon_tarsi_difference(4, checkpoint_path=cp2) == reduced == 576
+    # A second run of one configuration resumes every block of the first.
+    cp2 = str(tmp_path / "square.ndjson")
+    first = alon_tarsi_difference(4, checkpoint_path=cp2)
+    with open(cp2) as fh:
+        written = fh.read()
+    assert alon_tarsi_difference(4, checkpoint_path=cp2) == first == 576
+    with open(cp2) as fh:
+        assert fh.read() == written
 
 
 def test_project_last_row():

@@ -15,7 +15,6 @@ from detorbit.orbit import (
     content_coefficient,
     det_restriction,
     matrix_from_csv,
-    perm_restriction,
     permanent,
     permanent_naive,
     witness_search,
@@ -73,15 +72,6 @@ def test_content_coefficient_examples():
     assert content_coefficient(A, (1, 1)) == 1
     with pytest.raises(ValueError):
         content_coefficient(A, (1, 2))
-
-
-def test_perm_restriction_matches_det_on_diagonal_basis():
-    rng = Random(23)
-    for _ in range(5):
-        A = random_restriction_matrix(4, 2, rng)
-        assert perm_restriction(A) == det_restriction(A)
-    with pytest.raises(ValueError, match="unsupported basis image"):
-        perm_restriction(A, basis="full")
 
 
 @pytest.mark.parametrize("m,i", [(2, 1), (2, 2), (4, 1), (4, 2)])

@@ -191,7 +191,7 @@ def test_pattern_imbalance_single_row():
         assert pattern_imbalance_pairing(1, m) == 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_latin_sign_sum_matches_signed_count(m):
     assert latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
 
