@@ -161,6 +161,8 @@ def _cmd_invariant_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_kronecker(args) -> tuple[int, dict]:
+    if args.m % 2 or args.m < 2:
+        raise ValueError("kronecker requires even m >= 2")
     rep = kronecker.rectangle_sk_positivity(args.m, args.d)
     report = {
         "m": rep.m,

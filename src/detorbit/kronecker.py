@@ -1,12 +1,14 @@
 """Symmetric group characters and (symmetric) Kronecker coefficients.
 
-Characters are computed exactly by the Murnaghan-Nakayama border-strip
-recursion over beta-sets, with global memoization.  Kronecker coefficients
-are class-weighted triple character sums; the symmetric variant adds the
-square-class trick: the multiplicity of W_lam in the symmetric square of
-W_mu is (1/n!) sum_g chi_lam(g) (chi_mu(g)^2 + chi_mu(g^2)) / 2, evaluated
+Characters come from one memoized Murnaghan-Nakayama kernel over beta-sets
+held as ``int`` bead bitmasks; the class data of S_n is built once per n.
+Kronecker coefficients are class-weighted triple character sums; the
+symmetric variant adds the square-class trick: the multiplicity of W_lam in
+the symmetric square of W_mu is
+(1/n!) sum_g chi_lam(g) (chi_mu(g)^2 + chi_mu(g^2)) / 2, evaluated
 classwise with the cycle type of g^2 derived combinatorially (an l-cycle
-squares to one l-cycle for odd l, two l/2-cycles for even l).
+squares to one l-cycle for odd l, two l/2-cycles for even l).  The bracket
+depends on mu only, so it is cached per mu, zero classes dropped.
 
 Every public result is an exact nonnegative integer; a non-integral class
 sum aborts, since it can only mean a character bug.
@@ -14,9 +16,10 @@ sum aborts, since it can only mean a character bug.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
+from functools import cache
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -66,49 +69,49 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
 def class_size(mu: Sequence[int]) -> int:
     """Size of the conjugacy class with cycle type mu: n! / z_mu."""
     mu = _check_partition(mu)
-    n = sum(mu)
-    z = 1
-    mult: dict[int, int] = {}
-    for part in mu:
-        mult[part] = mult.get(part, 0) + 1
-    for part, k in mult.items():
-        z *= part**k * factorial(k)
-    return factorial(n) // z
+    z = prod(part**k * factorial(k) for part, k in Counter(mu).items())
+    return factorial(sum(mu)) // z
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: Partition, mu: Partition) -> int:
+def _mask(lam: Partition) -> int:
+    """Beta-set of lam as a bead bitmask: bit lam_j + (k-1-j) per part."""
+    k = len(lam)
+    return sum(1 << (part + k - 1 - j) for j, part in enumerate(lam))
+
+
+@cache
+def _chi(mask: int, mu: Partition) -> int:
+    """chi at cycle type mu of the partition whose canonical bead mask is mask.
+
+    Removing a t-strip moves a bead b to an empty b - t; its sign is the
+    parity of the beads jumped over.  Masks are canonical (no trailing
+    1-bits, i.e. no beads for zero parts), so one entry serves every bead
+    count.
+    """
     if not mu:
         return 1
     t = mu[0]
     rest = mu[1:]
-    k = len(lam)
-    beta = [lam[j] + (k - 1 - j) for j in range(k)]
-    bset = set(beta)
+    between = (1 << (t - 1)) - 1
+    movable = mask & ~(mask << t) & ~((1 << t) - 1)
     total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c if c != b else nb for c in beta), reverse=True)
-        new_lam = tuple(
-            nb_j - (k - 1 - j) for j, nb_j in enumerate(new_beta)
-        )
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        value = _mn(new_lam, rest)
-        total += -value if height & 1 else value
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        b = bead.bit_length() - 1
+        new = mask ^ bead ^ (bead >> t)
+        new >>= (new ^ (new + 1)).bit_length() - 1
+        value = _chi(new, rest)
+        total += -value if (mask >> (b - t + 1) & between).bit_count() & 1 else value
     return total
 
 
 def mn_character(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Exact character value chi_lam at cycle type mu (border-strip recursion)."""
-    lam = _check_partition(lam)
-    mu = _check_partition(mu)
+    lam, mu = map(_check_partition, (lam, mu))
     if sum(lam) != sum(mu):
         raise ValueError("partition sizes differ")
-    return _mn(lam, mu)
+    return _chi(_mask(lam), mu)
 
 
 def partition_dimension(lam: Sequence[int]) -> int:
@@ -127,13 +130,16 @@ def partition_dimension(lam: Sequence[int]) -> int:
 
 def square_cycle_type(mu: Sequence[int]) -> Partition:
     """Cycle type of g^2 given the cycle type of g."""
-    parts: list[int] = []
-    for part in mu:
-        if part % 2:
-            parts.append(part)
-        else:
-            parts.extend([part // 2, part // 2])
+    parts = [p for part in mu for p in ((part,) if part % 2 else (part // 2,) * 2)]
     return tuple(sorted(parts, reverse=True))
+
+
+@cache
+def _classes(n: int) -> tuple[tuple[Partition, int, Partition], ...]:
+    """(rho, |C_rho|, cycle type of rho^2) for every class of S_n, in order."""
+    return tuple(
+        (rho, class_size(rho), square_cycle_type(rho)) for rho in partitions(n)
+    )
 
 
 @dataclass
@@ -153,9 +159,9 @@ class CharacterTable:
     def build(cls, n: int, max_n: int = DEFAULT_MAX_N) -> "CharacterTable":
         if n > max_n:
             raise BudgetExceeded(f"character table for n={n} > {max_n}")
-        parts = list(partitions(n))
-        sizes = [class_size(mu) for mu in parts]
-        values = [[_mn(lam, mu) for mu in parts] for lam in parts]
+        parts = [rho for rho, _, _ in _classes(n)]
+        sizes = [size for _, size, _ in _classes(n)]
+        values = [[_chi(_mask(lam), mu) for mu in parts] for lam in parts]
         return cls(n=n, parts=parts, sizes=sizes, values=values)
 
     def row_orthogonality_ok(self) -> bool:
@@ -188,75 +194,63 @@ class CharacterTable:
         return self.parts.index(_check_partition(lam))
 
 
-def _class_sum_divided(n: int, terms: Iterator[tuple[int, int]], divisor: int) -> int:
-    """Sum |C| * value over classes, divided exactly by divisor."""
-    total = 0
-    for size, value in terms:
-        total += size * value
-    if total % divisor:
+def _class_sum_divided(terms: Iterator[int], divisor: int) -> int:
+    """Sum the class-weighted terms, divided exactly by divisor."""
+    result, rem = divmod(sum(terms), divisor)
+    if rem:
         raise RuntimeError("internal error: non-integer character sum")
-    result = total // divisor
     if result < 0:
         raise RuntimeError("internal error: negative multiplicity")
     return result
 
 
-def kronecker_coeff(
-    lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]
-) -> int:
+def kronecker_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """Multiplicity of W_lam in W_mu ox W_nu: (1/n!) sum |C| chi chi chi."""
     lam, mu, nu = map(_check_partition, (lam, mu, nu))
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("partition sizes differ")
+    a, b, c = _mask(lam), _mask(mu), _mask(nu)
     return _class_sum_divided(
-        n,
         (
-            (class_size(rho), _mn(lam, rho) * _mn(mu, rho) * _mn(nu, rho))
-            for rho in partitions(n)
+            size * _chi(a, rho) * _chi(b, rho) * _chi(c, rho)
+            for rho, size, _ in _classes(n)
         ),
         factorial(n),
     )
 
 
-def symmetric_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Multiplicity of W_lam in the symmetric square of W_mu."""
+@cache
+def _square_weights(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]:
+    """(rho, |C_rho| (chi_mu(rho)^2 + sign chi_mu(rho^2))) where that is nonzero."""
+    b = _mask(mu)
+    weights = (
+        (rho, size * (_chi(b, rho) ** 2 + sign * _chi(b, sq)))
+        for rho, size, sq in _classes(sum(mu))
+    )
+    return tuple((rho, w) for rho, w in weights if w)
+
+
+def _square_coeff(lam: Sequence[int], mu: Sequence[int], sign: int) -> int:
     lam, mu = map(_check_partition, (lam, mu))
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError("partition sizes differ")
+    a = _mask(lam)
     return _class_sum_divided(
-        n,
-        (
-            (
-                class_size(rho),
-                _mn(lam, rho)
-                * (_mn(mu, rho) ** 2 + _mn(mu, square_cycle_type(rho))),
-            )
-            for rho in partitions(n)
-        ),
+        (w * _chi(a, rho) for rho, w in _square_weights(mu, sign)),
         2 * factorial(n),
     )
+
+
+def symmetric_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Multiplicity of W_lam in the symmetric square of W_mu."""
+    return _square_coeff(lam, mu, 1)
 
 
 def alternating_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Multiplicity of W_lam in the alternating square of W_mu."""
-    lam, mu = map(_check_partition, (lam, mu))
-    n = sum(lam)
-    if sum(mu) != n:
-        raise ValueError("partition sizes differ")
-    return _class_sum_divided(
-        n,
-        (
-            (
-                class_size(rho),
-                _mn(lam, rho)
-                * (_mn(mu, rho) ** 2 - _mn(mu, square_cycle_type(rho))),
-            )
-            for rho in partitions(n)
-        ),
-        2 * factorial(n),
-    )
+    return _square_coeff(lam, mu, -1)
 
 
 @dataclass
@@ -278,7 +272,9 @@ def rectangle_sk_positivity(
 ) -> PositivityReport:
     """Check sk(m*lam_bar, d^m, d^m) > 0 for every lam_bar of d with <= m parts.
 
-    The rectangle d^m is the m-part partition (d,...,d) of n = d*m.
+    The rectangle d^m is the m-part partition (d,...,d) of n = d*m.  The
+    statement concerns even m (the CLI refuses odd m); odd m is accepted
+    here and computed the same way.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive")

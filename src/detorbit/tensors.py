@@ -18,10 +18,12 @@ coefficient contraction in the monomial basis.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, lcm, prod
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -135,12 +137,8 @@ class SparseTensor:
         """Left action: slot perm[j] of the result carries slot j of self."""
         if len(perm) != self.rank:
             raise ValueError("permutation rank mismatch")
-        data = {}
-        for key, coeff in self.data.items():
-            out = bytearray(self.rank)
-            for j, s in enumerate(key):
-                out[perm[j]] = s
-            data[bytes(out)] = coeff
+        move = _slot_mover(perm)
+        data = {bytes(move(key)): coeff for key, coeff in self.data.items()}
         return SparseTensor(self.rank, self.m, data)
 
     def items_sorted(self) -> Iterator[tuple[bytes, Fraction]]:
@@ -162,17 +160,25 @@ class SparseTensor:
         }
 
 
+def _slot_mover(perm: Sequence[int]) -> itemgetter:
+    """Getter whose ``bytes`` of a key is the key moved by the left action of perm.
+
+    Slot perm[j] of the image carries slot j, so the getter reads the key at
+    the inverse permutation.  Below rank 2 only the identity exists, and a
+    slice getter keeps the image a ``bytes``.
+    """
+    if len(perm) < 2:
+        return itemgetter(slice(None))
+    return itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def pairing(dual: SparseTensor, primal: SparseTensor) -> Fraction:
     """Coefficient contraction over common index words."""
     if dual.rank != primal.rank:
         raise ValueError("rank mismatch")
     if dual.m != primal.m:
         raise ValueError("alphabet mismatch")
-    small, big = (
-        (dual.data, primal.data)
-        if len(dual.data) <= len(primal.data)
-        else (primal.data, dual.data)
-    )
+    small, big = sorted((dual.data, primal.data), key=len)
     total = Fraction(0)
     for key, coeff in small.items():
         other = big.get(key)
@@ -251,10 +257,7 @@ class SignedGroupElement:
 
 
 def _group_order(cells: list[list[int]]) -> int:
-    order = 1
-    for block in cells:
-        order *= factorial(len(block))
-    return order
+    return prod(factorial(len(block)) for block in cells)
 
 
 def _iter_block_perms(
@@ -266,42 +269,58 @@ def _iter_block_perms(
     the restriction to each block is multiplied in.
     """
     slot_blocks = [[c - 1 for c in block] for block in blocks]
-    for choice in product(*(permutations(block) for block in slot_blocks)):
+    choices = [
+        [
+            (image, latin.column_sign([block.index(c) for c in image]) if signed else 1)
+            for image in permutations(block)
+        ]
+        for block in slot_blocks
+    ]
+    for choice in product(*choices):
         perm = list(range(k))
         sign = 1
-        for block, image in zip(slot_blocks, choice):
+        for block, (image, block_sign) in zip(slot_blocks, choice):
             for src, dst in zip(block, image):
                 perm[src] = dst
-            if signed:
-                pos = {c: t for t, c in enumerate(block)}
-                sign *= latin.column_sign([pos[c] for c in image])
+            sign *= block_sign
         yield tuple(perm), sign
+
+
+def _signed_group(
+    k: int, blocks: list[list[int]], signed: bool, max_order: int
+) -> list[SignedGroupElement]:
+    if _group_order(blocks) > max_order:
+        raise BudgetExceeded("symmetrizer too large", _group_order(blocks))
+    return [
+        SignedGroupElement(perm, sign)
+        for perm, sign in _iter_block_perms(k, blocks, signed)
+    ]
 
 
 def row_group(
     t: Tableau, max_order: int = DEFAULT_GROUP_CAP
 ) -> list[SignedGroupElement]:
     """All row-preserving slot permutations, every sign +1."""
-    blocks = [list(row) for row in t.rows]
-    if _group_order(blocks) > max_order:
-        raise BudgetExceeded("symmetrizer too large", _group_order(blocks))
-    return [
-        SignedGroupElement(perm, 1)
-        for perm, _ in _iter_block_perms(t.size, blocks, signed=False)
-    ]
+    return _signed_group(t.size, [list(row) for row in t.rows], False, max_order)
 
 
 def col_group(
     t: Tableau, max_order: int = DEFAULT_GROUP_CAP
 ) -> list[SignedGroupElement]:
     """All column-preserving slot permutations, signed by parity."""
-    blocks = t.columns()
-    if _group_order(blocks) > max_order:
-        raise BudgetExceeded("symmetrizer too large", _group_order(blocks))
-    return [
-        SignedGroupElement(perm, sign)
-        for perm, sign in _iter_block_perms(t.size, blocks, signed=True)
-    ]
+    return _signed_group(t.size, t.columns(), True, max_order)
+
+
+def _symmetrizer_stage(
+    k: int, blocks: list[list[int]], signed: bool, data: dict[bytes, int]
+) -> dict[bytes, int]:
+    """sum over the block group of sign * g acting on data, zeros dropped."""
+    out: dict[bytes, int] = defaultdict(int)
+    for perm, sign in _iter_block_perms(k, blocks, signed):
+        move = _slot_mover(perm)
+        for key, num in data.items():
+            out[bytes(move(key))] += num if sign > 0 else -num
+    return {key: num for key, num in out.items() if num}
 
 
 def apply_symmetrizer(
@@ -309,9 +328,11 @@ def apply_symmetrizer(
 ) -> SparseTensor:
     """Row-symmetrize then signed column-sum: (sum_col sign * mu)(sum_row sigma) x.
 
-    The work estimate (group order times current support) is checked before
-    each stage; composing the output with a column transposition on the left
-    negates it.
+    The input is scaled by the lcm of its denominators, both stages add
+    ``int`` numerators, and each output ``Fraction`` is built once at the
+    end; no zero coefficient is stored.  The work estimate (group order
+    times current support) is checked before each stage; composing the
+    output with a column transposition on the left negates it.
     """
     if x.rank != t.size:
         raise ValueError("tensor rank must equal the tableau size")
@@ -320,35 +341,14 @@ def apply_symmetrizer(
     row_order = _group_order(row_blocks)
     if row_order * max(1, x.nnz()) > max_work:
         raise BudgetExceeded("symmetrizer too large", row_order * x.nnz())
-    k = t.size
-    acc: dict[bytes, Fraction] = {}
-    for perm, _ in _iter_block_perms(k, row_blocks, signed=False):
-        for key, coeff in x.data.items():
-            out = bytearray(k)
-            for j, s in enumerate(key):
-                out[perm[j]] = s
-            bkey = bytes(out)
-            new = acc.get(bkey, 0) + coeff
-            if new:
-                acc[bkey] = new
-            else:
-                acc.pop(bkey, None)
+    scale = lcm(*(c.denominator for c in x.data.values()))
+    nums = {key: c.numerator * (scale // c.denominator) for key, c in x.data.items()}
+    acc = _symmetrizer_stage(x.rank, row_blocks, False, nums)
     col_order = _group_order(col_blocks)
     if col_order * max(1, len(acc)) > max_work:
         raise BudgetExceeded("symmetrizer too large", col_order * len(acc))
-    out_data: dict[bytes, Fraction] = {}
-    for perm, sign in _iter_block_perms(k, col_blocks, signed=True):
-        for key, coeff in acc.items():
-            out = bytearray(k)
-            for j, s in enumerate(key):
-                out[perm[j]] = s
-            bkey = bytes(out)
-            new = out_data.get(bkey, 0) + (coeff if sign > 0 else -coeff)
-            if new:
-                out_data[bkey] = new
-            else:
-                out_data.pop(bkey, None)
-    return SparseTensor(k, x.m, out_data)
+    out = _symmetrizer_stage(x.rank, col_blocks, True, acc)
+    return SparseTensor(x.rank, x.m, {key: Fraction(n, scale) for key, n in out.items()})
 
 
 def word_tensor(t: Tableau, m: int) -> SparseTensor:

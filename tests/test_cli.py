@@ -64,6 +64,15 @@ def test_kronecker_report(capsys):
     assert report["all_positive"] is True
 
 
+def test_kronecker_odd_m_is_input_error(capsys):
+    # The statement concerns even m; the library still computes odd m.
+    code, out = _run(capsys, "kronecker", "3", "2")
+    assert code == 3
+    report = json.loads(out)
+    assert report["kind"] == "input"
+    assert report["error"] == "kronecker requires even m >= 2"
+
+
 def test_tally_json_and_csv(capsys, tmp_path):
     code, out = _run(capsys, "tally", "2", "2")
     assert code == 0

@@ -9,7 +9,10 @@ matrices, and extract multiplicities from their traces.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as all_perms
 from math import factorial
 from random import Random
@@ -159,6 +162,98 @@ def test_rectangle_positivity_values(m, d, expected):
 def test_rectangle_positivity_budget():
     with pytest.raises(BudgetExceeded):
         rectangle_sk_positivity(4, 4)
+
+
+# Full entry lists of the bead-bitmask kernel, pinned to the values of the
+# earlier beta-list recursion (n = d*m up to 28).
+@pytest.mark.parametrize(
+    "m,d,expected",
+    [
+        (4, 6, [1, 2, 3, 8, 2, 21, 43, 6, 65]),
+        (6, 4, [1, 3, 2, 16, 13]),
+        (8, 3, [1, 2, 4]),
+    ],
+)
+def test_rectangle_positivity_pinned_values(m, d, expected):
+    report = rectangle_sk_positivity(m, d, max_n=m * d)
+    assert [int(e["sk"]) for e in report.entries] == expected
+    assert [e["lambda_bar"] for e in report.entries] == [
+        list(lam) for lam in partitions(d) if len(lam) <= m
+    ]
+    assert report.all_positive
+
+
+@pytest.mark.parametrize(
+    "m,d,digest",
+    [
+        (2, 12, "625d90e3bb9dcf974c24816d7e8fc6bcfb43deeb17aaf76733b92de68f6d8e84"),
+        (4, 7, "f2d589a722e01853f8c8777fa3aeab1fb4a645d47c9b4f66d121676fef85b96d"),
+    ],
+    ids=["2-12", "4-7"],
+)
+def test_rectangle_positivity_pinned_digest(m, d, digest):
+    report = rectangle_sk_positivity(m, d, max_n=m * d)
+    text = json.dumps(report.entries, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rectangle_positivity_accepts_odd_m():
+    # The statement concerns even m; at odd m the value can vanish.
+    report = rectangle_sk_positivity(3, 2)
+    assert [int(e["sk"]) for e in report.entries] == [1, 0]
+    assert not report.all_positive
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the character kernel.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _mn_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama over explicit beta lists: a deliberate slow oracle.
+
+    This is the tuple recursion the library used before its bead-bitmask
+    kernel; it is kept here only as an independent route for the
+    differential tests below.
+    """
+    if not mu:
+        return 1
+    t = mu[0]
+    rest = mu[1:]
+    k = len(lam)
+    beta = [lam[j] + (k - 1 - j) for j in range(k)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((c if c != b else nb for c in beta), reverse=True)
+        new_lam = tuple(nb_j - (k - 1 - j) for j, nb_j in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        value = _mn_oracle(new_lam, rest)
+        total += -value if height & 1 else value
+    return total
+
+
+def test_character_kernel_matches_oracle_up_to_12():
+    for n in range(0, 13):
+        parts = list(partitions(n))
+        for lam in parts:
+            for mu in parts:
+                assert mn_character(lam, mu) == _mn_oracle(lam, mu), (lam, mu)
+
+
+def test_character_kernel_matches_oracle_seeded_16_to_20():
+    rng = Random(20)
+    parts = {n: list(partitions(n)) for n in range(16, 21)}
+    for _ in range(200):
+        n = rng.randint(16, 20)
+        lam, mu = rng.choice(parts[n]), rng.choice(parts[n])
+        assert mn_character(lam, mu) == _mn_oracle(lam, mu), (lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from detorbit import latin
 from detorbit.errors import BudgetExceeded
 from detorbit.tensors import (
+    SignedGroupElement,
     SparseTensor,
     Tableau,
     apply_symmetrizer,
@@ -108,6 +110,73 @@ def test_symmetrizer_budget_guard():
     x = symmetrized_basis_tensor(4).tensor_power(4)
     with pytest.raises(BudgetExceeded, match="symmetrizer too large"):
         apply_symmetrizer(rectangular_tableau(4, 4), x)
+
+
+def _reference_act(group, data: dict) -> dict:
+    """sum_g sign(g) * g acting on data, one slot at a time, in Fractions."""
+    out: dict = {}
+    for g in group:
+        for key, coeff in data.items():
+            moved = bytearray(len(key))
+            for j, s in enumerate(key):
+                moved[g.perm[j]] = s
+            moved = bytes(moved)
+            out[moved] = out.get(moved, Fraction(0)) + g.sign * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _random_tensor(rng, rank: int, m: int, terms: int) -> SparseTensor:
+    data = {}
+    for _ in range(terms):
+        key = bytes(rng.randrange(m) for _ in range(rank))
+        num = rng.choice([n for n in range(-9, 10) if n])
+        data[key] = Fraction(num, rng.choice([1, 2, 3, 4, 6, 7, 9]))
+    return SparseTensor(rank, m, data)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2), (2, 2, 1)])
+def test_symmetrizer_matches_fraction_reference(shape):
+    rng = Random(sum(shape) * 10 + len(shape))
+    t = Tableau.row_reading(shape)
+    rows, cols = row_group(t), col_group(t)
+    for m in (2, 3):
+        for terms in (1, 3, 8):
+            x = _random_tensor(rng, t.size, m, terms)
+            image = apply_symmetrizer(t, x)
+            assert image.data == _reference_act(cols, _reference_act(rows, x.data))
+            assert all(type(c) is Fraction and c for c in image.data.values())
+        for g in rows + cols:
+            assert x.permute_slots(g.perm).data == _reference_act(
+                [SignedGroupElement(g.perm, 1)], x.data
+            )
+    # An image that cancels in the column stage, and one already in the row stage.
+    constant = SparseTensor(t.size, 2, {bytes(t.size): Fraction(5, 3)})
+    assert apply_symmetrizer(t, constant).data == {}
+    swap = list(range(t.size))
+    swap[0], swap[1] = 1, 0  # slots 0 and 1 share the first row
+    w = _random_tensor(rng, t.size, 3, 4)
+    antisymmetric = w - w.permute_slots(swap)
+    assert antisymmetric.nnz() > 0
+    assert apply_symmetrizer(t, antisymmetric).data == {}
+
+
+def test_symmetrizer_budget_counts_only_nonzero_terms():
+    t = rectangular_tableau(2, 2)
+    w = SparseTensor(4, 3, {bytes([0, 1, 2, 0]): Fraction(1)})
+    x = w - w.permute_slots((1, 0, 2, 3))
+    # The row stage costs 4 * 2 and cancels its 4 image words, so the column
+    # stage is estimated at 4 * 1, not 4 * 4.
+    assert apply_symmetrizer(t, x, max_work=8).nnz() == 0
+    with pytest.raises(BudgetExceeded):
+        apply_symmetrizer(t, x, max_work=7)
+
+
+def test_permute_slots_rank_below_two():
+    one = SparseTensor(1, 3, {bytes([2]): Fraction(-1, 2)})
+    assert one.permute_slots((0,)) == one
+    empty = SparseTensor(0, 3, {b"": Fraction(4)})
+    assert empty.permute_slots(()) == empty
+    assert apply_symmetrizer(Tableau.row_reading((1,)), one) == one
 
 
 def test_permute_slots_is_left_action():
