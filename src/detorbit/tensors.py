@@ -83,17 +83,25 @@ class SparseTensor:
             if coeff == 0:
                 del self.data[key]
 
+    @classmethod
+    def _trusted(cls, rank: int, m: int, data: dict[bytes, Fraction]) -> "SparseTensor":
+        """Wrap keys and non-zero coefficients the library built, unchecked."""
+        out = cls.__new__(cls)
+        out.rank, out.m, out.data = rank, m, data
+        return out
+
     def nnz(self) -> int:
         return len(self.data)
 
     def copy(self) -> "SparseTensor":
-        return SparseTensor(self.rank, self.m, dict(self.data))
+        return SparseTensor._trusted(self.rank, self.m, dict(self.data))
 
     def scale(self, c: Fraction | int) -> "SparseTensor":
         c = Fraction(c)
         if c == 0:
-            return SparseTensor(self.rank, self.m, {})
-        return SparseTensor(self.rank, self.m, {k: v * c for k, v in self.data.items()})
+            return SparseTensor._trusted(self.rank, self.m, {})
+        data = {k: v * c for k, v in self.data.items()}
+        return SparseTensor._trusted(self.rank, self.m, data)
 
     def __add__(self, other: "SparseTensor") -> "SparseTensor":
         if (self.rank, self.m) != (other.rank, other.m):
@@ -105,7 +113,7 @@ class SparseTensor:
                 data[key] = new
             else:
                 data.pop(key, None)
-        return SparseTensor(self.rank, self.m, data)
+        return SparseTensor._trusted(self.rank, self.m, data)
 
     def __sub__(self, other: "SparseTensor") -> "SparseTensor":
         return self + other.scale(-1)
@@ -139,7 +147,7 @@ class SparseTensor:
             raise ValueError("permutation rank mismatch")
         move = _slot_mover(perm)
         data = {bytes(move(key)): coeff for key, coeff in self.data.items()}
-        return SparseTensor(self.rank, self.m, data)
+        return SparseTensor._trusted(self.rank, self.m, data)
 
     def items_sorted(self) -> Iterator[tuple[bytes, Fraction]]:
         for key in sorted(self.data):
@@ -348,7 +356,8 @@ def apply_symmetrizer(
     if col_order * max(1, len(acc)) > max_work:
         raise BudgetExceeded("symmetrizer too large", col_order * len(acc))
     out = _symmetrizer_stage(x.rank, col_blocks, True, acc)
-    return SparseTensor(x.rank, x.m, {key: Fraction(n, scale) for key, n in out.items()})
+    data = {key: Fraction(n, scale) for key, n in out.items()}
+    return SparseTensor._trusted(x.rank, x.m, data)
 
 
 def word_tensor(t: Tableau, m: int) -> SparseTensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -497,7 +498,8 @@ def test_worker_count_is_capped(monkeypatch):
         def imap_unordered(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(latin, "Pool", FakePool)
+    # latin imports Pool only when a run asks for workers: patch it where it is read.
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 3)
     expected = column_order_tally(2, 3).counts
     # (2,3) has 6 prefix blocks: capped by the CPU count, then by the blocks.

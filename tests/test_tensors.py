@@ -187,6 +187,41 @@ def test_permute_slots_is_left_action():
     assert t.permute_slots(sigma).permute_slots(tau) == t.permute_slots(composed)
 
 
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        SparseTensor(2, 3, {bytes([0, 3]): Fraction(1)})  # symbol out of range
+    with pytest.raises(ValueError):
+        SparseTensor(2, 3, {bytes([0]): Fraction(1)})  # wrong length
+    t = SparseTensor(2, 3, {bytes([0, 1]): Fraction(0), bytes([2, 2]): Fraction(3)})
+    assert t.data == {bytes([2, 2]): Fraction(3)}
+
+
+def test_library_built_tensors_pass_public_validation():
+    rng = Random(7)
+    x = SparseTensor(
+        4,
+        3,
+        {
+            bytes(rng.randrange(3) for _ in range(4)): Fraction(rng.randint(-3, 3), 2)
+            for _ in range(12)
+        },
+    )
+    y = SparseTensor(4, 3, {key: -c for key, c in list(x.data.items())[:5]})
+    results = [
+        x.copy(),
+        x.scale(Fraction(-2, 3)),
+        x.scale(0),
+        x + y,
+        x - x,
+        x.permute_slots((2, 0, 3, 1)),
+        apply_symmetrizer(Tableau.row_reading((2, 2)), x),
+    ]
+    for r in results:
+        assert r == SparseTensor(r.rank, r.m, dict(r.data))
+        assert all(c != 0 for c in r.data.values())
+    assert (x - x).nnz() == 0
+
+
 def test_word_tensor_row_reading():
     t = rectangular_tableau(2, 2)
     w = word_tensor(t, 2)
