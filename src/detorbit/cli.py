@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetExceeded
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -123,24 +123,12 @@ class HomPoly:
         n = self.nvars
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("substitution matrix must be nvars x nvars")
-        lin: list[dict[tuple[int, ...], Fraction]] = []
-        for j in range(n):
-            row = {}
-            for k in range(n):
-                c = Fraction(g[j][k])
-                if c:
-                    exp = [0] * n
-                    exp[k] = 1
-                    row[tuple(exp)] = c
-            lin.append(row)
+        rows = [[Fraction(x) for x in row] for row in g]
         out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.coeffs.items():
-            term = {tuple([0] * n): c}
-            for j, e in enumerate(exp):
-                for _ in range(e):
-                    term = _dict_poly_mul(term, lin[j])
-            for key, val in term.items():
-                new = out.get(key, Fraction(0)) + val
+            factors = [row for row, e in zip(rows, exp) for _ in range(e)]
+            for key, val in _product_form(factors, n).coeffs.items():
+                new = out.get(key, Fraction(0)) + c * val
                 if new:
                     out[key] = new
                 else:
@@ -170,19 +158,26 @@ class HomPoly:
         return cls(int(obj["vars"]), int(obj["degree"]), coeffs)
 
 
-def _dict_poly_mul(
-    a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(key, Fraction(0)) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
+def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:
+    """Expand prod over rows of (sum_j row[j] x_j), a form in i variables."""
+    poly: dict[tuple[int, ...], Fraction] = {tuple([0] * i): Fraction(1)}
+    for row in rows:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for exp, c in poly.items():
+            for j in range(i):
+                a = row[j]
+                if not a:
+                    continue
+                key = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
+                new = nxt.get(key, Fraction(0)) + c * a
+                if new:
+                    nxt[key] = new
+                else:
+                    nxt.pop(key, None)
+        poly = nxt
+        if not poly:
+            break
+    return HomPoly(i, len(rows), poly)
 
 
 def polarized_coefficient(f: HomPoly, word: Sequence[int]) -> Fraction:

@@ -150,19 +150,20 @@ def is_valid_pattern(pattern: Pattern, i: int, m: int) -> bool:
     return all(c == i for c in occur)
 
 
+def _mask_of(subset: Iterable[int]) -> int:
+    mask = 0
+    for s in subset:
+        mask |= 1 << (s - 1)
+    return mask
+
+
 def _pattern_masks(pattern: Optional[Pattern], i: int, m: int) -> list[int]:
     """Allowed symbols per column: the pattern's subsets, or all for None."""
     if pattern is None:
         return [(1 << m) - 1] * m
     if not is_valid_pattern(pattern, i, m):
         raise ValueError("invalid pattern")
-    masks = []
-    for subset in pattern:
-        mask = 0
-        for s in subset:
-            mask |= 1 << (s - 1)
-        masks.append(mask)
-    return masks
+    return [_mask_of(subset) for subset in pattern]
 
 
 @cache
@@ -393,13 +394,6 @@ class SignedTally:
     def imbalance_square_sum(self) -> int:
         """sum over patterns of (plus - minus)^2."""
         return sum((p - n) ** 2 for p, n in self.counts.values())
-
-    def merge(self, other: "SignedTally") -> None:
-        if (self.i, self.m) != (other.i, other.m):
-            raise ValueError("tally shape mismatch")
-        for key, (p, n) in other.counts.items():
-            op, on = self.counts.get(key, (0, 0))
-            self.counts[key] = (op + p, on + n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -781,13 +775,6 @@ def write_checkpoint_record(
         ]
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _mask_of(subset: Iterable[int]) -> int:
-    mask = 0
-    for s in subset:
-        mask |= 1 << (s - 1)
-    return mask
 
 
 def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:

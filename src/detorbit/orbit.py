@@ -23,7 +23,7 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .invariant import HomPoly, _gray_steps, det_power_invariant
+from .invariant import HomPoly, _gray_steps, _product_form, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
@@ -159,27 +159,6 @@ class RestrictionMatrix:
             [f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator) for x in row]
             for row in self.rows
         ]
-
-
-def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:
-    poly: dict[tuple[int, ...], Fraction] = {tuple([0] * i): Fraction(1)}
-    for row in rows:
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in poly.items():
-            for j in range(i):
-                a = row[j]
-                if not a:
-                    continue
-                key = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
-                new = nxt.get(key, Fraction(0)) + c * a
-                if new:
-                    nxt[key] = new
-                else:
-                    nxt.pop(key, None)
-        poly = nxt
-        if not poly:
-            break
-    return HomPoly(i, len(rows), poly)
 
 
 def det_restriction(A: RestrictionMatrix) -> HomPoly:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, lcm, prod
 from operator import itemgetter
 from random import Random
@@ -268,41 +268,42 @@ def _group_order(cells: list[list[int]]) -> int:
     return prod(factorial(len(block)) for block in cells)
 
 
-def _iter_block_perms(
+def _block_tables(
     k: int, blocks: list[list[int]], signed: bool
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All permutations fixing each block setwise, as full slot maps.
+) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per block, every permutation of its cells as a (slot map, sign) pair.
 
-    Cell labels are 1-based; slots are 0-based.  With ``signed`` the sign of
-    the restriction to each block is multiplied in.
+    Cell labels are 1-based; slots are 0-based.  Each slot map is the
+    identity off its block.  With ``signed`` the sign is the parity of the
+    permutation of positions within the block, otherwise +1.
     """
-    slot_blocks = [[c - 1 for c in block] for block in blocks]
-    choices = [
-        [
-            (image, latin.column_sign([block.index(c) for c in image]) if signed else 1)
-            for image in permutations(block)
-        ]
-        for block in slot_blocks
-    ]
-    for choice in product(*choices):
-        perm = list(range(k))
-        sign = 1
-        for block, (image, block_sign) in zip(slot_blocks, choice):
-            for src, dst in zip(block, image):
-                perm[src] = dst
-            sign *= block_sign
-        yield tuple(perm), sign
+    tables = []
+    for block in blocks:
+        table = []
+        for pos in permutations(range(len(block))):
+            perm = list(range(k))
+            for src, p in zip(block, pos):
+                perm[src - 1] = block[p] - 1
+            table.append((tuple(perm), latin.column_sign(pos) if signed else 1))
+        tables.append(table)
+    return tables
 
 
 def _signed_group(
     k: int, blocks: list[list[int]], signed: bool, max_order: int
 ) -> list[SignedGroupElement]:
+    """The direct product of the block tables, first block outermost."""
     if _group_order(blocks) > max_order:
         raise BudgetExceeded("symmetrizer too large", _group_order(blocks))
-    return [
-        SignedGroupElement(perm, sign)
-        for perm, sign in _iter_block_perms(k, blocks, signed)
-    ]
+    group = [(tuple(range(k)), 1)]
+    for table in _block_tables(k, blocks, signed):
+        # The blocks are disjoint, so composing with perm fills in its block.
+        group = [
+            (tuple(perm[j] for j in g), g_sign * sign)
+            for g, g_sign in group
+            for perm, sign in table
+        ]
+    return [SignedGroupElement(perm, sign) for perm, sign in group]
 
 
 def row_group(
@@ -322,13 +323,21 @@ def col_group(
 def _symmetrizer_stage(
     k: int, blocks: list[list[int]], signed: bool, data: dict[bytes, int]
 ) -> dict[bytes, int]:
-    """sum over the block group of sign * g acting on data, zeros dropped."""
-    out: dict[bytes, int] = defaultdict(int)
-    for perm, sign in _iter_block_perms(k, blocks, signed):
-        move = _slot_mover(perm)
-        for key, num in data.items():
-            out[bytes(move(key))] += num if sign > 0 else -num
-    return {key: num for key, num in out.items() if num}
+    """sum over the block group of sign * g acting on data, zeros dropped.
+
+    The group is the direct product of the blocks' symmetric groups, so the
+    sum is taken one block at a time: each block's table acts on the
+    previous block's output, and every key moves sum_b b! times rather than
+    prod_b b! times.  Zeros are dropped after each block.
+    """
+    for table in _block_tables(k, blocks, signed):
+        out: dict[bytes, int] = defaultdict(int)
+        for perm, sign in table:
+            move = _slot_mover(perm)
+            for key, num in data.items():
+                out[bytes(move(key))] += num if sign > 0 else -num
+        data = {key: num for key, num in out.items() if num}
+    return data
 
 
 def apply_symmetrizer(
@@ -338,9 +347,12 @@ def apply_symmetrizer(
 
     The input is scaled by the lcm of its denominators, both stages add
     ``int`` numerators, and each output ``Fraction`` is built once at the
-    end; no zero coefficient is stored.  The work estimate (group order
-    times current support) is checked before each stage; composing the
-    output with a column transposition on the left negates it.
+    end; no zero coefficient is stored.  Each stage sums over the direct
+    product of its blocks' symmetric groups one block at a time.  The work
+    estimate (group order times current support) is checked before each
+    stage and kept as the refusal rule, although it overstates the key moves
+    the block-by-block sum makes.  Composing the output with a column
+    transposition on the left negates it.
     """
     if x.rank != t.size:
         raise ValueError("tensor rank must equal the tableau size")

@@ -57,6 +57,9 @@ def test_subcommand_loads_only_its_modules(argv, loaded):
     }
     assert ours == {"cli", "errors", *loaded}
     assert not any(name.split(".")[0] == "multiprocessing" for name in run["modules"])
+    if argv[0] == "kronecker":
+        # No Fraction is built, so fractions (and decimal, numbers) stays out.
+        assert "fractions" not in run["modules"]
 
 
 def test_package_import_loads_no_computation_module():
