@@ -201,29 +201,53 @@ class _RowQuotient(NamedTuple):
     (-1: no bound) and be at most ``cap[p]``, which leaves room for the rows
     that must exceed it.  Each kept rectangle stands for ``order`` = |G|
     rectangles of the same pattern and sign.
+
+    With ``symbols`` the quotient also takes the symbol relabellings S_m,
+    which act freely too: row 0 is fixed to the identity, and G acts on rows
+    1..i-1 only (S_{i-1} or A_{i-1}).  The same bounds select its orbit
+    representatives, since row 0's first entry 0 is below every other.  Each
+    kept rectangle then stands for ``order`` = m! * |G| rectangles; the
+    caller must sum a quantity that relabelling leaves unchanged.
     """
 
-    group: str  # "S3", "A5": the group, as written into checkpoint records
+    group: str  # "S3", "A5", "S6xS5": as written into checkpoint records
     order: int
     ref: tuple[int, ...]
     cap: tuple[int, ...]
+    symbols: bool = False
 
 
-def _row_quotient(i: int, m: int) -> _RowQuotient:
-    """The eps_c-preserving row-orbit quotient of the Latin (i, m)-rectangles."""
+def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
+    """The eps_c-preserving row-orbit quotient of the Latin (i, m)-rectangles,
+    also by symbol relabelling with ``symbols``."""
+    k = i - 1 if symbols else i  # rows the group permutes
     if m % 2 == 0:
-        name, order = "S", factorial(i)
+        name, order = "S", factorial(k)
         ref = [p - 1 for p in range(i)]
     else:
-        name, order = "A", max(1, factorial(i) // 2)
+        name, order = "A", max(1, factorial(k) // 2)
         ref = [max(min(p, i - 2) - 1, -1) for p in range(i)]
     above = [0] * i  # rows whose first entry must exceed row p's
     for p in reversed(range(i)):
         if ref[p] >= 0:
             above[ref[p]] += 1 + above[p]
+    group = f"{name}{k}"
+    if symbols:
+        group, order = f"S{m}x{group}", factorial(m) * order
     return _RowQuotient(
-        f"{name}{i}", order, tuple(ref), tuple(m - 1 - a for a in above)
+        group, order, tuple(ref), tuple(m - 1 - a for a in above), symbols
     )
+
+
+def _square_quotient(m: int) -> _RowQuotient:
+    """The quotient of both routes of :func:`alon_tarsi_difference`.
+
+    At even m every symbol relabelling pi multiplies each column sign by
+    sgn(pi), so eps_c by sgn(pi)^m = 1: the reduced squares (first row and
+    first column 1..m) are kept.  At odd m an odd pi flips eps_c, so only
+    the rows are quotiented (A_m).
+    """
+    return _row_quotient(m, m, symbols=m % 2 == 0)
 
 
 def _run_rows(
@@ -239,10 +263,13 @@ def _run_rows(
     ``on_leaf(rows, col_masks, parity)`` sees transient state; parity is the
     inversion parity of eps_c.  Returns the number of leaves visited.
     With ``quotient`` (built for i or more rows) only the rectangles it keeps
-    are visited, one per row orbit; each leaf then stands for
+    are visited, one per orbit; each leaf then stands for
     ``quotient.order`` rectangles, which the caller weights.  Every sign is
-    still computed leaf by leaf.  ``prefix`` rows are taken as given.
+    still computed leaf by leaf.  ``prefix`` rows are taken as given; a
+    quotient with ``symbols`` starts from the identity row when it is empty.
     """
+    if quotient is not None and quotient.symbols and not prefix:
+        prefix = (tuple(range(m)),)
     col_mask = [0] * m
     parity0 = 0
     rows: list[tuple[int, ...]] = []
@@ -301,11 +328,13 @@ def _run_columns(
 ) -> int:
     """Column-by-column DFS; ``on_leaf(None, col_masks, parity)`` per rectangle.
 
-    ``quotient`` keeps one rectangle per row orbit, as in :func:`_run_rows`.
+    ``quotient`` keeps one rectangle per orbit, as in :func:`_run_rows`.
+    With ``symbols`` row 0 of column q is q, placed before each column's DFS.
     """
     col_masks = [0] * m
     row_mask = [0] * i
     count = 0
+    first = 1 if quotient is not None and quotient.symbols else 0
 
     def fill(q: int, p: int, cmask: int, parity: int) -> None:
         nonlocal count
@@ -316,7 +345,7 @@ def _run_columns(
                 if on_leaf is not None:
                     on_leaf(None, col_masks, parity)
             else:
-                fill(q + 1, 0, 0, parity)
+                fill(q + 1, first, first << (q + 1), parity)
             col_masks[q] = 0
             return
         avail = allowed[q] & ~cmask & ~row_mask[p]
@@ -334,7 +363,7 @@ def _run_columns(
             fill(q, p + 1, cmask | bit, parity ^ inv)
             row_mask[p] ^= bit
 
-    fill(0, 0, 0, 0)
+    fill(0, first, first, 0)
     return count
 
 
@@ -358,12 +387,13 @@ def enumerate_latin_rectangles(
 
     With ``pattern`` given, visits exactly the rectangles of that pattern.
     Returns the number of rectangles.  Without a visitor they are only
-    counted, one per row orbit (:class:`_RowQuotient`) times the orbit size.
+    counted, one per orbit (:class:`_RowQuotient`, by symbol relabelling too
+    when no pattern is given) times the orbit size.
     """
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
     if visitor is None:
-        quotient = _row_quotient(i, m)
+        quotient = _row_quotient(i, m, symbols=pattern is None)
         return quotient.order * _run_rows(i, m, allowed, (), None, quotient)
 
     def leaf(rows, _masks, _parity):
@@ -515,12 +545,13 @@ def _tally_by_blocks(
     i: int,
     m: int,
     allowed: Sequence[int],
+    quotient: _RowQuotient,
     processes: int,
     checkpoint_path: Optional[str],
     record_patterns: bool,
 ) -> dict:
-    """Tally of the row-orbit quotient, by prefix blocks, with counts weighted
-    by the orbit size |G|; optional worker pool and checkpointing.
+    """Tally of the ``quotient``, by prefix blocks, with counts weighted by
+    its orbit size; optional worker pool and checkpointing.
 
     Blocks are the first rows of the kept rectangles (:class:`_RowQuotient`).
     Results are merged in lexicographic prefix order, so they do not depend
@@ -535,7 +566,6 @@ def _tally_by_blocks(
         # lists below, its modules pinned freed memory: +0.3 MB peak RSS on a
         # two-worker tally 3 5.
         from multiprocessing import Pool
-    quotient = _row_quotient(i, m)
     prefixes = _list_prefixes(i, m, allowed, quotient)
     config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}
     done: dict[tuple, dict] = {}
@@ -590,7 +620,9 @@ def signed_tally(
     """
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
-    bucket = _tally_by_blocks(i, m, allowed, processes, checkpoint_path, True)
+    bucket = _tally_by_blocks(
+        i, m, allowed, _row_quotient(i, m), processes, checkpoint_path, True
+    )
     return _bucket_to_tally(i, m, bucket)
 
 
@@ -617,23 +649,28 @@ def alon_tarsi_difference(
     """Signed sum of eps_c over all Latin (m, m)-squares.
 
     ``order`` selects the row-major or the column-major enumeration; the two
-    are independent DFS kernels and must agree exactly.  Both enumerate one
-    square per eps_c-preserving row orbit (:class:`_RowQuotient`: S_m at
-    even m, where the kept squares have first column 1..m, and A_m at odd m)
-    and weight it by the orbit size.  At odd m the value 0 comes out of the
-    enumeration: each S_m orbit splits into two A_m orbits of opposite sign,
-    and both representatives are visited.  ``column_order_tally(m, m)`` is
-    the unreduced oracle; the rows route alone takes ``processes`` and
-    ``checkpoint_path``.
+    are independent DFS kernels and must agree exactly.  Both enumerate
+    :func:`_square_quotient` and weight each kept square by its orbit size.
+    At even m relabelling symbols by pi multiplies eps_c by sgn(pi)^m = 1,
+    so both visit the reduced squares (first row and first column 1..m) and
+    weight each by m! * (m-1)!.  At odd m an odd pi flips eps_c, so only the
+    A_m row orbits are taken, and the value 0 comes out of the enumeration:
+    each S_m orbit splits into two A_m orbits of opposite sign, and both
+    representatives are visited.  ``column_order_tally(m, m)`` is the
+    unreduced oracle; the rows route alone takes ``processes`` and
+    ``checkpoint_path``, whose records name the quotient group ("S6xS5",
+    "A5"), so records of another quotient are ignored.
     """
     _check_dims(m, m)
     allowed = _pattern_masks(None, m, m)
+    quotient = _square_quotient(m)
     if order == "rows":
-        bucket = _tally_by_blocks(m, m, allowed, processes, checkpoint_path, False)
+        bucket = _tally_by_blocks(
+            m, m, allowed, quotient, processes, checkpoint_path, False
+        )
         return sum(pn[0] - pn[1] for pn in bucket.values())
     if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
-    quotient = _row_quotient(m, m)
     acc = [0, 0]
 
     def leaf(_rows, _masks, parity):
@@ -741,8 +778,8 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # A record holds the 1-based "prefix" rows of its block, the block's "plus"
 # and "minus" totals and, for tallies, its per-pattern counts ("patterns").
 # It is keyed by the full configuration of the run: "i", "m", the "allowed"
-# column masks (all ones unless the tally is pattern-filtered) and the row
-# quotient "group" (S<i> or A<i>).  Counts are already multiplied by the
+# column masks (all ones unless the tally is pattern-filtered) and the
+# quotient "group" (S<i> or A<i>; S<m>xS<m-1> for reduced squares).  Counts are already multiplied by the
 # group order, so the records of a run sum to its result.
 # ---------------------------------------------------------------------------
 

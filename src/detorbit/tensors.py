@@ -133,7 +133,7 @@ class SparseTensor:
         for ka, va in self.data.items():
             for kb, vb in other.data.items():
                 data[ka + kb] = va * vb
-        return SparseTensor(self.rank + other.rank, self.m, data)
+        return SparseTensor._trusted(self.rank + other.rank, self.m, data)
 
     def tensor_power(self, i: int) -> "SparseTensor":
         out = SparseTensor(0, self.m, {b"": Fraction(1)})
@@ -393,16 +393,15 @@ def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
     """Pairing of t against the i-th tensor power of the symmetrized word.
 
     Avoids materializing the m!^i support: each key whose i consecutive
-    length-m blocks are permutation words contributes coeff / m!^i.
+    length-m blocks are permutation words contributes coeff / m!^i.  Keys
+    hold symbols below m, so a block is a permutation word exactly when its
+    m symbols are distinct.
     """
     if t.rank != i * m:
         raise ValueError("rank mismatch")
-    target = bytes(range(m))
     total = Fraction(0)
     for key, coeff in t.data.items():
-        if all(
-            bytes(sorted(key[b * m : (b + 1) * m])) == target for b in range(i)
-        ):
+        if all(len(set(key[b * m : (b + 1) * m])) == m for b in range(i)):
             total += coeff
     return total / Fraction(factorial(m)) ** i
 
@@ -418,14 +417,28 @@ def rectangle_symmetrizer_pairing(
 
     ``method='full'`` materializes the symmetrizer image of the i-th power of
     the symmetrized word under the i x m rectangular tableau and contracts.
-    ``method='latin'`` exploits the cancellation of non-Latin terms: it scans
-    Latin (i, m)-rectangles and, per rectangle, all per-column rearrangement
-    tuples whose result still has permutation rows, accumulating the product
-    of rearrangement signs.  Both return the exact rational value.
+    It is refused with :class:`BudgetExceeded` before the power is built
+    when the row stage's estimate (m!)^i * (m!)^i exceeds ``max_work``.
+
+    ``method='latin'`` exploits the cancellation of non-Latin terms: per
+    Latin (i, m)-rectangle R it sums, over all per-column rearrangement
+    tuples whose result still has permutation rows, the product of the
+    rearrangement signs.  That term is eps_c(R) * D(pattern of R), where D
+    is the pattern's plus - minus.  Relabelling symbols by pi multiplies
+    eps_c(R) and D by the same sign, so it keeps the term; permuting rows by
+    tau multiplies it by sgn(tau)^m.  So only the rectangles of the symbol
+    and row quotient (:func:`latin._row_quotient` with ``symbols``: first
+    row 1..m, rows 2..i up to S_{i-1} at even m or A_{i-1} at odd m) are
+    scanned, each weighted by m! * |row group|.  The unreduced scan over
+    every rectangle is kept in the tests as this route's oracle.  Both
+    methods return the exact rational value.
     """
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
     if method == "full":
+        est = factorial(m) ** (2 * i)  # row stage: (m!)^i perms on (m!)^i words
+        if est > max_work:
+            raise BudgetExceeded("symmetrizer too large", est)
         base = symmetrized_basis_tensor(m)
         power = base.tensor_power(i)
         image = apply_symmetrizer(rectangular_tableau(i, m), power, max_work)
@@ -458,8 +471,9 @@ def rectangle_symmetrizer_pairing(
 
         fill(0, 1)
 
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle)
-    return Fraction(total, factorial(m) ** i)
+    quotient = latin._row_quotient(i, m, symbols=True)
+    latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle, quotient)
+    return Fraction(total * quotient.order, factorial(m) ** i)
 
 
 def pattern_imbalance_pairing(
@@ -501,12 +515,16 @@ def latin_sign_sum_pairing(
     ``method='search'`` returns that count from the column-major enumeration
     of :func:`latin.alon_tarsi_difference`.  ``method='explicit'``
     materializes the symmetrizer image and contracts (small m only); it is
-    the independent tensor-side oracle for the identity.  Both are refused
-    above ``max_squares`` known Latin squares.
+    the independent tensor-side oracle for the identity.  Each is refused
+    when its estimate exceeds ``max_squares``: the squares the search visits
+    (reduced squares at even m, A_m row orbits at odd m), or every Latin
+    square for the explicit route.
     """
     if m < 1:
         raise ValueError("m must be positive")
     est = _SQUARE_COUNTS.get(m)
+    if est is not None and method == "search":
+        est //= latin._square_quotient(m).order
     if est is None or est > max_squares:
         raise BudgetExceeded(
             f"latin sign sum at m={m} needs ~{est or 'huge'} visits", est

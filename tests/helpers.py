@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 from random import Random
 
+from detorbit import latin
 from detorbit.invariant import HomPoly
 from detorbit.orbit import RestrictionMatrix
 
@@ -73,3 +76,39 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def unreduced_latin_pairing(i: int, m: int) -> Fraction:
+    """The Latin route of ``rectangle_symmetrizer_pairing`` without a quotient.
+
+    Scans every Latin (i, m)-rectangle and, per rectangle, every per-column
+    rearrangement tuple whose result still has permutation rows, summing the
+    product of rearrangement signs; the oracle of the quotiented route.
+    """
+    perms_i = [(perm, latin.column_sign(perm)) for perm in permutations(range(i))]
+    total = 0
+
+    def per_rectangle(rows, _masks, _parity):
+        nonlocal total
+        cols = [tuple(row[q] for row in rows) for q in range(m)]
+        row_used = [0] * i
+
+        def fill(q: int, sign: int) -> None:
+            nonlocal total
+            if q == m:
+                total += sign
+                return
+            col = cols[q]
+            for perm, psign in perms_i:
+                if any(row_used[p] >> col[perm[p]] & 1 for p in range(i)):
+                    continue
+                for p in range(i):
+                    row_used[p] |= 1 << col[perm[p]]
+                fill(q + 1, sign * psign)
+                for p in range(i):
+                    row_used[p] &= ~(1 << col[perm[p]])
+
+        fill(0, 1)
+
+    latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle)
+    return Fraction(total, factorial(m) ** i)

@@ -139,7 +139,7 @@ def test_threads_flag_matches_serial(capsys):
 
 
 def test_infeasible_exit_code(capsys):
-    code, out = _run(capsys, "sign-sum", "6")
+    code, out = _run(capsys, "sign-sum", "7")
     assert code == 2
     assert json.loads(out)["kind"] == "infeasible"
 

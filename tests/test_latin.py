@@ -82,6 +82,9 @@ def test_enumeration_counts():
     assert enumerate_latin_rectangles(2, 3) == 12
     assert enumerate_latin_rectangles(3, 3) == 12
     assert enumerate_latin_rectangles(4, 4) == 576
+    # Counted from the symbol quotient: 9,408 reduced squares at (6, 6).
+    assert enumerate_latin_rectangles(3, 6) == 15321600
+    assert enumerate_latin_rectangles(6, 6) == 812851200
 
 
 def test_enumeration_order_and_validity():
@@ -202,14 +205,17 @@ def test_alon_tarsi_odd_cancellation():
 
 
 def test_first_column_reduction_matches_full_enumeration():
-    # At even m both routes keep the squares whose first column is 1..m, one
-    # per row orbit, and weight each by m!.
+    # At even m both routes keep the reduced squares (first row and first
+    # column 1..m) and weight each by m! * (m-1)!.
     for m in (2, 4):
         squares = []
         enumerate_latin_rectangles(m, m, visitor=squares.append)
         fixed = [sq for sq in squares if sq.column(0) == tuple(range(1, m + 1))]
+        reduced = [sq for sq in fixed if sq.entries[0] == tuple(range(m))]
         full = sum(map(rect_sign, squares))
         assert _factorial(m) * sum(map(rect_sign, fixed)) == full
+        weight = _factorial(m) * _factorial(m - 1)
+        assert weight * sum(map(rect_sign, reduced)) == full
         assert alon_tarsi_difference(m) == full
         assert alon_tarsi_difference(m, order="columns") == full
 
@@ -293,6 +299,32 @@ def test_checkpoint_ignores_foreign_configurations(tmp_path):
         written = fh.read()
     assert alon_tarsi_difference(4, checkpoint_path=cp2) == first == 576
     with open(cp2) as fh:
+        assert fh.read() == written
+
+
+def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
+    # Before the symbol quotient, even-m squares were checkpointed under the
+    # row group alone ("S4") with counts of one square per row orbit.  Those
+    # records must not be merged into the reduced route's ("S4xS3").
+    cp = str(tmp_path / "square.ndjson")
+    allowed = [15] * 4
+    quotient = latin._square_quotient(4)
+    assert quotient.group == "S4xS3" and quotient.order == 24 * 6
+    old = {"i": 4, "m": 4, "allowed": allowed, "group": "S4"}
+    for prefix in latin._list_prefixes(4, 4, allowed, quotient):
+        latin.write_checkpoint_record(cp, prefix, {(15,) * 4: (999, 0)}, old, False)
+    with open(cp) as fh:
+        stale = fh.read()
+    assert alon_tarsi_difference(4, checkpoint_path=cp) == 576
+    with open(cp) as fh:
+        written = fh.read()
+    assert written.startswith(stale) and len(written) > len(stale)
+    recs = [json.loads(line) for line in written[len(stale):].splitlines()]
+    assert {r["group"] for r in recs} == {"S4xS3"}
+    assert sum(int(r["plus"]) - int(r["minus"]) for r in recs) == 576
+    # A rerun resumes every block from its own records and writes nothing.
+    assert alon_tarsi_difference(4, checkpoint_path=cp) == 576
+    with open(cp) as fh:
         assert fh.read() == written
 
 
@@ -476,6 +508,54 @@ def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
             image = LatinRectangle(tuple(rows[t] for t in tau))
             assert pattern_of(image) == pattern_of(rect)
             assert rect_sign(image) == rect_sign(rect)
+
+
+# ---------------------------------------------------------------------------
+# Symbol quotient: first row 1..m, rows 2..i up to S_{i-1} (even m) or
+# A_{i-1} (odd m), weighted by m! times that group's order.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "i,m", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5)]
+)
+def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
+    from itertools import permutations
+
+    quotient = latin._row_quotient(i, m, symbols=True)
+    kept = []
+    leaves = latin._run_rows(
+        i, m, [(1 << m) - 1] * m, (), lambda rows, _c, _p: kept.append(tuple(rows)),
+        quotient,
+    )
+    assert leaves == len(kept)
+    assert latin._run_columns(i, m, [(1 << m) - 1] * m, None, quotient) == leaves
+    rows_group = [
+        (0,) + tuple(1 + t for t in tau)
+        for tau in permutations(range(i - 1))
+        if m % 2 == 0 or _inversions(tau) % 2 == 0
+    ]
+    symbols = list(permutations(range(m)))
+    assert len(rows_group) * len(symbols) == quotient.order
+    assert all(rows[0] == tuple(range(m)) for rows in kept)
+    images = [
+        tuple(tuple(pi[s] for s in rows[t]) for t in tau)
+        for rows in kept
+        for tau in rows_group
+        for pi in symbols
+    ]
+    everything = []
+    enumerate_latin_rectangles(i, m, visitor=lambda r: everything.append(r.entries))
+    assert sorted(images) == sorted(everything)  # covers all, each once
+
+
+@pytest.mark.parametrize("m,reduced", [(1, 1), (2, 1), (4, 4), (6, 9408)])
+def test_reduced_square_leaf_counts(m, reduced):
+    # 9,408 is the number of reduced Latin squares of order 6.
+    quotient = latin._square_quotient(m)
+    allowed = [(1 << m) - 1] * m
+    assert latin._run_rows(m, m, allowed, (), None, quotient) == reduced
+    assert latin._run_columns(m, m, allowed, None, quotient) == reduced
 
 
 def _inversions(perm) -> int:

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from detorbit import latin
+from detorbit import latin, tensors
 from detorbit.errors import BudgetExceeded
 from detorbit.tensors import (
     SignedGroupElement,
@@ -28,6 +28,8 @@ from detorbit.tensors import (
     translated_pairing_scan,
     word_tensor,
 )
+
+from helpers import unreduced_latin_pairing
 
 
 def test_symmetrized_basis_tensor():
@@ -313,6 +315,82 @@ def test_latin_restriction_equals_double_group_sum(i, m):
     )
 
 
+STRETCH = pytest.mark.skipif(
+    os.environ.get("DETORBIT_STRETCH") != "1",
+    reason="unreduced (4,4) scan (about 18 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+)
+
+
+@pytest.mark.parametrize(
+    "i,m",
+    [(i, m) for m in (1, 2, 3) for i in range(1, m + 1)]
+    + [(1, 4), (2, 4), (3, 4), pytest.param(4, 4, marks=STRETCH), (2, 5)],
+)
+def test_latin_route_matches_unreduced_scan(i, m):
+    assert rectangle_symmetrizer_pairing(i, m) == unreduced_latin_pairing(i, m)
+
+
+def test_pairing_identity_beyond_the_full_route():
+    # Nonzero even-m values and an odd-m zero, where the full expansion is
+    # refused and the quotiented Latin route meets the tally side alone.
+    for (i, m), value in {(2, 6): 1, (3, 5): 0, (4, 4): 1}.items():
+        report = pairing_identity_report(i, m)
+        assert report["lhs_full"] is None
+        assert report["lhs_latin"] == report["rhs"] == value
+        assert report["equal"]
+
+
+def test_full_route_refused_before_building_the_power(monkeypatch):
+    # The estimate and message are apply_symmetrizer's row-stage ones.
+    power = symmetrized_basis_tensor(3).tensor_power(2)
+    with pytest.raises(BudgetExceeded) as expected:
+        apply_symmetrizer(rectangular_tableau(2, 3), power, max_work=1000)
+    with pytest.raises(BudgetExceeded) as early:
+        rectangle_symmetrizer_pairing(2, 3, method="full", max_work=1000)
+    for exc in (expected.value, early.value):
+        assert (str(exc), exc.estimate) == ("symmetrizer too large", 6**4)
+
+    def no_power(*_args):
+        raise AssertionError("power built before the budget check")
+
+    monkeypatch.setattr(SparseTensor, "tensor_power", no_power)
+    with pytest.raises(BudgetExceeded) as refused:
+        rectangle_symmetrizer_pairing(2, 5, method="full")
+    assert (str(refused.value), refused.value.estimate) == (
+        "symmetrizer too large",
+        120**4,
+    )
+
+
+def _old_pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
+    target = bytes(range(m))
+    total = Fraction(0)
+    for key, coeff in t.data.items():
+        if all(
+            bytes(sorted(key[b * m : (b + 1) * m])) == target for b in range(i)
+        ):
+            total += coeff
+    return total / Fraction(_factorial(m)) ** i
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_block_test_matches_sorted_bytes_expression(m):
+    # A block of symbols below m is a permutation word iff its m symbols are
+    # distinct; checked on the tableau word images (where some blocks repeat
+    # a symbol), slot-translated too below m = 4.
+    t = rectangular_tableau(m, m)
+    image = apply_symmetrizer(t, word_tensor(t, m))
+    rng = Random(m)
+    taus = [tuple(range(m * m))] + [
+        tuple(rng.sample(range(m * m), m * m)) for _ in range(6 if m < 4 else 0)
+    ]
+    for tau in taus:
+        moved = image.permute_slots(tau)
+        assert tensors._pair_with_symmetrized_power(
+            moved, m, m
+        ) == _old_pair_with_symmetrized_power(moved, m, m)
+
+
 def test_pairing_identity_known_values():
     assert rectangle_symmetrizer_pairing(1, 2) == 1
     assert rectangle_symmetrizer_pairing(2, 2) == 1
@@ -341,8 +419,14 @@ def test_latin_sign_sum_explicit_route(m):
 
 
 def test_latin_sign_sum_budget():
-    with pytest.raises(BudgetExceeded):
-        latin_sign_sum_pairing(6)
+    # The explicit route counts every Latin square (812,851,200 at m = 6);
+    # the search route counts the squares its quotient keeps, so it runs
+    # m = 6 (9,408 reduced squares) and refuses m = 7 (~2.4e10 A_7 orbits).
+    with pytest.raises(BudgetExceeded, match="812851200"):
+        latin_sign_sum_pairing(6, method="explicit")
+    with pytest.raises(BudgetExceeded, match="24396595200"):
+        latin_sign_sum_pairing(7)
+    assert latin_sign_sum_pairing(6) == -199065600
 
 
 def test_translated_pairing_scan_exhaustive_m2():
