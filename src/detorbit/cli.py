@@ -23,6 +23,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
+# The subcommands that run prefix blocks, and so read and write --checkpoint.
+_CHECKPOINTED = ("tally", "alon-tarsi")
+
 
 def _frac(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
@@ -282,7 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled schedules")
     parser.add_argument("--out", type=str, default=None, help="also write report here")
-    parser.add_argument("--checkpoint", type=str, default=None, help="checkpoint file")
+    parser.add_argument(
+        "--checkpoint",
+        type=str,
+        default=None,
+        help="checkpoint file (tally and alon-tarsi only)",
+    )
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
@@ -353,6 +361,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
+        if args.checkpoint is not None and args.command not in _CHECKPOINTED:
+            raise ValueError(
+                f"--checkpoint applies only to {' and '.join(_CHECKPOINTED)}, "
+                f"not {args.command}"
+            )
         code, report = args.func(args)
         if isinstance(report, dict):
             report.setdefault("seed", args.seed)

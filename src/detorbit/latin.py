@@ -513,17 +513,15 @@ def _bucket_to_tally(i: int, m: int, bucket: dict) -> SignedTally:
     return SignedTally(i, m, counts)
 
 
-def _prefix_depth(i: int) -> int:
-    # First-two-rows partitioning; degenerate row counts get shallower blocks.
-    return 0 if i == 1 else (1 if i == 2 else 2)
-
-
 def _list_prefixes(
     i: int, m: int, allowed: Sequence[int], quotient: _RowQuotient
 ) -> list[tuple[tuple[int, ...], ...]]:
+    """The prefix blocks of a run: its kept rectangles cut after the first
+    row the quotient leaves free (row 0, or row 1 when ``symbols`` fixes
+    row 0 to the identity).  A one-row run is one block, the empty prefix."""
     out: list[tuple[tuple[int, ...], ...]] = []
     _run_rows(
-        _prefix_depth(i),
+        min(i - 1, 2 if quotient.symbols else 1),
         m,
         allowed,
         (),
@@ -553,13 +551,14 @@ def _tally_by_blocks(
     """Tally of the ``quotient``, by prefix blocks, with counts weighted by
     its orbit size; optional worker pool and checkpointing.
 
-    Blocks are the first rows of the kept rectangles (:class:`_RowQuotient`).
-    Results are merged in lexicographic prefix order, so they do not depend
-    on the worker schedule.  The pool gets min(processes, blocks to do,
-    ``os.cpu_count()``) workers.  Checkpoint records carry the full
-    configuration (i, m, allowed masks, quotient group) and weighted counts;
-    records of any other configuration are ignored, as are prefixes outside
-    the current partition.
+    Blocks are the rectangles sharing the first row the quotient leaves free
+    (:func:`_list_prefixes`).  Each block's bucket is added to the tally as
+    soon as it is resumed or finished, so no block is held to the end; the
+    sums are of integers and do not depend on the worker schedule.  The pool
+    gets min(processes, blocks to do, ``os.cpu_count()``) workers.
+    Checkpoint records carry the full configuration (i, m, allowed masks,
+    quotient group) and weighted counts; records of any other configuration
+    are ignored, as are prefixes outside the current partition.
     """
     if processes > 1:
         # Serial runs never load multiprocessing.  Imported after the block
@@ -568,16 +567,28 @@ def _tally_by_blocks(
         from multiprocessing import Pool
     prefixes = _list_prefixes(i, m, allowed, quotient)
     config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}
-    done: dict[tuple, dict] = {}
+    merged: dict = {}
+
+    def merge(bucket: dict) -> None:
+        for key, (p, n) in bucket.items():
+            cur = merged.get(key)
+            if cur is None:
+                merged[key] = [p, n]
+            else:
+                cur[0] += p
+                cur[1] += n
+
+    done: set = set()
     if checkpoint_path is not None:
-        loaded = load_checkpoint(checkpoint_path, config)
         valid = set(prefixes)
-        done = {p: b for p, b in loaded.items() if p in valid}
-    results: dict[tuple, dict] = dict(done)
+        for prefix, bucket in load_checkpoint(checkpoint_path, config).items():
+            if prefix in valid:
+                done.add(prefix)
+                merge(bucket)
     jobs = [(i, m, tuple(allowed), p, quotient) for p in prefixes if p not in done]
 
     def finish(prefix: tuple, bucket: dict) -> None:
-        results[prefix] = bucket
+        merge(bucket)
         if checkpoint_path is not None:
             write_checkpoint_record(
                 checkpoint_path, prefix, bucket, config, record_patterns
@@ -593,15 +604,6 @@ def _tally_by_blocks(
     else:
         for job in jobs:
             finish(*_block_job(job))
-    merged: dict = {}
-    for prefix in sorted(results):
-        for key, (p, n) in results[prefix].items():
-            cur = merged.get(key)
-            if cur is None:
-                merged[key] = [p, n]
-            else:
-                cur[0] += p
-                cur[1] += n
     return merged
 
 
@@ -775,12 +777,15 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # Checkpoint files: one newline-delimited JSON record per completed prefix
 # block, restart-safe via prefix deduplication.
 #
-# A record holds the 1-based "prefix" rows of its block, the block's "plus"
-# and "minus" totals and, for tallies, its per-pattern counts ("patterns").
-# It is keyed by the full configuration of the run: "i", "m", the "allowed"
-# column masks (all ones unless the tally is pattern-filtered) and the
-# quotient "group" (S<i> or A<i>; S<m>xS<m-1> for reduced squares).  Counts are already multiplied by the
-# group order, so the records of a run sum to its result.
+# A record holds the 1-based "prefix" rows of its block (its first row, or
+# the identity row and the second row for reduced squares), the block's
+# "plus" and "minus" totals and, for tallies, its per-pattern counts
+# ("patterns").  It is keyed by the full configuration of the run: "i", "m",
+# the "allowed" column masks (all ones unless the tally is pattern-filtered)
+# and the quotient "group" (S<i> or A<i>; S<m>xS<m-1> for reduced squares).
+# Counts are already multiplied by the group order, so the records of a run
+# sum to its result.  Records whose prefix is not a block of the run, such
+# as the two-row prefixes of an earlier partition, are ignored.
 # ---------------------------------------------------------------------------
 
 def write_checkpoint_record(

@@ -132,6 +132,16 @@ def test_torn_checkpoint_tail_resumes(capsys, tmp_path):
     assert code == 3
 
 
+def test_checkpoint_rejected_where_nothing_is_checkpointed(capsys, tmp_path):
+    cp = tmp_path / "cp.ndjson"
+    for argv in (["pairing", "2", "3"], ["sign-sum", "3"], ["verify-all", "2"]):
+        code, out = _run(capsys, "--checkpoint", str(cp), *argv)
+        assert code == 3
+        assert json.loads(out)["kind"] == "input"
+        assert "--checkpoint" in json.loads(out)["error"]
+    assert not cp.exists()
+
+
 def test_threads_flag_matches_serial(capsys):
     _, serial = _run(capsys, "tally", "3", "4")
     _, parallel = _run(capsys, "--threads", "2", "tally", "3", "4")

@@ -328,6 +328,63 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
         assert fh.read() == written
 
 
+@pytest.mark.parametrize(
+    "i,m,square,blocks",
+    [
+        (3, 5, False, 72),
+        (5, 5, False, 24),
+        (5, 5, True, 24),
+        (3, 4, False, 12),
+        (3, 6, False, 480),
+        (2, 6, False, 600),
+        (6, 6, True, 53),
+        (4, 4, True, 3),
+    ],
+)
+def test_prefix_blocks_partition_the_kept_rectangles(i, m, square, blocks):
+    # A block is cut at the first row the quotient leaves free: row 0, or
+    # row 1 of reduced squares, whose row 0 is the identity.
+    quotient = latin._square_quotient(m) if square else latin._row_quotient(i, m)
+    allowed = [(1 << m) - 1] * m
+    prefixes = latin._list_prefixes(i, m, allowed, quotient)
+    assert len(prefixes) == blocks
+    assert {len(p) for p in prefixes} == {2 if quotient.symbols else 1}
+    if m <= 5:  # every kept rectangle lies in exactly one block
+        assert sum(
+            latin._run_rows(i, m, allowed, p, None, quotient) for p in prefixes
+        ) == latin._run_rows(i, m, allowed, (), None, quotient)
+
+
+def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
+    # Blocks were once cut after two rows.  Such records, under the same
+    # configuration and with bogus counts, fall outside the one-row
+    # partition and must not be merged.
+    cp = str(tmp_path / "tally.ndjson")
+    allowed = [31] * 5
+    quotient = latin._row_quotient(3, 5)
+    config = {"i": 3, "m": 5, "allowed": allowed, "group": "A3"}
+    old = []
+    latin._run_rows(
+        2, 5, allowed, (), lambda rows, _c, _p: old.append(tuple(rows)), quotient
+    )
+    assert len(old) == 2376
+    for prefix in old:
+        latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config, True)
+    with open(cp) as fh:
+        stale = fh.read()
+    fresh = signed_tally(3, 5).counts
+    assert signed_tally(3, 5, checkpoint_path=cp).counts == fresh
+    with open(cp) as fh:
+        written = fh.read()
+    assert written.startswith(stale)
+    recs = [json.loads(line) for line in written[len(stale):].splitlines()]
+    assert len(recs) == 72 and {len(r["prefix"]) for r in recs} == {1}
+    # A rerun resumes every block from its own records and writes nothing.
+    assert signed_tally(3, 5, checkpoint_path=cp).counts == fresh
+    with open(cp) as fh:
+        assert fh.read() == written
+
+
 def test_project_last_row():
     rect = LatinRectangle.from_rows([(1, 2), (2, 1)])
     assert project_last_row(rect) == LatinRectangle.from_rows([(1, 2)])
@@ -590,6 +647,31 @@ def test_worker_count_is_capped(monkeypatch):
     monkeypatch.setattr(latin.os, "cpu_count", lambda: None)
     assert signed_tally(2, 3, processes=4).counts == expected  # serial
     assert sizes == [3, 6, 4]
+
+
+def test_tally_does_not_depend_on_block_order(monkeypatch):
+    sizes = []
+
+    class ReversingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs, chunksize=1):
+            return reversed([fn(job) for job in jobs])
+
+    monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
+    monkeypatch.setattr(latin.os, "cpu_count", lambda: 2)
+    serial = signed_tally(3, 4)
+    reversed_blocks = signed_tally(3, 4, processes=2)
+    assert reversed_blocks.counts == serial.counts
+    assert reversed_blocks.to_json_text() == serial.to_json_text()
+    assert sizes == [2]
 
 
 def _json_reference(tally, **extra) -> str:
