@@ -11,6 +11,8 @@ Subpackages:
   matrices and nonvanishing witness search;
 * :mod:`detorbit.kronecker` -- symmetric group characters and symmetric
   Kronecker positivity checks;
+* :mod:`detorbit.oracles` -- slower independent routes the tests check the
+  invariant and permanent kernels against;
 * :mod:`detorbit.cli` -- reproducible command line experiments.
 
 Importing the package loads none of the computation modules.  A name such
@@ -59,9 +61,7 @@ _EXPORTS = {
         "HomPoly",
         "det_power_invariant",
         "elementary_det_power",
-        "elementary_matrix_expansion",
         "polarized_coefficient",
-        "polarized_det_power",
         "power_sum_invariant_check",
     ),
     "orbit": (
@@ -69,7 +69,6 @@ _EXPORTS = {
         "content_coefficient",
         "det_restriction",
         "permanent",
-        "permanent_naive",
         "witness_search",
     ),
     "kronecker": (
@@ -78,6 +77,13 @@ _EXPORTS = {
         "mn_character",
         "rectangle_sk_positivity",
         "symmetric_kronecker_coeff",
+    ),
+    "oracles": (
+        "MatrixTensorTerm",
+        "elementary_matrix_expansion",
+        "exact_det",
+        "permanent_naive",
+        "polarized_det_power",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -113,7 +113,9 @@ def _cmd_sign_sum(args) -> tuple[int, dict]:
 def _cmd_invariant_check(args) -> tuple[int, dict]:
     from . import invariant
 
-    computed, closed = invariant.power_sum_invariant_check(args.m, args.i)
+    computed, closed = invariant.power_sum_invariant_check(
+        args.m, args.i, budget=args.budget
+    )
     ok = computed == closed
     report = {
         "m": args.m,
@@ -230,7 +232,7 @@ def _verify_all_checks(m: int, seed: int, budget: int) -> list[dict]:
         tensors.latin_sign_sum_pairing(m) == rows,
     )
     for i in range(1, min(m, 4) + 1):
-        computed, closed = invariant.power_sum_invariant_check(m, i)
+        computed, closed = invariant.power_sum_invariant_check(m, i, budget=budget)
         add(
             f"power-sum-closed-form i={i}",
             computed == closed,

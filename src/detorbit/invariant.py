@@ -2,21 +2,20 @@
 
 A homogeneous degree-m form f in i variables (m even, m' = m/2) is first
 fully polarized; reading the polarized coefficients along pairs of indices
-expands f into a sum of elementary-matrix words of length m'.  Feeding i such
-words into the full polarization of A |-> det(A)^{m'} and summing over all
-i-tuples evaluates the (unique up to scale) SL(i)-invariant of degree i on
-the space of degree-m forms.  At the power-sum point sum_j x_j^m the value
-has the closed form i! * (m'!)^i / (i*m')!.
+turns f into a form P of degree m' in the i^2 pair variables y_(r,c).
+Pairing i copies of P with the full polarization of A |-> det(A)^{m'}
+evaluates the (unique up to scale) SL(i)-invariant of degree i on the space
+of degree-m forms.  At the power-sum point sum_j x_j^m the value has the
+closed form i! * (m'!)^i / (i*m')!.
 
 At elementary matrices E(r_1,c_1), ..., E(r_k,c_k), k = i*m', the
 polarization of det^{m'} is 1/k! times a signed count: the ways to deal the
 k (row, col) pairs out to m' ordered determinant factors so that each factor
 is a permutation, weighted by the product of the factors' permutation signs.
 This is the Latin-square combinatorics that ties det^m to the Alon-Tarsi
-count.  :func:`det_power_invariant` carries words as pair tuples and
-evaluates every term through that count (:func:`elementary_det_power`);
-:func:`polarized_det_power`, the general Gray-code inclusion-exclusion with a
-Bareiss determinant per subset, is kept as its independent oracle.
+count.  :func:`det_power_invariant` expands P^i, keeping only monomials
+whose rows and columns can still be dealt, and evaluates each through that
+count (:func:`elementary_det_power`); its oracles are in :mod:`detorbit.oracles`.
 
 All arithmetic is exact; the only approximations are the configurable work
 budgets.
@@ -24,28 +23,23 @@ budgets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb, factorial, gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations_with_replacement
+from math import factorial, prod
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded
 
 __all__ = [
     "HomPoly",
-    "MatrixTensorTerm",
     "polarized_coefficient",
-    "elementary_matrix_expansion",
-    "polarized_det_power",
     "elementary_det_power",
     "det_power_invariant",
     "power_sum_invariant_check",
-    "exact_det",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 Pair = tuple[int, int]
 
 DEFAULT_DET_BUDGET = 10**9
@@ -202,155 +196,6 @@ def polarized_coefficient(f: HomPoly, word: Sequence[int]) -> Fraction:
     return c * Fraction(num, factorial(m))
 
 
-@dataclass(frozen=True)
-class MatrixTensorTerm:
-    """One elementary-matrix word with its polarized coefficient."""
-
-    coefficient: Fraction
-    matrices: tuple[Matrix, ...]
-
-
-def _elementary(i: int, r: int, c: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if (a, b) == (r, c) else Fraction(0) for b in range(i))
-        for a in range(i)
-    )
-
-
-def _pair_words(f: HomPoly) -> Iterator[tuple[Fraction, tuple[Pair, ...]]]:
-    """Index words of f with nonzero polarized coefficient, read as pair words.
-
-    The word (l_1..l_m) yields its coefficient and the pairs
-    ((l_1,l_2), ..., (l_{m-1},l_m)), 0-based; at most i^m words.
-    """
-    m = f.degree
-    if m % 2:
-        raise ValueError("the invariant requires even degree")
-    i = f.nvars
-    coeff_cache: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.coeffs.items():
-        num = 1
-        for e in exp:
-            num *= factorial(e)
-        coeff_cache[exp] = c * Fraction(num, factorial(m))
-    for word in product(range(i), repeat=m):
-        content = [0] * i
-        for s in word:
-            content[s] += 1
-        coeff = coeff_cache.get(tuple(content))
-        if coeff:
-            yield coeff, tuple(zip(word[0::2], word[1::2]))
-
-
-def elementary_matrix_expansion(f: HomPoly) -> list[MatrixTensorTerm]:
-    """Expand the polarized form into elementary-matrix words of length m/2.
-
-    Each index word (l_1..l_m) with nonzero polarized coefficient contributes
-    that coefficient times E(l_1,l_2) ox ... ox E(l_{m-1},l_m).  Zero terms
-    are omitted; at most i^m terms.
-    """
-    i = f.nvars
-    return [
-        MatrixTensorTerm(coeff, tuple(_elementary(i, r, c) for r, c in pairs))
-        for coeff, pairs in _pair_words(f)
-    ]
-
-
-def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination on cleared rows."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    denom = 1
-    rows: list[list[int]] = []
-    for row in mat:
-        scale = 1
-        for x in row:
-            f = Fraction(x)
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        denom *= scale
-        rows.append([int(Fraction(x) * scale) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = rows[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                rows[r][c] = (rows[r][c] * pivot - rows[r][k] * rows[k][c]) // prev
-            rows[r][k] = 0
-        prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], denom)
-
-
-def _gray_steps(k: int) -> Iterator[tuple[int, bool, int]]:
-    """Visit the nonempty subsets of k items in Gray-code order.
-
-    Each step flips one item; yields (item, whether it entered, subset size).
-    Drives the inclusion-exclusion sums here and in :func:`orbit.permanent`.
-    """
-    prev = size = 0
-    for s in range(1, 1 << k):
-        gray = s ^ (s >> 1)
-        bit = gray ^ prev
-        prev = gray
-        added = bool(gray & bit)
-        size += 1 if added else -1
-        yield bit.bit_length() - 1, added, size
-
-
-def polarized_det_power(
-    size: int, power: int, matrices: Sequence[Matrix]
-) -> Fraction:
-    """Full polarization of A |-> det(A)^power at the given size x size matrices.
-
-    Computed by subset inclusion-exclusion over the size*power arguments with
-    Gray-code updates of the running sum.  Symmetric and multilinear; at
-    equal arguments (X,..,X) it returns det(X)^power.
-
-    The invariant never calls this: it evaluates the polarization only at
-    elementary matrices, through :func:`elementary_det_power`.  This general
-    route is kept on purpose as the independent oracle the tests compare
-    that kernel against.
-    """
-    k = size * power
-    if len(matrices) != k:
-        raise ValueError(f"expected {k} matrices")
-    for mat in matrices:
-        if len(mat) != size or any(len(row) != size for row in mat):
-            raise ValueError("matrix of wrong size")
-    cur = [[Fraction(0)] * size for _ in range(size)]
-    total = Fraction(0)
-    for j, added, popcount in _gray_steps(k):
-        mat = matrices[j]
-        if added:
-            for a in range(size):
-                row = cur[a]
-                mrow = mat[a]
-                for b in range(size):
-                    row[b] += mrow[b]
-        else:
-            for a in range(size):
-                row = cur[a]
-                mrow = mat[a]
-                for b in range(size):
-                    row[b] -= mrow[b]
-        d = exact_det(cur)
-        if d:
-            term = d**power
-            total += term if (k - popcount) % 2 == 0 else -term
-    return total / factorial(k)
-
-
 def elementary_det_power(size: int, power: int, pairs: Sequence[Pair]) -> Fraction:
     """Full polarization of A |-> det(A)^power at E(r_1,c_1), ..., E(r_k,c_k).
 
@@ -411,13 +256,14 @@ def det_power_invariant(
 ) -> Fraction:
     """Evaluate the degree-i invariant at f (a degree-m form in >= i variables).
 
-    Sums, over all i-tuples of elementary-matrix words of f, the product of
-    word coefficients times the polarized determinant power of the i*m/2
-    concatenated matrices, evaluated as a signed count by
-    :func:`elementary_det_power` on the (row, col) pairs of the words.
-    Words are grouped by sorted pair word (the polarization is symmetric in
-    its arguments), so the loop runs over class multisets with multinomial
-    weights.  ``budget`` caps the estimated number of search leaves.
+    P = sum_S coeff(S) * y^S runs over multisets S of m/2 pairs (r, c) of the
+    first i variables; coeff(S) is the polarized coefficient of S's content
+    times the (m/2)!/prod mult! index words that read as S.  The value is
+    sum_M [y^M] P^i * :func:`elementary_det_power` (i, m/2, M), which needs
+    m/2 pairs in every row and column of M, so P^i is expanded one factor
+    at a time and each monomial with a count above m/2 is dropped.
+    ``budget`` caps partial monomials x pair words before each product
+    step, and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
     """
     if m % 2:
         raise ValueError("the invariant requires even degree")
@@ -425,61 +271,62 @@ def det_power_invariant(
         raise ValueError("degree mismatch")
     if not 1 <= i <= f.nvars:
         raise ValueError("need 1 <= i <= number of variables")
-    if f.nvars != i:
-        # The invariant lives on forms in i variables; restrict by setting
-        # the trailing variables to zero.
-        coeffs = {
-            exp[:i]: c
-            for exp, c in f.coeffs.items()
-            if all(e == 0 for e in exp[i:])
-        }
-        f = HomPoly(i, m, coeffs)
     half = m // 2
-    # Group by sorted pair word; members share the coefficient.
-    classes: dict[tuple[Pair, ...], list] = {}
-    for coeff, pairs in _pair_words(f):
-        key = tuple(sorted(pairs))
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = [coeff, 1]
-        else:
-            if entry[0] != coeff:
-                raise RuntimeError("internal error: class coefficient mismatch")
-            entry[1] += 1
-    if not classes:
-        return Fraction(0)
-    class_list = [(key, a * n) for key, (a, n) in classes.items()]
-    est = comb(len(class_list) + i - 1, i) * factorial(half) ** (i - 1)
-    if est > budget:
-        raise BudgetExceeded(
-            f"invariant evaluation needs ~{est} search leaves "
-            f"({len(class_list)} word classes, {i}-element multisets)",
-            est,
+    n = i * i
+
+    def check(est: int, what: str) -> None:
+        if est > budget:
+            raise BudgetExceeded(f"invariant evaluation needs ~{est} {what}", est)
+
+    # A monomial is one vector: the exponent of y_(r,c) at r*i + c, then the
+    # row counts, then the column counts, so one addition updates all three.
+    pad = (0,) * (f.nvars - i)
+    words = []
+    for pairs in combinations_with_replacement(range(n), half):
+        vec = [0] * (n + 2 * i)
+        for p in pairs:
+            r, c = divmod(p, i)
+            vec[p] += 1
+            vec[n + r] += 1
+            vec[n + i + c] += 1
+        content = tuple(map(add, vec[n : n + i], vec[n + i :]))
+        coeff = f.coeffs.get(content + pad)
+        if coeff:
+            num = factorial(half) * prod(map(factorial, content))
+            den = factorial(m) * prod(map(factorial, vec[:n]))
+            words.append((tuple(vec), coeff * Fraction(num, den)))
+    partial = {(0,) * (n + 2 * i): Fraction(1)}
+    for _ in range(i):
+        check(
+            len(partial) * len(words),
+            f"products ({len(partial)} partial monomials x {len(words)} pair words)",
         )
+        grown: dict[tuple[int, ...], Fraction] = {}
+        for key, a in partial.items():
+            for vec, b in words:
+                new = tuple(map(add, key, vec))
+                if max(new[n:]) <= half:
+                    grown[new] = grown.get(new, 0) + a * b
+        partial = {key: a for key, a in grown.items() if a}
+    check(
+        len(partial) * factorial(half) ** (i - 1),
+        f"search leaves ({len(partial)} monomials of P^{i})",
+    )
     total = Fraction(0)
-    fact_i = factorial(i)
-    for combo in combinations_with_replacement(range(len(class_list)), i):
-        reps = Counter(combo)
-        pairs: list[Pair] = []
-        for idx, e in reps.items():
-            pairs.extend(class_list[idx][0] * e)
-        value = elementary_det_power(i, half, pairs)
-        if value:
-            weight = fact_i
-            coeff = Fraction(1)
-            for idx, e in reps.items():
-                weight //= factorial(e)
-                coeff *= class_list[idx][1] ** e
-            total += weight * coeff * value
+    for key, a in partial.items():
+        pairs = [divmod(p, i) for p in range(n) for _ in range(key[p])]
+        total += a * elementary_det_power(i, half, pairs)
     return total
 
 
-def power_sum_invariant_check(m: int, i: int) -> tuple[Fraction, Fraction]:
+def power_sum_invariant_check(
+    m: int, i: int, *, budget: int = DEFAULT_DET_BUDGET
+) -> tuple[Fraction, Fraction]:
     """Invariant at the power-sum point next to its closed form.
 
     Returns (computed, i! * (m/2)!^i / (i*m/2)!); the two must be equal.
     """
-    computed = det_power_invariant(m, i, HomPoly.power_sum(i, m))
+    computed = det_power_invariant(m, i, HomPoly.power_sum(i, m), budget=budget)
     half = m // 2
     closed = Fraction(factorial(i) * factorial(half) ** i, factorial(i * half))
     return computed, closed

@@ -1,0 +1,148 @@
+"""Independent oracles: slower routes the tests check the fast kernels against.
+
+No production path of the library or the CLI imports this module.  Each
+function is a deliberate second route built from other ingredients:
+:func:`elementary_matrix_expansion` and :func:`polarized_det_power`
+(Gray-code inclusion-exclusion over :func:`exact_det`) against the pruned
+P^i expansion and :func:`~detorbit.invariant.elementary_det_power`, and
+:func:`permanent_naive` against Ryser's :func:`~detorbit.orbit.permanent`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations, product
+from math import factorial, lcm
+from operator import add, sub
+from typing import Sequence
+
+from .errors import BudgetExceeded
+from .invariant import HomPoly, polarized_coefficient
+from .orbit import _gray_steps
+
+__all__ = [
+    "MatrixTensorTerm",
+    "elementary_matrix_expansion",
+    "exact_det",
+    "polarized_det_power",
+    "permanent_naive",
+]
+
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+MAX_NAIVE_PERMANENT_SIZE = 12
+
+
+@dataclass(frozen=True)
+class MatrixTensorTerm:
+    """One elementary-matrix word with its polarized coefficient."""
+
+    coefficient: Fraction
+    matrices: tuple[Matrix, ...]
+
+
+def _elementary(i: int, r: int, c: int) -> Matrix:
+    return tuple(
+        tuple(Fraction(1) if (a, b) == (r, c) else Fraction(0) for b in range(i))
+        for a in range(i)
+    )
+
+
+def elementary_matrix_expansion(f: HomPoly) -> list[MatrixTensorTerm]:
+    """Expand the polarized form into elementary-matrix words of length m/2.
+
+    Each index word (l_1..l_m) with nonzero polarized coefficient contributes
+    that coefficient times E(l_1,l_2) ox ... ox E(l_{m-1},l_m).  Zero terms
+    are omitted; all i^m words are scanned.
+    """
+    if f.degree % 2:
+        raise ValueError("the invariant requires even degree")
+    i = f.nvars
+    terms = []
+    for word in product(range(1, i + 1), repeat=f.degree):
+        coeff = polarized_coefficient(f, word)
+        if coeff:
+            mats = (
+                _elementary(i, r - 1, c - 1) for r, c in zip(word[0::2], word[1::2])
+            )
+            terms.append(MatrixTensorTerm(coeff, tuple(mats)))
+    return terms
+
+
+def exact_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination on cleared rows."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return Fraction(1)
+    denom = 1
+    rows: list[list[int]] = []
+    for row in mat:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        denom *= scale
+        rows.append([int(Fraction(x) * scale) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = rows[k][k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                rows[r][c] = (rows[r][c] * pivot - rows[r][k] * rows[k][c]) // prev
+            rows[r][k] = 0
+        prev = pivot
+    return Fraction(sign * rows[n - 1][n - 1], denom)
+
+
+def polarized_det_power(
+    size: int, power: int, matrices: Sequence[Matrix]
+) -> Fraction:
+    """Full polarization of A |-> det(A)^power at the given size x size matrices.
+
+    Computed by subset inclusion-exclusion over the size*power arguments with
+    Gray-code updates of the running sum.  Symmetric and multilinear; at
+    equal arguments (X,..,X) it returns det(X)^power.
+    """
+    k = size * power
+    if len(matrices) != k:
+        raise ValueError(f"expected {k} matrices")
+    for mat in matrices:
+        if len(mat) != size or any(len(row) != size for row in mat):
+            raise ValueError("matrix of wrong size")
+    cur = [[Fraction(0)] * size for _ in range(size)]
+    total = Fraction(0)
+    for j, added, popcount in _gray_steps(k):
+        step = add if added else sub
+        cur = [list(map(step, row, mrow)) for row, mrow in zip(cur, matrices[j])]
+        d = exact_det(cur)
+        if d:
+            term = d**power
+            total += term if (k - popcount) % 2 == 0 else -term
+    return total / factorial(k)
+
+
+def permanent_naive(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Permanent straight from the definition (n <= 12)."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    if n > MAX_NAIVE_PERMANENT_SIZE:
+        raise BudgetExceeded(f"naive permanent of size {n} > {MAX_NAIVE_PERMANENT_SIZE}")
+    total = Fraction(0)
+    for sigma in permutations(range(n)):
+        prod = Fraction(1)
+        for p in range(n):
+            prod *= Fraction(mat[p][sigma[p]])
+            if not prod:
+                break
+        total += prod
+    return total

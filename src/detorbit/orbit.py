@@ -7,29 +7,26 @@ Points of this shape are used to certify that the degree-i invariant of
 :mod:`detorbit.invariant` does not vanish on the restriction family: a single
 matrix A with nonzero invariant value is a witness.
 
-The permanent comes in two exact flavours: a Ryser-style inclusion-exclusion
-with row-sum updates along the Gray-code walk of
-:mod:`detorbit.invariant` (production) and the factorial-sum definition
-(oracle).
+The permanent is a Ryser-style inclusion-exclusion with row-sum updates
+along a Gray-code walk of the column subsets; the factorial-sum definition
+it is tested against lives in :mod:`detorbit.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from random import Random
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .invariant import HomPoly, _gray_steps, _product_form, det_power_invariant
+from .invariant import HomPoly, _product_form, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
     "WitnessResult",
     "permanent",
-    "permanent_naive",
     "det_restriction",
     "content_coefficient",
     "candidate_schedule",
@@ -38,7 +35,22 @@ __all__ = [
 ]
 
 MAX_PERMANENT_SIZE = 20
-MAX_NAIVE_PERMANENT_SIZE = 12
+
+
+def _gray_steps(k: int) -> Iterator[tuple[int, bool, int]]:
+    """Visit the nonempty subsets of k items in Gray-code order.
+
+    Each step flips one item; yields (item, whether it entered, subset size).
+    Drives :func:`permanent` and :func:`detorbit.oracles.polarized_det_power`.
+    """
+    prev = size = 0
+    for s in range(1, 1 << k):
+        gray = s ^ (s >> 1)
+        bit = gray ^ prev
+        prev = gray
+        added = bool(gray & bit)
+        size += 1 if added else -1
+        yield bit.bit_length() - 1, added, size
 
 
 def permanent(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -70,24 +82,6 @@ def permanent(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
                 break
         if prod:
             total += prod if (n - popcount) % 2 == 0 else -prod
-    return total
-
-
-def permanent_naive(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Permanent straight from the definition; independent oracle (n <= 12)."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    if n > MAX_NAIVE_PERMANENT_SIZE:
-        raise BudgetExceeded(f"naive permanent of size {n} > {MAX_NAIVE_PERMANENT_SIZE}")
-    total = Fraction(0)
-    for sigma in permutations(range(n)):
-        prod = Fraction(1)
-        for p in range(n):
-            prod *= Fraction(mat[p][sigma[p]])
-            if not prod:
-                break
-        total += prod
     return total
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from random import Random
 
 from detorbit import latin
-from detorbit.invariant import HomPoly
+from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
 from detorbit.orbit import RestrictionMatrix
 
 
@@ -112,3 +113,35 @@ def unreduced_latin_pairing(i: int, m: int) -> Fraction:
 
     latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle)
     return Fraction(total, factorial(m) ** i)
+
+
+def class_multiset_invariant(m: int, i: int, f: HomPoly) -> Fraction:
+    """``det_power_invariant`` as a loop over multisets of pair-word classes.
+
+    Scans all i^m index words over the first i variables, groups those with
+    nonzero polarized coefficient by sorted pair word, and sums over every
+    i-element multiset of classes the multinomial weight times the class
+    weights times ``elementary_det_power`` of the concatenated pairs; the
+    oracle of the pruned P^i expansion.
+    """
+    classes: dict[tuple, tuple[Fraction, int]] = {}
+    for word in product(range(1, i + 1), repeat=m):
+        coeff = polarized_coefficient(f, word)
+        if coeff:
+            key = tuple(sorted((a - 1, b - 1) for a, b in zip(word[0::2], word[1::2])))
+            known, count = classes.get(key, (coeff, 0))
+            assert known == coeff, "words of one class share the coefficient"
+            classes[key] = (coeff, count + 1)
+    keys = list(classes)
+    total = Fraction(0)
+    for combo in combinations_with_replacement(range(len(keys)), i):
+        weight = factorial(i)
+        coeff = Fraction(1)
+        pairs: list = []
+        for idx, e in Counter(combo).items():
+            c, count = classes[keys[idx]]
+            weight //= factorial(e)
+            coeff *= (c * count) ** e
+            pairs.extend(keys[idx] * e)
+        total += weight * coeff * elementary_det_power(i, m // 2, pairs)
+    return total

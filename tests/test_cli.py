@@ -154,6 +154,12 @@ def test_infeasible_exit_code(capsys):
     assert json.loads(out)["kind"] == "infeasible"
 
 
+def test_budget_reaches_invariant_check(capsys):
+    code, out = _run(capsys, "--budget", "10", "invariant-check", "6", "6")
+    assert code == 2
+    assert json.loads(out)["kind"] == "infeasible"
+
+
 def test_input_error_exit_code(capsys):
     code, out = _run(capsys, "tally", "3", "2")
     assert code == 3

@@ -44,8 +44,9 @@ def _fresh(code: str, *argv: str) -> str:
         (["kronecker", "2", "1"], {"kronecker"}),
         (["invariant-check", "4", "2"], {"invariant"}),
         (["tally", "2", "3"], {"latin"}),
+        (["witness", "4", "2"], {"orbit", "invariant"}),
     ],
-    ids=["kronecker", "invariant-check", "tally"],
+    ids=["kronecker", "invariant-check", "tally", "witness"],
 )
 def test_subcommand_loads_only_its_modules(argv, loaded):
     run = json.loads(_fresh(_PROBE, *argv))

@@ -4,24 +4,28 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import factorial
 from random import Random
 
 import pytest
 
-from helpers import random_hompoly, random_sl_matrix
+from helpers import class_multiset_invariant, random_hompoly, random_sl_matrix
+from detorbit import invariant
 from detorbit.errors import BudgetExceeded
 from detorbit.invariant import (
     HomPoly,
-    _elementary,
     det_power_invariant,
     elementary_det_power,
+    polarized_coefficient,
+    power_sum_invariant_check,
+)
+from detorbit.orbit import candidate_schedule, det_restriction
+from detorbit.oracles import (
+    _elementary,
     elementary_matrix_expansion,
     exact_det,
-    polarized_coefficient,
     polarized_det_power,
-    power_sum_invariant_check,
 )
 
 
@@ -226,6 +230,60 @@ def test_invariant_matches_class_multiset_reference(m, i, forms, density):
     assert any(values)
 
 
+@pytest.mark.parametrize(
+    "m,i,forms,density",
+    [(6, 2, 6, 0.7), (8, 2, 4, 0.7), (4, 3, 3, 0.7), (6, 3, 3, 0.3), (4, 4, 2, 0.3)],
+)
+def test_invariant_matches_class_multiset_loop(m, i, forms, density):
+    rng = Random(200 * m + i)
+    values = []
+    for _ in range(forms):
+        f = random_hompoly(i, m, rng, density=density)
+        value = det_power_invariant(m, i, f)
+        assert value == class_multiset_invariant(m, i, f), f
+        values.append(value)
+    assert any(values)
+
+
+@pytest.mark.parametrize("m,i", [(4, 3), (6, 2), (8, 2)])
+def test_invariant_matches_class_multiset_loop_on_structured_candidates(m, i):
+    for _, A in islice(candidate_schedule(m, i), 4):
+        f = det_restriction(A)
+        assert det_power_invariant(m, i, f) == class_multiset_invariant(m, i, f), A
+
+
+@pytest.mark.parametrize("m,i,density", [(6, 3, 0.5), (4, 4, 0.3)])
+def test_invariant_weight_under_general_linear_substitution(m, i, density):
+    """I(f o g) = det(g)^m * I(f), checked without any oracle at det g = 2."""
+    rng = Random(300 * m + i)
+    f = random_hompoly(i, m, rng, density=density)
+    g = random_sl_matrix(i, rng)
+    g[0] = [2 * x for x in g[0]]
+    base = det_power_invariant(m, i, f)
+    assert base
+    assert det_power_invariant(m, i, f.compose_linear(g)) == 2**m * base
+
+
+def test_kernel_sees_each_balanced_monomial_once(monkeypatch):
+    # Row and column pruning leave only monomials whose every row and column
+    # holds m/2 pairs, and each reaches elementary_det_power once.
+    m, i = 4, 3
+    calls = []
+
+    def recording(size, power, pairs):
+        calls.append(tuple(sorted(pairs)))
+        return elementary_det_power(size, power, pairs)
+
+    f = random_hompoly(i, m, Random(41))
+    expected = det_power_invariant(m, i, f)
+    monkeypatch.setattr(invariant, "elementary_det_power", recording)
+    assert det_power_invariant(m, i, f) == expected
+    assert calls and len(set(calls)) == len(calls)
+    for pairs in calls:
+        assert Counter(r for r, _ in pairs) == {r: m // 2 for r in range(i)}
+        assert Counter(c for _, c in pairs) == {c: m // 2 for c in range(i)}
+
+
 def test_invariant_values_small():
     f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
     assert det_power_invariant(2, 2, f) == Fraction(-1, 4)
@@ -261,9 +319,13 @@ def test_power_sum_closed_form_values(m, i, expected):
 
 def test_budget_guard():
     f = HomPoly.power_sum(6, 6)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="6 partial monomials x 6 pair words"):
         det_power_invariant(6, 6, f, budget=10)
-    # C(6+5, 6) class multisets, at most (3!)^5 leaves each.
+    # P = sum_j y_jj^3: at most 20 partial monomials x 6 pair words per step,
+    # then the one monomial prod_j y_jj^3 of P^6 with (3!)^5 search leaves.
+    with pytest.raises(BudgetExceeded, match="1 monomials of P\\^6"):
+        det_power_invariant(6, 6, f, budget=6**5 - 1)
+    assert det_power_invariant(6, 6, f, budget=6**5) == Fraction(1, 190590400)
     assert det_power_invariant(6, 6, f) == Fraction(1, 190590400)
 
 

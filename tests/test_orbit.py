@@ -16,9 +16,9 @@ from detorbit.orbit import (
     det_restriction,
     matrix_from_csv,
     permanent,
-    permanent_naive,
     witness_search,
 )
+from detorbit.oracles import permanent_naive
 
 
 def test_permanent_examples():
