@@ -31,12 +31,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "latin": (
         "LatinRectangle",
+        "OrbitTally",
         "SignedTally",
         "alon_tarsi_difference",
         "column_order_tally",
         "column_sign",
         "concatenate",
         "enumerate_latin_rectangles",
+        "orbit_tally",
         "pattern_of",
         "project_last_row",
         "rect_sign",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import factorial, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -251,6 +250,48 @@ def elementary_det_power(size: int, power: int, pairs: Sequence[Pair]) -> Fracti
     return Fraction(weight * deal(0, power, {}, 0), factorial(k))
 
 
+def _pair_words(i: int, half: int, content: Sequence[int]):
+    """The multisets of ``half`` pairs (r, c) of 0..i-1 whose row count plus
+    column count is ``content[v]`` at every variable v (``content`` sums to
+    2 * half).
+
+    Each is yielded as one vector: the multiplicity of (r, c) at r*i + c,
+    then the row counts, then the column counts, so that one addition
+    updates all three.  Pairs are decided in index order, and a variable
+    whose last pair is decided must have its content used up, so a branch
+    fails as soon as a variable is left short.
+    """
+    n = i * i
+    rem = list(content)
+    vec = [0] * (n + 2 * i)
+    # closing[p]: the variables whose last pair, (i-1, v) or (v, i-1), is p.
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for v in range(i):
+        closing[max((i - 1) * i + v, v * i + i - 1)].append(v)
+
+    def walk(p: int, left: int):
+        if left == 0:  # the content, which sums to 2 * half, is used up
+            yield tuple(vec)
+            return
+        r, c = divmod(p, i)
+        top = min(left, rem[r] // 2 if r == c else min(rem[r], rem[c]))
+        for k in range(top + 1):
+            rem[r] -= k
+            rem[c] -= k
+            if not any(rem[v] for v in closing[p]):
+                vec[p] = k
+                vec[n + r] += k
+                vec[n + i + c] += k
+                yield from walk(p + 1, left - k)
+                vec[p] = 0
+                vec[n + r] -= k
+                vec[n + i + c] -= k
+            rem[r] += k
+            rem[c] += k
+
+    yield from walk(0, half)
+
+
 def det_power_invariant(
     m: int, i: int, f: HomPoly, *, budget: int = DEFAULT_DET_BUDGET
 ) -> Fraction:
@@ -261,9 +302,11 @@ def det_power_invariant(
     times the (m/2)!/prod mult! index words that read as S.  The value is
     sum_M [y^M] P^i * :func:`elementary_det_power` (i, m/2, M), which needs
     m/2 pairs in every row and column of M, so P^i is expanded one factor
-    at a time and each monomial with a count above m/2 is dropped.
-    ``budget`` caps partial monomials x pair words before each product
-    step, and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
+    at a time and each monomial with a count above m/2 is dropped.  The
+    pair words S are listed per term of f (:func:`_pair_words`), so none is
+    built for a content that f lacks.  ``budget`` caps the pair words as
+    they are made, partial monomials x pair words before each product step,
+    and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
     """
     if m % 2:
         raise ValueError("the invariant requires even degree")
@@ -278,23 +321,16 @@ def det_power_invariant(
         if est > budget:
             raise BudgetExceeded(f"invariant evaluation needs ~{est} {what}", est)
 
-    # A monomial is one vector: the exponent of y_(r,c) at r*i + c, then the
-    # row counts, then the column counts, so one addition updates all three.
-    pad = (0,) * (f.nvars - i)
     words = []
-    for pairs in combinations_with_replacement(range(n), half):
-        vec = [0] * (n + 2 * i)
-        for p in pairs:
-            r, c = divmod(p, i)
-            vec[p] += 1
-            vec[n + r] += 1
-            vec[n + i + c] += 1
-        content = tuple(map(add, vec[n : n + i], vec[n + i :]))
-        coeff = f.coeffs.get(content + pad)
-        if coeff:
-            num = factorial(half) * prod(map(factorial, content))
-            den = factorial(m) * prod(map(factorial, vec[:n]))
-            words.append((tuple(vec), coeff * Fraction(num, den)))
+    for exp, coeff in f.coeffs.items():
+        if any(exp[i:]):
+            continue
+        scale = coeff * Fraction(
+            factorial(half) * prod(map(factorial, exp)), factorial(m)
+        )
+        for vec in _pair_words(i, half, exp[:i]):
+            words.append((vec, scale / prod(map(factorial, vec[:n]))))
+            check(len(words), "pair words")
     partial = {(0,) * (n + 2 * i): Fraction(1)}
     for _ in range(i):
         check(

@@ -8,6 +8,14 @@ column-even / column-odd rectangles computed here feed the tensor pairing
 identities in :mod:`detorbit.tensors`, and the single-pattern signed count at
 i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 
+A full tally is enumerated in orbit form (:func:`orbit_tally`): symbol
+relabellings carry a pattern's counts to its whole S_m-orbit, so only the
+rectangles whose first row is 1..m are visited, and :func:`signed_tally`
+expands the orbits to every pattern.  A single pattern is not fixed by
+relabelling, so ``signed_tally(pattern=...)`` quotients the rows only.
+:func:`column_order_tally` enumerates every rectangle column by column and
+is the oracle of both routes.
+
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
 """
@@ -18,13 +26,15 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from itertools import combinations, groupby, permutations
+from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "LatinRectangle",
     "Pattern",
     "SignedTally",
+    "OrbitTally",
     "SignFactorizationReport",
     "column_sign",
     "rect_sign",
@@ -32,6 +42,7 @@ __all__ = [
     "is_valid_pattern",
     "enumerate_latin_rectangles",
     "signed_tally",
+    "orbit_tally",
     "column_order_tally",
     "alon_tarsi_difference",
     "project_last_row",
@@ -425,6 +436,25 @@ class SignedTally:
         """sum over patterns of (plus - minus)^2."""
         return sum((p - n) ** 2 for p, n in self.counts.values())
 
+    def _sorted_items(self) -> tuple[list, list[tuple[Pattern, tuple[int, int]]]]:
+        """The distinct subsets, sorted, and ``sorted(self.counts.items())``.
+
+        The items are sorted on one int per pattern (all of length m): the
+        ranks of its subsets among the distinct subsets, packed in equal
+        bit fields, first subset highest.
+        """
+        subsets = sorted({sub for key in self.counts for sub in key})
+        rank = {sub: r for r, sub in enumerate(subsets)}
+        width = len(subsets).bit_length()
+
+        def packed(item) -> int:
+            value = 0
+            for sub in item[0]:
+                value = value << width | rank[sub]
+            return value
+
+        return subsets, sorted(self.counts.items(), key=packed)
+
     def to_json_dict(self) -> dict:
         return {
             "i": self.i,
@@ -435,7 +465,7 @@ class SignedTally:
                     "plus": str(p),
                     "minus": str(n),
                 }
-                for key, (p, n) in sorted(self.counts.items())
+                for key, (p, n) in self._sorted_items()[1]
             ],
         }
 
@@ -459,11 +489,13 @@ class SignedTally:
         without building a dict per pattern or running the pure-Python indent
         encoder over them.
         """
-        column = cache(
-            lambda sub: "        [\n"
+        subsets, items = self._sorted_items()
+        column = {
+            sub: "        [\n"
             + ",\n".join(f"          {s}" for s in sub)
             + "\n        ]"
-        )
+            for sub in subsets
+        }.__getitem__
         record = (
             '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
             '      "plus": "%d"\n    }'
@@ -478,7 +510,7 @@ class SignedTally:
                 pieces.append(value.replace("\n", "\n  "))
                 continue
             pieces.append("[\n")
-            for key, (p, n) in sorted(self.counts.items()):
+            for key, (p, n) in items:
                 pieces.append(record % (n, ",\n".join(map(column, key)), p))
                 pieces.append(",\n")
             pieces[-1] = "\n  ]"
@@ -486,12 +518,12 @@ class SignedTally:
         return "".join(pieces)
 
     def to_csv_text(self) -> str:
-        column = cache(lambda sub: ",".join(map(str, sub)))
+        subsets, items = self._sorted_items()
+        column = {sub: ",".join(map(str, sub)) for sub in subsets}.__getitem__
         head = f"{self.i},{self.m},"
         lines = ["i,m,pattern,plus,minus"]
         lines += [
-            f"{head}{';'.join(map(column, key))},{p},{n}"
-            for key, (p, n) in sorted(self.counts.items())
+            f"{head}{';'.join(map(column, key))},{p},{n}" for key, (p, n) in items
         ]
         return "\n".join(lines) + "\n"
 
@@ -518,10 +550,11 @@ def _list_prefixes(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The prefix blocks of a run: its kept rectangles cut after the first
     row the quotient leaves free (row 0, or row 1 when ``symbols`` fixes
-    row 0 to the identity).  A one-row run is one block, the empty prefix."""
+    row 0 to the identity).  A run whose only free row is its last is one
+    block: the empty prefix, or the identity row under ``symbols``."""
     out: list[tuple[tuple[int, ...], ...]] = []
     _run_rows(
-        min(i - 1, 2 if quotient.symbols else 1),
+        max(min(i - 1, 2), 1) if quotient.symbols else min(i - 1, 1),
         m,
         allowed,
         (),
@@ -607,6 +640,144 @@ def _tally_by_blocks(
     return merged
 
 
+@dataclass
+class OrbitTally:
+    """The signed tally at one canonical pattern per symbol-relabelling orbit.
+
+    Relabelling symbols by pi maps the rectangles of pattern (S_1..S_m)
+    one to one onto those of (pi S_1..pi S_m) and multiplies each eps_c by
+    prod_c sgn(pi|S_c), the inversion parity of pi on each column.  So the
+    (plus, minus) of a pattern fixes those of its whole S_m-orbit, swapped
+    where that sign is -1.  In the canonical pattern of an orbit the
+    symbols' profiles (the mask of the columns holding the symbol) ascend
+    with the symbol.  ``orbits`` maps each canonical pattern to (orbit size,
+    plus, minus).  plus + minus and (plus - minus)^2 are the same at every
+    pattern of an orbit, so their sums below weight each orbit by its size;
+    plus - minus changes sign within an orbit, so the signed sum is left to
+    the expanded tally.
+    """
+
+    i: int
+    m: int
+    orbits: dict[Pattern, tuple[int, int, int]]
+
+    def total(self) -> int:
+        return sum(size * (p + n) for size, p, n in self.orbits.values())
+
+    def imbalance_square_sum(self) -> int:
+        """sum over patterns of (plus - minus)^2."""
+        return sum(size * (p - n) ** 2 for size, p, n in self.orbits.values())
+
+    def expand(self) -> SignedTally:
+        """The per-pattern tally: the counts of every pattern pi K of each
+        orbit, from one table per pi of the image subset and the inversion
+        parity of pi on each column mask that occurs.
+
+        Relabellings that differ by a swap of two symbols of equal profile
+        give the same pattern, so for each orbit only the pi increasing on
+        each run of equal profiles in K (adjacent symbols) are taken: each
+        pattern is made once.
+        """
+        m = self.m
+        by_ties: dict[tuple[int, ...], list] = {}
+        for key, (_size, p, n) in self.orbits.items():
+            cols = tuple(map(_mask_of, key))
+            profile = _transpose(cols, m)
+            ties = tuple(s for s in range(m - 1) if profile[s] == profile[s + 1])
+            by_ties.setdefault(ties, []).append((cols, (p, n), (n, p)))
+        masks = {mask for key in self.orbits for mask in map(_mask_of, key)}
+        counts: dict[Pattern, tuple[int, int]] = {}
+        for perm in permutations(range(m)):
+            image, parity = {}, {}
+            for mask in masks:
+                moved = [perm[s] for s in range(mask.bit_length()) if mask >> s & 1]
+                image[mask] = _subset_of_mask(sum(1 << t for t in moved))
+                parity[mask] = sum(a > b for a, b in combinations(moved, 2))
+            image_of, parity_of = image.__getitem__, parity.__getitem__
+            for ties, orbits in by_ties.items():
+                if any(perm[s] > perm[s + 1] for s in ties):
+                    continue
+                for cols, even, odd in orbits:
+                    key = tuple(map(image_of, cols))
+                    counts[key] = odd if sum(map(parity_of, cols)) & 1 else even
+        return SignedTally(self.i, self.m, counts)
+
+
+def _transpose(masks: Sequence[int], m: int) -> list[int]:
+    """The m x m bit matrix transposed: bit c of entry s is bit s of entry c.
+
+    It turns column masks into the symbols' profiles (the mask of the
+    columns that hold each symbol) and back.
+    """
+    return [sum((mask >> s & 1) << c for c, mask in enumerate(masks)) for s in range(m)]
+
+
+def _fold_orbits(i: int, m: int, bucket: dict) -> OrbitTally:
+    """Carry a first-row-fixed bucket (column masks -> counts weighted by
+    m! * |G|) to the canonical patterns of its S_m-orbits.
+
+    Each rectangle is pi R0 for one first-row-fixed R0 and one pi.  The
+    relabellings pi that carry R0's pattern P to its canonical pattern K
+    are sigma * stab(P): sigma sorts the symbols by profile (ties by
+    symbol), and stab(P) permutes symbols of equal profile (prod mult!
+    elements).  Swapping two such symbols, which share i columns, has sign
+    (-1)^i on P.  So at even i each of those relabellings carries R0 to K
+    with sigma's sign, and at odd i, when stab(P) is not trivial, half of
+    them with each sign: those orbits are balanced.  The counts of K are
+    then the bucket's times stab(P) / m!.
+    """
+    fact = factorial(m)
+    folded: dict[tuple[int, ...], list[int]] = {}  # profiles -> plus, minus, stab
+    for key, (p, n) in bucket.items():
+        profile = _transpose(key, m)
+        order = sorted(range(m), key=profile.__getitem__)
+        canon = tuple(profile[s] for s in order)
+        stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+        p, n = p // fact * stab, n // fact * stab
+        if i % 2 and stab > 1:
+            p = n = (p + n) // 2
+        else:
+            parity = 0
+            for k, a in enumerate(order):
+                for b in order[k + 1 :]:
+                    if a > b:
+                        parity ^= (profile[a] & profile[b]).bit_count() & 1
+            if parity:
+                p, n = n, p
+        cur = folded.setdefault(canon, [0, 0, stab])
+        cur[0] += p
+        cur[1] += n
+    orbits = {}
+    for canon, (p, n, stab) in folded.items():
+        key = tuple(map(_subset_of_mask, _transpose(canon, m)))
+        orbits[key] = (fact // stab, p, n)
+    return OrbitTally(i, m, orbits)
+
+
+def orbit_tally(
+    i: int,
+    m: int,
+    *,
+    processes: int = 1,
+    checkpoint_path: Optional[str] = None,
+) -> OrbitTally:
+    """The signed tally of all Latin (i, m)-rectangles in orbit form.
+
+    Enumerates the first-row-fixed rectangles, one per eps_c-preserving
+    orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by blocks
+    cut after row 2, and folds their per-pattern counts into the orbits
+    (:func:`_fold_orbits`).  ``processes`` and ``checkpoint_path`` are those
+    of :func:`signed_tally`.
+    """
+    _check_dims(i, m)
+    allowed = _pattern_masks(None, i, m)
+    quotient = _row_quotient(i, m, symbols=True)
+    bucket = _tally_by_blocks(
+        i, m, allowed, quotient, processes, checkpoint_path, True
+    )
+    return _fold_orbits(i, m, bucket)
+
+
 def signed_tally(
     i: int,
     m: int,
@@ -617,9 +788,19 @@ def signed_tally(
 ) -> SignedTally:
     """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles.
 
-    Enumerates one rectangle per eps_c-preserving row orbit and weights it by
-    the orbit size; :func:`column_order_tally` is the unreduced oracle.
+    Without ``pattern`` this is :func:`orbit_tally` expanded to every
+    pattern: the symbol relabellings leave only the first-row-fixed
+    rectangles to enumerate.  A relabelling does not fix a single pattern,
+    so with ``pattern`` only the row orbits are quotiented: one rectangle
+    of that pattern per eps_c-preserving row orbit, weighted by the orbit
+    size.  :func:`column_order_tally` is the unreduced oracle of both.
+    ``processes`` workers share the prefix blocks, and ``checkpoint_path``
+    holds one record per finished block.
     """
+    if pattern is None:
+        return orbit_tally(
+            i, m, processes=processes, checkpoint_path=checkpoint_path
+        ).expand()
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
     bucket = _tally_by_blocks(
@@ -778,11 +959,13 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # block, restart-safe via prefix deduplication.
 #
 # A record holds the 1-based "prefix" rows of its block (its first row, or
-# the identity row and the second row for reduced squares), the block's
-# "plus" and "minus" totals and, for tallies, its per-pattern counts
+# the identity row and the second row for first-row-fixed runs), the
+# block's "plus" and "minus" totals and, for tallies, its per-pattern counts
 # ("patterns").  It is keyed by the full configuration of the run: "i", "m",
 # the "allowed" column masks (all ones unless the tally is pattern-filtered)
-# and the quotient "group" (S<i> or A<i>; S<m>xS<m-1> for reduced squares).
+# and the quotient "group": S<i> or A<i> for a pattern-filtered tally or
+# odd-m squares, S<m>xS<i-1> or S<m>xA<i-1> for the first-row-fixed
+# rectangles of a full tally or of reduced squares.
 # Counts are already multiplied by the group order, so the records of a run
 # sum to its result.  Records whose prefix is not a block of the run, such
 # as the two-row prefixes of an earlier partition, are ignored.

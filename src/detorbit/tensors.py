@@ -477,11 +477,16 @@ def rectangle_symmetrizer_pairing(
 
 
 def pattern_imbalance_pairing(
-    i: int, m: int, tally: Optional[latin.SignedTally] = None
+    i: int, m: int, tally: latin.SignedTally | latin.OrbitTally | None = None
 ) -> Fraction:
-    """(1/m!)^i times the sum over patterns of (plus - minus)^2."""
+    """(1/m!)^i times the sum over patterns of (plus - minus)^2.
+
+    Without ``tally`` the sum runs over the orbits of
+    :func:`latin.orbit_tally`, each term times its orbit size, so no
+    per-pattern table is built.
+    """
     if tally is None:
-        tally = latin.signed_tally(i, m)
+        tally = latin.orbit_tally(i, m)
     return Fraction(tally.imbalance_square_sum(), factorial(m) ** i)
 
 

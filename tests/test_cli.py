@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +161,19 @@ def test_budget_reaches_invariant_check(capsys):
     code, out = _run(capsys, "--budget", "10", "invariant-check", "6", "6")
     assert code == 2
     assert json.loads(out)["kind"] == "infeasible"
+
+
+def test_large_degree_invariant_check_is_refused_quickly():
+    # Degree 20 in 6 variables: the pair words are built per term of the
+    # power sum (one each), so the refusal comes from the kernel estimate
+    # at once rather than after a scan of C(45, 10) candidate words.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "detorbit", "invariant-check", "20", "6"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["kind"] == "infeasible"
 
 
 def test_input_error_exit_code(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -136,9 +137,11 @@ def _factorial(n: int) -> int:
     return out
 
 
-# Every shape up to m = 5: signed_tally enumerates one rectangle per row
-# orbit, column_order_tally every rectangle.
-@pytest.mark.parametrize("i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)])
+# Every shape up to m = 5, and (2,6): signed_tally expands the orbit form,
+# column_order_tally enumerates every rectangle.
+@pytest.mark.parametrize(
+    "i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)] + [(2, 6)]
+)
 def test_two_enumeration_orders_agree(i, m):
     assert signed_tally(i, m).counts == column_order_tally(i, m).counts
 
@@ -255,7 +258,7 @@ def test_torn_checkpoint_tail_is_dropped_before_appending(tmp_path):
     full = signed_tally(3, 4, checkpoint_path=str(cp))
     lines = cp.read_text().splitlines(keepends=True)
     kept = len(lines) // 2
-    config = {"i": 3, "m": 4, "allowed": [15] * 4, "group": "S3"}
+    config = {"i": 3, "m": 4, "allowed": [15] * 4, "group": "S4xS2"}
     head = "".join(lines[:kept])
     cp.write_text(head + lines[kept][:7])
     assert signed_tally(3, 4, checkpoint_path=str(cp)).counts == full.counts
@@ -356,9 +359,9 @@ def test_prefix_blocks_partition_the_kept_rectangles(i, m, square, blocks):
 
 
 def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
-    # Blocks were once cut after two rows.  Such records, under the same
-    # configuration and with bogus counts, fall outside the one-row
-    # partition and must not be merged.
+    # Blocks of the row quotient were once cut after two rows.  Such
+    # records, with bogus counts, name the row group "A3", not the symbol
+    # quotient's "S5xA2", and must not be merged.
     cp = str(tmp_path / "tally.ndjson")
     allowed = [31] * 5
     quotient = latin._row_quotient(3, 5)
@@ -378,11 +381,38 @@ def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
         written = fh.read()
     assert written.startswith(stale)
     recs = [json.loads(line) for line in written[len(stale):].splitlines()]
-    assert len(recs) == 72 and {len(r["prefix"]) for r in recs} == {1}
+    assert len(recs) == 44 and {len(r["prefix"]) for r in recs} == {2}
     # A rerun resumes every block from its own records and writes nothing.
     assert signed_tally(3, 5, checkpoint_path=cp).counts == fresh
     with open(cp) as fh:
         assert fh.read() == written
+
+
+def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
+    # Before the symbol quotient, a (3,5) tally had 72 blocks: one-row
+    # prefixes under the row group "A3".  Those records, with bogus counts,
+    # must not be merged: not under their own group, and not as prefixes
+    # outside the current partition under the current group either.
+    cp = str(tmp_path / "tally.ndjson")
+    allowed = [31] * 5
+    old = latin._list_prefixes(3, 5, allowed, latin._row_quotient(3, 5))
+    assert len(old) == 72
+    for group in ("A3", "S5xA2"):
+        config = {"i": 3, "m": 5, "allowed": allowed, "group": group}
+        for prefix in old:
+            latin.write_checkpoint_record(
+                cp, prefix, {(7,) * 5: (999, 0)}, config, True
+            )
+    with open(cp) as fh:
+        stale = fh.read()
+    fresh = signed_tally(3, 5)
+    resumed = signed_tally(3, 5, checkpoint_path=cp)
+    assert resumed.to_json_text() == fresh.to_json_text()
+    with open(cp) as fh:
+        written = fh.read()
+    assert written.startswith(stale)
+    recs = [json.loads(line) for line in written[len(stale):].splitlines()]
+    assert len(recs) == 44 and {r["group"] for r in recs} == {"S5xA2"}
 
 
 def test_project_last_row():
@@ -505,11 +535,15 @@ def test_checkpoint_records_carry_configuration_and_weighted_counts(tmp_path):
     tally = signed_tally(3, 3, checkpoint_path=str(cp))
     recs = [json.loads(line) for line in cp.read_text().splitlines()]
     assert all(
-        (r["i"], r["m"], r["allowed"], r["group"]) == (3, 3, [7] * 3, "A3")
+        (r["i"], r["m"], r["allowed"], r["group"]) == (3, 3, [7] * 3, "S3xA2")
         for r in recs
     )
     assert sum(int(r["plus"]) + int(r["minus"]) for r in recs) == tally.total()
     assert tally.total() == 12
+    # Two rows: row 0 is fixed, so the whole run is one block.
+    cp2 = tmp_path / "two_rows.ndjson"
+    signed_tally(2, 5, checkpoint_path=str(cp2))
+    assert len(cp2.read_text().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +672,14 @@ def test_worker_count_is_capped(monkeypatch):
     # latin imports Pool only when a run asks for workers: patch it where it is read.
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 3)
-    expected = column_order_tally(2, 3).counts
-    # (2,3) has 6 prefix blocks: capped by the CPU count, then by the blocks.
-    assert signed_tally(2, 3, processes=1000).counts == expected
+    expected = column_order_tally(3, 4).counts
+    # (3,4) has 6 prefix blocks: capped by the CPU count, then by the blocks.
+    assert signed_tally(3, 4, processes=1000).counts == expected
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
-    assert signed_tally(2, 3, processes=1000).counts == expected
-    assert signed_tally(2, 3, processes=4).counts == expected
+    assert signed_tally(3, 4, processes=1000).counts == expected
+    assert signed_tally(3, 4, processes=4).counts == expected
     monkeypatch.setattr(latin.os, "cpu_count", lambda: None)
-    assert signed_tally(2, 3, processes=4).counts == expected  # serial
+    assert signed_tally(3, 4, processes=4).counts == expected  # serial
     assert sizes == [3, 6, 4]
 
 
@@ -686,3 +720,56 @@ def test_tally_json_text_matches_indent_encoder():
         assert tally.to_json_text(**extra) == _json_reference(tally, **extra)
     empty = latin.SignedTally(2, 2, {})
     assert empty.to_json_text(seed=0) == _json_reference(empty, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Orbit form: the tally at one canonical pattern per S_m-orbit, from the
+# first-row-fixed rectangles.
+# ---------------------------------------------------------------------------
+
+
+def _profiles(pattern, m: int) -> list[int]:
+    """Per symbol, the mask of the columns that hold it."""
+    return [
+        sum(1 << c for c, sub in enumerate(pattern) if s in sub)
+        for s in range(1, m + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "i,m,orbits,total",
+    [(2, 5, 22, 5280), (3, 5, 22, 66240), (2, 6, 130, 190800), (3, 6, 550, 15321600)],
+)
+def test_orbit_counts(i, m, orbits, total):
+    tally = latin.orbit_tally(i, m)
+    assert len(tally.orbits) == orbits
+    assert tally.total() == total
+
+
+@pytest.mark.parametrize(
+    "i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)] + [(2, 6)]
+)
+def test_orbit_form_matches_its_expansion(i, m):
+    orbits = latin.orbit_tally(i, m)
+    expanded = orbits.expand()
+    assert sum(size for size, _, _ in orbits.orbits.values()) == len(expanded.counts)
+    assert orbits.total() == expanded.total()
+    assert orbits.imbalance_square_sum() == expanded.imbalance_square_sum()
+    for key, (size, plus, minus) in orbits.orbits.items():
+        assert expanded.counts[key] == (plus, minus)
+        profiles = _profiles(key, m)
+        assert profiles == sorted(profiles)  # the canonical pattern
+        if len(set(profiles)) < m:
+            # A swap of two symbols of equal profile fixes the pattern and
+            # has sign (-1)^i, so at odd i those orbits are balanced.
+            assert i % 2 == 0 or plus == minus
+
+
+@pytest.mark.skipif(
+    os.environ.get("DETORBIT_STRETCH") != "1",
+    reason="row-quotient (3,6) tally (about 13 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+)
+def test_orbit_route_at_3_6_matches_row_quotient_route():
+    allowed = [63] * 6
+    rows = latin._tally_by_blocks(3, 6, allowed, latin._row_quotient(3, 6), 1, None, True)
+    assert signed_tally(3, 6).counts == latin._bucket_to_tally(3, 6, rows).counts

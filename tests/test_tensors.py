@@ -408,6 +408,17 @@ def test_pattern_imbalance_single_row():
         assert pattern_imbalance_pairing(1, m) == 1
 
 
+@pytest.mark.parametrize(
+    "i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)] + [(2, 6)]
+)
+def test_pattern_imbalance_from_orbits_matches_per_pattern_sum(i, m):
+    # Without a tally the sum runs over the orbits; the unreduced column
+    # tally gives it pattern by pattern.
+    assert pattern_imbalance_pairing(i, m) == pattern_imbalance_pairing(
+        i, m, latin.column_order_tally(i, m)
+    )
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_latin_sign_sum_matches_signed_count(m):
     assert latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
