@@ -1,7 +1,12 @@
 """Symmetric group characters and (symmetric) Kronecker coefficients.
 
-Characters come from one memoized Murnaghan-Nakayama kernel over beta-sets
-held as ``int`` bead bitmasks; the class data of S_n is built once per n.
+Characters come from one Murnaghan-Nakayama kernel over beta-sets held as
+``int`` bead bitmasks.  Cycle types are interned once each as integer ids
+(first part, id of the tail), and the memo is one ``dict`` per id, mapping
+a bead mask to the character at that cycle type: the recursion builds no
+tuple per step and the memo holds only ``int`` keys and values.  The class
+data of S_n (ids, class sizes from z_rho, ids of the squared classes) is
+built once per n.
 Kronecker coefficients are class-weighted triple character sums; the
 symmetric variant adds the square-class trick: the multiplicity of W_lam in
 the symmetric square of W_mu is
@@ -16,10 +21,10 @@ sum aborts, since it can only mean a character bug.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, prod
+from math import factorial
+from threading import Lock
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -69,8 +74,21 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
 def class_size(mu: Sequence[int]) -> int:
     """Size of the conjugacy class with cycle type mu: n! / z_mu."""
     mu = _check_partition(mu)
-    z = prod(part**k * factorial(k) for part, k in Counter(mu).items())
-    return factorial(sum(mu)) // z
+    return factorial(sum(mu)) // _z(mu)
+
+
+def _z(mu: Partition) -> int:
+    """z_mu = prod p^k k! over the distinct parts p, k the multiplicity of p:
+    the product of part * run over the parts, run counting the equal parts
+    so far (they are adjacent)."""
+    z = 1
+    run = 0
+    previous = 0
+    for part in mu:
+        run = run + 1 if part == previous else 1
+        previous = part
+        z *= part * run
+    return z
 
 
 def _mask(lam: Partition) -> int:
@@ -79,19 +97,51 @@ def _mask(lam: Partition) -> int:
     return sum(1 << (part + k - 1 - j) for j, part in enumerate(lam))
 
 
-@cache
-def _chi(mask: int, mu: Partition) -> int:
-    """chi at cycle type mu of the partition whose canonical bead mask is mask.
+# Interned partitions.  Id 0 is the empty partition; id s > 0 has first part
+# _first[s] and tail (s without its first part) _tail[s], and _child[s] maps
+# a part p to the id of (p,) + s.  _memo[s] maps the canonical bead mask of a
+# partition of |s| to its character at cycle type s.  Ids and memos are
+# shared by every n, since an id fixes its size.
+_first = [0]
+_tail = [0]
+_child: list[dict[int, int]] = [{}]
+_memo: list[dict[int, int]] = [{0: 1}]
+# Two threads interning at once must not hand out the same id.  A memo race
+# only computes one value twice.
+_intern_lock = Lock()
 
-    Removing a t-strip moves a bead b to an empty b - t; its sign is the
-    parity of the beads jumped over.  Masks are canonical (no trailing
-    1-bits, i.e. no beads for zero parts), so one entry serves every bead
-    count.
+
+def _intern(mu: Partition) -> int:
+    """Id of the partition mu, interning it and its tails on first sight."""
+    sid = 0
+    for part in reversed(mu):
+        parent = _child[sid].get(part)
+        if parent is None:
+            with _intern_lock:
+                parent = _child[sid].get(part)
+                if parent is None:
+                    parent = len(_first)
+                    _first.append(part)
+                    _tail.append(sid)
+                    _child.append({})
+                    _memo.append({})
+                    _child[sid][part] = parent
+        sid = parent
+    return sid
+
+
+def _chi(mask: int, sid: int) -> int:
+    """chi at cycle type sid (not 0) of the partition with canonical bead mask mask.
+
+    Removing a t-strip, t the first part, moves a bead b to an empty b - t;
+    its sign is the parity of the beads jumped over.  Masks are canonical
+    (no trailing 1-bits, i.e. no beads for zero parts), so one entry serves
+    every bead count.  The values at the tail come from its memo, filled
+    here on a miss.
     """
-    if not mu:
-        return 1
-    t = mu[0]
-    rest = mu[1:]
+    t = _first[sid]
+    rest = _tail[sid]
+    memo = _memo[rest]
     between = (1 << (t - 1)) - 1
     movable = mask & ~(mask << t) & ~((1 << t) - 1)
     total = 0
@@ -101,9 +151,20 @@ def _chi(mask: int, mu: Partition) -> int:
         b = bead.bit_length() - 1
         new = mask ^ bead ^ (bead >> t)
         new >>= (new ^ (new + 1)).bit_length() - 1
-        value = _chi(new, rest)
+        value = memo.get(new)
+        if value is None:
+            value = memo[new] = _chi(new, rest)
         total += -value if (mask >> (b - t + 1) & between).bit_count() & 1 else value
     return total
+
+
+def _character(mask: int, sid: int) -> int:
+    """Memoized chi at cycle type sid of the partition with bead mask mask."""
+    memo = _memo[sid]
+    value = memo.get(mask)
+    if value is None:
+        value = memo[mask] = _chi(mask, sid)
+    return value
 
 
 def mn_character(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -111,7 +172,7 @@ def mn_character(lam: Sequence[int], mu: Sequence[int]) -> int:
     lam, mu = map(_check_partition, (lam, mu))
     if sum(lam) != sum(mu):
         raise ValueError("partition sizes differ")
-    return _chi(_mask(lam), mu)
+    return _character(_mask(lam), _intern(mu))
 
 
 def partition_dimension(lam: Sequence[int]) -> int:
@@ -135,10 +196,13 @@ def square_cycle_type(mu: Sequence[int]) -> Partition:
 
 
 @cache
-def _classes(n: int) -> tuple[tuple[Partition, int, Partition], ...]:
-    """(rho, |C_rho|, cycle type of rho^2) for every class of S_n, in order."""
+def _classes(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
+    """(rho, id of rho, |C_rho|, id of the cycle type of rho^2) for every
+    class of S_n, in order."""
+    order = factorial(n)
     return tuple(
-        (rho, class_size(rho), square_cycle_type(rho)) for rho in partitions(n)
+        (rho, _intern(rho), order // _z(rho), _intern(square_cycle_type(rho)))
+        for rho in partitions(n)
     )
 
 
@@ -159,9 +223,13 @@ class CharacterTable:
     def build(cls, n: int, max_n: int = DEFAULT_MAX_N) -> "CharacterTable":
         if n > max_n:
             raise BudgetExceeded(f"character table for n={n} > {max_n}")
-        parts = [rho for rho, _, _ in _classes(n)]
-        sizes = [size for _, size, _ in _classes(n)]
-        values = [[_chi(_mask(lam), mu) for mu in parts] for lam in parts]
+        classes = _classes(n)
+        parts = [rho for rho, _, _, _ in classes]
+        sizes = [size for _, _, size, _ in classes]
+        values = [
+            [_character(_mask(lam), sid) for _, sid, _, _ in classes]
+            for lam in parts
+        ]
         return cls(n=n, parts=parts, sizes=sizes, values=values)
 
     def row_orthogonality_ok(self) -> bool:
@@ -213,22 +281,23 @@ def kronecker_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) ->
     a, b, c = _mask(lam), _mask(mu), _mask(nu)
     return _class_sum_divided(
         (
-            size * _chi(a, rho) * _chi(b, rho) * _chi(c, rho)
-            for rho, size, _ in _classes(n)
+            size * _character(a, sid) * _character(b, sid) * _character(c, sid)
+            for _, sid, size, _ in _classes(n)
         ),
         factorial(n),
     )
 
 
 @cache
-def _square_weights(mu: Partition, sign: int) -> tuple[tuple[Partition, int], ...]:
-    """(rho, |C_rho| (chi_mu(rho)^2 + sign chi_mu(rho^2))) where that is nonzero."""
+def _square_weights(mu: Partition, sign: int) -> tuple[tuple[int, int], ...]:
+    """(id of rho, |C_rho| (chi_mu(rho)^2 + sign chi_mu(rho^2))) where that is
+    nonzero."""
     b = _mask(mu)
     weights = (
-        (rho, size * (_chi(b, rho) ** 2 + sign * _chi(b, sq)))
-        for rho, size, sq in _classes(sum(mu))
+        (sid, size * (_character(b, sid) ** 2 + sign * _character(b, sq)))
+        for _, sid, size, sq in _classes(sum(mu))
     )
-    return tuple((rho, w) for rho, w in weights if w)
+    return tuple((sid, w) for sid, w in weights if w)
 
 
 def _square_coeff(lam: Sequence[int], mu: Sequence[int], sign: int) -> int:
@@ -238,7 +307,7 @@ def _square_coeff(lam: Sequence[int], mu: Sequence[int], sign: int) -> int:
         raise ValueError("partition sizes differ")
     a = _mask(lam)
     return _class_sum_divided(
-        (w * _chi(a, rho) for rho, w in _square_weights(mu, sign)),
+        (w * _character(a, sid) for sid, w in _square_weights(mu, sign)),
         2 * factorial(n),
     )
 

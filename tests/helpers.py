@@ -1,16 +1,37 @@
-"""Shared generators for the randomized test suites (all exact arithmetic)."""
+"""Shared generators for the randomized test suites (all exact arithmetic),
+and a runner for code that needs a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+from pathlib import Path
 from random import Random
 
+import detorbit
 from detorbit import latin
 from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
 from detorbit.orbit import RestrictionMatrix
+
+SRC = str(Path(detorbit.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """Run code in a new interpreter that imports detorbit from this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return proc.stdout
 
 
 def random_sl_matrix(n: int, rng: Random, steps: int = 6) -> list[list[Fraction]]:

@@ -4,16 +4,11 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import detorbit
-
-SRC = str(Path(detorbit.__file__).resolve().parent.parent)
+from helpers import run_fresh
 
 _PROBE = """
 import io, json, sys
@@ -23,19 +18,6 @@ with redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 json.dump({"code": code, "modules": sorted(sys.modules)}, sys.stdout)
 """
-
-
-def _fresh(code: str, *argv: str) -> str:
-    """Run code in a new interpreter that imports detorbit from this checkout."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
-    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -49,7 +31,7 @@ def _fresh(code: str, *argv: str) -> str:
     ids=["kronecker", "invariant-check", "tally", "witness"],
 )
 def test_subcommand_loads_only_its_modules(argv, loaded):
-    run = json.loads(_fresh(_PROBE, *argv))
+    run = json.loads(run_fresh(_PROBE, *argv))
     assert run["code"] == 0
     ours = {
         name.split(".", 1)[1]
@@ -64,7 +46,7 @@ def test_subcommand_loads_only_its_modules(argv, loaded):
 
 
 def test_package_import_loads_no_computation_module():
-    out = _fresh(
+    out = run_fresh(
         "import sys, detorbit\n"
         "print(sorted(n for n in sys.modules if n.startswith('detorbit')))\n"
         "print(detorbit.kronecker.__name__)"

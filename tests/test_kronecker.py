@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as all_perms
@@ -19,7 +20,8 @@ from random import Random
 
 import pytest
 
-from helpers import cycle_type
+from helpers import cycle_type, run_fresh
+from detorbit import kronecker
 from detorbit.errors import BudgetExceeded
 from detorbit.kronecker import (
     CharacterTable,
@@ -128,6 +130,37 @@ def test_symmetric_plus_alternating_is_kronecker():
                 assert sk <= kronecker_coeff(lam, mu, mu)
 
 
+def test_symmetric_plus_alternating_is_kronecker_seeded_6_to_8():
+    rng = Random(68)
+    for n in (6, 7, 8):
+        parts = list(partitions(n))
+        for _ in range(30):
+            lam, mu = rng.choice(parts), rng.choice(parts)
+            sk = symmetric_kronecker_coeff(lam, mu)
+            ak = alternating_kronecker_coeff(lam, mu)
+            assert sk + ak == kronecker_coeff(lam, mu, mu), (lam, mu)
+
+
+def _interned(sid: int, first=kronecker._first, tail=kronecker._tail) -> tuple:
+    """The partition with interned id sid, read back part by part."""
+    parts = []
+    while sid:
+        parts.append(first[sid])
+        sid = tail[sid]
+    return tuple(parts)
+
+
+def test_class_data_matches_class_size_and_square_type():
+    for n in range(0, 21):
+        classes = kronecker._classes(n)
+        assert [rho for rho, _, _, _ in classes] == list(partitions(n))
+        for rho, sid, size, sq in classes:
+            assert _interned(sid) == rho
+            assert size == class_size(rho)
+            assert _interned(sq) == square_cycle_type(rho)
+        assert sum(size for _, _, size, _ in classes) == factorial(n)
+
+
 def test_square_dimension_sums():
     for n in (3, 4, 5, 6):
         for mu in partitions(n):
@@ -197,6 +230,20 @@ def test_rectangle_positivity_pinned_digest(m, d, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.skipif(
+    os.environ.get("DETORBIT_STRETCH") != "1",
+    reason="n = 36 positivity report (about 3 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+)
+def test_rectangle_positivity_stretch_4_9():
+    report = rectangle_sk_positivity(4, 9, max_n=36)
+    text = json.dumps(report.entries, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "fec6be3b595e5c04085a3d6e5871311261c1c7fe54a3e89b0417c78278e49eda"
+    )
+    assert report.all_positive
+
+
 def test_rectangle_positivity_accepts_odd_m():
     # The statement concerns even m; at odd m the value can vanish.
     report = rectangle_sk_positivity(3, 2)
@@ -254,6 +301,75 @@ def test_character_kernel_matches_oracle_seeded_16_to_20():
         n = rng.randint(16, 20)
         lam, mu = rng.choice(parts[n]), rng.choice(parts[n])
         assert mn_character(lam, mu) == _mn_oracle(lam, mu), (lam, mu)
+
+
+_ACROSS_N = """
+import json, sys
+from detorbit.kronecker import mn_character, rectangle_sk_positivity
+out = []
+for kind, a, b in json.loads(sys.argv[1]):
+    if kind == "chi":
+        out.append(mn_character(a, b))
+    else:
+        out.append(rectangle_sk_positivity(a, b, max_n=a * b).entries)
+json.dump(out, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize(
+    "order", [[(4, 6), (2, 12), (8, 3)], [(8, 3), (2, 12), (4, 6)]], ids=["a", "b"]
+)
+def test_interned_memo_is_shared_safely_across_n(order):
+    # The ids and memos are module-level and serve every n: interleave sizes
+    # in a fresh interpreter, so the order in which they fill is the test's.
+    rng = Random(7)
+    parts = {n: list(partitions(n)) for n in (7, 20)}
+    steps = []
+    for m, d in order:
+        for n in (20, 7):
+            steps += [
+                ("chi", rng.choice(parts[n]), rng.choice(parts[n])) for _ in range(3)
+            ]
+        steps.append(("report", m, d))
+    out = json.loads(run_fresh(_ACROSS_N, json.dumps(steps)))
+    # The values pinned in the tests above.
+    pinned = {(4, 6): [1, 2, 3, 8, 2, 21, 43, 6, 65], (8, 3): [1, 2, 4]}
+    digest_2_12 = "625d90e3bb9dcf974c24816d7e8fc6bcfb43deeb17aaf76733b92de68f6d8e84"
+    for (kind, a, b), got in zip(steps, out, strict=True):
+        if kind == "chi":
+            assert got == _mn_oracle(tuple(a), tuple(b)), (a, b)
+        elif (a, b) == (2, 12):
+            text = json.dumps(got, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest_2_12
+        else:
+            assert [int(e["sk"]) for e in got] == pinned[a, b]
+
+
+_THREADED_INTERN = """
+import json, sys, threading
+from detorbit import kronecker
+sys.setswitchinterval(1e-6)
+parts = [list(kronecker.partitions(n)) for n in (14, 15, 16, 17, 18)]
+ids = [None] * len(parts)
+def work(k):
+    ids[k] = [kronecker._intern(mu) for mu in parts[k]]
+threads = [threading.Thread(target=work, args=(k,)) for k in range(len(parts))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+json.dump([parts, ids, kronecker._first, kronecker._tail], sys.stdout)
+"""
+
+
+def test_interning_from_threads_gives_distinct_ids():
+    # Five threads intern partitions with shared tails at once; every id must
+    # read back to the partition it was handed out for.
+    parts, ids, first, tail = json.loads(run_fresh(_THREADED_INTERN))
+    for group, group_ids in zip(parts, ids):
+        for mu, sid in zip(group, group_ids):
+            assert _interned(sid, first, tail) == tuple(mu)
 
 
 # ---------------------------------------------------------------------------
