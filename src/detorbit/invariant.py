@@ -57,15 +57,15 @@ class HomPoly:
     coeffs: dict[tuple[int, ...], Fraction]
 
     def __post_init__(self):
-        for exp, c in list(self.coeffs.items()):
+        coeffs = {}
+        for exp, c in self.coeffs.items():
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise ValueError("bad exponent vector")
             if sum(exp) != self.degree:
                 raise ValueError("exponent vector of wrong total degree")
-            if c == 0:
-                del self.coeffs[exp]
-            elif not isinstance(c, Fraction):
-                self.coeffs[exp] = Fraction(c)
+            if c != 0:
+                coeffs[exp] = c if isinstance(c, Fraction) else Fraction(c)
+        self.coeffs = coeffs  # the caller's mapping is left as it was
 
     @classmethod
     def from_terms(

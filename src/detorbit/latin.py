@@ -11,10 +11,10 @@ i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 A full tally is enumerated in orbit form (:func:`orbit_tally`): symbol
 relabellings carry a pattern's counts to its whole S_m-orbit, so only the
 rectangles whose first row is 1..m are visited, and :func:`signed_tally`
-expands the orbits to every pattern.  A single pattern is not fixed by
-relabelling, so ``signed_tally(pattern=...)`` quotients the rows only.
-:func:`column_order_tally` enumerates every rectangle column by column and
-is the oracle of both routes.
+expands the orbits to every pattern.  A single pattern below i = m is not
+fixed by relabelling, so ``signed_tally(pattern=...)`` quotients its rows
+only; at i = m it takes :func:`_square_quotient`.  :func:`column_order_tally`
+enumerates every rectangle column by column and is the oracle of both routes.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -251,7 +251,8 @@ def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
 
 
 def _square_quotient(m: int) -> _RowQuotient:
-    """The quotient of both routes of :func:`alon_tarsi_difference`.
+    """The quotient of both routes of :func:`alon_tarsi_difference`, whose
+    rows route is the single-pattern :func:`signed_tally` at i = m.
 
     At even m every symbol relabelling pi multiplies each column sign by
     sgn(pi), so eps_c by sgn(pi)^m = 1: the reduced squares (first row and
@@ -579,7 +580,6 @@ def _tally_by_blocks(
     quotient: _RowQuotient,
     processes: int,
     checkpoint_path: Optional[str],
-    record_patterns: bool,
 ) -> dict:
     """Tally of the ``quotient``, by prefix blocks, with counts weighted by
     its orbit size; optional worker pool and checkpointing.
@@ -590,8 +590,8 @@ def _tally_by_blocks(
     sums are of integers and do not depend on the worker schedule.  The pool
     gets min(processes, blocks to do, ``os.cpu_count()``) workers.
     Checkpoint records carry the full configuration (i, m, allowed masks,
-    quotient group) and weighted counts; records of any other configuration
-    are ignored, as are prefixes outside the current partition.
+    quotient group) and weighted per-pattern counts; records of any other
+    configuration, and prefixes outside the current partition, are ignored.
     """
     if processes > 1:
         # Serial runs never load multiprocessing.  Imported after the block
@@ -623,9 +623,7 @@ def _tally_by_blocks(
     def finish(prefix: tuple, bucket: dict) -> None:
         merge(bucket)
         if checkpoint_path is not None:
-            write_checkpoint_record(
-                checkpoint_path, prefix, bucket, config, record_patterns
-            )
+            write_checkpoint_record(checkpoint_path, prefix, bucket, config)
 
     processes = min(processes, len(jobs), os.cpu_count() or 1)
     if processes > 1:
@@ -772,9 +770,7 @@ def orbit_tally(
     _check_dims(i, m)
     allowed = _pattern_masks(None, i, m)
     quotient = _row_quotient(i, m, symbols=True)
-    bucket = _tally_by_blocks(
-        i, m, allowed, quotient, processes, checkpoint_path, True
-    )
+    bucket = _tally_by_blocks(i, m, allowed, quotient, processes, checkpoint_path)
     return _fold_orbits(i, m, bucket)
 
 
@@ -790,10 +786,12 @@ def signed_tally(
 
     Without ``pattern`` this is :func:`orbit_tally` expanded to every
     pattern: the symbol relabellings leave only the first-row-fixed
-    rectangles to enumerate.  A relabelling does not fix a single pattern,
-    so with ``pattern`` only the row orbits are quotiented: one rectangle
-    of that pattern per eps_c-preserving row orbit, weighted by the orbit
-    size.  :func:`column_order_tally` is the unreduced oracle of both.
+    rectangles to enumerate.  Below i = m a relabelling does not fix a single
+    pattern, so with ``pattern`` only the row orbits are quotiented: one
+    rectangle of that pattern per eps_c-preserving row orbit, weighted by the
+    orbit size.  At i = m every relabelling fixes the full pattern, so it
+    takes :func:`_square_quotient`, as :func:`alon_tarsi_difference` does.
+    :func:`column_order_tally` is the unreduced oracle of both.
     ``processes`` workers share the prefix blocks, and ``checkpoint_path``
     holds one record per finished block.
     """
@@ -803,9 +801,8 @@ def signed_tally(
         ).expand()
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
-    bucket = _tally_by_blocks(
-        i, m, allowed, _row_quotient(i, m), processes, checkpoint_path, True
-    )
+    quotient = _square_quotient(m) if i == m else _row_quotient(i, m)
+    bucket = _tally_by_blocks(i, m, allowed, quotient, processes, checkpoint_path)
     return _bucket_to_tally(i, m, bucket)
 
 
@@ -832,7 +829,9 @@ def alon_tarsi_difference(
     """Signed sum of eps_c over all Latin (m, m)-squares.
 
     ``order`` selects the row-major or the column-major enumeration; the two
-    are independent DFS kernels and must agree exactly.  Both enumerate
+    are independent DFS kernels and must agree exactly.  The rows route is
+    the single-pattern :func:`signed_tally` at i = m, with its records; the
+    columns route is its deliberate oracle.  Both enumerate
     :func:`_square_quotient` and weight each kept square by its orbit size.
     At even m relabelling symbols by pi multiplies eps_c by sgn(pi)^m = 1,
     so both visit the reduced squares (first row and first column 1..m) and
@@ -841,25 +840,23 @@ def alon_tarsi_difference(
     each S_m orbit splits into two A_m orbits of opposite sign, and both
     representatives are visited.  ``column_order_tally(m, m)`` is the
     unreduced oracle; the rows route alone takes ``processes`` and
-    ``checkpoint_path``, whose records name the quotient group ("S6xS5",
-    "A5"), so records of another quotient are ignored.
+    ``checkpoint_path``.
     """
     _check_dims(m, m)
-    allowed = _pattern_masks(None, m, m)
-    quotient = _square_quotient(m)
     if order == "rows":
-        bucket = _tally_by_blocks(
-            m, m, allowed, quotient, processes, checkpoint_path, False
-        )
-        return sum(pn[0] - pn[1] for pn in bucket.values())
+        full = (tuple(range(1, m + 1)),) * m
+        return signed_tally(
+            m, m, pattern=full, processes=processes, checkpoint_path=checkpoint_path
+        ).signed_sum()
     if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
+    quotient = _square_quotient(m)
     acc = [0, 0]
 
     def leaf(_rows, _masks, parity):
         acc[parity] += 1
 
-    _run_columns(m, m, allowed, leaf, quotient)
+    _run_columns(m, m, _pattern_masks(None, m, m), leaf, quotient)
     return quotient.order * (acc[0] - acc[1])
 
 
@@ -901,22 +898,17 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
     fiber_sign: dict[tuple, int] = {}
     state = {"ok": True, "count": 0, "bad": None}
 
-    def leaf(rows, col_masks, parity):
+    def leaf(rows, col_masks, _parity):
         if not state["ok"]:
             return
         state["count"] += 1
-        top = rows[:-1]
-        top_masks = []
-        top_parity = 0
-        for q in range(m):
-            mask = 0
-            for row in top:
-                s = row[q]
-                top_parity ^= (mask >> (s + 1)).bit_count() & 1
-                mask |= 1 << s
-            top_masks.append(mask)
-        key = (tuple(col_masks), tuple(top_masks))
-        ratio = 1 if parity == top_parity else -1
+        # eps_c(R) / eps_c(top) is the parity the last row adds: placing s
+        # under a column of mask ``top`` adds popcount(top >> (s+1)).
+        last = rows[-1]
+        tops = [mask ^ 1 << s for mask, s in zip(col_masks, last)]
+        odd = sum((top >> (s + 1)).bit_count() for top, s in zip(tops, last)) & 1
+        key = (tuple(col_masks), tuple(tops))
+        ratio = -1 if odd else 1
         seen = fiber_sign.get(key)
         if seen is None:
             fiber_sign[key] = ratio
@@ -924,7 +916,7 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
             state["ok"] = False
             state["bad"] = (
                 LatinRectangle(tuple(rows)),
-                LatinRectangle(tuple(top)),
+                LatinRectangle(tuple(rows[:-1])),
             )
 
     _run_rows(i, m, allowed, (), leaf)
@@ -958,46 +950,41 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # Checkpoint files: one newline-delimited JSON record per completed prefix
 # block, restart-safe via prefix deduplication.
 #
-# A record holds the 1-based "prefix" rows of its block (its first row, or
-# the identity row and the second row for first-row-fixed runs), the
-# block's "plus" and "minus" totals and, for tallies, its per-pattern counts
-# ("patterns").  It is keyed by the full configuration of the run: "i", "m",
-# the "allowed" column masks (all ones unless the tally is pattern-filtered)
-# and the quotient "group": S<i> or A<i> for a pattern-filtered tally or
-# odd-m squares, S<m>xS<i-1> or S<m>xA<i-1> for the first-row-fixed
-# rectangles of a full tally or of reduced squares.
-# Counts are already multiplied by the group order, so the records of a run
-# sum to its result.  Records whose prefix is not a block of the run, such
-# as the two-row prefixes of an earlier partition, are ignored.
+# Every run, a full tally or a single-pattern one (the signed square count
+# is the one at i = m), writes the same record format.  A record holds the
+# 1-based "prefix" rows of its block (its first row, or the identity row
+# and the second row for first-row-fixed runs), the block's "plus" and
+# "minus" totals and its per-pattern counts ("patterns").  It is keyed by
+# the full configuration of the run: "i", "m", the "allowed" column masks
+# (all ones unless the tally is pattern-filtered below i = m) and the
+# quotient "group": S<i> or A<i> for a pattern-filtered tally or odd-m
+# squares, S<m>xS<i-1> or S<m>xA<i-1> for the first-row-fixed rectangles of
+# a full tally or of reduced squares.  Counts are already multiplied by the
+# group order, so the records of a run sum to its result.  Records whose
+# prefix is not a block of the run, such as the two-row prefixes of an
+# earlier partition, are ignored, and so are records without "patterns",
+# such as the totals-only square-count records of an earlier format.
 # ---------------------------------------------------------------------------
 
 def write_checkpoint_record(
-    path: str,
-    prefix: tuple,
-    bucket: dict,
-    config: dict,
-    patterns: bool,
+    path: str, prefix: tuple, bucket: dict, config: dict
 ) -> None:
-    """Append one block's record; ``config`` maps each of i, m, allowed and
-    group to its value.  With ``patterns`` the per-pattern counts are
-    recorded too."""
-    plus = sum(pn[0] for pn in bucket.values())
-    minus = sum(pn[1] for pn in bucket.values())
-    rec: dict = {
+    """Append one block's record: its totals and per-pattern counts, under
+    ``config``, which maps each of i, m, allowed and group to its value."""
+    rec = {
         "prefix": [[s + 1 for s in row] for row in prefix],
-        "plus": str(plus),
-        "minus": str(minus),
-        **config,
-    }
-    if patterns:
-        rec["patterns"] = [
+        "plus": str(sum(pn[0] for pn in bucket.values())),
+        "minus": str(sum(pn[1] for pn in bucket.values())),
+        "patterns": [
             {
                 "pattern": list(map(_subset_of_mask, key)),
                 "plus": str(pn[0]),
                 "minus": str(pn[1]),
             }
             for key, pn in sorted(bucket.items())
-        ]
+        ],
+        **config,
+    }
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -1008,9 +995,10 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
 
     ``config`` is the dict that :func:`write_checkpoint_record` writes (i, m,
     allowed, group); a record is read only if it holds every one of its keys
-    with the same value.  So records of an earlier format, without allowed
-    masks or quotient group, are skipped: they count every rectangle of a
-    block, not one per row orbit.
+    with the same value, and its per-pattern counts.  So records of an
+    earlier format are skipped: without allowed masks or quotient group they
+    count every rectangle of a block, not one per row orbit, and without
+    ``patterns`` they are the totals-only records of a signed square count.
 
     The file is streamed line by line.  A record is complete only with its
     newline, and a line that does not decode is held back: it raises
@@ -1018,7 +1006,6 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     the torn tail of an interrupted write, and it is cut from the file so
     that the next appended record starts on a fresh line.
     """
-    m = config["m"]
     done: dict[tuple, dict] = {}
     try:
         fh = open(path, "rb")
@@ -1042,24 +1029,20 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
             except ValueError as exc:
                 torn_at, error = start, exc
                 continue
-            if not isinstance(rec, dict) or any(
-                rec.get(key) != value for key, value in config.items()
+            if (
+                not isinstance(rec, dict)
+                or "patterns" not in rec
+                or any(rec.get(key) != value for key, value in config.items())
             ):
                 continue
             prefix = tuple(tuple(s - 1 for s in row) for row in rec["prefix"])
-            if "patterns" in rec:
-                bucket = {
-                    tuple(_mask_of(sub) for sub in entry["pattern"]): (
-                        int(entry["plus"]),
-                        int(entry["minus"]),
-                    )
-                    for entry in rec["patterns"]
-                }
-            else:
-                # Single-pattern runs (full squares) store only the totals.
-                key = tuple((1 << m) - 1 for _ in range(m))
-                bucket = {key: (int(rec["plus"]), int(rec["minus"]))}
-            done[prefix] = bucket
+            done[prefix] = {
+                tuple(_mask_of(sub) for sub in entry["pattern"]): (
+                    int(entry["plus"]),
+                    int(entry["minus"]),
+                )
+                for entry in rec["patterns"]
+            }
     if torn_at is not None:
         os.truncate(path, torn_at)
     return done

@@ -77,11 +77,13 @@ class SparseTensor:
     data: dict[bytes, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, coeff in list(self.data.items()):
+        data = {}
+        for key, coeff in self.data.items():
             if len(key) != self.rank or any(s >= self.m for s in key):
                 raise ValueError("index word out of range")
-            if coeff == 0:
-                del self.data[key]
+            if coeff != 0:
+                data[key] = coeff
+        self.data = data  # the caller's mapping is left as it was
 
     @classmethod
     def _trusted(cls, rank: int, m: int, data: dict[bytes, Fraction]) -> "SparseTensor":
@@ -406,6 +408,36 @@ def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
     return total / Fraction(factorial(m)) ** i
 
 
+def _rearrangement_leaf(i: int, total: list[int]) -> latin._Leaf:
+    """A row-DFS leaf that adds to ``total[0]``, per Latin rectangle of i
+    rows, the product of the rearrangement signs summed over the per-column
+    rearrangement tuples whose result still has permutation rows."""
+    perms_i = [(perm, latin.column_sign(perm)) for perm in permutations(range(i))]
+
+    def per_rectangle(rows, _masks, _parity):
+        m = len(rows[0])
+        cols = [tuple(row[q] for row in rows) for q in range(m)]
+        row_used = [0] * i
+
+        def fill(q: int, sign: int) -> None:
+            if q == m:
+                total[0] += sign
+                return
+            col = cols[q]
+            for perm, psign in perms_i:
+                if any(row_used[p] >> col[perm[p]] & 1 for p in range(i)):
+                    continue
+                for p in range(i):
+                    row_used[p] |= 1 << col[perm[p]]
+                fill(q + 1, sign * psign)
+                for p in range(i):
+                    row_used[p] &= ~(1 << col[perm[p]])
+
+        fill(0, 1)
+
+    return per_rectangle
+
+
 def rectangle_symmetrizer_pairing(
     i: int,
     m: int,
@@ -446,34 +478,11 @@ def rectangle_symmetrizer_pairing(
     if method != "latin":
         raise ValueError("method must be 'latin' or 'full'")
 
-    perms_i = [(perm, latin.column_sign(perm)) for perm in permutations(range(i))]
-    total = 0
-
-    def per_rectangle(rows, _masks, _parity):
-        nonlocal total
-        cols = [tuple(row[q] for row in rows) for q in range(m)]
-        row_used = [0] * i
-
-        def fill(q: int, sign: int) -> None:
-            nonlocal total
-            if q == m:
-                total += sign
-                return
-            col = cols[q]
-            for perm, psign in perms_i:
-                if any(row_used[p] >> col[perm[p]] & 1 for p in range(i)):
-                    continue
-                for p in range(i):
-                    row_used[p] |= 1 << col[perm[p]]
-                fill(q + 1, sign * psign)
-                for p in range(i):
-                    row_used[p] &= ~(1 << col[perm[p]])
-
-        fill(0, 1)
-
+    total = [0]
     quotient = latin._row_quotient(i, m, symbols=True)
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle, quotient)
-    return Fraction(total * quotient.order, factorial(m) ** i)
+    leaf = _rearrangement_leaf(i, total)
+    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf, quotient)
+    return Fraction(total[0] * quotient.order, factorial(m) ** i)
 
 
 def pattern_imbalance_pairing(
@@ -527,6 +536,8 @@ def latin_sign_sum_pairing(
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if method not in ("search", "explicit"):
+        raise ValueError("method must be 'search' or 'explicit'")
     est = _SQUARE_COUNTS.get(m)
     if est is not None and method == "search":
         est //= latin._square_quotient(m).order
@@ -541,8 +552,6 @@ def latin_sign_sum_pairing(
         if value.denominator != 1:
             raise RuntimeError("internal error: non-integer sign sum")
         return value.numerator
-    if method != "search":
-        raise ValueError("method must be 'search' or 'explicit'")
     return latin.alon_tarsi_difference(m, order="columns")
 
 

@@ -8,13 +8,13 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import factorial
 from pathlib import Path
 from random import Random
 
 import detorbit
-from detorbit import latin
+from detorbit import latin, tensors
 from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
 from detorbit.orbit import RestrictionMatrix
 
@@ -103,37 +103,18 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 def unreduced_latin_pairing(i: int, m: int) -> Fraction:
     """The Latin route of ``rectangle_symmetrizer_pairing`` without a quotient.
 
-    Scans every Latin (i, m)-rectangle and, per rectangle, every per-column
-    rearrangement tuple whose result still has permutation rows, summing the
-    product of rearrangement signs; the oracle of the quotiented route.
+    Walks every Latin (i, m)-rectangle, with no row or symbol quotient, and
+    sums each one's rearrangement-sign term; the oracle of the quotiented
+    route.  The walk is this oracle's own; the per-rectangle term is the
+    library's ``tensors._rearrangement_leaf``, shared rather than copied,
+    since what is checked here is the quotient and its weight
+    m! * |row group|.  The term itself is checked against the full
+    symmetrizer expansion and the pattern-imbalance side.
     """
-    perms_i = [(perm, latin.column_sign(perm)) for perm in permutations(range(i))]
-    total = 0
-
-    def per_rectangle(rows, _masks, _parity):
-        nonlocal total
-        cols = [tuple(row[q] for row in rows) for q in range(m)]
-        row_used = [0] * i
-
-        def fill(q: int, sign: int) -> None:
-            nonlocal total
-            if q == m:
-                total += sign
-                return
-            col = cols[q]
-            for perm, psign in perms_i:
-                if any(row_used[p] >> col[perm[p]] & 1 for p in range(i)):
-                    continue
-                for p in range(i):
-                    row_used[p] |= 1 << col[perm[p]]
-                fill(q + 1, sign * psign)
-                for p in range(i):
-                    row_used[p] &= ~(1 << col[perm[p]])
-
-        fill(0, 1)
-
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), per_rectangle)
-    return Fraction(total, factorial(m) ** i)
+    total = [0]
+    leaf = tensors._rearrangement_leaf(i, total)
+    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf)
+    return Fraction(total[0], factorial(m) ** i)
 
 
 def class_multiset_invariant(m: int, i: int, f: HomPoly) -> Fraction:

@@ -49,6 +49,14 @@ def test_hompoly_validation_and_json():
     assert HomPoly.from_terms(2, 2, [((1, 1), 1), ((1, 1), -1)]).is_zero()
 
 
+def test_hompoly_constructor_leaves_the_caller_mapping_unchanged():
+    coeffs = {(2, 0): 0, (1, 1): 3}
+    f = HomPoly(2, 2, coeffs)
+    assert coeffs == {(2, 0): 0, (1, 1): 3} and type(coeffs[(1, 1)]) is int
+    assert f.coeffs == {(1, 1): Fraction(3)}
+    assert type(f.coeffs[(1, 1)]) is Fraction
+
+
 def test_polarized_coefficient_examples():
     f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
     assert polarized_coefficient(f, (1, 2)) == Fraction(1, 2)

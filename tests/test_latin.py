@@ -281,7 +281,7 @@ def test_alon_tarsi_checkpoint_records(tmp_path):
     value = alon_tarsi_difference(3, checkpoint_path=cp)
     recs = [json.loads(line) for line in open(cp)]
     assert all(set(r) >= {"prefix", "plus", "minus"} for r in recs)
-    assert all("patterns" not in r for r in recs)
+    assert all("patterns" in r for r in recs)
     assert sum(int(r["plus"]) - int(r["minus"]) for r in recs) == value
     # Resume from the complete file reproduces the value without new work.
     assert alon_tarsi_difference(3, checkpoint_path=cp) == value
@@ -315,7 +315,7 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
     assert quotient.group == "S4xS3" and quotient.order == 24 * 6
     old = {"i": 4, "m": 4, "allowed": allowed, "group": "S4"}
     for prefix in latin._list_prefixes(4, 4, allowed, quotient):
-        latin.write_checkpoint_record(cp, prefix, {(15,) * 4: (999, 0)}, old, False)
+        latin.write_checkpoint_record(cp, prefix, {(15,) * 4: (999, 0)}, old)
     with open(cp) as fh:
         stale = fh.read()
     assert alon_tarsi_difference(4, checkpoint_path=cp) == 576
@@ -329,6 +329,60 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
     assert alon_tarsi_difference(4, checkpoint_path=cp) == 576
     with open(cp) as fh:
         assert fh.read() == written
+
+
+def test_square_checkpoint_is_shared_by_the_tally_and_the_signed_count(tmp_path):
+    # At (4,4) the tally and the signed square count keep the same reduced
+    # squares in the same blocks and write one record format, so either
+    # run's file resumes the other with nothing appended.
+    for first, second in ((True, False), (False, True)):
+        cp = tmp_path / f"square_{first}.ndjson"
+        if first:
+            signed_tally(4, 4, checkpoint_path=str(cp))
+        else:
+            alon_tarsi_difference(4, checkpoint_path=str(cp))
+        written = cp.read_text()
+        assert len(written.splitlines()) == 3
+        if second:
+            assert signed_tally(4, 4, checkpoint_path=str(cp)).counts == (
+                signed_tally(4, 4).counts
+            )
+        else:
+            assert alon_tarsi_difference(4, checkpoint_path=str(cp)) == 576
+        assert cp.read_text() == written
+
+
+def test_totals_only_square_records_are_ignored(tmp_path):
+    # Signed square counts once wrote records with the totals alone, under
+    # the same configuration.  Such records, with bogus counts, are skipped.
+    cp = tmp_path / "square.ndjson"
+    allowed = [15] * 4
+    config = {"i": 4, "m": 4, "allowed": allowed, "group": "S4xS3"}
+    prefixes = latin._list_prefixes(4, 4, allowed, latin._square_quotient(4))
+    stale = ""
+    for prefix in prefixes:
+        rec = {"prefix": [[s + 1 for s in row] for row in prefix], **config}
+        stale += json.dumps({**rec, "plus": "999", "minus": "0"}, sort_keys=True) + "\n"
+    cp.write_text(stale)
+    assert latin.load_checkpoint(str(cp), config) == {}
+    assert alon_tarsi_difference(4, checkpoint_path=str(cp)) == 576
+    written = cp.read_text()
+    assert written.startswith(stale)
+    recs = [json.loads(line) for line in written[len(stale):].splitlines()]
+    assert len(recs) == len(prefixes) == 3
+    assert all("patterns" in r and r["group"] == "S4xS3" for r in recs)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
+    # At i = m the single-pattern tally keeps the reduced squares, weighted
+    # by m! * (m-1)!, as alon_tarsi_difference does.
+    cp = tmp_path / "square.ndjson"
+    full = (tuple(range(1, m + 1)),) * m
+    tally = signed_tally(m, m, pattern=full, checkpoint_path=str(cp))
+    assert tally.signed_sum() == alon_tarsi_difference(m)
+    recs = [json.loads(line) for line in cp.read_text().splitlines()]
+    assert {r["group"] for r in recs} == {f"S{m}xS{m - 1}"}
 
 
 @pytest.mark.parametrize(
@@ -372,7 +426,7 @@ def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
     )
     assert len(old) == 2376
     for prefix in old:
-        latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config, True)
+        latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config)
     with open(cp) as fh:
         stale = fh.read()
     fresh = signed_tally(3, 5).counts
@@ -400,9 +454,7 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
     for group in ("A3", "S5xA2"):
         config = {"i": 3, "m": 5, "allowed": allowed, "group": group}
         for prefix in old:
-            latin.write_checkpoint_record(
-                cp, prefix, {(7,) * 5: (999, 0)}, config, True
-            )
+            latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config)
     with open(cp) as fh:
         stale = fh.read()
     fresh = signed_tally(3, 5)
@@ -771,5 +823,5 @@ def test_orbit_form_matches_its_expansion(i, m):
 )
 def test_orbit_route_at_3_6_matches_row_quotient_route():
     allowed = [63] * 6
-    rows = latin._tally_by_blocks(3, 6, allowed, latin._row_quotient(3, 6), 1, None, True)
+    rows = latin._tally_by_blocks(3, 6, allowed, latin._row_quotient(3, 6), 1, None)
     assert signed_tally(3, 6).counts == latin._bucket_to_tally(3, 6, rows).counts

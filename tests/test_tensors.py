@@ -233,6 +233,14 @@ def test_public_constructor_validates():
     assert t.data == {bytes([2, 2]): Fraction(3)}
 
 
+def test_public_constructor_leaves_the_caller_mapping_unchanged():
+    data = {b"\x00\x01": 0, b"\x01\x00": 1}
+    t = SparseTensor(2, 2, data)
+    assert data == {b"\x00\x01": 0, b"\x01\x00": 1}
+    assert t.data == {b"\x01\x00": 1}
+    assert t.data is not data
+
+
 def test_library_built_tensors_pass_public_validation():
     rng = Random(7)
     x = SparseTensor(
@@ -438,6 +446,13 @@ def test_latin_sign_sum_budget():
     with pytest.raises(BudgetExceeded, match="24396595200"):
         latin_sign_sum_pairing(7)
     assert latin_sign_sum_pairing(6) == -199065600
+
+
+def test_latin_sign_sum_rejects_an_unknown_method_before_the_budget():
+    # m = 8 is over every budget; a bad method is still bad input (exit 3),
+    # not an infeasible run (exit 2).
+    with pytest.raises(ValueError, match="method"):
+        latin_sign_sum_pairing(8, method="bogus")
 
 
 def test_translated_pairing_scan_exhaustive_m2():
