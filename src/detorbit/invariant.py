@@ -304,9 +304,12 @@ def det_power_invariant(
     m/2 pairs in every row and column of M, so P^i is expanded one factor
     at a time and each monomial with a count above m/2 is dropped.  The
     pair words S are listed per term of f (:func:`_pair_words`), so none is
-    built for a content that f lacks.  ``budget`` caps the pair words as
-    they are made, partial monomials x pair words before each product step,
-    and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
+    built for a content that f lacks.  ``budget`` caps (m/2)!^(i-1), the
+    leaves of one kernel call, before anything is built; then the pair words
+    as they are made, partial monomials x pair words before each product
+    step, and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
+    The first cap refuses even an f whose P^i keeps no monomial (and whose
+    value is 0) once a single kernel call would exceed ``budget``.
     """
     if m % 2:
         raise ValueError("the invariant requires even degree")
@@ -321,6 +324,13 @@ def det_power_invariant(
         if est > budget:
             raise BudgetExceeded(f"invariant evaluation needs ~{est} {what}", est)
 
+    def check_leaves(monomials: int) -> None:
+        check(
+            monomials * factorial(half) ** (i - 1),
+            f"search leaves ({monomials} monomials of P^{i})",
+        )
+
+    check_leaves(1)  # one kernel call, before the product is built
     words = []
     for exp, coeff in f.coeffs.items():
         if any(exp[i:]):
@@ -344,10 +354,7 @@ def det_power_invariant(
                 if max(new[n:]) <= half:
                     grown[new] = grown.get(new, 0) + a * b
         partial = {key: a for key, a in grown.items() if a}
-    check(
-        len(partial) * factorial(half) ** (i - 1),
-        f"search leaves ({len(partial)} monomials of P^{i})",
-    )
+    check_leaves(len(partial))
     total = Fraction(0)
     for key, a in partial.items():
         pairs = [divmod(p, i) for p in range(n) for _ in range(key[p])]

@@ -252,3 +252,53 @@ def test_tally_report_bytes(capsys, tmp_path, i, m):
     assert code == 0
     assert out == want_csv
     assert out_path.read_text() == want_csv
+
+
+@pytest.mark.parametrize("m,count", [(2, 12), (4, 15)])
+def test_verify_all_checks_replay_as_subcommands(capsys, m, count):
+    code, out = _run(capsys, "--seed", "1", "verify-all", str(m))
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == count
+    assert len({check["name"] for check in checks}) == count
+    replayed = [check for check in checks if "report" in check]
+    assert len(replayed) == count - min(m, 3)
+    for check in replayed:
+        code, out = _run(capsys, "--seed", "1", *check["name"].split())
+        assert code == 0, check["name"]
+        report = json.loads(out)
+        report.pop("seed")
+        check["report"].pop("seed", None)
+        assert report == check["report"], check["name"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # One kernel call needs (3!)^19 leaves: refused before P^20 is built.
+        (["invariant-check", "6", "20"], 2),
+        # Refused before the m = 8 signed square count starts.
+        (["--format", "csv", "alon-tarsi", "8"], 3),
+    ],
+)
+def test_refused_before_the_work_starts(argv, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "detorbit", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == code
+    assert json.loads(done.stdout)["kind"] == ("infeasible" if code == 2 else "input")
+
+
+def test_threads_rejected_where_nothing_runs_in_blocks(capsys):
+    code, out = _run(capsys, "--threads", "2", "pairing", "1", "2")
+    assert code == 3
+    report = json.loads(out)
+    assert report["kind"] == "input"
+    assert "--threads" in report["error"]
+
+
+@pytest.mark.parametrize("m,code", [(6, 2), (3, 3)])
+def test_verify_all_caps(capsys, m, code):
+    assert _run(capsys, "verify-all", str(m))[0] == code

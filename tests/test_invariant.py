@@ -326,9 +326,10 @@ def test_power_sum_closed_form_values(m, i, expected):
 
 
 def test_budget_guard():
-    f = HomPoly.power_sum(6, 6)
+    # P = sum_j y_jj: one leaf per kernel call, so the product step refuses.
     with pytest.raises(BudgetExceeded, match="6 partial monomials x 6 pair words"):
-        det_power_invariant(6, 6, f, budget=10)
+        det_power_invariant(2, 6, HomPoly.power_sum(6, 2), budget=10)
+    f = HomPoly.power_sum(6, 6)
     # P = sum_j y_jj^3: at most 20 partial monomials x 6 pair words per step,
     # then the one monomial prod_j y_jj^3 of P^6 with (3!)^5 search leaves.
     with pytest.raises(BudgetExceeded, match="1 monomials of P\\^6"):
