@@ -8,13 +8,13 @@ column-even / column-odd rectangles computed here feed the tensor pairing
 identities in :mod:`detorbit.tensors`, and the single-pattern signed count at
 i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 
-A full tally is enumerated in orbit form (:func:`orbit_tally`): symbol
-relabellings carry a pattern's counts to its whole S_m-orbit, so only the
-rectangles whose first row is 1..m are visited, and :func:`signed_tally`
-expands the orbits to every pattern.  A single pattern below i = m is not
-fixed by relabelling, so ``signed_tally(pattern=...)`` quotients its rows
-only; at i = m it takes :func:`_square_quotient`.  :func:`column_order_tally`
-enumerates every rectangle column by column and is the oracle of both routes.
+Every signed count is read from one row-major enumeration, the orbit form
+(:func:`orbit_tally`): symbol relabellings carry a pattern's counts to its
+whole S_m-orbit, so only the rectangles whose first row is 1..m are
+visited.  :func:`signed_tally` expands the orbits to every pattern, or looks
+up the one pattern it is given (:meth:`OrbitTally.at`); the signed square
+count is that lookup at i = m.  :func:`column_order_tally` enumerates every
+rectangle column by column and is the oracle of both.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -29,6 +29,8 @@ from functools import cache
 from itertools import combinations, groupby, permutations
 from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+from .errors import BudgetExceeded
 
 __all__ = [
     "LatinRectangle",
@@ -251,13 +253,13 @@ def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
 
 
 def _square_quotient(m: int) -> _RowQuotient:
-    """The quotient of both routes of :func:`alon_tarsi_difference`, whose
-    rows route is the single-pattern :func:`signed_tally` at i = m.
+    """The quotient of the columns route of :func:`alon_tarsi_difference`,
+    which sums eps_c square by square.
 
     At even m every symbol relabelling pi multiplies each column sign by
     sgn(pi), so eps_c by sgn(pi)^m = 1: the reduced squares (first row and
-    first column 1..m) are kept.  At odd m an odd pi flips eps_c, so only
-    the rows are quotiented (A_m).
+    first column 1..m) are kept, as in the orbit tally.  At odd m an odd pi
+    flips eps_c, so only the rows are quotiented (A_m).
     """
     return _row_quotient(m, m, symbols=m % 2 == 0)
 
@@ -399,13 +401,15 @@ def enumerate_latin_rectangles(
 
     With ``pattern`` given, visits exactly the rectangles of that pattern.
     Returns the number of rectangles.  Without a visitor they are only
-    counted, one per orbit (:class:`_RowQuotient`, by symbol relabelling too
-    when no pattern is given) times the orbit size.
+    counted: one per orbit (:class:`_RowQuotient` with ``symbols``) times
+    the orbit size, or, with ``pattern``, by :meth:`OrbitTally.at`.
     """
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
     if visitor is None:
-        quotient = _row_quotient(i, m, symbols=pattern is None)
+        if pattern is not None:
+            return sum(orbit_tally(i, m).at(pattern))
+        quotient = _row_quotient(i, m, symbols=True)
         return quotient.order * _run_rows(i, m, allowed, (), None, quotient)
 
     def leaf(rows, _masks, _parity):
@@ -546,45 +550,39 @@ def _bucket_to_tally(i: int, m: int, bucket: dict) -> SignedTally:
     return SignedTally(i, m, counts)
 
 
-def _list_prefixes(
-    i: int, m: int, allowed: Sequence[int], quotient: _RowQuotient
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The prefix blocks of a run: its kept rectangles cut after the first
-    row the quotient leaves free (row 0, or row 1 when ``symbols`` fixes
-    row 0 to the identity).  A run whose only free row is its last is one
-    block: the empty prefix, or the identity row under ``symbols``."""
+def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The prefix blocks of the first-row-fixed rectangles: the identity
+    row and the second row, or the identity row alone for i <= 2, whose
+    only free row is the last."""
     out: list[tuple[tuple[int, ...], ...]] = []
     _run_rows(
-        max(min(i - 1, 2), 1) if quotient.symbols else min(i - 1, 1),
+        max(min(i - 1, 2), 1),
         m,
-        allowed,
+        _pattern_masks(None, i, m),
         (),
         lambda rows, _m, _p: out.append(tuple(rows)),
-        quotient,
+        _row_quotient(i, m, symbols=True),
     )
     return out
 
 
 def _block_job(args) -> tuple[tuple, dict]:
-    i, m, allowed, prefix, quotient = args
+    i, m, prefix = args
+    quotient = _row_quotient(i, m, symbols=True)
     bucket: dict = {}
-    _run_rows(i, m, allowed, prefix, _tally_leaf_factory(bucket), quotient)
+    leaf = _tally_leaf_factory(bucket)
+    _run_rows(i, m, _pattern_masks(None, i, m), prefix, leaf, quotient)
     w = quotient.order
     return prefix, {key: (pn[0] * w, pn[1] * w) for key, pn in bucket.items()}
 
 
 def _tally_by_blocks(
-    i: int,
-    m: int,
-    allowed: Sequence[int],
-    quotient: _RowQuotient,
-    processes: int,
-    checkpoint_path: Optional[str],
+    i: int, m: int, processes: int, checkpoint_path: Optional[str]
 ) -> dict:
-    """Tally of the ``quotient``, by prefix blocks, with counts weighted by
-    its orbit size; optional worker pool and checkpointing.
+    """Tally of :func:`_row_quotient` with ``symbols``, by prefix blocks, with
+    counts weighted by its order; optional worker pool and checkpointing.
 
-    Blocks are the rectangles sharing the first row the quotient leaves free
+    Blocks are the rectangles sharing their first two rows
     (:func:`_list_prefixes`).  Each block's bucket is added to the tally as
     soon as it is resumed or finished, so no block is held to the end; the
     sums are of integers and do not depend on the worker schedule.  The pool
@@ -598,8 +596,9 @@ def _tally_by_blocks(
         # lists below, its modules pinned freed memory: +0.3 MB peak RSS on a
         # two-worker tally 3 5.
         from multiprocessing import Pool
-    prefixes = _list_prefixes(i, m, allowed, quotient)
-    config = {"i": i, "m": m, "allowed": list(allowed), "group": quotient.group}
+    prefixes = _list_prefixes(i, m)
+    group = _row_quotient(i, m, symbols=True).group
+    config = {"i": i, "m": m, "allowed": _pattern_masks(None, i, m), "group": group}
     merged: dict = {}
 
     def merge(bucket: dict) -> None:
@@ -618,7 +617,7 @@ def _tally_by_blocks(
             if prefix in valid:
                 done.add(prefix)
                 merge(bucket)
-    jobs = [(i, m, tuple(allowed), p, quotient) for p in prefixes if p not in done]
+    jobs = [(i, m, p) for p in prefixes if p not in done]
 
     def finish(prefix: tuple, bucket: dict) -> None:
         merge(bucket)
@@ -666,6 +665,15 @@ class OrbitTally:
         """sum over patterns of (plus - minus)^2."""
         return sum(size * (p - n) ** 2 for size, p, n in self.orbits.values())
 
+    def at(self, pattern: Pattern) -> tuple[int, int]:
+        """(plus, minus) of one valid pattern: its orbit's counts, swapped
+        when the relabelling that sorts it to the canonical pattern flips
+        eps_c (:func:`_canonical`)."""
+        i, m = self.i, self.m
+        canon, _stab, swap = _canonical(_pattern_masks(pattern, i, m), i, m)
+        _size, p, n = self.orbits[tuple(map(_subset_of_mask, _transpose(canon, m)))]
+        return (n, p) if swap else (p, n)
+
     def expand(self) -> SignedTally:
         """The per-pattern tally: the counts of every pattern pi K of each
         orbit, from one table per pi of the image subset and the inversion
@@ -710,38 +718,44 @@ def _transpose(masks: Sequence[int], m: int) -> list[int]:
     return [sum((mask >> s & 1) << c for c, mask in enumerate(masks)) for s in range(m)]
 
 
+def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
+    """The canonical profiles of the pattern with column ``masks``, the
+    order of its stabiliser (prod mult! permutations of symbols of equal
+    profile) and whether sigma, which sorts the symbols by profile (ties by
+    symbol), flips eps_c; never at odd i with a non-trivial stabiliser,
+    where swapping two symbols of equal profile flips eps_c itself."""
+    profile = _transpose(masks, m)
+    order = sorted(range(m), key=profile.__getitem__)
+    canon = tuple(profile[s] for s in order)
+    stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+    parity = 0
+    if not (i % 2 and stab > 1):
+        for k, a in enumerate(order):
+            for b in order[k + 1 :]:
+                if a > b:
+                    parity ^= (profile[a] & profile[b]).bit_count() & 1
+    return canon, stab, bool(parity)
+
+
 def _fold_orbits(i: int, m: int, bucket: dict) -> OrbitTally:
     """Carry a first-row-fixed bucket (column masks -> counts weighted by
     m! * |G|) to the canonical patterns of its S_m-orbits.
 
     Each rectangle is pi R0 for one first-row-fixed R0 and one pi.  The
     relabellings pi that carry R0's pattern P to its canonical pattern K
-    are sigma * stab(P): sigma sorts the symbols by profile (ties by
-    symbol), and stab(P) permutes symbols of equal profile (prod mult!
-    elements).  Swapping two such symbols, which share i columns, has sign
-    (-1)^i on P.  So at even i each of those relabellings carries R0 to K
-    with sigma's sign, and at odd i, when stab(P) is not trivial, half of
-    them with each sign: those orbits are balanced.  The counts of K are
-    then the bucket's times stab(P) / m!.
+    are sigma * stab(P) (:func:`_canonical`): at even i all with sigma's
+    sign, at odd i with a non-trivial stab(P) half with each sign.  The
+    counts of K are then the bucket's times stab(P) / m!.
     """
     fact = factorial(m)
     folded: dict[tuple[int, ...], list[int]] = {}  # profiles -> plus, minus, stab
     for key, (p, n) in bucket.items():
-        profile = _transpose(key, m)
-        order = sorted(range(m), key=profile.__getitem__)
-        canon = tuple(profile[s] for s in order)
-        stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+        canon, stab, swap = _canonical(key, i, m)
         p, n = p // fact * stab, n // fact * stab
         if i % 2 and stab > 1:
             p = n = (p + n) // 2
-        else:
-            parity = 0
-            for k, a in enumerate(order):
-                for b in order[k + 1 :]:
-                    if a > b:
-                        parity ^= (profile[a] & profile[b]).bit_count() & 1
-            if parity:
-                p, n = n, p
+        elif swap:
+            p, n = n, p
         cur = folded.setdefault(canon, [0, 0, stab])
         cur[0] += p
         cur[1] += n
@@ -768,10 +782,7 @@ def orbit_tally(
     of :func:`signed_tally`.
     """
     _check_dims(i, m)
-    allowed = _pattern_masks(None, i, m)
-    quotient = _row_quotient(i, m, symbols=True)
-    bucket = _tally_by_blocks(i, m, allowed, quotient, processes, checkpoint_path)
-    return _fold_orbits(i, m, bucket)
+    return _fold_orbits(i, m, _tally_by_blocks(i, m, processes, checkpoint_path))
 
 
 def signed_tally(
@@ -785,25 +796,18 @@ def signed_tally(
     """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles.
 
     Without ``pattern`` this is :func:`orbit_tally` expanded to every
-    pattern: the symbol relabellings leave only the first-row-fixed
-    rectangles to enumerate.  Below i = m a relabelling does not fix a single
-    pattern, so with ``pattern`` only the row orbits are quotiented: one
-    rectangle of that pattern per eps_c-preserving row orbit, weighted by the
-    orbit size.  At i = m every relabelling fixes the full pattern, so it
-    takes :func:`_square_quotient`, as :func:`alon_tarsi_difference` does.
-    :func:`column_order_tally` is the unreduced oracle of both.
-    ``processes`` workers share the prefix blocks, and ``checkpoint_path``
-    holds one record per finished block.
+    pattern; with ``pattern`` it is the one entry :meth:`OrbitTally.at`
+    reads from it (by König's theorem every valid pattern has a rectangle),
+    at i = m the signed square count.  :func:`column_order_tally` is the
+    unreduced oracle.  ``processes`` workers share the prefix blocks, and
+    ``checkpoint_path`` holds one record per finished block.
     """
-    if pattern is None:
-        return orbit_tally(
-            i, m, processes=processes, checkpoint_path=checkpoint_path
-        ).expand()
     _check_dims(i, m)
-    allowed = _pattern_masks(pattern, i, m)
-    quotient = _square_quotient(m) if i == m else _row_quotient(i, m)
-    bucket = _tally_by_blocks(i, m, allowed, quotient, processes, checkpoint_path)
-    return _bucket_to_tally(i, m, bucket)
+    masks = None if pattern is None else _pattern_masks(pattern, i, m)
+    tally = orbit_tally(i, m, processes=processes, checkpoint_path=checkpoint_path)
+    if masks is None:
+        return tally.expand()
+    return SignedTally(i, m, {tuple(map(_subset_of_mask, masks)): tally.at(pattern)})
 
 
 def column_order_tally(
@@ -819,6 +823,23 @@ def column_order_tally(
     return _bucket_to_tally(i, m, bucket)
 
 
+# Latin square counts by order m, and the most squares a signed square
+# count may visit.
+_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280, 6: 812851200, 7: 61479419904000}
+MAX_SQUARE_VISITS = 10**6
+
+
+def _check_square_visits(m: int, order: int) -> None:
+    """Refuse a route that keeps one square per orbit of a group of ``order``
+    if that is over :data:`MAX_SQUARE_VISITS` squares or m is past the table."""
+    count = _SQUARE_COUNTS.get(m)
+    visits = None if count is None else count // order
+    if visits is None or visits > MAX_SQUARE_VISITS:
+        raise BudgetExceeded(
+            f"latin sign sum at m={m} needs ~{visits or 'huge'} visits", visits
+        )
+
+
 def alon_tarsi_difference(
     m: int,
     *,
@@ -830,20 +851,20 @@ def alon_tarsi_difference(
 
     ``order`` selects the row-major or the column-major enumeration; the two
     are independent DFS kernels and must agree exactly.  The rows route is
-    the single-pattern :func:`signed_tally` at i = m, with its records; the
-    columns route is its deliberate oracle.  Both enumerate
-    :func:`_square_quotient` and weight each kept square by its orbit size.
-    At even m relabelling symbols by pi multiplies eps_c by sgn(pi)^m = 1,
-    so both visit the reduced squares (first row and first column 1..m) and
-    weight each by m! * (m-1)!.  At odd m an odd pi flips eps_c, so only the
-    A_m row orbits are taken, and the value 0 comes out of the enumeration:
-    each S_m orbit splits into two A_m orbits of opposite sign, and both
-    representatives are visited.  ``column_order_tally(m, m)`` is the
-    unreduced oracle; the rows route alone takes ``processes`` and
-    ``checkpoint_path``.
+    the single-pattern :func:`signed_tally` at i = m, the orbit tally's one
+    orbit, with its records; the columns route is its deliberate oracle
+    over :func:`_square_quotient`.  At even m both keep the reduced squares.
+    At odd m > 1 the rows value 0 comes from the fold's balance rule, while
+    the columns route sums the signs of the A_m row orbits it enumerates:
+    each S_m orbit splits into two of opposite sign.  ``column_order_tally
+    (m, m)`` is the unreduced oracle; the rows route alone takes
+    ``processes`` and ``checkpoint_path``.  A route that would keep more
+    than :data:`MAX_SQUARE_VISITS` squares, or m > 7, is refused with
+    :class:`BudgetExceeded` before it starts.
     """
     _check_dims(m, m)
     if order == "rows":
+        _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
         full = (tuple(range(1, m + 1)),) * m
         return signed_tally(
             m, m, pattern=full, processes=processes, checkpoint_path=checkpoint_path
@@ -851,6 +872,7 @@ def alon_tarsi_difference(
     if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
     quotient = _square_quotient(m)
+    _check_square_visits(m, quotient.order)
     acc = [0, 0]
 
     def leaf(_rows, _masks, parity):
@@ -950,20 +972,19 @@ def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangl
 # Checkpoint files: one newline-delimited JSON record per completed prefix
 # block, restart-safe via prefix deduplication.
 #
-# Every run, a full tally or a single-pattern one (the signed square count
-# is the one at i = m), writes the same record format.  A record holds the
-# 1-based "prefix" rows of its block (its first row, or the identity row
-# and the second row for first-row-fixed runs), the block's "plus" and
-# "minus" totals and its per-pattern counts ("patterns").  It is keyed by
-# the full configuration of the run: "i", "m", the "allowed" column masks
-# (all ones unless the tally is pattern-filtered below i = m) and the
-# quotient "group": S<i> or A<i> for a pattern-filtered tally or odd-m
-# squares, S<m>xS<i-1> or S<m>xA<i-1> for the first-row-fixed rectangles of
-# a full tally or of reduced squares.  Counts are already multiplied by the
-# group order, so the records of a run sum to its result.  Records whose
-# prefix is not a block of the run, such as the two-row prefixes of an
-# earlier partition, are ignored, and so are records without "patterns",
-# such as the totals-only square-count records of an earlier format.
+# Every run is an orbit tally, so a full tally, a single-pattern one and the
+# signed square count at i = m share their records.  A record holds the
+# 1-based "prefix" rows of its block (the identity row and the second row),
+# the block's "plus" and "minus" totals and its per-pattern counts
+# ("patterns").  It is keyed by the configuration of the run: "i", "m", the
+# "allowed" column masks (all ones) and the quotient "group", S<m>xS<i-1> or
+# S<m>xA<i-1>.  Counts are already multiplied by the group order, so the
+# records of a run sum to its first-row-fixed bucket: per pattern, not the
+# tally's counts (the fold gives those), but over all patterns its total
+# and, as permuting columns keeps eps_c, its signed sum.  Records of another
+# configuration (such as the S<i> or A<i> of the row-only quotient, or odd-m
+# squares under A<m>), whose prefix is not a block of the run, or without
+# "patterns" (the totals-only records of an earlier format) are ignored.
 # ---------------------------------------------------------------------------
 
 def write_checkpoint_record(

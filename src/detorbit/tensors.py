@@ -52,17 +52,6 @@ __all__ = [
 DEFAULT_GROUP_CAP = 10**6
 DEFAULT_WORK_CAP = 2 * 10**6
 
-# Known Latin square counts, used only as feasibility estimates.
-_SQUARE_COUNTS = {
-    1: 1,
-    2: 2,
-    3: 12,
-    4: 576,
-    5: 161280,
-    6: 812851200,
-    7: 61479419904000,
-}
-
 
 @dataclass
 class SparseTensor:
@@ -485,17 +474,13 @@ def rectangle_symmetrizer_pairing(
     return Fraction(total[0] * quotient.order, factorial(m) ** i)
 
 
-def pattern_imbalance_pairing(
-    i: int, m: int, tally: latin.SignedTally | latin.OrbitTally | None = None
-) -> Fraction:
+def pattern_imbalance_pairing(i: int, m: int) -> Fraction:
     """(1/m!)^i times the sum over patterns of (plus - minus)^2.
 
-    Without ``tally`` the sum runs over the orbits of
-    :func:`latin.orbit_tally`, each term times its orbit size, so no
-    per-pattern table is built.
+    The sum runs over the orbits of :func:`latin.orbit_tally`, each term
+    times its orbit size, so no per-pattern table is built.
     """
-    if tally is None:
-        tally = latin.orbit_tally(i, m)
+    tally = latin.orbit_tally(i, m)
     return Fraction(tally.imbalance_square_sum(), factorial(m) ** i)
 
 
@@ -519,40 +504,31 @@ def pairing_identity_report(i: int, m: int, *, max_work: int = DEFAULT_WORK_CAP)
     return report
 
 
-def latin_sign_sum_pairing(
-    m: int, *, method: str = "search", max_squares: int = 10**6
-) -> int:
+def latin_sign_sum_pairing(m: int, *, method: str = "search") -> int:
     """Pairing of the symmetrized word power against the symmetrized tableau word.
 
     Equals the sum of sign products over all m-tuples of column permutations
     whose matrix is a Latin square, i.e. the signed Latin square count.
     ``method='search'`` returns that count from the column-major enumeration
-    of :func:`latin.alon_tarsi_difference`.  ``method='explicit'``
-    materializes the symmetrizer image and contracts (small m only); it is
-    the independent tensor-side oracle for the identity.  Each is refused
-    when its estimate exceeds ``max_squares``: the squares the search visits
-    (reduced squares at even m, A_m row orbits at odd m), or every Latin
-    square for the explicit route.
+    of :func:`latin.alon_tarsi_difference`, which refuses the squares its
+    quotient keeps past :data:`latin.MAX_SQUARE_VISITS`.
+    ``method='explicit'`` materializes the symmetrizer image and contracts
+    (small m only); it is the independent tensor-side oracle for the
+    identity, refused when the Latin squares themselves exceed that bound.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if method not in ("search", "explicit"):
+    if method == "search":
+        return latin.alon_tarsi_difference(m, order="columns")
+    if method != "explicit":
         raise ValueError("method must be 'search' or 'explicit'")
-    est = _SQUARE_COUNTS.get(m)
-    if est is not None and method == "search":
-        est //= latin._square_quotient(m).order
-    if est is None or est > max_squares:
-        raise BudgetExceeded(
-            f"latin sign sum at m={m} needs ~{est or 'huge'} visits", est
-        )
-    if method == "explicit":
-        t = rectangular_tableau(m, m)
-        image = apply_symmetrizer(t, word_tensor(t, m))
-        value = _pair_with_symmetrized_power(image, m, m)
-        if value.denominator != 1:
-            raise RuntimeError("internal error: non-integer sign sum")
-        return value.numerator
-    return latin.alon_tarsi_difference(m, order="columns")
+    latin._check_square_visits(m, 1)
+    t = rectangular_tableau(m, m)
+    image = apply_symmetrizer(t, word_tensor(t, m))
+    value = _pair_with_symmetrized_power(image, m, m)
+    if value.denominator != 1:
+        raise RuntimeError("internal error: non-integer sign sum")
+    return value.numerator
 
 
 @dataclass

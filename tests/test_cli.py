@@ -279,6 +279,8 @@ def test_verify_all_checks_replay_as_subcommands(capsys, m, count):
         (["invariant-check", "6", "20"], 2),
         # Refused before the m = 8 signed square count starts.
         (["--format", "csv", "alon-tarsi", "8"], 3),
+        # About 3.4e7 orbit-tally leaves at m = 7: refused before they start.
+        (["alon-tarsi", "7"], 2),
     ],
 )
 def test_refused_before_the_work_starts(argv, code):

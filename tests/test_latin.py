@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import os
 import pytest
 
 from detorbit import latin
+from detorbit.errors import BudgetExceeded
 from detorbit.latin import (
     LatinRectangle,
     alon_tarsi_difference,
@@ -207,6 +209,16 @@ def test_alon_tarsi_odd_cancellation():
         assert alon_tarsi_difference(m) == expected
 
 
+def test_signed_square_count_past_the_budget_is_refused():
+    # m = 7 would keep ~3.4e7 squares on the rows route and ~2.4e10 A_7
+    # orbits on the columns route; m = 8 is beyond the table of counts.
+    for m, order, visits in ((7, "rows", 33884160), (7, "columns", 24396595200)):
+        with pytest.raises(BudgetExceeded, match=str(visits)):
+            alon_tarsi_difference(m, order=order)
+    with pytest.raises(BudgetExceeded, match="huge"):
+        alon_tarsi_difference(8)
+
+
 def test_first_column_reduction_matches_full_enumeration():
     # At even m both routes keep the reduced squares (first row and first
     # column 1..m) and weight each by m! * (m-1)!.
@@ -311,10 +323,10 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
     # records must not be merged into the reduced route's ("S4xS3").
     cp = str(tmp_path / "square.ndjson")
     allowed = [15] * 4
-    quotient = latin._square_quotient(4)
+    quotient = latin._row_quotient(4, 4, symbols=True)
     assert quotient.group == "S4xS3" and quotient.order == 24 * 6
     old = {"i": 4, "m": 4, "allowed": allowed, "group": "S4"}
-    for prefix in latin._list_prefixes(4, 4, allowed, quotient):
+    for prefix in latin._list_prefixes(4, 4):
         latin.write_checkpoint_record(cp, prefix, {(15,) * 4: (999, 0)}, old)
     with open(cp) as fh:
         stale = fh.read()
@@ -332,24 +344,26 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
 
 
 def test_square_checkpoint_is_shared_by_the_tally_and_the_signed_count(tmp_path):
-    # At (4,4) the tally and the signed square count keep the same reduced
-    # squares in the same blocks and write one record format, so either
-    # run's file resumes the other with nothing appended.
-    for first, second in ((True, False), (False, True)):
-        cp = tmp_path / f"square_{first}.ndjson"
-        if first:
-            signed_tally(4, 4, checkpoint_path=str(cp))
-        else:
-            alon_tarsi_difference(4, checkpoint_path=str(cp))
-        written = cp.read_text()
-        assert len(written.splitlines()) == 3
-        if second:
-            assert signed_tally(4, 4, checkpoint_path=str(cp)).counts == (
-                signed_tally(4, 4).counts
-            )
-        else:
-            assert alon_tarsi_difference(4, checkpoint_path=str(cp)) == 576
-        assert cp.read_text() == written
+    # At (4,4) and (5,5) the tally and the signed square count are one orbit
+    # tally, in the same blocks and one record format, so either run's file
+    # resumes the other with nothing appended.
+    for m, blocks, group, value in ((4, 3, "S4xS3", 576), (5, 11, "S5xA4", 0)):
+        for first, second in ((True, False), (False, True)):
+            cp = tmp_path / f"square_{m}_{first}.ndjson"
+            if first:
+                signed_tally(m, m, checkpoint_path=str(cp))
+            else:
+                alon_tarsi_difference(m, checkpoint_path=str(cp))
+            written = cp.read_text()
+            recs = [json.loads(line) for line in written.splitlines()]
+            assert len(recs) == blocks and {r["group"] for r in recs} == {group}
+            if second:
+                assert signed_tally(m, m, checkpoint_path=str(cp)).counts == (
+                    signed_tally(m, m).counts
+                )
+            else:
+                assert alon_tarsi_difference(m, checkpoint_path=str(cp)) == value
+            assert cp.read_text() == written
 
 
 def test_totals_only_square_records_are_ignored(tmp_path):
@@ -358,7 +372,7 @@ def test_totals_only_square_records_are_ignored(tmp_path):
     cp = tmp_path / "square.ndjson"
     allowed = [15] * 4
     config = {"i": 4, "m": 4, "allowed": allowed, "group": "S4xS3"}
-    prefixes = latin._list_prefixes(4, 4, allowed, latin._square_quotient(4))
+    prefixes = latin._list_prefixes(4, 4)
     stale = ""
     for prefix in prefixes:
         rec = {"prefix": [[s + 1 for s in row] for row in prefix], **config}
@@ -375,8 +389,8 @@ def test_totals_only_square_records_are_ignored(tmp_path):
 
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
-    # At i = m the single-pattern tally keeps the reduced squares, weighted
-    # by m! * (m-1)!, as alon_tarsi_difference does.
+    # At even m the orbit tally keeps the reduced squares, weighted by
+    # m! * (m-1)!, as the columns route of alon_tarsi_difference does.
     cp = tmp_path / "square.ndjson"
     full = (tuple(range(1, m + 1)),) * m
     tally = signed_tally(m, m, pattern=full, checkpoint_path=str(cp))
@@ -399,17 +413,43 @@ def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
     ],
 )
 def test_prefix_blocks_partition_the_kept_rectangles(i, m, square, blocks):
-    # A block is cut at the first row the quotient leaves free: row 0, or
-    # row 1 of reduced squares, whose row 0 is the identity.
+    # Cut at the first row the quotient leaves free (row 0, or row 1 when
+    # row 0 is fixed to the identity), the prefixes of the row quotient or
+    # the square quotient partition its kept rectangles.  These are the
+    # blocks of the records that earlier runs wrote; at even m the square
+    # quotient's are the blocks of the orbit tally.
     quotient = latin._square_quotient(m) if square else latin._row_quotient(i, m)
     allowed = [(1 << m) - 1] * m
-    prefixes = latin._list_prefixes(i, m, allowed, quotient)
+    depth = 2 if quotient.symbols else 1
+    prefixes = []
+    latin._run_rows(
+        depth, m, allowed, (), lambda rows, _c, _p: prefixes.append(tuple(rows)),
+        quotient,
+    )
     assert len(prefixes) == blocks
-    assert {len(p) for p in prefixes} == {2 if quotient.symbols else 1}
+    if quotient == latin._row_quotient(i, m, symbols=True):
+        assert prefixes == latin._list_prefixes(i, m)
     if m <= 5:  # every kept rectangle lies in exactly one block
         assert sum(
             latin._run_rows(i, m, allowed, p, None, quotient) for p in prefixes
         ) == latin._run_rows(i, m, allowed, (), None, quotient)
+
+
+@pytest.mark.parametrize(
+    "i,m,blocks",
+    [(1, 4, 1), (2, 6, 1), (3, 4, 6), (3, 5, 44), (5, 5, 11), (3, 6, 212), (4, 4, 3)],
+)
+def test_orbit_tally_blocks_partition_the_first_row_fixed_rectangles(i, m, blocks):
+    # Blocks share the identity row and the second row; with i <= 2 the
+    # identity row alone, so the run is one block.
+    quotient = latin._row_quotient(i, m, symbols=True)
+    allowed = [(1 << m) - 1] * m
+    prefixes = latin._list_prefixes(i, m)
+    assert len(prefixes) == blocks
+    assert {len(p) for p in prefixes} == {min(max(i - 1, 1), 2)}
+    assert sum(
+        latin._run_rows(i, m, allowed, p, None, quotient) for p in prefixes
+    ) == latin._run_rows(i, m, allowed, (), None, quotient)
 
 
 def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
@@ -449,7 +489,11 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
     # outside the current partition under the current group either.
     cp = str(tmp_path / "tally.ndjson")
     allowed = [31] * 5
-    old = latin._list_prefixes(3, 5, allowed, latin._row_quotient(3, 5))
+    old = []
+    latin._run_rows(
+        1, 5, allowed, (), lambda rows, _c, _p: old.append(tuple(rows)),
+        latin._row_quotient(3, 5),
+    )
     assert len(old) == 72
     for group in ("A3", "S5xA2"):
         config = {"i": 3, "m": 5, "allowed": allowed, "group": group}
@@ -550,17 +594,23 @@ def test_pattern_validation():
 PATTERN_2_4 = ((1, 2), (1, 2), (3, 4), (3, 4))
 
 
-def test_filtered_tally_ignores_unfiltered_checkpoint(tmp_path):
-    cp = str(tmp_path / "tally.ndjson")
-    signed_tally(2, 4, checkpoint_path=cp)
-    resumed = signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=cp)
+def test_pattern_tally_resumes_from_the_full_tally_records(tmp_path):
+    # Both are one orbit tally, so the second run appends nothing.
+    cp = tmp_path / "tally.ndjson"
+    signed_tally(2, 4, checkpoint_path=str(cp))
+    written = cp.read_text()
+    resumed = signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=str(cp))
     assert resumed.counts == {PATTERN_2_4: (4, 0)}
+    assert cp.read_text() == written
 
 
-def test_unfiltered_tally_ignores_filtered_checkpoint(tmp_path):
-    cp = str(tmp_path / "tally.ndjson")
-    signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=cp)
-    assert signed_tally(2, 4, checkpoint_path=cp).counts == signed_tally(2, 4).counts
+def test_full_tally_resumes_from_the_pattern_tally_records(tmp_path):
+    cp = tmp_path / "tally.ndjson"
+    signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=str(cp))
+    written = cp.read_text()
+    resumed = signed_tally(2, 4, checkpoint_path=str(cp))
+    assert resumed.counts == signed_tally(2, 4).counts
+    assert cp.read_text() == written
 
 
 def test_checkpoint_records_without_full_configuration_are_ignored(tmp_path):
@@ -609,6 +659,18 @@ def test_filtered_quotient_tallies_match_column_oracle(i, m):
     for pattern, counts in column_order_tally(i, m).counts.items():
         assert signed_tally(i, m, pattern=pattern).counts == {pattern: counts}
         assert enumerate_latin_rectangles(i, m, pattern=pattern) == sum(counts)
+
+
+@pytest.mark.parametrize("i,m", [(2, 5), (3, 5)])
+def test_pattern_tally_matches_filtered_column_oracle(monkeypatch, i, m):
+    # Every pattern is looked up in one orbit tally, enumerated once here.
+    monkeypatch.setattr(latin, "orbit_tally", functools.cache(latin.orbit_tally))
+    patterns = column_order_tally(i, m).counts
+    assert len(patterns) == 2040
+    for pattern in patterns:
+        assert signed_tally(i, m, pattern=pattern).counts == (
+            column_order_tally(i, m, pattern=pattern).counts
+        )
 
 
 @pytest.mark.parametrize("i,m,total", [(2, 6, 190800), (3, 5, 66240), (5, 5, 161280)])
@@ -822,6 +884,11 @@ def test_orbit_form_matches_its_expansion(i, m):
     reason="row-quotient (3,6) tally (about 13 s on 2 vCPUs); set DETORBIT_STRETCH=1",
 )
 def test_orbit_route_at_3_6_matches_row_quotient_route():
-    allowed = [63] * 6
-    rows = latin._tally_by_blocks(3, 6, allowed, latin._row_quotient(3, 6), 1, None)
+    # The row-only quotient: one rectangle per S_3 row orbit, no symbol
+    # relabelling, every pattern counted leaf by leaf.
+    quotient = latin._row_quotient(3, 6)
+    bucket: dict = {}
+    latin._run_rows(3, 6, [63] * 6, (), latin._tally_leaf_factory(bucket), quotient)
+    w = quotient.order
+    rows = {key: (p * w, n * w) for key, (p, n) in bucket.items()}
     assert signed_tally(3, 6).counts == latin._bucket_to_tally(3, 6, rows).counts

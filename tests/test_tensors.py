@@ -406,9 +406,9 @@ def test_pairing_identity_known_values():
     assert pattern_imbalance_pairing(2, 2) == 1
     # (m, m): the unique pattern contributes the squared signed count.
     tally = latin.signed_tally(4, 4)
-    assert pattern_imbalance_pairing(4, 4, tally) == Fraction(
-        latin.alon_tarsi_difference(4) ** 2, _factorial(4) ** 4
-    )
+    assert pattern_imbalance_pairing(4, 4) == Fraction(
+        tally.imbalance_square_sum(), _factorial(4) ** 4
+    ) == Fraction(latin.alon_tarsi_difference(4) ** 2, _factorial(4) ** 4)
 
 
 def test_pattern_imbalance_single_row():
@@ -420,10 +420,11 @@ def test_pattern_imbalance_single_row():
     "i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)] + [(2, 6)]
 )
 def test_pattern_imbalance_from_orbits_matches_per_pattern_sum(i, m):
-    # Without a tally the sum runs over the orbits; the unreduced column
-    # tally gives it pattern by pattern.
-    assert pattern_imbalance_pairing(i, m) == pattern_imbalance_pairing(
-        i, m, latin.column_order_tally(i, m)
+    # The sum runs over the orbits; the unreduced column tally gives it
+    # pattern by pattern.
+    tally = latin.column_order_tally(i, m)
+    assert pattern_imbalance_pairing(i, m) == Fraction(
+        tally.imbalance_square_sum(), _factorial(m) ** i
     )
 
 
