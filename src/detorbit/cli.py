@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -28,31 +29,28 @@ def _frac(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _emit(report, args) -> None:
-    """Write a report dict as JSON, or a report the command rendered itself."""
-    if isinstance(report, str):
-        text = report
+def _emit(report, write) -> None:
+    """Write a report dict as JSON, or stream a report the command renders
+    itself (a callable that takes ``write``)."""
+    if callable(report):
+        report(write)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_tally(args) -> tuple[int, str]:
+def _cmd_tally(args) -> tuple[int, Callable]:
     from . import latin
 
-    tally = latin.signed_tally(
+    tally = latin.orbit_tally(
         args.i,
         args.m,
         processes=args.threads,
         checkpoint_path=args.checkpoint,
     )
     if args.format == "csv":
-        return EXIT_OK, tally.to_csv_text()
-    # The report can hold tens of thousands of patterns: render it directly.
-    return EXIT_OK, tally.to_json_text(total=str(tally.total()), seed=args.seed)
+        return EXIT_OK, partial(tally.write_report, fmt="csv")
+    total = str(tally.total())
+    return EXIT_OK, partial(tally.write_report, total=total, seed=args.seed)
 
 
 def _cmd_alon_tarsi(args) -> tuple[int, dict]:
@@ -319,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args, write: Callable[[str], object]) -> int:
+    """Run the parsed command and write its report, or the error it raises."""
     try:
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
@@ -340,14 +337,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, report = args.func(args)
         if isinstance(report, dict):
             report.setdefault("seed", args.seed)
-        _emit(report, args)
+        _emit(report, write)
     except BudgetExceeded as exc:
-        _emit({"error": str(exc), "kind": "infeasible"}, args)
+        _emit({"error": str(exc), "kind": "infeasible"}, write)
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
-        _emit({"error": str(exc), "kind": "input"}, args)
+        _emit({"error": str(exc), "kind": "input"}, write)
         return EXIT_INPUT_ERROR
     return code
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.out is None:
+        return _run(args, sys.stdout.write)
+    # Opened before any work starts; a path that cannot be written is bad
+    # input, reported on stdout alone.
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        _emit({"error": str(exc), "kind": "input"}, sys.stdout.write)
+        return EXIT_INPUT_ERROR
+    with out:
+
+        def write(text: str) -> None:
+            out.write(text)
+            sys.stdout.write(text)
+
+        return _run(args, write)
 
 
 if __name__ == "__main__":

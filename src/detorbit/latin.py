@@ -11,10 +11,12 @@ i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 Every signed count is read from one row-major enumeration, the orbit form
 (:func:`orbit_tally`): symbol relabellings carry a pattern's counts to its
 whole S_m-orbit, so only the rectangles whose first row is 1..m are
-visited.  :func:`signed_tally` expands the orbits to every pattern, or looks
-up the one pattern it is given (:meth:`OrbitTally.at`); the signed square
-count is that lookup at i = m.  :func:`column_order_tally` enumerates every
-rectangle column by column and is the oracle of both.
+visited.  :meth:`OrbitTally.write_report` streams the per-pattern report
+from the orbits in sorted order, and :func:`signed_tally` expands them to
+every pattern, or looks up the one pattern it is given
+(:meth:`OrbitTally.at`); the signed square count is that lookup at i = m.
+:func:`column_order_tally` enumerates every rectangle column by column and
+is the oracle of both.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -26,7 +28,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby, islice, permutations
 from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -441,24 +443,14 @@ class SignedTally:
         """sum over patterns of (plus - minus)^2."""
         return sum((p - n) ** 2 for p, n in self.counts.values())
 
-    def _sorted_items(self) -> tuple[list, list[tuple[Pattern, tuple[int, int]]]]:
-        """The distinct subsets, sorted, and ``sorted(self.counts.items())``.
-
-        The items are sorted on one int per pattern (all of length m): the
-        ranks of its subsets among the distinct subsets, packed in equal
-        bit fields, first subset highest.
-        """
+    def _records(self) -> tuple[list, Iterable]:
+        """The distinct subsets, sorted, and the report records of
+        ``sorted(self.counts.items())``: each pattern as its subsets' ranks
+        in that list, with (plus, minus)."""
         subsets = sorted({sub for key in self.counts for sub in key})
-        rank = {sub: r for r, sub in enumerate(subsets)}
-        width = len(subsets).bit_length()
-
-        def packed(item) -> int:
-            value = 0
-            for sub in item[0]:
-                value = value << width | rank[sub]
-            return value
-
-        return subsets, sorted(self.counts.items(), key=packed)
+        rank = {sub: r for r, sub in enumerate(subsets)}.__getitem__
+        items = sorted(self.counts.items())
+        return subsets, ((map(rank, key), pn) for key, pn in items)
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,7 +462,7 @@ class SignedTally:
                     "plus": str(p),
                     "minus": str(n),
                 }
-                for key, (p, n) in self._sorted_items()[1]
+                for key, (p, n) in sorted(self.counts.items())
             ],
         }
 
@@ -488,49 +480,80 @@ class SignedTally:
     def to_json_text(self, **extra) -> str:
         """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
         byte, where ``report`` is :meth:`to_json_dict` plus the fields
-        ``extra`` (any but ``patterns``).
-
-        The patterns are rendered directly, each distinct column subset once,
-        without building a dict per pattern or running the pure-Python indent
-        encoder over them.
-        """
-        subsets, items = self._sorted_items()
-        column = {
-            sub: "        [\n"
-            + ",\n".join(f"          {s}" for s in sub)
-            + "\n        ]"
-            for sub in subsets
-        }.__getitem__
-        record = (
-            '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
-            '      "plus": "%d"\n    }'
-        )
-        report = {"i": self.i, "m": self.m, **extra, "patterns": []}
-        pieces = []
-        for name in sorted(report):
-            pieces.append(",\n  " if pieces else "{\n  ")
-            pieces.append(json.dumps(name) + ": ")
-            if name != "patterns" or not self.counts:
-                value = json.dumps(report[name], indent=2, sort_keys=True)
-                pieces.append(value.replace("\n", "\n  "))
-                continue
-            pieces.append("[\n")
-            for key, (p, n) in items:
-                pieces.append(record % (n, ",\n".join(map(column, key)), p))
-                pieces.append(",\n")
-            pieces[-1] = "\n  ]"
-        pieces.append("\n}\n")
+        ``extra`` (any but ``patterns``), by :func:`_write_report`."""
+        pieces: list[str] = []
+        _write_report(pieces.append, self.i, self.m, *self._records(), "json", extra)
         return "".join(pieces)
 
     def to_csv_text(self) -> str:
-        subsets, items = self._sorted_items()
-        column = {sub: ",".join(map(str, sub)) for sub in subsets}.__getitem__
-        head = f"{self.i},{self.m},"
-        lines = ["i,m,pattern,plus,minus"]
-        lines += [
-            f"{head}{';'.join(map(column, key))},{p},{n}" for key, (p, n) in items
-        ]
-        return "\n".join(lines) + "\n"
+        pieces: list[str] = []
+        _write_report(pieces.append, self.i, self.m, *self._records(), "csv", {})
+        return "".join(pieces)
+
+
+# Records per write of a streamed report: about 0.4 MB of (3,6) JSON.  The
+# chunk's text, held in a few copies while it is joined and written, sets
+# the peak.
+_REPORT_CHUNK = 1024
+
+
+def _write_report(
+    write: Callable[[str], object],
+    i: int,
+    m: int,
+    subsets: Sequence[tuple[int, ...]],
+    records: Iterable,
+    fmt: str,
+    extra: dict,
+) -> None:
+    """Write a tally report in chunks of :data:`_REPORT_CHUNK` records.
+
+    ``records`` are (ranks, (plus, minus)) in report order, the ranks
+    indexing ``subsets``; each distinct subset is rendered once.  ``fmt``
+    "json" writes ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    byte for byte, where ``report`` holds i, m, the fields ``extra`` and
+    ``patterns``, without a dict per pattern or the pure-Python indent
+    encoder; "csv" writes one line per record under a header.
+    """
+    records = iter(records)
+    chunks = iter(lambda: list(islice(records, _REPORT_CHUNK)), [])
+    if fmt == "csv":
+        column = [",".join(map(str, sub)) for sub in subsets].__getitem__
+        head = f"{i},{m},"
+        write("i,m,pattern,plus,minus\n")
+        for chunk in chunks:
+            write("".join(
+                f"{head}{';'.join(map(column, ranks))},{p},{n}\n"
+                for ranks, (p, n) in chunk
+            ))
+        return
+    column = [
+        "        [\n" + ",\n".join(f"          {s}" for s in sub) + "\n        ]"
+        for sub in subsets
+    ].__getitem__
+    record = (
+        '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
+        '      "plus": "%d"\n    }'
+    )
+    report = {"i": i, "m": m, **extra, "patterns": None}
+    pieces = []
+    for k, name in enumerate(sorted(report)):
+        pieces.append((",\n  " if k else "{\n  ") + json.dumps(name) + ": ")
+        if name != "patterns":
+            value = json.dumps(report[name], indent=2, sort_keys=True)
+            pieces.append(value.replace("\n", "\n  "))
+            continue
+        head, sep = "".join(pieces), "[\n"
+        pieces = []
+        for chunk in chunks:
+            write(head + sep + ",\n".join(
+                record % (n, ",\n".join(map(column, ranks)), p)
+                for ranks, (p, n) in chunk
+            ))
+            head, sep = "", ",\n"
+        pieces.append(head + ("[]" if sep == "[\n" else "\n  ]"))
+    pieces.append("\n}\n")
+    write("".join(pieces))
 
 
 def _tally_leaf_factory(bucket: dict):
@@ -674,38 +697,81 @@ class OrbitTally:
         _size, p, n = self.orbits[tuple(map(_subset_of_mask, _transpose(canon, m)))]
         return (n, p) if swap else (p, n)
 
-    def expand(self) -> SignedTally:
-        """The per-pattern tally: the counts of every pattern pi K of each
-        orbit, from one table per pi of the image subset and the inversion
-        parity of pi on each column mask that occurs.
+    def _entries(self) -> tuple[list, list[bytes]]:
+        """The i-subsets of 1..m in lexicographic order, and every pattern
+        pi K of each orbit K as one ``bytes`` entry, sorted.
+
+        An entry holds the ranks of the pattern's m column subsets in that
+        list, one byte each, then, big-endian, 2 * (the orbit's index in
+        ``orbits``) + 1 if pi flips eps_c.  So the entries sort as
+        ``sorted(counts.items())`` of the expanded tally.  For each pi, the
+        image rank and inversion parity of every subset that occurs are
+        tabled once, and each entry is two ``bytes.translate`` calls.
 
         Relabellings that differ by a swap of two symbols of equal profile
         give the same pattern, so for each orbit only the pi increasing on
         each run of equal profiles in K (adjacent symbols) are taken: each
         pattern is made once.
         """
-        m = self.m
+        i, m = self.i, self.m
+        subsets = list(combinations(range(1, m + 1), i))
+        if len(subsets) > 256:  # never at m <= 8, which has at most 70
+            raise ValueError(f"({i},{m}) has more than 256 column subsets")
+        rank = {_mask_of(sub): r for r, sub in enumerate(subsets)}
+        width = ((2 * len(self.orbits)).bit_length() + 7) // 8
         by_ties: dict[tuple[int, ...], list] = {}
-        for key, (_size, p, n) in self.orbits.items():
-            cols = tuple(map(_mask_of, key))
-            profile = _transpose(cols, m)
+        occurring: set[int] = set()  # ranks of the subsets that occur
+        for k, key in enumerate(self.orbits):
+            masks = list(map(_mask_of, key))
+            profile = _transpose(masks, m)
             ties = tuple(s for s in range(m - 1) if profile[s] == profile[s + 1])
-            by_ties.setdefault(ties, []).append((cols, (p, n), (n, p)))
-        masks = {mask for key in self.orbits for mask in map(_mask_of, key)}
-        counts: dict[Pattern, tuple[int, int]] = {}
+            tails = tuple((2 * k + f).to_bytes(width, "big") for f in (0, 1))
+            cols = bytes(map(rank.__getitem__, masks))
+            occurring.update(cols)
+            by_ties.setdefault(ties, []).append((cols, tails))
+        entries: list[bytes] = []
         for perm in permutations(range(m)):
-            image, parity = {}, {}
-            for mask in masks:
-                moved = [perm[s] for s in range(mask.bit_length()) if mask >> s & 1]
-                image[mask] = _subset_of_mask(sum(1 << t for t in moved))
-                parity[mask] = sum(a > b for a, b in combinations(moved, 2))
-            image_of, parity_of = image.__getitem__, parity.__getitem__
+            image, parity = bytearray(256), bytearray(256)
+            for r in occurring:
+                moved = [perm[s - 1] for s in subsets[r]]
+                image[r] = rank[sum(1 << t for t in moved)]
+                parity[r] = sum(a > b for a, b in combinations(moved, 2)) & 1
+            image, parity = bytes(image), bytes(parity)
             for ties, orbits in by_ties.items():
                 if any(perm[s] > perm[s + 1] for s in ties):
                     continue
-                for cols, even, odd in orbits:
-                    key = tuple(map(image_of, cols))
-                    counts[key] = odd if sum(map(parity_of, cols)) & 1 else even
+                for cols, tails in orbits:
+                    flip = sum(cols.translate(parity)) & 1
+                    entries.append(cols.translate(image) + tails[flip])
+        entries.sort()
+        return subsets, entries
+
+    def _records(self) -> tuple[list, Iterable]:
+        """The subsets that :meth:`_entries` ranks, and the report records
+        (ranks, (plus, minus)) of the expanded tally, in report order."""
+        m = self.m
+        counts = []
+        for _size, p, n in self.orbits.values():
+            counts += [(p, n), (n, p)]
+        subsets, entries = self._entries()
+        records = (
+            (entry[:m], counts[int.from_bytes(entry[m:], "big")]) for entry in entries
+        )
+        return subsets, records
+
+    def write_report(
+        self, write: Callable[[str], object], fmt: str = "json", **extra
+    ) -> None:
+        """Stream the report of the expanded tally to ``write``: the text of
+        ``expand().to_json_text(**extra)``, or of ``expand().to_csv_text()``
+        with ``fmt`` "csv", byte for byte, without building either."""
+        _write_report(write, self.i, self.m, *self._records(), fmt, extra)
+
+    def expand(self) -> SignedTally:
+        """The per-pattern tally, decoded from :meth:`_entries`."""
+        subsets, records = self._records()
+        column = subsets.__getitem__
+        counts = {tuple(map(column, ranks)): pn for ranks, pn in records}
         return SignedTally(self.i, self.m, counts)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -228,7 +229,7 @@ def test_invariant_eval_from_form_literal(capsys, tmp_path):
     assert report["value"] == {"num": "-1", "den": "4"}
 
 
-@pytest.mark.parametrize("i,m", [(2, 4), (3, 4), (2, 5)])
+@pytest.mark.parametrize("i,m", [(2, 4), (3, 4), (2, 5), (3, 5)])
 def test_tally_report_bytes(capsys, tmp_path, i, m):
     # References rendered the plain way from the unreduced column oracle.
     oracle = latin.column_order_tally(i, m)
@@ -252,6 +253,86 @@ def test_tally_report_bytes(capsys, tmp_path, i, m):
     assert code == 0
     assert out == want_csv
     assert out_path.read_text() == want_csv
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ([], "7db2b7e840d1bc22f27cd858fcbfb1e887d58d3b665c874b5fc83722715a93a4"),
+        (
+            ["--format", "csv"],
+            "5a1f1b883a0646cb399ceacb466d1b27c31655dc3aa5e736241d90a22fb08bf8",
+        ),
+    ],
+)
+def test_tally_2_6_report_digest(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "report"
+    code, out = _run(capsys, *argv, "--out", str(out_path), "tally", "2", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (["kronecker", "2", "1"], "detorbit.kronecker.rectangle_sk_positivity"),
+        (["tally", "2", "3"], "detorbit.latin.orbit_tally"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_bad_input_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, work, where
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr(work, refuse)
+    path = tmp_path / "missing" / "report" if where == "missing" else tmp_path
+    code, out = _run(capsys, "--out", str(path), *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "kind"}
+    assert report["kind"] == "input"
+    assert not (tmp_path / "missing").exists()
+
+
+# Runs `tally 2 6` through cli.main in a fresh interpreter, with stdout
+# counted instead of kept, and prints the exit code, how much the peak RSS
+# grew during the call, and the report's length.  `latin` is imported
+# before the baseline is read, so its import is not counted.
+_STREAM_PROBE = """
+import resource, sys
+from detorbit import cli, latin
+
+class Count:
+    n = 0
+
+    def write(self, text):
+        self.n += len(text)
+
+count = Count()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sys.stdout = count
+code = cli.main(["tally", "2", "6"])
+sys.stdout = sys.__stdout__
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(code, grown * 1024, count.n)
+"""
+
+
+def test_tally_report_is_streamed_not_built():
+    # The 24 MB report is written in chunks: the peak grows by less than
+    # half of it (ru_maxrss is in KiB on Linux).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _STREAM_PROBE],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    code, grown, size = map(int, done.stdout.split())
+    assert code == 0
+    assert size == 24054377
+    assert grown < size // 2
 
 
 @pytest.mark.parametrize("m,count", [(2, 12), (4, 15)])
