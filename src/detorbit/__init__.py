@@ -36,14 +36,11 @@ _EXPORTS = {
         "alon_tarsi_difference",
         "column_order_tally",
         "column_sign",
-        "concatenate",
         "enumerate_latin_rectangles",
         "orbit_tally",
         "pattern_of",
-        "project_last_row",
         "rect_sign",
         "signed_tally",
-        "verify_sign_factorization",
     ),
     "tensors": (
         "SparseTensor",
@@ -56,7 +53,6 @@ _EXPORTS = {
         "rectangle_symmetrizer_pairing",
         "rectangular_tableau",
         "symmetrized_basis_tensor",
-        "translated_pairing_scan",
         "word_tensor",
     ),
     "invariant": (
@@ -74,7 +70,6 @@ _EXPORTS = {
         "witness_search",
     ),
     "kronecker": (
-        "CharacterTable",
         "kronecker_coeff",
         "mn_character",
         "rectangle_sk_positivity",

@@ -144,11 +144,33 @@ class HomPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "HomPoly":
-        coeffs = {
-            tuple(rec["exp"]): Fraction(int(rec["num"]), int(rec["den"]))
-            for rec in obj["terms"]
-        }
-        return cls(int(obj["vars"]), int(obj["degree"]), coeffs)
+        """Parse a form literal (:meth:`to_json_dict`).  A missing key, a
+        value of the wrong type or a zero denominator is a ``ValueError``."""
+        try:
+            nvars, degree = _json_int(obj["vars"]), _json_int(obj["degree"])
+            coeffs = {
+                tuple(map(_json_int, rec["exp"])): Fraction(
+                    _json_int(rec["num"]), _json_int(rec["den"])
+                )
+                for rec in obj["terms"]
+            }
+        except KeyError as exc:
+            raise ValueError(f"form literal lacks the key {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError("form literal has a zero denominator") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed form literal: {exc}") from None
+        return cls(nvars, degree, coeffs)
+
+
+def _json_int(value) -> int:
+    """A JSON integer or decimal string as an ``int``; a float, a bool or
+    anything else is a ``TypeError``, not silently truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise TypeError(f"{value!r} is not an integer")
 
 
 def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:

@@ -31,7 +31,6 @@ from .errors import BudgetExceeded
 
 __all__ = [
     "Partition",
-    "CharacterTable",
     "PositivityReport",
     "partitions",
     "class_size",
@@ -204,62 +203,6 @@ def _classes(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
         (rho, _intern(rho), order // _z(rho), _intern(square_cycle_type(rho)))
         for rho in partitions(n)
     )
-
-
-@dataclass
-class CharacterTable:
-    """Full exact character table of the symmetric group on n symbols.
-
-    Rows are indexed by the partition labelling the irreducible module,
-    columns by cycle type; both run in descending lexicographic order.
-    """
-
-    n: int
-    parts: list[Partition]
-    sizes: list[int]
-    values: list[list[int]]
-
-    @classmethod
-    def build(cls, n: int, max_n: int = DEFAULT_MAX_N) -> "CharacterTable":
-        if n > max_n:
-            raise BudgetExceeded(f"character table for n={n} > {max_n}")
-        classes = _classes(n)
-        parts = [rho for rho, _, _, _ in classes]
-        sizes = [size for _, _, size, _ in classes]
-        values = [
-            [_character(_mask(lam), sid) for _, sid, _, _ in classes]
-            for lam in parts
-        ]
-        return cls(n=n, parts=parts, sizes=sizes, values=values)
-
-    def row_orthogonality_ok(self) -> bool:
-        """sum_mu |C_mu| chi_lam(mu) chi_rho(mu) == n! delta_{lam,rho}."""
-        target = factorial(self.n)
-        k = len(self.parts)
-        for a in range(k):
-            for b in range(a, k):
-                total = sum(
-                    self.sizes[c] * self.values[a][c] * self.values[b][c]
-                    for c in range(k)
-                )
-                if total != (target if a == b else 0):
-                    return False
-        return True
-
-    def column_orthogonality_ok(self) -> bool:
-        """sum_lam chi_lam(mu) chi_lam(nu) == delta_{mu,nu} n!/|C_mu|."""
-        target = factorial(self.n)
-        k = len(self.parts)
-        for a in range(k):
-            for b in range(a, k):
-                total = sum(self.values[r][a] * self.values[r][b] for r in range(k))
-                expect = target // self.sizes[a] if a == b else 0
-                if total != expect:
-                    return False
-        return True
-
-    def index(self, lam: Sequence[int]) -> int:
-        return self.parts.index(_check_partition(lam))
 
 
 def _class_sum_divided(terms: Iterator[int], divisor: int) -> int:

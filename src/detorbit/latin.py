@@ -39,7 +39,6 @@ __all__ = [
     "Pattern",
     "SignedTally",
     "OrbitTally",
-    "SignFactorizationReport",
     "column_sign",
     "rect_sign",
     "pattern_of",
@@ -49,9 +48,6 @@ __all__ = [
     "orbit_tally",
     "column_order_tally",
     "alon_tarsi_difference",
-    "project_last_row",
-    "verify_sign_factorization",
-    "concatenate",
     "write_checkpoint_record",
     "load_checkpoint",
 ]
@@ -64,8 +60,8 @@ Pattern = tuple[tuple[int, ...], ...]
 class LatinRectangle:
     """An i x m array with permutation rows and distinct-entry columns.
 
-    ``entries`` holds 0-based symbols; use :meth:`from_rows` / :meth:`to_rows`
-    for the 1-based rendering.
+    ``entries`` holds 0-based symbols; :meth:`from_rows` builds it from
+    1-based rows.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -105,10 +101,6 @@ class LatinRectangle:
     @property
     def m(self) -> int:
         return len(self.entries[0])
-
-    def to_rows(self) -> list[list[int]]:
-        """Rows with 1-based symbols."""
-        return [[s + 1 for s in row] for row in self.entries]
 
     def column(self, q: int) -> tuple[int, ...]:
         """Column q (0-based index), 1-based symbols, top to bottom."""
@@ -404,7 +396,10 @@ def enumerate_latin_rectangles(
     With ``pattern`` given, visits exactly the rectangles of that pattern.
     Returns the number of rectangles.  Without a visitor they are only
     counted: one per orbit (:class:`_RowQuotient` with ``symbols``) times
-    the orbit size, or, with ``pattern``, by :meth:`OrbitTally.at`.
+    the orbit size, or, with ``pattern``, by :meth:`OrbitTally.at`.  That
+    one pattern costs a whole :func:`orbit_tally` (15.4 s for one (3,7)
+    pattern); a caller that counts many patterns should call
+    :func:`orbit_tally` once and then :meth:`OrbitTally.at` for each.
     """
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
@@ -443,53 +438,6 @@ class SignedTally:
         """sum over patterns of (plus - minus)^2."""
         return sum((p - n) ** 2 for p, n in self.counts.values())
 
-    def _records(self) -> tuple[list, Iterable]:
-        """The distinct subsets, sorted, and the report records of
-        ``sorted(self.counts.items())``: each pattern as its subsets' ranks
-        in that list, with (plus, minus)."""
-        subsets = sorted({sub for key in self.counts for sub in key})
-        rank = {sub: r for r, sub in enumerate(subsets)}.__getitem__
-        items = sorted(self.counts.items())
-        return subsets, ((map(rank, key), pn) for key, pn in items)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "m": self.m,
-            "patterns": [
-                {
-                    "pattern": [list(sub) for sub in key],
-                    "plus": str(p),
-                    "minus": str(n),
-                }
-                for key, (p, n) in sorted(self.counts.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SignedTally":
-        counts = {
-            tuple(tuple(sub) for sub in rec["pattern"]): (
-                int(rec["plus"]),
-                int(rec["minus"]),
-            )
-            for rec in obj["patterns"]
-        }
-        return cls(int(obj["i"]), int(obj["m"]), counts)
-
-    def to_json_text(self, **extra) -> str:
-        """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
-        byte, where ``report`` is :meth:`to_json_dict` plus the fields
-        ``extra`` (any but ``patterns``), by :func:`_write_report`."""
-        pieces: list[str] = []
-        _write_report(pieces.append, self.i, self.m, *self._records(), "json", extra)
-        return "".join(pieces)
-
-    def to_csv_text(self) -> str:
-        pieces: list[str] = []
-        _write_report(pieces.append, self.i, self.m, *self._records(), "csv", {})
-        return "".join(pieces)
-
 
 # Records per write of a streamed report: about 0.4 MB of (3,6) JSON.  The
 # chunk's text, held in a few copies while it is joined and written, sets
@@ -509,11 +457,13 @@ def _write_report(
     """Write a tally report in chunks of :data:`_REPORT_CHUNK` records.
 
     ``records`` are (ranks, (plus, minus)) in report order, the ranks
-    indexing ``subsets``; each distinct subset is rendered once.  ``fmt``
-    "json" writes ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
-    byte for byte, where ``report`` holds i, m, the fields ``extra`` and
-    ``patterns``, without a dict per pattern or the pure-Python indent
-    encoder; "csv" writes one line per record under a header.
+    indexing ``subsets``; each distinct subset is rendered once.  There is
+    at least one record: every (i, m) that :func:`_check_dims` accepts has
+    a rectangle.  ``fmt`` "json" writes ``json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"`` byte for byte, where ``report`` holds i, m,
+    the fields ``extra`` and ``patterns``, without a dict per pattern or
+    the pure-Python indent encoder; "csv" writes one line per record under
+    a header.
     """
     records = iter(records)
     chunks = iter(lambda: list(islice(records, _REPORT_CHUNK)), [])
@@ -543,15 +493,14 @@ def _write_report(
             value = json.dumps(report[name], indent=2, sort_keys=True)
             pieces.append(value.replace("\n", "\n  "))
             continue
-        head, sep = "".join(pieces), "[\n"
-        pieces = []
+        sep = "".join(pieces) + "[\n"
         for chunk in chunks:
-            write(head + sep + ",\n".join(
+            write(sep + ",\n".join(
                 record % (n, ",\n".join(map(column, ranks)), p)
                 for ranks, (p, n) in chunk
             ))
-            head, sep = "", ",\n"
-        pieces.append(head + ("[]" if sep == "[\n" else "\n  ]"))
+            sep = ",\n"
+        pieces = ["\n  ]"]
     pieces.append("\n}\n")
     write("".join(pieces))
 
@@ -762,9 +711,9 @@ class OrbitTally:
     def write_report(
         self, write: Callable[[str], object], fmt: str = "json", **extra
     ) -> None:
-        """Stream the report of the expanded tally to ``write``: the text of
-        ``expand().to_json_text(**extra)``, or of ``expand().to_csv_text()``
-        with ``fmt`` "csv", byte for byte, without building either."""
+        """Stream the report of the expanded tally to ``write``, without
+        building it: JSON with the fields ``extra`` next to i, m and
+        ``patterns``, or CSV with ``fmt`` "csv" (:func:`_write_report`)."""
         _write_report(write, self.i, self.m, *self._records(), fmt, extra)
 
     def expand(self) -> SignedTally:
@@ -866,7 +815,10 @@ def signed_tally(
     reads from it (by König's theorem every valid pattern has a rectangle),
     at i = m the signed square count.  :func:`column_order_tally` is the
     unreduced oracle.  ``processes`` workers share the prefix blocks, and
-    ``checkpoint_path`` holds one record per finished block.
+    ``checkpoint_path`` holds one record per finished block.  One pattern
+    costs a whole :func:`orbit_tally` (15.4 s for one (3,7) pattern); a
+    caller that needs many patterns should call :func:`orbit_tally` once
+    and then :meth:`OrbitTally.at` for each.
     """
     _check_dims(i, m)
     masks = None if pattern is None else _pattern_masks(pattern, i, m)
@@ -946,92 +898,6 @@ def alon_tarsi_difference(
 
     _run_columns(m, m, _pattern_masks(None, m, m), leaf, quotient)
     return quotient.order * (acc[0] - acc[1])
-
-
-# ---------------------------------------------------------------------------
-# Structural operations: projection, sign factorization, concatenation.
-# ---------------------------------------------------------------------------
-
-
-def project_last_row(rect: LatinRectangle) -> LatinRectangle:
-    """Drop the last row, yielding an (i-1, m)-rectangle."""
-    if rect.i == 1:
-        raise ValueError("cannot project single row")
-    return LatinRectangle(rect.entries[:-1])
-
-
-@dataclass
-class SignFactorizationReport:
-    """Whether eps_c factors through the projected pattern on every fiber.
-
-    For each (i, m)-pattern A and each (i-1, m)-pattern B arising from its
-    rectangles, the ratio eps_c(rect) / eps_c(projection) must be a constant
-    eps(B) on the fiber.
-    """
-
-    i: int
-    m: int
-    ok: bool
-    fibers: int
-    rectangles: int
-    counterexample: Optional[tuple[LatinRectangle, LatinRectangle]]
-
-
-def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
-    """Exhaustively check the fiberwise sign factorization at (i, m)."""
-    if i < 2:
-        raise ValueError("need at least two rows")
-    _check_dims(i, m)
-    allowed = _pattern_masks(None, i, m)
-    fiber_sign: dict[tuple, int] = {}
-    state = {"ok": True, "count": 0, "bad": None}
-
-    def leaf(rows, col_masks, _parity):
-        if not state["ok"]:
-            return
-        state["count"] += 1
-        # eps_c(R) / eps_c(top) is the parity the last row adds: placing s
-        # under a column of mask ``top`` adds popcount(top >> (s+1)).
-        last = rows[-1]
-        tops = [mask ^ 1 << s for mask, s in zip(col_masks, last)]
-        odd = sum((top >> (s + 1)).bit_count() for top, s in zip(tops, last)) & 1
-        key = (tuple(col_masks), tuple(tops))
-        ratio = -1 if odd else 1
-        seen = fiber_sign.get(key)
-        if seen is None:
-            fiber_sign[key] = ratio
-        elif seen != ratio:
-            state["ok"] = False
-            state["bad"] = (
-                LatinRectangle(tuple(rows)),
-                LatinRectangle(tuple(rows[:-1])),
-            )
-
-    _run_rows(i, m, allowed, (), leaf)
-    return SignFactorizationReport(
-        i=i,
-        m=m,
-        ok=state["ok"],
-        fibers=len(fiber_sign),
-        rectangles=state["count"],
-        counterexample=state["bad"],
-    )
-
-
-def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangle:
-    """Side-by-side join with rect_b's symbols shifted by rect_a's width.
-
-    eps_c of the result is the product of the two signs, and the pattern is
-    the pattern of rect_a followed by the shifted pattern of rect_b.
-    """
-    if rect_a.i != rect_b.i:
-        raise ValueError("row counts differ")
-    shift = rect_a.m
-    rows = tuple(
-        ra + tuple(s + shift for s in rb)
-        for ra, rb in zip(rect_a.entries, rect_b.entries)
-    )
-    return LatinRectangle(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -275,11 +275,15 @@ def witness_search(
 
 
 def matrix_from_csv(text: str) -> RestrictionMatrix:
-    """Rows of comma-separated integers or p/q rationals."""
+    """Rows of comma-separated integers or p/q rationals; a cell that is
+    neither, or has a zero denominator, is a ``ValueError``."""
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
         if not line:
             continue
-        rows.append([Fraction(cell.strip()) for cell in line.split(",")])
+        try:
+            rows.append([Fraction(cell.strip()) for cell in line.split(",")])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in matrix row {line!r}") from None
     return RestrictionMatrix.from_rows(rows)

@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 from operator import itemgetter
-from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
 from . import latin
@@ -33,23 +32,17 @@ from . import latin
 __all__ = [
     "SparseTensor",
     "Tableau",
-    "SignedGroupElement",
-    "ScanReport",
     "symmetrized_basis_tensor",
     "word_tensor",
     "rectangular_tableau",
-    "row_group",
-    "col_group",
     "apply_symmetrizer",
     "pairing",
     "rectangle_symmetrizer_pairing",
     "pattern_imbalance_pairing",
     "pairing_identity_report",
     "latin_sign_sum_pairing",
-    "translated_pairing_scan",
 ]
 
-DEFAULT_GROUP_CAP = 10**6
 DEFAULT_WORK_CAP = 2 * 10**6
 
 
@@ -117,7 +110,7 @@ class SparseTensor:
         )
 
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
-        """Tensor product: keys concatenate, coefficients multiply."""
+        """Tensor product: keys are joined end to end, coefficients multiply."""
         if self.m != other.m:
             raise ValueError("alphabet mismatch")
         data = {}
@@ -247,14 +240,6 @@ def rectangular_tableau(i: int, m: int) -> Tableau:
     return Tableau.row_reading((m,) * i)
 
 
-@dataclass(frozen=True)
-class SignedGroupElement:
-    """A slot permutation of {0..k-1} with an attached sign."""
-
-    perm: tuple[int, ...]
-    sign: int
-
-
 def _group_order(cells: list[list[int]]) -> int:
     return prod(factorial(len(block)) for block in cells)
 
@@ -278,37 +263,6 @@ def _block_tables(
             table.append((tuple(perm), latin.column_sign(pos) if signed else 1))
         tables.append(table)
     return tables
-
-
-def _signed_group(
-    k: int, blocks: list[list[int]], signed: bool, max_order: int
-) -> list[SignedGroupElement]:
-    """The direct product of the block tables, first block outermost."""
-    if _group_order(blocks) > max_order:
-        raise BudgetExceeded("symmetrizer too large", _group_order(blocks))
-    group = [(tuple(range(k)), 1)]
-    for table in _block_tables(k, blocks, signed):
-        # The blocks are disjoint, so composing with perm fills in its block.
-        group = [
-            (tuple(perm[j] for j in g), g_sign * sign)
-            for g, g_sign in group
-            for perm, sign in table
-        ]
-    return [SignedGroupElement(perm, sign) for perm, sign in group]
-
-
-def row_group(
-    t: Tableau, max_order: int = DEFAULT_GROUP_CAP
-) -> list[SignedGroupElement]:
-    """All row-preserving slot permutations, every sign +1."""
-    return _signed_group(t.size, [list(row) for row in t.rows], False, max_order)
-
-
-def col_group(
-    t: Tableau, max_order: int = DEFAULT_GROUP_CAP
-) -> list[SignedGroupElement]:
-    """All column-preserving slot permutations, signed by parity."""
-    return _signed_group(t.size, t.columns(), True, max_order)
 
 
 def _symmetrizer_stage(
@@ -529,62 +483,3 @@ def latin_sign_sum_pairing(m: int, *, method: str = "search") -> int:
     if value.denominator != 1:
         raise RuntimeError("internal error: non-integer sign sum")
     return value.numerator
-
-
-@dataclass
-class ScanReport:
-    """Values of the pairing against slot-translated symmetrizer images."""
-
-    m: int
-    base_value: int
-    checked: int
-    ok: bool
-    value_counts: dict[str, int]
-    violations: list[tuple[tuple[int, ...], Fraction]]
-
-
-def translated_pairing_scan(
-    m: int,
-    taus: Optional[Iterable[Sequence[int]]] = None,
-    *,
-    samples: int = 24,
-    seed: int = 0,
-    max_work: int = DEFAULT_WORK_CAP,
-) -> ScanReport:
-    """Check that every slot translation scales the pairing by 0 or +-1.
-
-    With ``taus`` omitted, scans all of S_{m^2} when m = 2 and a seeded
-    sample otherwise.
-    """
-    t = rectangular_tableau(m, m)
-    image = apply_symmetrizer(t, word_tensor(t, m), max_work)
-    base = latin_sign_sum_pairing(m)
-    k = m * m
-    if taus is None:
-        if m == 2:
-            tau_list = [tuple(p) for p in permutations(range(k))]
-        else:
-            rng = Random(seed)
-            tau_list = []
-            for _ in range(samples):
-                perm = list(range(k))
-                rng.shuffle(perm)
-                tau_list.append(tuple(perm))
-    else:
-        tau_list = [tuple(tau) for tau in taus]
-    allowed = {Fraction(0), Fraction(base), Fraction(-base)}
-    counts: dict[str, int] = {}
-    violations: list[tuple[tuple[int, ...], Fraction]] = []
-    for tau in tau_list:
-        value = _pair_with_symmetrized_power(image.permute_slots(tau), m, m)
-        counts[str(value)] = counts.get(str(value), 0) + 1
-        if value not in allowed:
-            violations.append((tau, value))
-    return ScanReport(
-        m=m,
-        base_value=base,
-        checked=len(tau_list),
-        ok=not violations,
-        value_counts=dict(sorted(counts.items())),
-        violations=violations,
-    )

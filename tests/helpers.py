@@ -1,5 +1,9 @@
 """Shared generators for the randomized test suites (all exact arithmetic),
-and a runner for code that needs a fresh interpreter."""
+a runner for code that needs a fresh interpreter, and the claim checks and
+reference builders that only the tests run: the fiberwise sign
+factorization, concatenation and projection of Latin rectangles, the
+slot-translation scan, the expanded symmetrizer groups, the character table
+orthogonality sums and the plain ``json.dumps`` rendering of a tally."""
 
 from __future__ import annotations
 
@@ -7,15 +11,18 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from pathlib import Path
 from random import Random
+from typing import Iterable, Optional, Sequence
 
 import detorbit
-from detorbit import latin, tensors
+from detorbit import kronecker, latin, tensors
 from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
+from detorbit.latin import LatinRectangle
 from detorbit.orbit import RestrictionMatrix
 
 SRC = str(Path(detorbit.__file__).resolve().parent.parent)
@@ -147,3 +154,239 @@ def class_multiset_invariant(m: int, i: int, f: HomPoly) -> Fraction:
             pairs.extend(keys[idx] * e)
         total += weight * coeff * elementary_det_power(i, m // 2, pairs)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Latin rectangles: the plain tally rendering, projection, concatenation and
+# the fiberwise sign factorization.
+# ---------------------------------------------------------------------------
+
+
+def tally_json_dict(tally: latin.SignedTally) -> dict:
+    """The tally report as a dict, for ``json.dumps(..., indent=2,
+    sort_keys=True)``: the reference the streamed report is checked against."""
+    return {
+        "i": tally.i,
+        "m": tally.m,
+        "patterns": [
+            {
+                "pattern": [list(sub) for sub in key],
+                "plus": str(p),
+                "minus": str(n),
+            }
+            for key, (p, n) in sorted(tally.counts.items())
+        ],
+    }
+
+
+def project_last_row(rect: LatinRectangle) -> LatinRectangle:
+    """Drop the last row, yielding an (i-1, m)-rectangle."""
+    if rect.i == 1:
+        raise ValueError("cannot project single row")
+    return LatinRectangle(rect.entries[:-1])
+
+
+def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangle:
+    """Side-by-side join with rect_b's symbols shifted by rect_a's width.
+
+    eps_c of the result is the product of the two signs, and the pattern is
+    the pattern of rect_a followed by the shifted pattern of rect_b.
+    """
+    if rect_a.i != rect_b.i:
+        raise ValueError("row counts differ")
+    shift = rect_a.m
+    rows = tuple(
+        ra + tuple(s + shift for s in rb)
+        for ra, rb in zip(rect_a.entries, rect_b.entries)
+    )
+    return LatinRectangle(rows)
+
+
+@dataclass
+class SignFactorizationReport:
+    """Whether eps_c factors through the projected pattern on every fiber.
+
+    For each (i, m)-pattern A and each (i-1, m)-pattern B arising from its
+    rectangles, the ratio eps_c(rect) / eps_c(projection) must be a constant
+    eps(B) on the fiber.
+    """
+
+    i: int
+    m: int
+    ok: bool
+    fibers: int
+    rectangles: int
+    counterexample: Optional[tuple[LatinRectangle, LatinRectangle]]
+
+
+def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
+    """Exhaustively check the fiberwise sign factorization at (i, m)."""
+    if not 2 <= i <= m:
+        raise ValueError("need 2 <= i <= m")
+    fiber_sign: dict[tuple, int] = {}
+    state = {"ok": True, "count": 0, "bad": None}
+
+    def leaf(rows, col_masks, _parity):
+        if not state["ok"]:
+            return
+        state["count"] += 1
+        # eps_c(R) / eps_c(top) is the parity the last row adds: placing s
+        # under a column of mask ``top`` adds popcount(top >> (s+1)).
+        last = rows[-1]
+        tops = [mask ^ 1 << s for mask, s in zip(col_masks, last)]
+        odd = sum((top >> (s + 1)).bit_count() for top, s in zip(tops, last)) & 1
+        key = (tuple(col_masks), tuple(tops))
+        ratio = -1 if odd else 1
+        seen = fiber_sign.get(key)
+        if seen is None:
+            fiber_sign[key] = ratio
+        elif seen != ratio:
+            state["ok"] = False
+            state["bad"] = (
+                LatinRectangle(tuple(rows)),
+                LatinRectangle(tuple(rows[:-1])),
+            )
+
+    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf)
+    return SignFactorizationReport(
+        i=i,
+        m=m,
+        ok=state["ok"],
+        fibers=len(fiber_sign),
+        rectangles=state["count"],
+        counterexample=state["bad"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Tensors: the expanded symmetrizer groups and the slot-translation scan.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SignedGroupElement:
+    """A slot permutation of {0..k-1} with an attached sign."""
+
+    perm: tuple[int, ...]
+    sign: int
+
+
+def _signed_group(
+    k: int, blocks: list[list[int]], signed: bool
+) -> list[SignedGroupElement]:
+    """The direct product of the block tables, first block outermost."""
+    group = [(tuple(range(k)), 1)]
+    for table in tensors._block_tables(k, blocks, signed):
+        # The blocks are disjoint, so composing with perm fills in its block.
+        group = [
+            (tuple(perm[j] for j in g), g_sign * sign)
+            for g, g_sign in group
+            for perm, sign in table
+        ]
+    return [SignedGroupElement(perm, sign) for perm, sign in group]
+
+
+def row_group(t: tensors.Tableau) -> list[SignedGroupElement]:
+    """All row-preserving slot permutations, every sign +1."""
+    return _signed_group(t.size, [list(row) for row in t.rows], False)
+
+
+def col_group(t: tensors.Tableau) -> list[SignedGroupElement]:
+    """All column-preserving slot permutations, signed by parity."""
+    return _signed_group(t.size, t.columns(), True)
+
+
+@dataclass
+class ScanReport:
+    """Values of the pairing against slot-translated symmetrizer images."""
+
+    m: int
+    base_value: int
+    checked: int
+    ok: bool
+    value_counts: dict[str, int]
+    violations: list[tuple[tuple[int, ...], Fraction]]
+
+
+def translated_pairing_scan(
+    m: int,
+    taus: Optional[Iterable[Sequence[int]]] = None,
+    *,
+    samples: int = 24,
+    seed: int = 0,
+) -> ScanReport:
+    """Check that every slot translation scales the pairing by 0 or +-1.
+
+    With ``taus`` omitted, scans all of S_{m^2} when m = 2 and a seeded
+    sample otherwise.
+    """
+    t = tensors.rectangular_tableau(m, m)
+    image = tensors.apply_symmetrizer(t, tensors.word_tensor(t, m))
+    base = tensors.latin_sign_sum_pairing(m)
+    k = m * m
+    if taus is None:
+        if m == 2:
+            tau_list = [tuple(p) for p in permutations(range(k))]
+        else:
+            rng = Random(seed)
+            tau_list = []
+            for _ in range(samples):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                tau_list.append(tuple(perm))
+    else:
+        tau_list = [tuple(tau) for tau in taus]
+    allowed = {Fraction(0), Fraction(base), Fraction(-base)}
+    counts: dict[str, int] = {}
+    violations: list[tuple[tuple[int, ...], Fraction]] = []
+    for tau in tau_list:
+        value = tensors._pair_with_symmetrized_power(image.permute_slots(tau), m, m)
+        counts[str(value)] = counts.get(str(value), 0) + 1
+        if value not in allowed:
+            violations.append((tau, value))
+    return ScanReport(
+        m=m,
+        base_value=base,
+        checked=len(tau_list),
+        ok=not violations,
+        value_counts=dict(sorted(counts.items())),
+        violations=violations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Characters: the orthogonality relations of the character table of S_n.
+# ---------------------------------------------------------------------------
+
+
+def character_table(n: int) -> tuple[list, list[int], list[list[int]]]:
+    """The partitions of n, the class sizes in that order, and the table
+    ``values[a][c]`` = chi of the a-th partition at the c-th cycle type."""
+    parts = list(kronecker.partitions(n))
+    sizes = [kronecker.class_size(mu) for mu in parts]
+    values = [[kronecker.mn_character(lam, mu) for mu in parts] for lam in parts]
+    return parts, sizes, values
+
+
+def row_orthogonality_ok(n: int) -> bool:
+    """sum_mu |C_mu| chi_lam(mu) chi_rho(mu) == n! delta_{lam,rho}."""
+    parts, sizes, values = character_table(n)
+    k = len(parts)
+    return all(
+        sum(sizes[c] * values[a][c] * values[b][c] for c in range(k))
+        == (factorial(n) if a == b else 0)
+        for a in range(k)
+        for b in range(a, k)
+    )
+
+
+def column_orthogonality_ok(n: int) -> bool:
+    """sum_lam chi_lam(mu) chi_lam(nu) == delta_{mu,nu} n!/|C_mu|."""
+    parts, sizes, values = character_table(n)
+    k = len(parts)
+    return all(
+        sum(values[r][a] * values[r][b] for r in range(k))
+        == (factorial(n) // sizes[a] if a == b else 0)
+        for a in range(k)
+        for b in range(a, k)
+    )

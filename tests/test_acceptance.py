@@ -12,7 +12,16 @@ from random import Random
 
 import pytest
 
-from helpers import random_hompoly, random_restriction_matrix, random_sl_matrix
+from helpers import (
+    column_orthogonality_ok,
+    concatenate,
+    random_hompoly,
+    random_restriction_matrix,
+    random_sl_matrix,
+    row_orthogonality_ok,
+    translated_pairing_scan,
+    verify_sign_factorization,
+)
 from detorbit import invariant, kronecker, latin, orbit, tensors
 
 
@@ -80,7 +89,7 @@ def test_criterion_3_pairing_identity(i, m):
 def test_criterion_4_sign_sum_and_translation_scan():
     for m in (1, 2, 3, 4):
         assert tensors.latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
-    scan = tensors.translated_pairing_scan(2)
+    scan = translated_pairing_scan(2)
     assert scan.checked == 24 and scan.ok
     assert set(scan.value_counts) == {"-2", "0", "2"}
     _report("criterion 4: sign-sum pairing matches; translation scan in {0,+-2}")
@@ -175,9 +184,8 @@ def test_criterion_7_invariance_suite(m, i):
 
 def test_criterion_8_kronecker_suite():
     for n in range(1, 13):
-        table = kronecker.CharacterTable.build(n)
-        assert table.row_orthogonality_ok(), n
-        assert table.column_orthogonality_ok(), n
+        assert row_orthogonality_ok(n), n
+        assert column_orthogonality_ok(n), n
     for n in range(2, 9):
         for mu in kronecker.partitions(n):
             dim = kronecker.partition_dimension(mu)
@@ -201,9 +209,9 @@ def test_criterion_8_kronecker_suite():
 def test_criterion_9_structural_laws():
     for m in range(2, 5):
         for i in range(2, m + 1):
-            assert latin.verify_sign_factorization(i, m).ok, (i, m)
+            assert verify_sign_factorization(i, m).ok, (i, m)
     for i in (2, 3):
-        assert latin.verify_sign_factorization(i, 5).ok, (i, 5)
+        assert verify_sign_factorization(i, 5).ok, (i, 5)
     # Imbalance propagates downward to fewer rows.
     for m in range(1, 5):
         _check_imbalance_projection(m)
@@ -220,7 +228,7 @@ def test_criterion_9_structural_laws():
             right = pools[(i, mp)]
             for a in left:
                 for b in right:
-                    joined = latin.concatenate(a, b)
+                    joined = concatenate(a, b)
                     assert latin.rect_sign(joined) == latin.rect_sign(
                         a
                     ) * latin.rect_sign(b)

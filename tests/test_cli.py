@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from detorbit import latin
 from detorbit.cli import main
+from helpers import tally_json_dict
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -229,11 +231,50 @@ def test_invariant_eval_from_form_literal(capsys, tmp_path):
     assert report["value"] == {"num": "-1", "den": "4"}
 
 
+def _form(exp, num="1", den="1") -> str:
+    return json.dumps(
+        {"vars": 2, "degree": 2, "terms": [{"exp": exp, "num": num, "den": den}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["invariant-eval", "2", "2", "-"], "{}"),
+        (["invariant-eval", "2", "2", "-"], _form([1, 1], den="0")),
+        (["invariant-eval", "2", "2", "-"], "[1]"),
+        (["invariant-eval", "2", "2", "-"], _form(["a", 1])),
+        (["witness", "4", "2", "--matrix"], "1,0\n1/0,1\n1,1\n0,1\n"),
+        # Neither may be read as an integer: 0.5 would truncate to 0.
+        (["invariant-eval", "2", "2", "-"], _form([1, 1], num=0.5)),
+        (["invariant-eval", "2", "2", "-"], _form([True, True])),
+    ],
+    ids=[
+        "no-terms", "zero-den", "not-an-object", "string-exponent", "csv-zero-den",
+        "float-numerator", "bool-exponent",
+    ],
+)
+def test_malformed_input_is_bad_input(capsys, monkeypatch, tmp_path, argv, text):
+    # Bad input exits 3 with a JSON error, not 1 ("a check failed") with a
+    # traceback.
+    if argv[0] == "witness":
+        path = tmp_path / "A.csv"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = _run(capsys, *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"error", "kind"}
+    assert report["kind"] == "input"
+
+
 @pytest.mark.parametrize("i,m", [(2, 4), (3, 4), (2, 5), (3, 5)])
 def test_tally_report_bytes(capsys, tmp_path, i, m):
     # References rendered the plain way from the unreduced column oracle.
     oracle = latin.column_order_tally(i, m)
-    report = {**oracle.to_json_dict(), "total": str(oracle.total()), "seed": 0}
+    report = {**tally_json_dict(oracle), "total": str(oracle.total()), "seed": 0}
     want_json = json.dumps(report, indent=2, sort_keys=True) + "\n"
     want_csv = "\n".join(
         ["i,m,pattern,plus,minus"]
