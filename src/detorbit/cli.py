@@ -162,7 +162,11 @@ def _cmd_invariant_eval(args) -> tuple[int, dict]:
     else:
         with open(args.form, encoding="utf-8") as fh:
             payload = fh.read()
-    f = invariant.HomPoly.from_json_dict(json.loads(payload))
+    try:
+        literal = json.loads(payload)
+    except RecursionError:
+        raise ValueError("form literal nested too deeply") from None
+    f = invariant.HomPoly.from_json_dict(literal)
     value = invariant.det_power_invariant(args.m, args.i, f, budget=args.budget)
     report = {
         "m": args.m,
@@ -244,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for tally and alon-tarsi "
-        "(at most one per block and per CPU)",
+        help="worker processes for tally and alon-tarsi (at most one per "
+        "block and per usable CPU; started once a run has visited 20,000 "
+        "leaves)",
     )
     parser.add_argument(
         "--budget", type=int, default=10**9, help="work cap for heavy evaluations"

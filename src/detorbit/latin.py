@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, groupby, islice, permutations
 from math import factorial, prod
+from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -397,7 +399,7 @@ def enumerate_latin_rectangles(
     Returns the number of rectangles.  Without a visitor they are only
     counted: one per orbit (:class:`_RowQuotient` with ``symbols``) times
     the orbit size, or, with ``pattern``, by :meth:`OrbitTally.at`.  That
-    one pattern costs a whole :func:`orbit_tally` (15.4 s for one (3,7)
+    one pattern costs a whole :func:`orbit_tally` (5.5 s for one (3,7)
     pattern); a caller that counts many patterns should call
     :func:`orbit_tally` once and then :meth:`OrbitTally.at` for each.
     """
@@ -538,75 +540,143 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _block_job(args) -> tuple[tuple, dict]:
-    i, m, prefix = args
+# Leaves a run visits in this process before it hands the blocks left to a
+# worker pool.  Starting and stopping a two-worker pool costs 22-30 ms on a
+# 2-vCPU host (Python 3.11): import of multiprocessing 6-10 ms, start 14-18
+# ms, stop 2 ms.  That is the work of about 5,000 leaves at 5 us each,
+# folding included; a run that has visited four times as many is taken to
+# have at least as many left, enough to repay the pool.  No tally 3 5, 3 6,
+# 5 5 or 6 6 reaches it.
+_POOL_AFTER_LEAVES = 20_000
+
+# A pool worker's memo of canonical forms: the parent's, inherited when the
+# pool starts (:func:`_adopt_memo`).  The parent itself never sets it.
+_worker_memo: Optional[dict] = None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _adopt_memo(memo: dict) -> None:
+    global _worker_memo
+    _worker_memo = memo
+
+
+def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
+    """Enumerate prefix blocks and fold each into ``orbits``.
+
+    ``job`` is (i, m, prefixes, config).  Each block is folded through
+    ``memo`` (:func:`_fold_orbits`).  Returns the leaves visited and, with
+    a checkpoint ``config``, one record line per block
+    (:func:`_record_line`); without one, no lines.
+    """
+    i, m, prefixes, config = job
     quotient = _row_quotient(i, m, symbols=True)
-    bucket: dict = {}
-    leaf = _tally_leaf_factory(bucket)
-    _run_rows(i, m, _pattern_masks(None, i, m), prefix, leaf, quotient)
+    allowed = _pattern_masks(None, i, m)
     w = quotient.order
-    return prefix, {key: (pn[0] * w, pn[1] * w) for key, pn in bucket.items()}
+    leaves = 0
+    lines = []
+    for prefix in prefixes:
+        bucket: dict = {}
+        leaf = _tally_leaf_factory(bucket)
+        leaves += _run_rows(i, m, allowed, prefix, leaf, quotient)
+        if config is not None:
+            lines.append(_record_line(prefix, bucket, w, config))
+        _fold_orbits(i, m, bucket, w, memo, orbits)
+    return leaves, lines
+
+
+def _pool_job(job: tuple) -> tuple[dict, list[str]]:
+    """:func:`_block_job` in a pool worker, through the memo it inherited:
+    the orbit counts of the job's blocks and their record lines."""
+    orbits: dict = {}
+    _leaves, lines = _block_job(job, _worker_memo, orbits)
+    return orbits, lines
 
 
 def _tally_by_blocks(
     i: int, m: int, processes: int, checkpoint_path: Optional[str]
 ) -> dict:
-    """Tally of :func:`_row_quotient` with ``symbols``, by prefix blocks, with
-    counts weighted by its order; optional worker pool and checkpointing.
+    """The orbit counts of all Latin (i, m)-rectangles: canonical profiles ->
+    [plus, minus, stab] (:func:`_fold_orbits`), by prefix blocks; optional
+    worker pool and checkpointing.
 
-    Blocks are the rectangles sharing their first two rows
-    (:func:`_list_prefixes`).  Each block's bucket is added to the tally as
-    soon as it is resumed or finished, so no block is held to the end; the
-    sums are of integers and do not depend on the worker schedule.  The pool
-    gets min(processes, blocks to do, ``os.cpu_count()``) workers.
+    Blocks are the first-row-fixed rectangles of :func:`_row_quotient` with
+    ``symbols`` sharing their first two rows (:func:`_list_prefixes`).  Each
+    block is folded to orbits where it runs (:func:`_block_job`), and its
+    orbit counts are added to the run's as soon as it is resumed or
+    finished; the sums are of integers and do not depend on the order of
+    the blocks.  One memo of canonical forms serves the whole run, so each
+    distinct pattern is canonicalised once per process, and it is dropped
+    with the run.
+
+    Blocks run one by one in this process until the run has visited
+    :data:`_POOL_AFTER_LEAVES` leaves.  Only then, if ``processes`` > 1, do
+    the blocks left go to a pool of min(processes, blocks left, usable
+    CPUs) workers (:func:`_usable_cpus`), which inherit the memo, in eight
+    chunks of adjacent blocks per worker; each chunk's orbit counts come
+    back summed.  So ``multiprocessing`` is imported only by a run large
+    enough to repay it.
+
     Checkpoint records carry the full configuration (i, m, allowed masks,
     quotient group) and weighted per-pattern counts; records of any other
     configuration, and prefixes outside the current partition, are ignored.
+    A block's record line is rendered where the block runs, and this
+    process appends it (:func:`write_checkpoint_record`).
     """
-    if processes > 1:
-        # Serial runs never load multiprocessing.  Imported after the block
-        # lists below, its modules pinned freed memory: +0.3 MB peak RSS on a
-        # two-worker tally 3 5.
-        from multiprocessing import Pool
     prefixes = _list_prefixes(i, m)
     group = _row_quotient(i, m, symbols=True).group
     config = {"i": i, "m": m, "allowed": _pattern_masks(None, i, m), "group": group}
-    merged: dict = {}
-
-    def merge(bucket: dict) -> None:
-        for key, (p, n) in bucket.items():
-            cur = merged.get(key)
-            if cur is None:
-                merged[key] = [p, n]
-            else:
-                cur[0] += p
-                cur[1] += n
-
+    memo: dict = {}
+    folded: dict = {}
     done: set = set()
     if checkpoint_path is not None:
         valid = set(prefixes)
         for prefix, bucket in load_checkpoint(checkpoint_path, config).items():
             if prefix in valid:
                 done.add(prefix)
-                merge(bucket)
-    jobs = [(i, m, p) for p in prefixes if p not in done]
+                _fold_orbits(i, m, bucket, 1, memo, folded)
+    record = None if checkpoint_path is None else config
+    todo = deque(p for p in prefixes if p not in done)
 
-    def finish(prefix: tuple, bucket: dict) -> None:
-        merge(bucket)
-        if checkpoint_path is not None:
-            write_checkpoint_record(checkpoint_path, prefix, bucket, config)
+    def write(lines: list[str]) -> None:
+        for line in lines:
+            write_checkpoint_record(checkpoint_path, line)
 
-    processes = min(processes, len(jobs), os.cpu_count() or 1)
-    if processes > 1:
-        with Pool(processes) as pool:
-            for prefix, bucket in pool.imap_unordered(
-                _block_job, jobs, chunksize=max(1, len(jobs) // (8 * processes))
-            ):
-                finish(prefix, bucket)
-    else:
-        for job in jobs:
-            finish(*_block_job(job))
-    return merged
+    cpus = _usable_cpus() if processes > 1 else 1
+    visited = 0
+    while todo and (
+        visited < _POOL_AFTER_LEAVES or min(processes, len(todo), cpus) < 2
+    ):
+        leaves, lines = _block_job((i, m, (todo.popleft(),), record), memo, folded)
+        visited += leaves
+        write(lines)
+    if todo:
+        from multiprocessing import Pool
+
+        workers = min(processes, len(todo), cpus)
+        size = -(-len(todo) // (8 * workers))
+        blocks = list(todo)
+        jobs = [
+            (i, m, tuple(blocks[k : k + size]), record)
+            for k in range(0, len(blocks), size)
+        ]
+        with Pool(workers, _adopt_memo, (memo,)) as pool:
+            for orbits, lines in pool.imap_unordered(_pool_job, jobs):
+                for canon, (p, n, stab) in orbits.items():
+                    cur = folded.get(canon)
+                    if cur is None:
+                        folded[canon] = [p, n, stab]
+                    else:
+                        cur[0] += p
+                        cur[1] += n
+                write(lines)
+    return folded
 
 
 @dataclass
@@ -724,13 +794,39 @@ class OrbitTally:
         return SignedTally(self.i, self.m, counts)
 
 
+@cache
+def _lane_tables(m: int) -> tuple[list[dict[int, int]], int]:
+    """Per column c, a table from column masks to the mask's symbols as bit
+    c of their lanes, filled as masks occur (at most 2^m entries each), and
+    the lane width in bytes.  Symbol s has lane s, of whole bytes, counted
+    from the highest."""
+    return [{} for _ in range(m)], (m + 7) // 8
+
+
 def _transpose(masks: Sequence[int], m: int) -> list[int]:
     """The m x m bit matrix transposed: bit c of entry s is bit s of entry c.
 
     It turns column masks into the symbols' profiles (the mask of the
-    columns that hold each symbol) and back.
+    columns that hold each symbol) and back.  The masks' lanes
+    (:func:`_lane_tables`) are summed, so entry s is lane s of the sum, read
+    from its bytes.
     """
-    return [sum((mask >> s & 1) << c for c, mask in enumerate(masks)) for s in range(m)]
+    tables, size = _lane_tables(m)
+    try:
+        packed = sum(map(getitem, tables, masks))
+    except KeyError:
+        width = 8 * size
+        for c, mask in enumerate(masks):
+            tables[c][mask] = sum(
+                1 << width * (m - 1 - s) + c for s in range(m) if mask >> s & 1
+            )
+        packed = sum(map(getitem, tables, masks))
+    raw = packed.to_bytes(m * size, "big")
+    if size == 1:
+        return list(raw)
+    return [
+        int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size)
+    ]
 
 
 def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
@@ -740,45 +836,59 @@ def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
     symbol), flips eps_c; never at odd i with a non-trivial stabiliser,
     where swapping two symbols of equal profile flips eps_c itself."""
     profile = _transpose(masks, m)
-    order = sorted(range(m), key=profile.__getitem__)
-    canon = tuple(profile[s] for s in order)
-    stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+    canon = tuple(sorted(profile))
+    stab = 1
+    if len(set(canon)) < m:
+        stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+        if i % 2:
+            return canon, stab, False
+    # sigma inverts each pair of symbols b < a with profile[b] > profile[a],
+    # once in every column that holds both: the parity of the sum of
+    # (profile[a] & profile[b]).bit_count() is that of their xor's.
     parity = 0
-    if not (i % 2 and stab > 1):
-        for k, a in enumerate(order):
-            for b in order[k + 1 :]:
-                if a > b:
-                    parity ^= (profile[a] & profile[b]).bit_count() & 1
-    return canon, stab, bool(parity)
+    for a in range(1, m):
+        pa = profile[a]
+        for pb in profile[:a]:
+            if pb > pa:
+                parity ^= pa & pb
+    return canon, stab, bool(parity.bit_count() & 1)
 
 
-def _fold_orbits(i: int, m: int, bucket: dict) -> OrbitTally:
-    """Carry a first-row-fixed bucket (column masks -> counts weighted by
-    m! * |G|) to the canonical patterns of its S_m-orbits.
+def _fold_orbits(
+    i: int, m: int, bucket: dict, weight: int, memo: dict, orbits: dict
+) -> None:
+    """Add a first-row-fixed bucket (column masks -> counts, which times
+    ``weight`` are weighted by m! * |G|) to ``orbits``, the counts at the
+    canonical patterns of its S_m-orbits: canonical profiles -> [plus,
+    minus, stab].
 
     Each rectangle is pi R0 for one first-row-fixed R0 and one pi.  The
     relabellings pi that carry R0's pattern P to its canonical pattern K
     are sigma * stab(P) (:func:`_canonical`): at even i all with sigma's
     sign, at odd i with a non-trivial stab(P) half with each sign.  The
-    counts of K are then the bucket's times stab(P) / m!.
+    counts of K are then the weighted bucket's times stab(P) / m!, exact
+    for any set of blocks, since each leaf's weight holds m!; with stab(P)
+    even at odd i, so is the balanced half.  ``memo`` holds the canonical
+    form of every pattern seen so far in the run, and gains the bucket's.
     """
     fact = factorial(m)
-    folded: dict[tuple[int, ...], list[int]] = {}  # profiles -> plus, minus, stab
     for key, (p, n) in bucket.items():
-        canon, stab, swap = _canonical(key, i, m)
-        p, n = p // fact * stab, n // fact * stab
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _canonical(key, i, m)
+        canon, stab, swap = hit
+        scale = weight * stab
+        p, n = p * scale // fact, n * scale // fact
         if i % 2 and stab > 1:
             p = n = (p + n) // 2
         elif swap:
             p, n = n, p
-        cur = folded.setdefault(canon, [0, 0, stab])
-        cur[0] += p
-        cur[1] += n
-    orbits = {}
-    for canon, (p, n, stab) in folded.items():
-        key = tuple(map(_subset_of_mask, _transpose(canon, m)))
-        orbits[key] = (fact // stab, p, n)
-    return OrbitTally(i, m, orbits)
+        cur = orbits.get(canon)
+        if cur is None:
+            orbits[canon] = [p, n, stab]
+        else:
+            cur[0] += p
+            cur[1] += n
 
 
 def orbit_tally(
@@ -792,12 +902,20 @@ def orbit_tally(
 
     Enumerates the first-row-fixed rectangles, one per eps_c-preserving
     orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by blocks
-    cut after row 2, and folds their per-pattern counts into the orbits
-    (:func:`_fold_orbits`).  ``processes`` and ``checkpoint_path`` are those
-    of :func:`signed_tally`.
+    cut after row 2, each folded into the orbits where it runs
+    (:func:`_fold_orbits`), and sums the blocks' orbit counts
+    (:func:`_tally_by_blocks`).  ``processes`` and ``checkpoint_path`` are
+    those of :func:`signed_tally`; workers start only once the run has
+    visited :data:`_POOL_AFTER_LEAVES` leaves.
     """
     _check_dims(i, m)
-    return _fold_orbits(i, m, _tally_by_blocks(i, m, processes, checkpoint_path))
+    fact = factorial(m)
+    folded = _tally_by_blocks(i, m, processes, checkpoint_path)
+    orbits = {
+        tuple(map(_subset_of_mask, _transpose(canon, m))): (fact // stab, p, n)
+        for canon, (p, n, stab) in folded.items()
+    }
+    return OrbitTally(i, m, orbits)
 
 
 def signed_tally(
@@ -814,9 +932,10 @@ def signed_tally(
     pattern; with ``pattern`` it is the one entry :meth:`OrbitTally.at`
     reads from it (by König's theorem every valid pattern has a rectangle),
     at i = m the signed square count.  :func:`column_order_tally` is the
-    unreduced oracle.  ``processes`` workers share the prefix blocks, and
+    unreduced oracle.  ``processes`` workers share the prefix blocks left
+    once the run has visited :data:`_POOL_AFTER_LEAVES` leaves, and
     ``checkpoint_path`` holds one record per finished block.  One pattern
-    costs a whole :func:`orbit_tally` (15.4 s for one (3,7) pattern); a
+    costs a whole :func:`orbit_tally` (5.5 s for one (3,7) pattern); a
     caller that needs many patterns should call :func:`orbit_tally` once
     and then :meth:`OrbitTally.at` for each.
     """
@@ -919,27 +1038,35 @@ def alon_tarsi_difference(
 # "patterns" (the totals-only records of an earlier format) are ignored.
 # ---------------------------------------------------------------------------
 
-def write_checkpoint_record(
-    path: str, prefix: tuple, bucket: dict, config: dict
-) -> None:
-    """Append one block's record: its totals and per-pattern counts, under
-    ``config``, which maps each of i, m, allowed and group to its value."""
+def _record_line(prefix: tuple, bucket: dict, weight: int, config: dict) -> str:
+    """One block's record line: its totals and per-pattern counts, the
+    bucket's times ``weight``, under ``config``, which maps each of i, m,
+    allowed and group to its value."""
+    plus = minus = 0
+    patterns = []
+    for key, (p, n) in sorted(bucket.items()):
+        p, n = p * weight, n * weight
+        plus += p
+        minus += n
+        patterns.append({
+            "pattern": list(map(_subset_of_mask, key)),
+            "plus": str(p),
+            "minus": str(n),
+        })
     rec = {
         "prefix": [[s + 1 for s in row] for row in prefix],
-        "plus": str(sum(pn[0] for pn in bucket.values())),
-        "minus": str(sum(pn[1] for pn in bucket.values())),
-        "patterns": [
-            {
-                "pattern": list(map(_subset_of_mask, key)),
-                "plus": str(pn[0]),
-                "minus": str(pn[1]),
-            }
-            for key, pn in sorted(bucket.items())
-        ],
+        "plus": str(plus),
+        "minus": str(minus),
+        "patterns": patterns,
         **config,
     }
+    return json.dumps(rec, sort_keys=True) + "\n"
+
+
+def write_checkpoint_record(path: str, line: str) -> None:
+    """Append one block's record line (:func:`_record_line`)."""
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.write(line)
 
 
 def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
@@ -981,6 +1108,9 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
                 rec = json.loads(raw)
             except ValueError as exc:
                 torn_at, error = start, exc
+                continue
+            except RecursionError:
+                torn_at, error = start, ValueError("record nested too deeply")
                 continue
             if (
                 not isinstance(rec, dict)

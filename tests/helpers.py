@@ -3,7 +3,8 @@ a runner for code that needs a fresh interpreter, and the claim checks and
 reference builders that only the tests run: the fiberwise sign
 factorization, concatenation and projection of Latin rectangles, the
 slot-translation scan, the expanded symmetrizer groups, the character table
-orthogonality sums and the plain ``json.dumps`` rendering of a tally."""
+orthogonality sums, the plain ``json.dumps`` rendering of a tally and the
+bit-by-bit canonical form and orbit fold of the Latin tally."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from itertools import combinations_with_replacement, groupby, permutations, product
+from math import factorial, prod
 from pathlib import Path
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -176,6 +177,58 @@ def tally_json_dict(tally: latin.SignedTally) -> dict:
             }
             for key, (p, n) in sorted(tally.counts.items())
         ],
+    }
+
+
+def reference_transpose(masks, m: int) -> list[int]:
+    """The m x m bit matrix transposed bit by bit: the reference of the
+    packed ``latin._transpose``."""
+    return [sum((mask >> s & 1) << c for c, mask in enumerate(masks)) for s in range(m)]
+
+
+def reference_canonical(masks, i: int, m: int) -> tuple[tuple, int, bool]:
+    """``latin._canonical`` with the sorting permutation built and its
+    inversions tested pair by pair: canonical profiles, stabiliser order,
+    whether the sort flips eps_c."""
+    profile = reference_transpose(masks, m)
+    order = sorted(range(m), key=profile.__getitem__)
+    canon = tuple(profile[s] for s in order)
+    stab = prod(factorial(len(list(run))) for _, run in groupby(canon))
+    parity = 0
+    if not (i % 2 and stab > 1):
+        for k, a in enumerate(order):
+            for b in order[k + 1 :]:
+                if a > b:
+                    parity ^= (profile[a] & profile[b]).bit_count() & 1
+    return canon, stab, bool(parity)
+
+
+def reference_fold(i: int, m: int) -> dict:
+    """The orbit form of the (i, m) tally from one unblocked first-row-fixed
+    enumeration, folded key by key through :func:`reference_canonical`: the
+    reference of ``orbit_tally(i, m).orbits``."""
+    quotient = latin._row_quotient(i, m, symbols=True)
+    bucket: dict = {}
+    latin._run_rows(
+        i, m, [(1 << m) - 1] * m, (), latin._tally_leaf_factory(bucket), quotient
+    )
+    fact, w = factorial(m), quotient.order
+    folded: dict = {}
+    for key, (p, n) in bucket.items():
+        canon, stab, swap = reference_canonical(key, i, m)
+        p, n = p * w // fact * stab, n * w // fact * stab
+        if i % 2 and stab > 1:
+            p = n = (p + n) // 2
+        elif swap:
+            p, n = n, p
+        cur = folded.setdefault(canon, [0, 0, stab])
+        cur[0] += p
+        cur[1] += n
+    return {
+        tuple(map(latin._subset_of_mask, reference_transpose(canon, m))): (
+            fact // stab, p, n
+        )
+        for canon, (p, n, stab) in folded.items()
     }
 
 

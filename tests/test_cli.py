@@ -138,6 +138,34 @@ def test_torn_checkpoint_tail_resumes(capsys, tmp_path):
     assert code == 3
 
 
+def test_deeply_nested_checkpoint_line(capsys, tmp_path):
+    cp = tmp_path / "cp.ndjson"
+    deep = "[" * 100_000 + "]" * 100_000 + "\n"
+    cp.write_text(deep + '{"i": 3}\n')
+    code, out = _run(capsys, "--checkpoint", str(cp), "tally", "3", "5")
+    assert code == 3
+    assert json.loads(out)["kind"] == "input"
+    # As the last line it is a torn tail: dropped, and the run resumes.
+    cp.write_text(deep)
+    code, out = _run(capsys, "--checkpoint", str(cp), "tally", "3", "5")
+    assert code == 0
+    assert out == _run(capsys, "tally", "3", "5")[1]
+    assert len(cp.read_text().splitlines()) == 44
+
+
+@pytest.mark.parametrize("argv", [["tally", "3", "5"], ["alon-tarsi", "5"]])
+def test_small_threaded_runs_start_no_pool(capsys, monkeypatch, argv):
+    import multiprocessing
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, threaded = _run(capsys, "--threads", "2", *argv)
+    assert code == 0
+    assert threaded == _run(capsys, *argv)[1]
+
+
 def test_checkpoint_rejected_where_nothing_is_checkpointed(capsys, tmp_path):
     cp = tmp_path / "cp.ndjson"
     for argv in (["pairing", "2", "3"], ["sign-sum", "3"], ["verify-all", "2"]):
@@ -148,7 +176,10 @@ def test_checkpoint_rejected_where_nothing_is_checkpointed(capsys, tmp_path):
     assert not cp.exists()
 
 
-def test_threads_flag_matches_serial(capsys):
+def test_threads_flag_matches_serial(capsys, monkeypatch):
+    # Hand the blocks to workers from the first one: tally 3 4 is too small
+    # to start a pool on its own.
+    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
     _, serial = _run(capsys, "tally", "3", "4")
     _, parallel = _run(capsys, "--threads", "2", "tally", "3", "4")
     assert serial == parallel
@@ -248,10 +279,12 @@ def _form(exp, num="1", den="1") -> str:
         # Neither may be read as an integer: 0.5 would truncate to 0.
         (["invariant-eval", "2", "2", "-"], _form([1, 1], num=0.5)),
         (["invariant-eval", "2", "2", "-"], _form([True, True])),
+        # Nested deeper than the decoder recurses.
+        (["invariant-eval", "2", "2", "-"], "[" * 100_000 + "]" * 100_000),
     ],
     ids=[
         "no-terms", "zero-den", "not-an-object", "string-exponent", "csv-zero-den",
-        "float-numerator", "bool-exponent",
+        "float-numerator", "bool-exponent", "deep-nesting",
     ],
 )
 def test_malformed_input_is_bad_input(capsys, monkeypatch, tmp_path, argv, text):

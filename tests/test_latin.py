@@ -6,6 +6,7 @@ import functools
 import json
 import multiprocessing
 import os
+from random import Random
 
 import pytest
 
@@ -25,6 +26,10 @@ from detorbit.latin import (
 from helpers import (
     concatenate,
     project_last_row,
+    reference_canonical,
+    reference_fold,
+    reference_transpose,
+    run_fresh,
     tally_json_dict,
     verify_sign_factorization,
 )
@@ -249,7 +254,9 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
         assert latin._run_columns(5, 5, [31] * 5, None, quotient) == 2688
 
 
-def test_parallel_tally_matches_serial():
+def test_parallel_tally_matches_serial(monkeypatch):
+    # A run this small never starts workers on its own.
+    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
     serial = signed_tally(3, 4)
     parallel = signed_tally(3, 4, processes=2)
     assert serial.counts == parallel.counts
@@ -331,7 +338,8 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
     assert quotient.group == "S4xS3" and quotient.order == 24 * 6
     old = {"i": 4, "m": 4, "allowed": allowed, "group": "S4"}
     for prefix in latin._list_prefixes(4, 4):
-        latin.write_checkpoint_record(cp, prefix, {(15,) * 4: (999, 0)}, old)
+        line = latin._record_line(prefix, {(15,) * 4: (999, 0)}, 1, old)
+        latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
     assert alon_tarsi_difference(4, checkpoint_path=cp) == 576
@@ -470,7 +478,8 @@ def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
     )
     assert len(old) == 2376
     for prefix in old:
-        latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config)
+        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, config)
+        latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
     fresh = signed_tally(3, 5).counts
@@ -502,7 +511,8 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
     for group in ("A3", "S5xA2"):
         config = {"i": 3, "m": 5, "allowed": allowed, "group": group}
         for prefix in old:
-            latin.write_checkpoint_record(cp, prefix, {(7,) * 5: (999, 0)}, config)
+            line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, config)
+            latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
     fresh = signed_tally(3, 5)
@@ -765,8 +775,9 @@ def test_worker_count_is_capped(monkeypatch):
     sizes = []
 
     class FakePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -777,26 +788,40 @@ def test_worker_count_is_capped(monkeypatch):
         def imap_unordered(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    # latin imports Pool only when a run asks for workers: patch it where it is read.
+    # latin imports Pool only when a run hands blocks to workers: patch it
+    # where it is read, and hand them over from the first block.  The fake
+    # runs the workers' initializer here, so the memo it sets is restored.
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(latin.os, "cpu_count", lambda: 3)
-    expected = column_order_tally(3, 4).counts
-    # (3,4) has 6 prefix blocks: capped by the CPU count, then by the blocks.
-    assert signed_tally(3, 4, processes=1000).counts == expected
+    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_worker_memo", None)
+    # The host has 64 CPUs, but this process may run on 3 of them.
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(
+        latin.os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False
+    )
+    expected = column_order_tally(3, 4).counts
+    # (3,4) has 6 prefix blocks: capped by the usable CPUs, then by the blocks.
+    assert signed_tally(3, 4, processes=1000).counts == expected
+    monkeypatch.setattr(latin.os, "sched_getaffinity", lambda _pid: set(range(64)))
     assert signed_tally(3, 4, processes=1000).counts == expected
     assert signed_tally(3, 4, processes=4).counts == expected
+    assert sizes == [3, 6, 4]
+    # Without an affinity set, the host's CPU count caps the pool.
+    monkeypatch.delattr(latin.os, "sched_getaffinity")
+    monkeypatch.setattr(latin.os, "cpu_count", lambda: 5)
+    assert signed_tally(3, 4, processes=1000).counts == expected
     monkeypatch.setattr(latin.os, "cpu_count", lambda: None)
     assert signed_tally(3, 4, processes=4).counts == expected  # serial
-    assert sizes == [3, 6, 4]
+    assert sizes == [3, 6, 4, 5]
 
 
 def test_tally_does_not_depend_on_block_order(monkeypatch):
     sizes = []
 
     class ReversingPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -808,7 +833,9 @@ def test_tally_does_not_depend_on_block_order(monkeypatch):
             return reversed([fn(job) for job in jobs])
 
     monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
-    monkeypatch.setattr(latin.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_worker_memo", None)
+    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     serial = signed_tally(3, 4)
     reversed_blocks = signed_tally(3, 4, processes=2)
     assert reversed_blocks.counts == serial.counts
@@ -874,6 +901,109 @@ def test_orbit_form_matches_its_expansion(i, m):
             # A swap of two symbols of equal profile fixes the pattern and
             # has sign (-1)^i, so at odd i those orbits are balanced.
             assert i % 2 == 0 or plus == minus
+
+
+def _first_row_fixed_keys(i: int, m: int) -> list[tuple[int, ...]]:
+    """The column masks of every first-row-fixed (i, m) pattern, sorted."""
+    keys: set = set()
+    latin._run_rows(
+        i, m, [(1 << m) - 1] * m, (), lambda _rows, masks, _p: keys.add(tuple(masks)),
+        latin._row_quotient(i, m, symbols=True),
+    )
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("i,m", [(3, 5), (2, 6), (3, 6), (4, 6), (5, 6)])
+def test_packed_canonical_form_matches_reference(i, m):
+    keys = _first_row_fixed_keys(i, m)
+    for key in keys:
+        assert latin._transpose(key, m) == reference_transpose(key, m)
+        assert latin._canonical(key, i, m) == reference_canonical(key, i, m)
+    # Relabelled patterns, whose first row is not fixed, under both parities
+    # of i: at odd i a tie skips the parity, at even i it is still taken.
+    rng = Random(10 * i + m)
+    stabilised = set()
+    for key in rng.sample(keys, min(300, len(keys))):
+        pi = rng.sample(range(m), m)
+        moved = tuple(
+            sum(1 << pi[s] for s in range(m) if mask >> s & 1) for mask in key
+        )
+        assert latin._transpose(moved, m) == reference_transpose(moved, m)
+        for j in (i, i + 1):
+            want = reference_canonical(moved, j, m)
+            assert latin._canonical(moved, j, m) == want
+            stabilised.add(want[1] > 1)
+    # At (5,6) each column misses a different symbol, so no profiles tie.
+    assert stabilised == ({False} if (i, m) == (5, 6) else {True, False})
+
+
+def test_packed_transpose_past_one_byte_lanes():
+    # m > 8 takes lanes of two bytes.
+    rng = Random(9)
+    for m in (9, 12, 16):
+        for _ in range(50):
+            masks = [rng.getrandbits(m) for _ in range(m)]
+            assert latin._transpose(masks, m) == reference_transpose(masks, m)
+            assert latin._canonical(masks, 3, m) == reference_canonical(masks, 3, m)
+
+
+@pytest.mark.parametrize(
+    "i,m", [(i, m) for m in range(1, 6) for i in range(1, m + 1)] + [(3, 6), (4, 6)]
+)
+def test_orbit_tally_matches_reference_fold(i, m):
+    tally = latin.orbit_tally(i, m)
+    assert tally.orbits == reference_fold(i, m)
+    if m <= 5:
+        assert tally.expand().counts == column_order_tally(i, m).counts
+
+
+def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
+    # One _canonical call per distinct pattern of the run, resumed records
+    # included, and no memo left behind.
+    calls = []
+    canonical = latin._canonical
+
+    def counted(masks, i, m):
+        calls.append(tuple(masks))
+        return canonical(masks, i, m)
+
+    monkeypatch.setattr(latin, "_canonical", counted)
+    distinct = len(_first_row_fixed_keys(3, 6))
+    assert distinct == 7570
+    cp = tmp_path / "tally.ndjson"
+    for _ in range(2):  # fresh, then resumed from every record
+        calls.clear()
+        latin.orbit_tally(3, 6, checkpoint_path=str(cp))
+        assert len(calls) == len(set(calls)) == distinct
+    assert latin._worker_memo is None
+
+
+def test_handoff_to_workers_matches_serial(monkeypatch):
+    # Blocks go to a real pool of two once 1,000 of the 10,640 leaves are
+    # visited, on any host.
+    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 1000)
+    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
+    serial = latin.orbit_tally(3, 6)
+    assert latin.orbit_tally(3, 6, processes=2).orbits == serial.orbits
+    assert latin._worker_memo is None
+
+
+def test_resumed_run_loads_no_multiprocessing(tmp_path):
+    cp = str(tmp_path / "tally.ndjson")
+    argv = ["--threads", "2", "--checkpoint", cp, "tally", "3", "5"]
+    probe = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from detorbit import cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(any(n.split('.')[0] == 'multiprocessing' for n in sys.modules))\n"
+    )
+    assert run_fresh(probe, *argv).split() == ["False"]  # fresh, below the bar
+    written = open(cp).read()
+    assert len(written.splitlines()) == 44
+    assert run_fresh(probe, *argv).split() == ["False"]  # resumed
+    assert open(cp).read() == written
 
 
 @pytest.mark.skipif(
