@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for tally and alon-tarsi (at most one per "
-        "block and per usable CPU; started once a run has visited 20,000 "
-        "leaves)",
+        "block and per usable CPU; started once the leaves left are "
+        "estimated at 20,000 or more)",
     )
     parser.add_argument(
         "--budget", type=int, default=10**9, help="work cap for heavy evaluations"

@@ -540,14 +540,14 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-# Leaves a run visits in this process before it hands the blocks left to a
-# worker pool.  Starting and stopping a two-worker pool costs 22-30 ms on a
-# 2-vCPU host (Python 3.11): import of multiprocessing 6-10 ms, start 14-18
-# ms, stop 2 ms.  That is the work of about 5,000 leaves at 5 us each,
-# folding included; a run that has visited four times as many is taken to
-# have at least as many left, enough to repay the pool.  No tally 3 5, 3 6,
-# 5 5 or 6 6 reaches it.
-_POOL_AFTER_LEAVES = 20_000
+# Leaves left, estimated from the blocks this run has finished here, past
+# which the blocks left go to a worker pool.  Measured on a 2-vCPU host
+# (Python 3.11), median of 9 interleaved runs: a pool of two given the last
+# blocks of a size from the start, against the same blocks in one process,
+# lost 3-47 ms at about 5,000 leaves at (4,6), (5,6) and (3,7), lost up to
+# 42 or gained up to 38 ms at 10,000 to 15,000, and gained 9-66 ms at about
+# 20,000 at all three.  No tally 3 5, 3 6, 5 5 or 6 6 reaches it.
+_POOL_BREAK_EVEN = 20_000
 
 # A pool worker's memo of canonical forms: the parent's, inherited when the
 # pool starts (:func:`_adopt_memo`).  The parent itself never sets it.
@@ -615,10 +615,12 @@ def _tally_by_blocks(
     distinct pattern is canonicalised once per process, and it is dropped
     with the run.
 
-    Blocks run one by one in this process until the run has visited
-    :data:`_POOL_AFTER_LEAVES` leaves.  Only then, if ``processes`` > 1, do
-    the blocks left go to a pool of min(processes, blocks left, usable
-    CPUs) workers (:func:`_usable_cpus`), which inherit the memo, in eight
+    Blocks run one by one in this process until the leaves left, estimated
+    as the leaves per block run here so far times the blocks left, reach
+    :data:`_POOL_BREAK_EVEN`; a run that has run no block here estimates
+    none.  Only then, if ``processes`` > 1, do the blocks left go to a pool
+    of min(processes, blocks left, usable CPUs) workers
+    (:func:`_usable_cpus`), which inherit the memo, in eight
     chunks of adjacent blocks per worker; each chunk's orbit counts come
     back summed.  So ``multiprocessing`` is imported only by a run large
     enough to repay it.
@@ -649,12 +651,14 @@ def _tally_by_blocks(
             write_checkpoint_record(checkpoint_path, line)
 
     cpus = _usable_cpus() if processes > 1 else 1
-    visited = 0
+    visited = ran = 0
     while todo and (
-        visited < _POOL_AFTER_LEAVES or min(processes, len(todo), cpus) < 2
+        min(processes, len(todo), cpus) < 2
+        or (visited * len(todo) // ran if ran else 0) < _POOL_BREAK_EVEN
     ):
         leaves, lines = _block_job((i, m, (todo.popleft(),), record), memo, folded)
         visited += leaves
+        ran += 1
         write(lines)
     if todo:
         from multiprocessing import Pool
@@ -669,12 +673,7 @@ def _tally_by_blocks(
         with Pool(workers, _adopt_memo, (memo,)) as pool:
             for orbits, lines in pool.imap_unordered(_pool_job, jobs):
                 for canon, (p, n, stab) in orbits.items():
-                    cur = folded.get(canon)
-                    if cur is None:
-                        folded[canon] = [p, n, stab]
-                    else:
-                        cur[0] += p
-                        cur[1] += n
+                    _add_orbit(folded, canon, p, n, stab)
                 write(lines)
     return folded
 
@@ -794,39 +793,38 @@ class OrbitTally:
         return SignedTally(self.i, self.m, counts)
 
 
-@cache
-def _lane_tables(m: int) -> tuple[list[dict[int, int]], int]:
-    """Per column c, a table from column masks to the mask's symbols as bit
-    c of their lanes, filled as masks occur (at most 2^m entries each), and
-    the lane width in bytes.  Symbol s has lane s, of whole bytes, counted
-    from the highest."""
-    return [{} for _ in range(m)], (m + 7) // 8
+def _spread_lanes() -> tuple:
+    """Per column c < 8, each byte-wide mask with bit s moved to bit c of
+    byte lane s (bit 8 * s + c)."""
+    spread = [0]
+    for s in range(8):
+        spread += [x | 1 << 8 * s for x in spread]
+    return tuple(tuple(x << c for x in spread) for c in range(8))
+
+
+# A constant of 2,048 integers built once at import, the same for every
+# run and every m: nothing is added to it later.
+_LANES = _spread_lanes()
 
 
 def _transpose(masks: Sequence[int], m: int) -> list[int]:
     """The m x m bit matrix transposed: bit c of entry s is bit s of entry c.
 
     It turns column masks into the symbols' profiles (the mask of the
-    columns that hold each symbol) and back.  The masks' lanes
-    (:func:`_lane_tables`) are summed, so entry s is lane s of the sum, read
-    from its bytes.
+    columns that hold each symbol) and back.  For each 8 x 8 block the
+    masks' lanes (:data:`_LANES`) are summed, so symbol s's bits of those
+    columns are byte s of the sum; m <= 8 is one block.
     """
-    tables, size = _lane_tables(m)
-    try:
-        packed = sum(map(getitem, tables, masks))
-    except KeyError:
-        width = 8 * size
-        for c, mask in enumerate(masks):
-            tables[c][mask] = sum(
-                1 << width * (m - 1 - s) + c for s in range(m) if mask >> s & 1
-            )
-        packed = sum(map(getitem, tables, masks))
-    raw = packed.to_bytes(m * size, "big")
-    if size == 1:
-        return list(raw)
-    return [
-        int.from_bytes(raw[k : k + size], "big") for k in range(0, len(raw), size)
-    ]
+    if m <= 8:
+        return list(sum(map(getitem, _LANES, masks)).to_bytes(m, "little"))
+    profile = [0] * m
+    for lo in range(0, m, 8):
+        for c0 in range(0, m, 8):
+            block = [mask >> lo & 255 for mask in masks[c0 : c0 + 8]]
+            raw = sum(map(getitem, _LANES, block)).to_bytes(8, "little")
+            for s in range(lo, min(lo + 8, m)):
+                profile[s] |= raw[s - lo] << c0
+    return profile
 
 
 def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
@@ -883,12 +881,16 @@ def _fold_orbits(
             p = n = (p + n) // 2
         elif swap:
             p, n = n, p
-        cur = orbits.get(canon)
-        if cur is None:
-            orbits[canon] = [p, n, stab]
-        else:
-            cur[0] += p
-            cur[1] += n
+        _add_orbit(orbits, canon, p, n, stab)
+
+
+def _add_orbit(orbits: dict, canon: tuple, p: int, n: int, stab: int) -> None:
+    cur = orbits.get(canon)
+    if cur is None:
+        orbits[canon] = [p, n, stab]
+    else:
+        cur[0] += p
+        cur[1] += n
 
 
 def orbit_tally(
@@ -905,8 +907,8 @@ def orbit_tally(
     cut after row 2, each folded into the orbits where it runs
     (:func:`_fold_orbits`), and sums the blocks' orbit counts
     (:func:`_tally_by_blocks`).  ``processes`` and ``checkpoint_path`` are
-    those of :func:`signed_tally`; workers start only once the run has
-    visited :data:`_POOL_AFTER_LEAVES` leaves.
+    those of :func:`signed_tally`; workers start only once the leaves
+    left are estimated at :data:`_POOL_BREAK_EVEN` or more.
     """
     _check_dims(i, m)
     fact = factorial(m)
@@ -933,7 +935,8 @@ def signed_tally(
     reads from it (by König's theorem every valid pattern has a rectangle),
     at i = m the signed square count.  :func:`column_order_tally` is the
     unreduced oracle.  ``processes`` workers share the prefix blocks left
-    once the run has visited :data:`_POOL_AFTER_LEAVES` leaves, and
+    once their leaves are estimated at :data:`_POOL_BREAK_EVEN` or more
+    (:func:`_tally_by_blocks`), and
     ``checkpoint_path`` holds one record per finished block.  One pattern
     costs a whole :func:`orbit_tally` (5.5 s for one (3,7) pattern); a
     caller that needs many patterns should call :func:`orbit_tally` once

@@ -179,7 +179,7 @@ def test_checkpoint_rejected_where_nothing_is_checkpointed(capsys, tmp_path):
 def test_threads_flag_matches_serial(capsys, monkeypatch):
     # Hand the blocks to workers from the first one: tally 3 4 is too small
     # to start a pool on its own.
-    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
     _, serial = _run(capsys, "tally", "3", "4")
     _, parallel = _run(capsys, "--threads", "2", "tally", "3", "4")
     assert serial == parallel

@@ -256,7 +256,7 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
 
 def test_parallel_tally_matches_serial(monkeypatch):
     # A run this small never starts workers on its own.
-    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
     serial = signed_tally(3, 4)
     parallel = signed_tally(3, 4, processes=2)
     assert serial.counts == parallel.counts
@@ -792,7 +792,7 @@ def test_worker_count_is_capped(monkeypatch):
     # where it is read, and hand them over from the first block.  The fake
     # runs the workers' initializer here, so the memo it sets is restored.
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
     monkeypatch.setattr(latin, "_worker_memo", None)
     # The host has 64 CPUs, but this process may run on 3 of them.
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
@@ -833,7 +833,7 @@ def test_tally_does_not_depend_on_block_order(monkeypatch):
             return reversed([fn(job) for job in jobs])
 
     monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
-    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 0)
+    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
     monkeypatch.setattr(latin, "_worker_memo", None)
     monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     serial = signed_tally(3, 4)
@@ -979,13 +979,46 @@ def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
 
 
 def test_handoff_to_workers_matches_serial(monkeypatch):
-    # Blocks go to a real pool of two once 1,000 of the 10,640 leaves are
-    # visited, on any host.
-    monkeypatch.setattr(latin, "_POOL_AFTER_LEAVES", 1000)
+    # Blocks go to a real pool of two, on any host, once the leaves left
+    # are estimated at 1,000: after the first of the 212 blocks.
+    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 1000)
     monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     serial = latin.orbit_tally(3, 6)
     assert latin.orbit_tally(3, 6, processes=2).orbits == serial.orbits
     assert latin._worker_memo is None
+
+
+def test_pool_starts_once_leaves_left_pass_break_even(monkeypatch):
+    handed = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs, chunksize=1):
+            handed.append(sum(len(job[2]) for job in jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(latin, "_worker_memo", None)
+    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
+    # Fewer leaves in all than the break-even: never estimated past it.
+    for i, m in [(3, 5), (5, 5), (3, 6), (6, 6)]:
+        assert latin.orbit_tally(i, m, processes=2).orbits == reference_fold(i, m)
+    assert handed == []
+    # 47,040 leaves in 106 blocks: the first block's 896 leaves give an
+    # estimate of 94,080 left, and the other 105 blocks go to the pool.
+    first = latin._list_prefixes(5, 6)[:1]
+    assert latin._block_job((5, 6, first, None), {}, {})[0] == 896
+    serial = latin.orbit_tally(5, 6)
+    assert latin.orbit_tally(5, 6, processes=2).orbits == serial.orbits
+    assert handed == [105]
 
 
 def test_resumed_run_loads_no_multiprocessing(tmp_path):
