@@ -3,7 +3,8 @@
 Every report is JSON with sorted keys, exact decimal strings for all numbers
 and no timestamps, so re-running a subcommand with the same configuration
 reproduces the output byte for byte.  Exit codes: 0 all checks pass, 1 a
-check failed, 2 infeasible under the configured budgets, 3 bad input.
+check failed, 2 infeasible under the configured budgets, 3 bad input,
+argument usage errors included.
 """
 
 from __future__ import annotations
@@ -238,8 +239,17 @@ def _cmd_verify_all(args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 3), not argparse's exit 2, which
+    here means infeasible; the usage still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detorbit",
         description="Exact signed Latin square counts, symmetrizer pairings, "
         "polarized determinant invariants and symmetric Kronecker checks.",
@@ -353,8 +363,11 @@ def _run(args, write: Callable[[str], object]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:  # raised by _Parser.error
+        _emit({"error": str(exc), "kind": "input"}, sys.stdout.write)
+        return EXIT_INPUT_ERROR
     if args.out is None:
         return _run(args, sys.stdout.write)
     # Opened before any work starts; a path that cannot be written is bad

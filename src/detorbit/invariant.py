@@ -104,13 +104,6 @@ class HomPoly:
             self.nvars, self.degree, {k: v * c for k, v in self.coeffs.items()}
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HomPoly)
-            and (self.nvars, self.degree) == (other.nvars, other.degree)
-            and self.coeffs == other.coeffs
-        )
-
     def compose_linear(self, g: Sequence[Sequence[Fraction | int]]) -> "HomPoly":
         """Substitute x_j -> sum_k g[j][k] x_k and re-expand."""
         n = self.nvars

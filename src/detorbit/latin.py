@@ -8,15 +8,14 @@ column-even / column-odd rectangles computed here feed the tensor pairing
 identities in :mod:`detorbit.tensors`, and the single-pattern signed count at
 i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 
-Every signed count is read from one row-major enumeration, the orbit form
+Every count is read from one row-major counter, the orbit form
 (:func:`orbit_tally`): symbol relabellings carry a pattern's counts to its
 whole S_m-orbit, so only the rectangles whose first row is 1..m are
-visited.  :meth:`OrbitTally.write_report` streams the per-pattern report
-from the orbits in sorted order, and :func:`signed_tally` expands them to
-every pattern, or looks up the one pattern it is given
-(:meth:`OrbitTally.at`); the signed square count is that lookup at i = m.
-:func:`column_order_tally` enumerates every rectangle column by column and
-is the oracle of both.
+visited.  :class:`OrbitTally` streams the per-pattern report in sorted
+order, expands it (:func:`signed_tally`) or reads one pattern (``at``),
+at i = m the signed square count.  :func:`column_order_tally` enumerates
+every rectangle column by column and is the oracle of both, and
+:func:`enumerate_latin_rectangles` is the visiting reference enumerator.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -145,17 +144,20 @@ def pattern_of(rect: LatinRectangle) -> Pattern:
 
 
 def is_valid_pattern(pattern: Pattern, i: int, m: int) -> bool:
-    """Each subset has size i and every symbol of 1..m occurs in exactly i subsets."""
-    if len(pattern) != m:
+    """Each subset has size i and every symbol of 1..m occurs in exactly i
+    subsets.  A pattern is a list or tuple of m lists or tuples of ints."""
+    if not isinstance(pattern, (list, tuple)) or len(pattern) != m:
         return False
     occur = [0] * m
     for subset in pattern:
-        if len(subset) != i or len(set(subset)) != i:
+        if not isinstance(subset, (list, tuple)) or len(subset) != i:
             return False
         for s in subset:
-            if not 1 <= s <= m:
+            if type(s) is not int or not 1 <= s <= m:
                 return False
             occur[s - 1] += 1
+        if len(set(subset)) != i:
+            return False
     return all(c == i for c in occur)
 
 
@@ -390,26 +392,17 @@ def enumerate_latin_rectangles(
     i: int,
     m: int,
     *,
+    visitor: Callable[[LatinRectangle], None],
     pattern: Optional[Pattern] = None,
-    visitor: Optional[Callable[[LatinRectangle], None]] = None,
 ) -> int:
-    """Visit every Latin (i, m)-rectangle once, in row-major lexicographic order.
-
-    With ``pattern`` given, visits exactly the rectangles of that pattern.
-    Returns the number of rectangles.  Without a visitor they are only
-    counted: one per orbit (:class:`_RowQuotient` with ``symbols``) times
-    the orbit size, or, with ``pattern``, by :meth:`OrbitTally.at`.  That
-    one pattern costs a whole :func:`orbit_tally` (5.5 s for one (3,7)
-    pattern); a caller that counts many patterns should call
-    :func:`orbit_tally` once and then :meth:`OrbitTally.at` for each.
+    """Visit every Latin (i, m)-rectangle once, in row-major lexicographic
+    order, and return how many were visited: the reference enumerator, with
+    no quotient.  With ``pattern`` given, visits exactly the rectangles of
+    that pattern.  Counts come from :func:`orbit_tally`, as ``.total()`` or
+    ``.at(pattern)``.
     """
     _check_dims(i, m)
     allowed = _pattern_masks(pattern, i, m)
-    if visitor is None:
-        if pattern is not None:
-            return sum(orbit_tally(i, m).at(pattern))
-        quotient = _row_quotient(i, m, symbols=True)
-        return quotient.order * _run_rows(i, m, allowed, (), None, quotient)
 
     def leaf(rows, _masks, _parity):
         visitor(LatinRectangle(tuple(rows)))
@@ -688,16 +681,16 @@ class OrbitTally:
     (plus, minus) of a pattern fixes those of its whole S_m-orbit, swapped
     where that sign is -1.  In the canonical pattern of an orbit the
     symbols' profiles (the mask of the columns holding the symbol) ascend
-    with the symbol.  ``orbits`` maps each canonical pattern to (orbit size,
-    plus, minus).  plus + minus and (plus - minus)^2 are the same at every
-    pattern of an orbit, so their sums below weight each orbit by its size;
-    plus - minus changes sign within an orbit, so the signed sum is left to
-    the expanded tally.
+    with the symbol.  ``orbits`` maps those canonical profiles, as
+    :func:`_fold_orbits` keys them, to (orbit size, plus, minus).  plus +
+    minus and (plus - minus)^2 are the same at every pattern of an orbit, so
+    their sums below weight each orbit by its size; plus - minus changes
+    sign within an orbit, so the signed sum is left to the expanded tally.
     """
 
     i: int
     m: int
-    orbits: dict[Pattern, tuple[int, int, int]]
+    orbits: dict[tuple[int, ...], tuple[int, int, int]]
 
     def total(self) -> int:
         return sum(size * (p + n) for size, p, n in self.orbits.values())
@@ -712,7 +705,7 @@ class OrbitTally:
         eps_c (:func:`_canonical`)."""
         i, m = self.i, self.m
         canon, _stab, swap = _canonical(_pattern_masks(pattern, i, m), i, m)
-        _size, p, n = self.orbits[tuple(map(_subset_of_mask, _transpose(canon, m)))]
+        _size, p, n = self.orbits[canon]
         return (n, p) if swap else (p, n)
 
     def _entries(self) -> tuple[list, list[bytes]]:
@@ -740,11 +733,9 @@ class OrbitTally:
         by_ties: dict[tuple[int, ...], list] = {}
         occurring: set[int] = set()  # ranks of the subsets that occur
         for k, key in enumerate(self.orbits):
-            masks = list(map(_mask_of, key))
-            profile = _transpose(masks, m)
-            ties = tuple(s for s in range(m - 1) if profile[s] == profile[s + 1])
+            ties = tuple(s for s in range(m - 1) if key[s] == key[s + 1])
             tails = tuple((2 * k + f).to_bytes(width, "big") for f in (0, 1))
-            cols = bytes(map(rank.__getitem__, masks))
+            cols = bytes(map(rank.__getitem__, _transpose(key, m)))
             occurring.update(cols)
             by_ties.setdefault(ties, []).append((cols, tails))
         entries: list[bytes] = []
@@ -905,49 +896,29 @@ def orbit_tally(
     Enumerates the first-row-fixed rectangles, one per eps_c-preserving
     orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by blocks
     cut after row 2, each folded into the orbits where it runs
-    (:func:`_fold_orbits`), and sums the blocks' orbit counts
-    (:func:`_tally_by_blocks`).  ``processes`` and ``checkpoint_path`` are
-    those of :func:`signed_tally`; workers start only once the leaves
-    left are estimated at :data:`_POOL_BREAK_EVEN` or more.
+    (:func:`_tally_by_blocks`).  The only row-major counter: one pattern's
+    counts (:meth:`OrbitTally.at`) cost the whole tally.  ``processes``
+    workers share the blocks left once their leaves are estimated at
+    :data:`_POOL_BREAK_EVEN` or more; ``checkpoint_path`` holds one record
+    per finished block.
     """
     _check_dims(i, m)
     fact = factorial(m)
     folded = _tally_by_blocks(i, m, processes, checkpoint_path)
-    orbits = {
-        tuple(map(_subset_of_mask, _transpose(canon, m))): (fact // stab, p, n)
-        for canon, (p, n, stab) in folded.items()
-    }
+    orbits = {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
     return OrbitTally(i, m, orbits)
 
 
 def signed_tally(
-    i: int,
-    m: int,
-    *,
-    pattern: Optional[Pattern] = None,
-    processes: int = 1,
-    checkpoint_path: Optional[str] = None,
+    i: int, m: int, *, processes: int = 1, checkpoint_path: Optional[str] = None
 ) -> SignedTally:
-    """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles.
-
-    Without ``pattern`` this is :func:`orbit_tally` expanded to every
-    pattern; with ``pattern`` it is the one entry :meth:`OrbitTally.at`
-    reads from it (by König's theorem every valid pattern has a rectangle),
-    at i = m the signed square count.  :func:`column_order_tally` is the
-    unreduced oracle.  ``processes`` workers share the prefix blocks left
-    once their leaves are estimated at :data:`_POOL_BREAK_EVEN` or more
-    (:func:`_tally_by_blocks`), and
-    ``checkpoint_path`` holds one record per finished block.  One pattern
-    costs a whole :func:`orbit_tally` (5.5 s for one (3,7) pattern); a
-    caller that needs many patterns should call :func:`orbit_tally` once
-    and then :meth:`OrbitTally.at` for each.
+    """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles:
+    :func:`orbit_tally` expanded to every pattern.  For one pattern read
+    :meth:`OrbitTally.at` instead.  :func:`column_order_tally` is the
+    unreduced oracle.
     """
-    _check_dims(i, m)
-    masks = None if pattern is None else _pattern_masks(pattern, i, m)
     tally = orbit_tally(i, m, processes=processes, checkpoint_path=checkpoint_path)
-    if masks is None:
-        return tally.expand()
-    return SignedTally(i, m, {tuple(map(_subset_of_mask, masks)): tally.at(pattern)})
+    return tally.expand()
 
 
 def column_order_tally(
@@ -990,25 +961,25 @@ def alon_tarsi_difference(
     """Signed sum of eps_c over all Latin (m, m)-squares.
 
     ``order`` selects the row-major or the column-major enumeration; the two
-    are independent DFS kernels and must agree exactly.  The rows route is
-    the single-pattern :func:`signed_tally` at i = m, the orbit tally's one
-    orbit, with its records; the columns route is its deliberate oracle
-    over :func:`_square_quotient`.  At even m both keep the reduced squares.
-    At odd m > 1 the rows value 0 comes from the fold's balance rule, while
-    the columns route sums the signs of the A_m row orbits it enumerates:
-    each S_m orbit splits into two of opposite sign.  ``column_order_tally
-    (m, m)`` is the unreduced oracle; the rows route alone takes
-    ``processes`` and ``checkpoint_path``.  A route that would keep more
-    than :data:`MAX_SQUARE_VISITS` squares, or m > 7, is refused with
-    :class:`BudgetExceeded` before it starts.
+    are independent DFS kernels and must agree exactly.  The rows route
+    reads plus - minus of the one pattern of :func:`orbit_tally` at i = m
+    (:meth:`OrbitTally.at`), with its records; the columns route is its
+    deliberate oracle over :func:`_square_quotient`.  At even m both keep
+    the reduced squares.  At odd m > 1 the rows value 0 comes from the
+    fold's balance rule, while the columns route sums the signs of the A_m
+    row orbits it enumerates: each S_m orbit splits into two of opposite
+    sign.  ``column_order_tally(m, m)`` is the unreduced oracle; the rows
+    route alone takes ``processes`` and ``checkpoint_path``.  A route that
+    would keep more than :data:`MAX_SQUARE_VISITS` squares, or m > 7, is
+    refused with :class:`BudgetExceeded` before it starts.
     """
     _check_dims(m, m)
     if order == "rows":
         _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
         full = (tuple(range(1, m + 1)),) * m
-        return signed_tally(
-            m, m, pattern=full, processes=processes, checkpoint_path=checkpoint_path
-        ).signed_sum()
+        tally = orbit_tally(m, m, processes=processes, checkpoint_path=checkpoint_path)
+        plus, minus = tally.at(full)
+        return plus - minus
     if order != "columns":
         raise ValueError("order must be 'rows' or 'columns'")
     quotient = _square_quotient(m)
@@ -1026,19 +997,19 @@ def alon_tarsi_difference(
 # Checkpoint files: one newline-delimited JSON record per completed prefix
 # block, restart-safe via prefix deduplication.
 #
-# Every run is an orbit tally, so a full tally, a single-pattern one and the
-# signed square count at i = m share their records.  A record holds the
-# 1-based "prefix" rows of its block (the identity row and the second row),
-# the block's "plus" and "minus" totals and its per-pattern counts
-# ("patterns").  It is keyed by the configuration of the run: "i", "m", the
-# "allowed" column masks (all ones) and the quotient "group", S<m>xS<i-1> or
-# S<m>xA<i-1>.  Counts are already multiplied by the group order, so the
-# records of a run sum to its first-row-fixed bucket: per pattern, not the
-# tally's counts (the fold gives those), but over all patterns its total
-# and, as permuting columns keeps eps_c, its signed sum.  Records of another
-# configuration (such as the S<i> or A<i> of the row-only quotient, or odd-m
-# squares under A<m>), whose prefix is not a block of the run, or without
-# "patterns" (the totals-only records of an earlier format) are ignored.
+# Every run is an orbit tally, so a tally and the signed square count at
+# i = m share their records.  A record holds the 1-based "prefix" rows of
+# its block (the identity row and the second row), the block's "plus" and
+# "minus" totals and its per-pattern counts ("patterns").  It is keyed by
+# the configuration of the run: "i", "m", the "allowed" column masks (all
+# ones) and the quotient "group", S<m>xS<i-1> or S<m>xA<i-1>.  Counts are
+# already multiplied by the group order, so the records of a run sum to its
+# first-row-fixed bucket: per pattern, not the tally's counts (the fold
+# gives those), but over all patterns its total and, as permuting columns
+# keeps eps_c, its signed sum.  Records of another configuration (such as
+# the S<i> or A<i> of the row-only quotient, or odd-m squares under A<m>),
+# whose prefix is not a block of the run, or without "patterns" (the
+# totals-only records of an earlier format) are ignored.
 # ---------------------------------------------------------------------------
 
 def _record_line(prefix: tuple, bucket: dict, weight: int, config: dict) -> str:
@@ -1072,6 +1043,36 @@ def write_checkpoint_record(path: str, line: str) -> None:
         fh.write(line)
 
 
+def _record_block(rec: dict, i: int, m: int, order: int) -> tuple[tuple, dict]:
+    """The 0-based prefix and the bucket (column masks -> (plus, minus)) of
+    a record of the run.  ``ValueError`` unless the prefix is rows that
+    permute 1..m, each pattern is valid for (i, m), given once and holds
+    the prefix's symbols in its columns, and each count is a decimal string
+    of a multiple of the quotient ``order``: only for those is the resume
+    fold's division by m! exact (:func:`_fold_orbits`).  Totals are not read."""
+
+    def count(value) -> int:
+        if isinstance(value, str) and value.isdecimal() and int(value) % order == 0:
+            return int(value)
+        raise ValueError(f"checkpoint count {value!r} is not a multiple of {order}")
+
+    prefix, bucket = rec.get("prefix"), {}
+    if not isinstance(prefix, list) or not all(  # rows permuting 1..m
+        isinstance(row, list) and is_valid_pattern([[s] for s in row], 1, m)
+        for row in prefix
+    ) or not isinstance(rec["patterns"], list):
+        raise ValueError("checkpoint record with a malformed prefix or patterns")
+    held = tuple(map(_mask_of, zip(*prefix)))  # the prefix's column masks
+    for entry in rec["patterns"]:
+        pattern = entry.get("pattern") if isinstance(entry, dict) else None
+        ok = is_valid_pattern(pattern, i, m)
+        masks = tuple(map(_mask_of, pattern)) if ok else None
+        if not ok or masks in bucket or any(h & ~k for h, k in zip(held, masks)):
+            raise ValueError(f"checkpoint pattern {pattern!r} is not one of its block")
+        bucket[masks] = (count(entry.get("plus")), count(entry.get("minus")))
+    return tuple(tuple(s - 1 for s in row) for row in prefix), bucket
+
+
 def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     """Completed prefix blocks of the run ``config`` from a checkpoint file
     (later records win).
@@ -1082,6 +1083,7 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     earlier format are skipped: without allowed masks or quotient group they
     count every rectangle of a block, not one per row orbit, and without
     ``patterns`` they are the totals-only records of a signed square count.
+    A record that is read and malformed raises (:func:`_record_block`).
 
     The file is streamed line by line.  A record is complete only with its
     newline, and a line that does not decode is held back: it raises
@@ -1090,6 +1092,8 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     that the next appended record starts on a fresh line.
     """
     done: dict[tuple, dict] = {}
+    i, m = config["i"], config["m"]
+    order = _row_quotient(i, m, symbols=True).order
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -1121,14 +1125,8 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
                 or any(rec.get(key) != value for key, value in config.items())
             ):
                 continue
-            prefix = tuple(tuple(s - 1 for s in row) for row in rec["prefix"])
-            done[prefix] = {
-                tuple(_mask_of(sub) for sub in entry["pattern"]): (
-                    int(entry["plus"]),
-                    int(entry["minus"]),
-                )
-                for entry in rec["patterns"]
-            }
+            prefix, bucket = _record_block(rec, i, m, order)
+            done[prefix] = bucket
     if torn_at is not None:
         os.truncate(path, torn_at)
     return done

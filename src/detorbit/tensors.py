@@ -102,13 +102,6 @@ class SparseTensor:
     def __sub__(self, other: "SparseTensor") -> "SparseTensor":
         return self + other.scale(-1)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SparseTensor)
-            and (self.rank, self.m) == (other.rank, other.m)
-            and self.data == other.data
-        )
-
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
         """Tensor product: keys are joined end to end, coefficients multiply."""
         if self.m != other.m:

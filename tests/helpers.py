@@ -206,7 +206,7 @@ def reference_canonical(masks, i: int, m: int) -> tuple[tuple, int, bool]:
 def reference_fold(i: int, m: int) -> dict:
     """The orbit form of the (i, m) tally from one unblocked first-row-fixed
     enumeration, folded key by key through :func:`reference_canonical`: the
-    reference of ``orbit_tally(i, m).orbits``."""
+    reference of ``orbit_tally(i, m).orbits``, keyed by canonical profiles."""
     quotient = latin._row_quotient(i, m, symbols=True)
     bucket: dict = {}
     latin._run_rows(
@@ -224,12 +224,7 @@ def reference_fold(i: int, m: int) -> dict:
         cur = folded.setdefault(canon, [0, 0, stab])
         cur[0] += p
         cur[1] += n
-    return {
-        tuple(map(latin._subset_of_mask, reference_transpose(canon, m))): (
-            fact // stab, p, n
-        )
-        for canon, (p, n, stab) in folded.items()
-    }
+    return {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
 
 
 def project_last_row(rect: LatinRectangle) -> LatinRectangle:

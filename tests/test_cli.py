@@ -216,6 +216,99 @@ def test_input_error_exit_code(capsys):
     assert json.loads(out)["kind"] == "input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tally", "x", "5"],
+        ["no-such-command"],
+        [],
+        ["--format", "xml", "tally", "2", "2"],
+    ],
+)
+def test_usage_errors_are_bad_input(capsys, argv):
+    # Exit 2 means infeasible, so argparse's own usage exit is not used.
+    code, out = _run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["kind"] == "input"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "detorbit", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 3
+    assert json.loads(done.stdout)["kind"] == "input"
+    assert done.stderr.startswith("usage: detorbit")
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["tally", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: detorbit")
+
+
+def _drop_key(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
+# Record bodies of the run's own configuration that cannot be resumed: each
+# case edits the first record of a (3,4) tally, whose blocks' counts are
+# multiples of the quotient order 4! * 2 = 48 and whose prefix starts with
+# the identity row.
+_MALFORMED_RECORDS = {
+    "no-prefix": lambda rec: _drop_key(rec, "prefix"),
+    "prefix-symbol-out-of-range": lambda rec: {**rec, "prefix": [[1, 2, 3, 9]]},
+    "no-minus": lambda rec: {
+        **rec, "patterns": [_drop_key(rec["patterns"][0], "minus")]
+    },
+    "pattern-not-a-list": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "pattern": 5}]
+    },
+    "pattern-symbol-9": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "pattern": [[1, 2, 9]] * 4}]
+    },
+    "extra-invalid-pattern": lambda rec: {
+        **rec,
+        "patterns": rec["patterns"]
+        + [{"pattern": [[1, 2, 3]] * 4, "plus": "7", "minus": "0"}],
+    },
+    "pattern-misses-prefix-symbol": lambda rec: {
+        **rec,
+        "patterns": [{
+            **rec["patterns"][0],
+            "pattern": [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+        }],
+    },
+    "repeated-pattern": lambda rec: {**rec, "patterns": rec["patterns"] * 2},
+    "count-not-a-multiple": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "plus": "7"}]
+    },
+    "negative-count": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "minus": "-48"}]
+    },
+    "count-not-a-string": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "plus": 48}]
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_RECORDS))
+def test_malformed_checkpoint_record_is_bad_input(capsys, tmp_path, case):
+    cp = tmp_path / "cp.ndjson"
+    assert _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")[0] == 0
+    first, *rest = cp.read_text().splitlines(keepends=True)
+    rec = _MALFORMED_RECORDS[case](json.loads(first))
+    cp.write_text(json.dumps(rec, sort_keys=True) + "\n" + "".join(rest))
+    code, out = _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")
+    assert code == 3
+    report = json.loads(out)
+    assert report["kind"] == "input" and "checkpoint" in report["error"]
+    # The same record as the only, last line is not a torn tail either.
+    cp.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    assert _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")[0] == 3
+
+
 def test_nonpositive_budget_rejected(capsys):
     code, out = _run(capsys, "--budget", "0", "alon-tarsi", "2")
     assert code == 3

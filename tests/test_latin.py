@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import multiprocessing
 import os
@@ -88,15 +87,18 @@ def test_invalid_rectangles_rejected():
         LatinRectangle.from_rows([(1,), (1,)])
 
 
+def _skip(_rect) -> None:
+    """A visitor that leaves the enumerator only counting."""
+
+
 def test_enumeration_counts():
-    assert enumerate_latin_rectangles(1, 2) == 2
-    assert enumerate_latin_rectangles(2, 2) == 2
-    assert enumerate_latin_rectangles(2, 3) == 12
-    assert enumerate_latin_rectangles(3, 3) == 12
-    assert enumerate_latin_rectangles(4, 4) == 576
+    # The visiting enumerator and the orbit tally count the same rectangles.
+    for i, m, count in [(1, 2, 2), (2, 2, 2), (2, 3, 12), (3, 3, 12), (4, 4, 576)]:
+        assert enumerate_latin_rectangles(i, m, visitor=_skip) == count
+        assert latin.orbit_tally(i, m).total() == count
     # Counted from the symbol quotient: 9,408 reduced squares at (6, 6).
-    assert enumerate_latin_rectangles(3, 6) == 15321600
-    assert enumerate_latin_rectangles(6, 6) == 812851200
+    assert latin.orbit_tally(3, 6).total() == 15321600
+    assert latin.orbit_tally(6, 6).total() == 812851200
 
 
 def test_enumeration_order_and_validity():
@@ -115,14 +117,15 @@ def test_enumeration_with_pattern_filter():
     assert n == 2
     assert all(pattern_of(r) == pattern for r in seen)
     # Filtered counts recover each tally fiber.
-    tally = signed_tally(2, 3)
-    for pat, (p, n_) in tally.counts.items():
-        assert enumerate_latin_rectangles(2, 3, pattern=pat) == p + n_
+    tally = latin.orbit_tally(2, 3)
+    for pat, (p, n_) in tally.expand().counts.items():
+        assert sum(tally.at(pat)) == p + n_
+        assert enumerate_latin_rectangles(2, 3, pattern=pat, visitor=_skip) == p + n_
 
 
 def test_enumeration_errors():
     with pytest.raises(ValueError, match="too many rows"):
-        enumerate_latin_rectangles(3, 2)
+        enumerate_latin_rectangles(3, 2, visitor=_skip)
 
 
 def test_signed_tally_small_cases():
@@ -405,8 +408,8 @@ def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
     # m! * (m-1)!, as the columns route of alon_tarsi_difference does.
     cp = tmp_path / "square.ndjson"
     full = (tuple(range(1, m + 1)),) * m
-    tally = signed_tally(m, m, pattern=full, checkpoint_path=str(cp))
-    assert tally.signed_sum() == alon_tarsi_difference(m)
+    plus, minus = latin.orbit_tally(m, m, checkpoint_path=str(cp)).at(full)
+    assert plus - minus == alon_tarsi_difference(m)
     recs = [json.loads(line) for line in cp.read_text().splitlines()]
     assert {r["group"] for r in recs} == {f"S{m}xS{m - 1}"}
 
@@ -499,7 +502,8 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
     # Before the symbol quotient, a (3,5) tally had 72 blocks: one-row
     # prefixes under the row group "A3".  Those records, with bogus counts,
     # must not be merged: not under their own group, and not as prefixes
-    # outside the current partition under the current group either.
+    # outside the current partition under the current group either.  Under
+    # the current group a record must be well formed, or it is bad input.
     cp = str(tmp_path / "tally.ndjson")
     allowed = [31] * 5
     old = []
@@ -508,11 +512,22 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
         latin._row_quotient(3, 5),
     )
     assert len(old) == 72
-    for group in ("A3", "S5xA2"):
-        config = {"i": 3, "m": 5, "allowed": allowed, "group": group}
-        for prefix in old:
-            line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, config)
-            latin.write_checkpoint_record(cp, line)
+    config = {"i": 3, "m": 5, "allowed": allowed, "group": "S5xA2"}
+    order = latin._row_quotient(3, 5, symbols=True).order
+    bogus = latin._record_line(old[0], {(7,) * 5: (999, 0)}, 1, config)
+    (tmp_path / "bogus.ndjson").write_text(bogus)
+    with pytest.raises(ValueError):
+        latin.load_checkpoint(str(tmp_path / "bogus.ndjson"), config)
+    a3 = {**config, "group": "A3"}
+    for prefix in old:
+        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, a3)
+        latin.write_checkpoint_record(cp, line)
+    for prefix in old:
+        # A valid pattern of the prefix row: its three cyclic shifts.
+        (row,) = prefix
+        masks = tuple(sum(1 << row[(q + k) % 5] for k in range(3)) for q in range(5))
+        line = latin._record_line(prefix, {masks: (999, 0)}, order, config)
+        latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
     fresh = signed_tally(3, 5)
@@ -590,8 +605,12 @@ def test_concatenate_sign_multiplicative_at_2x2():
 def test_pattern_validation():
     assert latin.is_valid_pattern(((1, 2), (1, 2)), 2, 2)
     assert not latin.is_valid_pattern(((1, 2), (1, 3)), 2, 3)
+    # Decoded JSON of any other shape is not a pattern, and raises nothing.
+    for junk in (5, None, "12", [[1, 2], 5], [[1, 2.0], [1, 2]], [[1, [2]], [1, 2]],
+                 [[True, 2], [1, 2]], [[1, 1], [2, 2]]):
+        assert not latin.is_valid_pattern(junk, 2, 2)
     with pytest.raises(ValueError):
-        signed_tally(2, 2, pattern=((1,), (1, 2)))
+        latin.orbit_tally(2, 2).at(((1,), (1, 2)))
 
 
 # A (2,4) pattern with 4 rectangles, all column-even.
@@ -603,14 +622,14 @@ def test_pattern_tally_resumes_from_the_full_tally_records(tmp_path):
     cp = tmp_path / "tally.ndjson"
     signed_tally(2, 4, checkpoint_path=str(cp))
     written = cp.read_text()
-    resumed = signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=str(cp))
-    assert resumed.counts == {PATTERN_2_4: (4, 0)}
+    resumed = latin.orbit_tally(2, 4, checkpoint_path=str(cp))
+    assert resumed.at(PATTERN_2_4) == (4, 0)
     assert cp.read_text() == written
 
 
 def test_full_tally_resumes_from_the_pattern_tally_records(tmp_path):
     cp = tmp_path / "tally.ndjson"
-    signed_tally(2, 4, pattern=PATTERN_2_4, checkpoint_path=str(cp))
+    latin.orbit_tally(2, 4, checkpoint_path=str(cp)).at(PATTERN_2_4)
     written = cp.read_text()
     resumed = signed_tally(2, 4, checkpoint_path=str(cp))
     assert resumed.counts == signed_tally(2, 4).counts
@@ -660,19 +679,21 @@ def test_checkpoint_records_carry_configuration_and_weighted_counts(tmp_path):
 
 @pytest.mark.parametrize("i,m", [(2, 4), (3, 4)])
 def test_filtered_quotient_tallies_match_column_oracle(i, m):
+    tally = latin.orbit_tally(i, m)
     for pattern, counts in column_order_tally(i, m).counts.items():
-        assert signed_tally(i, m, pattern=pattern).counts == {pattern: counts}
-        assert enumerate_latin_rectangles(i, m, pattern=pattern) == sum(counts)
+        assert tally.at(pattern) == counts
+        visited = enumerate_latin_rectangles(i, m, pattern=pattern, visitor=_skip)
+        assert visited == sum(counts)
 
 
 @pytest.mark.parametrize("i,m", [(2, 5), (3, 5)])
-def test_pattern_tally_matches_filtered_column_oracle(monkeypatch, i, m):
-    # Every pattern is looked up in one orbit tally, enumerated once here.
-    monkeypatch.setattr(latin, "orbit_tally", functools.cache(latin.orbit_tally))
+def test_pattern_tally_matches_filtered_column_oracle(i, m):
+    # Every pattern is looked up in one orbit tally.
+    tally = latin.orbit_tally(i, m)
     patterns = column_order_tally(i, m).counts
     assert len(patterns) == 2040
     for pattern in patterns:
-        assert signed_tally(i, m, pattern=pattern).counts == (
+        assert {pattern: tally.at(pattern)} == (
             column_order_tally(i, m, pattern=pattern).counts
         )
 
@@ -894,9 +915,10 @@ def test_orbit_form_matches_its_expansion(i, m):
     assert orbits.total() == expanded.total()
     assert orbits.imbalance_square_sum() == expanded.imbalance_square_sum()
     for key, (size, plus, minus) in orbits.orbits.items():
-        assert expanded.counts[key] == (plus, minus)
-        profiles = _profiles(key, m)
-        assert profiles == sorted(profiles)  # the canonical pattern
+        pattern = tuple(map(latin._subset_of_mask, reference_transpose(key, m)))
+        assert expanded.counts[pattern] == (plus, minus)
+        profiles = _profiles(pattern, m)
+        assert profiles == sorted(profiles) == list(key)  # the canonical pattern
         if len(set(profiles)) < m:
             # A swap of two symbols of equal profile fixes the pattern and
             # has sign (-1)^i, so at odd i those orbits are balanced.
