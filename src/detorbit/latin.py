@@ -168,10 +168,8 @@ def _mask_of(subset: Iterable[int]) -> int:
     return mask
 
 
-def _pattern_masks(pattern: Optional[Pattern], i: int, m: int) -> list[int]:
-    """Allowed symbols per column: the pattern's subsets, or all for None."""
-    if pattern is None:
-        return [(1 << m) - 1] * m
+def _pattern_masks(pattern: Pattern, i: int, m: int) -> list[int]:
+    """The column masks of a valid pattern; ``ValueError`` for any other."""
     if not is_valid_pattern(pattern, i, m):
         raise ValueError("invalid pattern")
     return [_mask_of(subset) for subset in pattern]
@@ -265,7 +263,6 @@ def _square_quotient(m: int) -> _RowQuotient:
 def _run_rows(
     i: int,
     m: int,
-    allowed: Sequence[int],
     prefix: Sequence[Sequence[int]],
     on_leaf: Optional[_Leaf],
     quotient: Optional[_RowQuotient] = None,
@@ -277,17 +274,19 @@ def _run_rows(
     With ``quotient`` (built for i or more rows) only the rectangles it keeps
     are visited, one per orbit; each leaf then stands for
     ``quotient.order`` rectangles, which the caller weights.  Every sign is
-    still computed leaf by leaf.  ``prefix`` rows are taken as given; a
-    quotient with ``symbols`` starts from the identity row when it is empty.
+    still computed leaf by leaf.  A ``prefix`` symbol outside 0..m-1 or
+    repeated in its column is a ``ValueError``; a quotient with ``symbols``
+    starts from the identity row when ``prefix`` is empty.
     """
     if quotient is not None and quotient.symbols and not prefix:
         prefix = (tuple(range(m)),)
+    full = (1 << m) - 1
     col_mask = [0] * m
     parity0 = 0
     rows: list[tuple[int, ...]] = []
     for p, row in enumerate(prefix):
         for q, s in enumerate(row):
-            if col_mask[q] >> s & 1 or not allowed[q] >> s & 1:
+            if not 0 <= s < m or col_mask[q] >> s & 1:
                 raise ValueError("invalid prefix rows")
             parity0 ^= (col_mask[q] >> (s + 1)).bit_count() & 1
             col_mask[q] |= 1 << s
@@ -307,7 +306,7 @@ def _run_rows(
                 fill(p + 1, 0, 0, parity)
             rows.pop()
             return
-        avail = allowed[q] & ~col_mask[q] & ~row_mask
+        avail = full & ~(col_mask[q] | row_mask)
         if q == 0 and quotient is not None:
             r = quotient.ref[p]
             low = rows[r][0] + 1 if r >= 0 else 0
@@ -334,7 +333,6 @@ def _run_rows(
 def _run_columns(
     i: int,
     m: int,
-    allowed: Sequence[int],
     on_leaf: Optional[_Leaf],
     quotient: Optional[_RowQuotient] = None,
 ) -> int:
@@ -343,6 +341,7 @@ def _run_columns(
     ``quotient`` keeps one rectangle per orbit, as in :func:`_run_rows`.
     With ``symbols`` row 0 of column q is q, placed before each column's DFS.
     """
+    full = (1 << m) - 1
     col_masks = [0] * m
     row_mask = [0] * i
     count = 0
@@ -360,7 +359,7 @@ def _run_columns(
                 fill(q + 1, first, first << (q + 1), parity)
             col_masks[q] = 0
             return
-        avail = allowed[q] & ~cmask & ~row_mask[p]
+        avail = full & ~(cmask | row_mask[p])
         if q == 0 and quotient is not None:
             # In column 0 a filled row's mask holds just its first entry.
             r = quotient.ref[p]
@@ -393,21 +392,18 @@ def enumerate_latin_rectangles(
     m: int,
     *,
     visitor: Callable[[LatinRectangle], None],
-    pattern: Optional[Pattern] = None,
 ) -> int:
     """Visit every Latin (i, m)-rectangle once, in row-major lexicographic
     order, and return how many were visited: the reference enumerator, with
-    no quotient.  With ``pattern`` given, visits exactly the rectangles of
-    that pattern.  Counts come from :func:`orbit_tally`, as ``.total()`` or
+    no quotient.  Counts come from :func:`orbit_tally`, as ``.total()`` or
     ``.at(pattern)``.
     """
     _check_dims(i, m)
-    allowed = _pattern_masks(pattern, i, m)
 
     def leaf(rows, _masks, _parity):
         visitor(LatinRectangle(tuple(rows)))
 
-    return _run_rows(i, m, allowed, (), leaf)
+    return _run_rows(i, m, (), leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +521,6 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
     _run_rows(
         max(min(i - 1, 2), 1),
         m,
-        _pattern_masks(None, i, m),
         (),
         lambda rows, _m, _p: out.append(tuple(rows)),
         _row_quotient(i, m, symbols=True),
@@ -570,14 +565,13 @@ def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
     """
     i, m, prefixes, config = job
     quotient = _row_quotient(i, m, symbols=True)
-    allowed = _pattern_masks(None, i, m)
     w = quotient.order
     leaves = 0
     lines = []
     for prefix in prefixes:
         bucket: dict = {}
         leaf = _tally_leaf_factory(bucket)
-        leaves += _run_rows(i, m, allowed, prefix, leaf, quotient)
+        leaves += _run_rows(i, m, prefix, leaf, quotient)
         if config is not None:
             lines.append(_record_line(prefix, bucket, w, config))
         _fold_orbits(i, m, bucket, w, memo, orbits)
@@ -618,7 +612,7 @@ def _tally_by_blocks(
     back summed.  So ``multiprocessing`` is imported only by a run large
     enough to repay it.
 
-    Checkpoint records carry the full configuration (i, m, allowed masks,
+    Checkpoint records carry the full configuration (i, m, column masks,
     quotient group) and weighted per-pattern counts; records of any other
     configuration, and prefixes outside the current partition, are ignored.
     A block's record line is rendered where the block runs, and this
@@ -626,7 +620,8 @@ def _tally_by_blocks(
     """
     prefixes = _list_prefixes(i, m)
     group = _row_quotient(i, m, symbols=True).group
-    config = {"i": i, "m": m, "allowed": _pattern_masks(None, i, m), "group": group}
+    # All-ones column masks, kept so that records match old files byte for byte.
+    config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": group}
     memo: dict = {}
     folded: dict = {}
     done: set = set()
@@ -909,28 +904,23 @@ def orbit_tally(
     return OrbitTally(i, m, orbits)
 
 
-def signed_tally(
-    i: int, m: int, *, processes: int = 1, checkpoint_path: Optional[str] = None
-) -> SignedTally:
+def signed_tally(i: int, m: int) -> SignedTally:
     """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles:
     :func:`orbit_tally` expanded to every pattern.  For one pattern read
-    :meth:`OrbitTally.at` instead.  :func:`column_order_tally` is the
-    unreduced oracle.
+    :meth:`OrbitTally.at` instead; for a worker pool or a checkpoint, expand
+    the :func:`orbit_tally` that takes them.  :func:`column_order_tally` is
+    the unreduced oracle.
     """
-    tally = orbit_tally(i, m, processes=processes, checkpoint_path=checkpoint_path)
-    return tally.expand()
+    return orbit_tally(i, m).expand()
 
 
-def column_order_tally(
-    i: int, m: int, *, pattern: Optional[Pattern] = None
-) -> SignedTally:
+def column_order_tally(i: int, m: int) -> SignedTally:
     """Independent column-by-column tally over every rectangle (no quotient);
     the oracle that :func:`signed_tally` and both routes of
     :func:`alon_tarsi_difference` must agree with."""
     _check_dims(i, m)
-    allowed = _pattern_masks(pattern, i, m)
     bucket: dict = {}
-    _run_columns(i, m, allowed, _tally_leaf_factory(bucket))
+    _run_columns(i, m, _tally_leaf_factory(bucket))
     return _bucket_to_tally(i, m, bucket)
 
 
@@ -989,7 +979,7 @@ def alon_tarsi_difference(
     def leaf(_rows, _masks, parity):
         acc[parity] += 1
 
-    _run_columns(m, m, _pattern_masks(None, m, m), leaf, quotient)
+    _run_columns(m, m, leaf, quotient)
     return quotient.order * (acc[0] - acc[1])
 
 
@@ -1001,12 +991,12 @@ def alon_tarsi_difference(
 # i = m share their records.  A record holds the 1-based "prefix" rows of
 # its block (the identity row and the second row), the block's "plus" and
 # "minus" totals and its per-pattern counts ("patterns").  It is keyed by
-# the configuration of the run: "i", "m", the "allowed" column masks (all
-# ones) and the quotient "group", S<m>xS<i-1> or S<m>xA<i-1>.  Counts are
-# already multiplied by the group order, so the records of a run sum to its
-# first-row-fixed bucket: per pattern, not the tally's counts (the fold
-# gives those), but over all patterns its total and, as permuting columns
-# keeps eps_c, its signed sum.  Records of another configuration (such as
+# the configuration of the run: "i", "m", the column masks (all ones, see
+# :func:`_tally_by_blocks`) and the quotient "group", S<m>xS<i-1> or
+# S<m>xA<i-1>.  Counts are already multiplied by the group order, so the
+# records of a run sum to its first-row-fixed bucket: per pattern, not the
+# tally's counts (the fold gives those), but over all patterns its total
+# and, as permuting columns keeps eps_c, its signed sum.  Records of another configuration (such as
 # the S<i> or A<i> of the row-only quotient, or odd-m squares under A<m>),
 # whose prefix is not a block of the run, or without "patterns" (the
 # totals-only records of an earlier format) are ignored.
@@ -1014,8 +1004,7 @@ def alon_tarsi_difference(
 
 def _record_line(prefix: tuple, bucket: dict, weight: int, config: dict) -> str:
     """One block's record line: its totals and per-pattern counts, the
-    bucket's times ``weight``, under ``config``, which maps each of i, m,
-    allowed and group to its value."""
+    bucket's times ``weight``, under ``config``, the run's configuration."""
     plus = minus = 0
     patterns = []
     for key, (p, n) in sorted(bucket.items()):
@@ -1077,11 +1066,11 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     """Completed prefix blocks of the run ``config`` from a checkpoint file
     (later records win).
 
-    ``config`` is the dict that :func:`write_checkpoint_record` writes (i, m,
-    allowed, group); a record is read only if it holds every one of its keys
-    with the same value, and its per-pattern counts.  So records of an
-    earlier format are skipped: without allowed masks or quotient group they
-    count every rectangle of a block, not one per row orbit, and without
+    ``config`` is the run's configuration (i, m, column masks, group) that
+    :func:`_record_line` writes; a record is read only if it holds every one
+    of its keys with the same value, and its per-pattern counts.  So records
+    of an earlier format are skipped: without column masks or quotient group
+    they count every rectangle of a block, not one per row orbit, and without
     ``patterns`` they are the totals-only records of a signed square count.
     A record that is read and malformed raises (:func:`_record_block`).
 

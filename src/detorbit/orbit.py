@@ -14,6 +14,7 @@ it is tested against lives in :mod:`detorbit.oracles`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -21,7 +22,7 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .invariant import HomPoly, _product_form, det_power_invariant
+from .invariant import DEFAULT_DET_BUDGET, HomPoly, _product_form, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 MAX_PERMANENT_SIZE = 20
+# Candidates in the witness schedule (:func:`candidate_schedule`).
+MAX_CANDIDATES = 40
+_CSV_CELL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _gray_steps(k: int) -> Iterator[tuple[int, bool, int]]:
@@ -207,9 +211,10 @@ class WitnessResult:
 
 
 def candidate_schedule(
-    m: int, i: int, seed: int = 0, count: int = 40
+    m: int, i: int, seed: int = 0
 ) -> Iterator[tuple[str, RestrictionMatrix]]:
-    """Deterministic candidates: structured integer matrices, then seeded rationals."""
+    """The :data:`MAX_CANDIDATES` deterministic candidates: structured integer
+    matrices, then seeded rationals."""
     yield (
         "cyclic-identity",
         RestrictionMatrix.from_rows(
@@ -231,7 +236,7 @@ def candidate_schedule(
     )
     rng = Random(seed)
     emitted = 4
-    while emitted < count:
+    while emitted < MAX_CANDIDATES:
         rows = [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(i)]
             for _ in range(m)
@@ -245,21 +250,18 @@ def witness_search(
     i: int,
     *,
     seed: int = 0,
-    max_candidates: int = 40,
-    budget: int = 10**9,
+    budget: int = DEFAULT_DET_BUDGET,
 ) -> Optional[WitnessResult]:
     """Scan the candidate schedule for a nonzero invariant value.
 
     Returns the first hit (schedule order fixes the winner) or None when the
-    budgeted schedule is exhausted.
+    schedule is exhausted; ``budget`` caps each invariant evaluation.
     """
     if m % 2:
         raise ValueError("the invariant requires even m")
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
-    for index, (label, A) in enumerate(
-        candidate_schedule(m, i, seed, max_candidates)
-    ):
+    for index, (label, A) in enumerate(candidate_schedule(m, i, seed)):
         value = det_power_invariant(m, i, det_restriction(A), budget=budget)
         if value:
             return WitnessResult(
@@ -276,14 +278,18 @@ def witness_search(
 
 def matrix_from_csv(text: str) -> RestrictionMatrix:
     """Rows of comma-separated integers or p/q rationals; a cell that is
-    neither, or has a zero denominator, is a ``ValueError``."""
+    neither (such as 1e999999999, which ``Fraction`` would expand to a
+    billion digits), or has a zero denominator, is a ``ValueError``."""
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
         if not line:
             continue
+        cells = [cell.strip() for cell in line.split(",")]
+        if not all(map(_CSV_CELL.fullmatch, cells)):
+            raise ValueError(f"matrix row {line[:40]!r} has a cell not an integer or p/q")
         try:
-            rows.append([Fraction(cell.strip()) for cell in line.split(",")])
+            rows.append([Fraction(cell) for cell in cells])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in matrix row {line!r}") from None
     return RestrictionMatrix.from_rows(rows)

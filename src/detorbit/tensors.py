@@ -19,7 +19,7 @@ coefficient contraction in the monomial basis.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
@@ -56,7 +56,7 @@ class SparseTensor:
 
     rank: int
     m: int
-    data: dict[bytes, Fraction] = field(default_factory=dict)
+    data: dict[bytes, Fraction]
 
     def __post_init__(self):
         data = {}
@@ -417,7 +417,7 @@ def rectangle_symmetrizer_pairing(
     total = [0]
     quotient = latin._row_quotient(i, m, symbols=True)
     leaf = _rearrangement_leaf(i, total)
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf, quotient)
+    latin._run_rows(i, m, (), leaf, quotient)
     return Fraction(total[0] * quotient.order, factorial(m) ** i)
 
 
@@ -431,8 +431,9 @@ def pattern_imbalance_pairing(i: int, m: int) -> Fraction:
     return Fraction(tally.imbalance_square_sum(), factorial(m) ** i)
 
 
-def pairing_identity_report(i: int, m: int, *, max_work: int = DEFAULT_WORK_CAP) -> dict:
-    """Both sides of the pairing identity, plus the full-expansion cross-check."""
+def pairing_identity_report(i: int, m: int) -> dict:
+    """Both sides of the pairing identity, plus the full-expansion cross-check
+    when it fits in :data:`DEFAULT_WORK_CAP`."""
     lhs = rectangle_symmetrizer_pairing(i, m, method="latin")
     rhs = pattern_imbalance_pairing(i, m)
     report = {
@@ -443,7 +444,7 @@ def pairing_identity_report(i: int, m: int, *, max_work: int = DEFAULT_WORK_CAP)
         "equal": lhs == rhs,
     }
     try:
-        full = rectangle_symmetrizer_pairing(i, m, method="full", max_work=max_work)
+        full = rectangle_symmetrizer_pairing(i, m, method="full")
         report["lhs_full"] = full
         report["equal"] = report["equal"] and full == lhs
     except BudgetExceeded:

@@ -121,7 +121,7 @@ def unreduced_latin_pairing(i: int, m: int) -> Fraction:
     """
     total = [0]
     leaf = tensors._rearrangement_leaf(i, total)
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf)
+    latin._run_rows(i, m, (), leaf)
     return Fraction(total[0], factorial(m) ** i)
 
 
@@ -210,7 +210,7 @@ def reference_fold(i: int, m: int) -> dict:
     quotient = latin._row_quotient(i, m, symbols=True)
     bucket: dict = {}
     latin._run_rows(
-        i, m, [(1 << m) - 1] * m, (), latin._tally_leaf_factory(bucket), quotient
+        i, m, (), latin._tally_leaf_factory(bucket), quotient
     )
     fact, w = factorial(m), quotient.order
     folded: dict = {}
@@ -295,7 +295,7 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
                 LatinRectangle(tuple(rows[:-1])),
             )
 
-    latin._run_rows(i, m, [(1 << m) - 1] * m, (), leaf)
+    latin._run_rows(i, m, (), leaf)
     return SignFactorizationReport(
         i=i,
         m=m,

@@ -369,6 +369,9 @@ def _form(exp, num="1", den="1") -> str:
         (["invariant-eval", "2", "2", "-"], "[1]"),
         (["invariant-eval", "2", "2", "-"], _form(["a", 1])),
         (["witness", "4", "2", "--matrix"], "1,0\n1/0,1\n1,1\n0,1\n"),
+        # Cells are integers or p/q only, not exponents or decimals.
+        (["witness", "4", "2", "--matrix"], "1,0\n0,1e3\n1,1\n0,1\n"),
+        (["witness", "4", "2", "--matrix"], "1,0\n0,0.5\n1,1\n0,1\n"),
         # Neither may be read as an integer: 0.5 would truncate to 0.
         (["invariant-eval", "2", "2", "-"], _form([1, 1], num=0.5)),
         (["invariant-eval", "2", "2", "-"], _form([True, True])),
@@ -377,6 +380,7 @@ def _form(exp, num="1", den="1") -> str:
     ],
     ids=[
         "no-terms", "zero-den", "not-an-object", "string-exponent", "csv-zero-den",
+        "csv-exponent", "csv-decimal",
         "float-numerator", "bool-exponent", "deep-nesting",
     ],
 )

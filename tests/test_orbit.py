@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from helpers import random_restriction_matrix
 from detorbit.errors import BudgetExceeded
 from detorbit.orbit import (
+    MAX_CANDIDATES,
     RestrictionMatrix,
     candidate_schedule,
     content_coefficient,
@@ -95,10 +97,13 @@ def _contents(total, parts):
 
 
 def test_candidate_schedule_is_deterministic():
-    a = [(label, A.rows) for label, A in candidate_schedule(4, 2, seed=5, count=8)]
-    b = [(label, A.rows) for label, A in candidate_schedule(4, 2, seed=5, count=8)]
+    a = [(label, A.rows) for label, A in islice(candidate_schedule(4, 2, seed=5), 8)]
+    b = [(label, A.rows) for label, A in islice(candidate_schedule(4, 2, seed=5), 8)]
     assert a == b
     assert a[0][0] == "cyclic-identity"
+    labels = [label for label, _A in candidate_schedule(4, 2, seed=5)]
+    assert len(labels) == MAX_CANDIDATES == 40
+    assert labels[-1] == "random-39"
 
 
 @pytest.mark.parametrize(
@@ -136,3 +141,15 @@ def test_matrix_from_csv():
     A = matrix_from_csv("1,0\n0,1\n1/2,-3\n")
     assert A.m == 3 and A.i == 2
     assert A.rows[2] == (Fraction(1, 2), Fraction(-3))
+    B = matrix_from_csv(" +2 , -3/4 \n1,1\n")
+    assert B.rows[0] == (Fraction(2), Fraction(-3, 4))
+
+
+@pytest.mark.parametrize(
+    "cell", ["1e999999999", "1e3", "0.5", "1_0", "1/-2", "1/2/3", "", "x", "1 2"]
+)
+def test_matrix_from_csv_reads_only_integers_and_fractions(cell):
+    # Fraction alone would read the first four; 1e999999999 would build a
+    # billion-digit integer.
+    with pytest.raises(ValueError, match="not an integer or p/q"):
+        matrix_from_csv(f"1,0\n0,{cell}\n")
