@@ -12,7 +12,7 @@ Subpackages:
 * :mod:`detorbit.kronecker` -- symmetric group characters and symmetric
   Kronecker positivity checks;
 * :mod:`detorbit.oracles` -- slower independent routes the tests check the
-  invariant and permanent kernels against;
+  invariant, permanent and signed square count kernels against;
 * :mod:`detorbit.cli` -- reproducible command line experiments.
 
 Importing the package loads none of the computation modules.  A name such
@@ -34,6 +34,7 @@ _EXPORTS = {
         "OrbitTally",
         "SignedTally",
         "alon_tarsi_difference",
+        "column_order_difference",
         "column_order_tally",
         "column_sign",
         "enumerate_latin_rectangles",
@@ -46,7 +47,7 @@ _EXPORTS = {
         "SparseTensor",
         "Tableau",
         "apply_symmetrizer",
-        "latin_sign_sum_pairing",
+        "full_symmetrizer_pairing",
         "pairing",
         "pairing_identity_report",
         "pattern_imbalance_pairing",
@@ -79,6 +80,7 @@ _EXPORTS = {
         "MatrixTensorTerm",
         "elementary_matrix_expansion",
         "exact_det",
+        "latin_sign_sum_pairing",
         "permanent_naive",
         "polarized_det_power",
     ),

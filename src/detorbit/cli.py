@@ -15,7 +15,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,12 +58,9 @@ def _cmd_alon_tarsi(args) -> tuple[int, dict]:
     from . import latin
 
     rows = latin.alon_tarsi_difference(
-        args.m,
-        order="rows",
-        processes=args.threads,
-        checkpoint_path=args.checkpoint,
+        args.m, processes=args.threads, checkpoint_path=args.checkpoint
     )
-    cols = latin.alon_tarsi_difference(args.m, order="columns")
+    cols = latin.column_order_difference(args.m)
     ok = rows == cols
     report = {
         "m": args.m,
@@ -90,10 +87,10 @@ def _cmd_pairing(args) -> tuple[int, dict]:
 
 
 def _cmd_sign_sum(args) -> tuple[int, dict]:
-    from . import latin, tensors
+    from . import latin
 
-    value = tensors.latin_sign_sum_pairing(args.m)
-    cross = latin.alon_tarsi_difference(args.m, order="rows")
+    value = latin.column_order_difference(args.m)
+    cross = latin.alon_tarsi_difference(args.m)
     ok = value == cross
     report = {
         "m": args.m,
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimated at 20,000 or more)",
     )
     parser.add_argument(
-        "--budget", type=int, default=10**9, help="work cap for heavy evaluations"
+        "--budget", type=int, default=DEFAULT_BUDGET, help="work cap for heavy evaluations"
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled schedules")
     parser.add_argument("--out", type=str, default=None, help="also write report here")
@@ -292,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(func=_cmd_pairing)
 
-    p = sub.add_parser("sign-sum", help="tableau word pairing vs signed count")
+    p = sub.add_parser(
+        "sign-sum", help="tableau word pairing (column-major DFS) vs orbit-tally count"
+    )
     p.add_argument("m", type=int)
     p.set_defaults(func=_cmd_sign_sum)
 

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default work budget."""
+
+# The CLI's ``--budget`` default and :data:`detorbit.invariant.DEFAULT_DET_BUDGET`.
+DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceeded(RuntimeError):

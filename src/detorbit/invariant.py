@@ -29,7 +29,7 @@ from math import factorial, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 __all__ = [
     "HomPoly",
@@ -41,7 +41,7 @@ __all__ = [
 
 Pair = tuple[int, int]
 
-DEFAULT_DET_BUDGET = 10**9
+DEFAULT_DET_BUDGET = DEFAULT_BUDGET
 
 
 @dataclass

@@ -13,9 +13,11 @@ Every count is read from one row-major counter, the orbit form
 whole S_m-orbit, so only the rectangles whose first row is 1..m are
 visited.  :class:`OrbitTally` streams the per-pattern report in sorted
 order, expands it (:func:`signed_tally`) or reads one pattern (``at``),
-at i = m the signed square count.  :func:`column_order_tally` enumerates
-every rectangle column by column and is the oracle of both, and
-:func:`enumerate_latin_rectangles` is the visiting reference enumerator.
+at i = m the signed square count (:func:`alon_tarsi_difference`).  The
+column-major DFS is their oracle, unreduced per pattern
+(:func:`column_order_tally`) and by reduced squares at i = m
+(:func:`column_order_difference`); :func:`enumerate_latin_rectangles` is
+the visiting reference enumerator.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -49,6 +51,7 @@ __all__ = [
     "orbit_tally",
     "column_order_tally",
     "alon_tarsi_difference",
+    "column_order_difference",
     "write_checkpoint_record",
     "load_checkpoint",
 ]
@@ -112,20 +115,18 @@ class LatinRectangle:
 
 
 def column_sign(column: Sequence[int]) -> int:
-    """Sign of prod_{p<p'} (a_{p'} - a_p) over a distinct-entry column.
-
-    The empty product convention gives +1 for a single entry.  This is the
-    inversion parity of the package: the sign of a permutation in one-line
-    notation is its column sign.
-    """
+    """Sign of prod_{p<p'} (a_{p'} - a_p) over a distinct-entry column (+1
+    for a single entry); the sign of a permutation in one-line notation is
+    its column sign.  :func:`_inversion_parity` is the package's one
+    inversion parity kernel."""
     if len(set(column)) != len(column):
         raise ValueError("not a valid Latin column")
-    inv = 0
-    for p in range(len(column)):
-        for pp in range(p + 1, len(column)):
-            if column[pp] < column[p]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    return -1 if _inversion_parity(column) else 1
+
+
+def _inversion_parity(seq: Sequence[int]) -> int:
+    """1 if ``seq`` has an odd number of pairs out of order, else 0."""
+    return sum(a > b for a, b in combinations(seq, 2)) & 1
 
 
 def rect_sign(rect: LatinRectangle) -> int:
@@ -249,8 +250,8 @@ def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
 
 
 def _square_quotient(m: int) -> _RowQuotient:
-    """The quotient of the columns route of :func:`alon_tarsi_difference`,
-    which sums eps_c square by square.
+    """The quotient of :func:`column_order_difference`, which sums eps_c
+    square by square.
 
     At even m every symbol relabelling pi multiplies each column sign by
     sgn(pi), so eps_c by sgn(pi)^m = 1: the reduced squares (first row and
@@ -264,7 +265,7 @@ def _run_rows(
     i: int,
     m: int,
     prefix: Sequence[Sequence[int]],
-    on_leaf: Optional[_Leaf],
+    on_leaf: _Leaf,
     quotient: Optional[_RowQuotient] = None,
 ) -> int:
     """DFS over rectangles extending ``prefix`` (0-based rows).
@@ -300,8 +301,7 @@ def _run_rows(
             rows.append(tuple(bufs[p]))
             if p + 1 == i:
                 count += 1
-                if on_leaf is not None:
-                    on_leaf(rows, col_mask, parity)
+                on_leaf(rows, col_mask, parity)
             else:
                 fill(p + 1, 0, 0, parity)
             rows.pop()
@@ -323,8 +323,7 @@ def _run_rows(
 
     if len(prefix) == i:
         count = 1
-        if on_leaf is not None:
-            on_leaf(rows, col_mask, parity0)
+        on_leaf(rows, col_mask, parity0)
     else:
         fill(len(prefix), 0, 0, parity0)
     return count
@@ -333,7 +332,7 @@ def _run_rows(
 def _run_columns(
     i: int,
     m: int,
-    on_leaf: Optional[_Leaf],
+    on_leaf: _Leaf,
     quotient: Optional[_RowQuotient] = None,
 ) -> int:
     """Column-by-column DFS; ``on_leaf(None, col_masks, parity)`` per rectangle.
@@ -353,8 +352,7 @@ def _run_columns(
             col_masks[q] = cmask
             if q + 1 == m:
                 count += 1
-                if on_leaf is not None:
-                    on_leaf(None, col_masks, parity)
+                on_leaf(None, col_masks, parity)
             else:
                 fill(q + 1, first, first << (q + 1), parity)
             col_masks[q] = 0
@@ -739,7 +737,7 @@ class OrbitTally:
             for r in occurring:
                 moved = [perm[s - 1] for s in subsets[r]]
                 image[r] = rank[sum(1 << t for t in moved)]
-                parity[r] = sum(a > b for a, b in combinations(moved, 2)) & 1
+                parity[r] = _inversion_parity(moved)
             image, parity = bytes(image), bytes(parity)
             for ties, orbits in by_ties.items():
                 if any(perm[s] > perm[s + 1] for s in ties):
@@ -916,8 +914,8 @@ def signed_tally(i: int, m: int) -> SignedTally:
 
 def column_order_tally(i: int, m: int) -> SignedTally:
     """Independent column-by-column tally over every rectangle (no quotient);
-    the oracle that :func:`signed_tally` and both routes of
-    :func:`alon_tarsi_difference` must agree with."""
+    the oracle that :func:`signed_tally`, :func:`alon_tarsi_difference` and
+    :func:`column_order_difference` must agree with."""
     _check_dims(i, m)
     bucket: dict = {}
     _run_columns(i, m, _tally_leaf_factory(bucket))
@@ -942,36 +940,37 @@ def _check_square_visits(m: int, order: int) -> None:
 
 
 def alon_tarsi_difference(
-    m: int,
-    *,
-    order: str = "rows",
-    processes: int = 1,
-    checkpoint_path: Optional[str] = None,
+    m: int, *, processes: int = 1, checkpoint_path: Optional[str] = None
 ) -> int:
-    """Signed sum of eps_c over all Latin (m, m)-squares.
-
-    ``order`` selects the row-major or the column-major enumeration; the two
-    are independent DFS kernels and must agree exactly.  The rows route
-    reads plus - minus of the one pattern of :func:`orbit_tally` at i = m
-    (:meth:`OrbitTally.at`), with its records; the columns route is its
-    deliberate oracle over :func:`_square_quotient`.  At even m both keep
-    the reduced squares.  At odd m > 1 the rows value 0 comes from the
-    fold's balance rule, while the columns route sums the signs of the A_m
-    row orbits it enumerates: each S_m orbit splits into two of opposite
-    sign.  ``column_order_tally(m, m)`` is the unreduced oracle; the rows
-    route alone takes ``processes`` and ``checkpoint_path``.  A route that
-    would keep more than :data:`MAX_SQUARE_VISITS` squares, or m > 7, is
+    """Signed sum of eps_c over all Latin (m, m)-squares: plus - minus of
+    the one pattern of :func:`orbit_tally` at i = m (:meth:`OrbitTally.at`),
+    which takes ``processes`` and ``checkpoint_path``.  At odd m > 1 the
+    value 0 comes from the fold's balance rule.  A run that would keep more
+    than :data:`MAX_SQUARE_VISITS` first-row-fixed squares, or m > 7, is
     refused with :class:`BudgetExceeded` before it starts.
+    :func:`column_order_difference` is its oracle.
     """
     _check_dims(m, m)
-    if order == "rows":
-        _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
-        full = (tuple(range(1, m + 1)),) * m
-        tally = orbit_tally(m, m, processes=processes, checkpoint_path=checkpoint_path)
-        plus, minus = tally.at(full)
-        return plus - minus
-    if order != "columns":
-        raise ValueError("order must be 'rows' or 'columns'")
+    _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
+    full = (tuple(range(1, m + 1)),) * m
+    tally = orbit_tally(m, m, processes=processes, checkpoint_path=checkpoint_path)
+    plus, minus = tally.at(full)
+    return plus - minus
+
+
+def column_order_difference(m: int) -> int:
+    """The signed square count by the column-major DFS: the deliberate
+    oracle of :func:`alon_tarsi_difference`, beside the unreduced
+    ``column_order_tally(m, m)``.
+
+    It shares no counting code with the orbit tally: it sums eps_c square
+    by square over :func:`_square_quotient`, the reduced squares at even m.
+    At odd m it sums the signs of the A_m row orbits it enumerates, and
+    each S_m orbit splits into two of opposite sign.  Past
+    :data:`MAX_SQUARE_VISITS` kept squares, or m > 7, it is refused with
+    :class:`BudgetExceeded` before it starts.
+    """
+    _check_dims(m, m)
     quotient = _square_quotient(m)
     _check_square_visits(m, quotient.order)
     acc = [0, 0]

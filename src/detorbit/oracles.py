@@ -4,8 +4,10 @@ No production path of the library or the CLI imports this module.  Each
 function is a deliberate second route built from other ingredients:
 :func:`elementary_matrix_expansion` and :func:`polarized_det_power`
 (Gray-code inclusion-exclusion over :func:`exact_det`) against the pruned
-P^i expansion and :func:`~detorbit.invariant.elementary_det_power`, and
-:func:`permanent_naive` against Ryser's :func:`~detorbit.orbit.permanent`.
+P^i expansion and :func:`~detorbit.invariant.elementary_det_power`,
+:func:`permanent_naive` against Ryser's :func:`~detorbit.orbit.permanent`,
+and :func:`latin_sign_sum_pairing` (the expanded symmetrizer image of the
+tableau word) against the signed square count of the Latin DFS.
 """
 
 from __future__ import annotations
@@ -17,14 +19,17 @@ from math import factorial, lcm
 from operator import add, sub
 from typing import Sequence
 
+from . import latin
 from .errors import BudgetExceeded
 from .invariant import HomPoly, polarized_coefficient
 from .orbit import _gray_steps
+from .tensors import SparseTensor, apply_symmetrizer, rectangular_tableau, word_tensor
 
 __all__ = [
     "MatrixTensorTerm",
     "elementary_matrix_expansion",
     "exact_det",
+    "latin_sign_sum_pairing",
     "polarized_det_power",
     "permanent_naive",
 ]
@@ -146,3 +151,43 @@ def permanent_naive(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
                 break
         total += prod
     return total
+
+
+def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
+    """Pairing of t against the i-th tensor power of the symmetrized word.
+
+    Avoids materializing the m!^i support: each key whose i consecutive
+    length-m blocks are permutation words contributes coeff / m!^i.  Keys
+    hold symbols below m, so a block is a permutation word exactly when its
+    m symbols are distinct.
+    """
+    if t.rank != i * m:
+        raise ValueError("rank mismatch")
+    total = Fraction(0)
+    for key, coeff in t.data.items():
+        if all(len(set(key[b * m : (b + 1) * m])) == m for b in range(i)):
+            total += coeff
+    return total / Fraction(factorial(m)) ** i
+
+
+def latin_sign_sum_pairing(m: int) -> int:
+    """Pairing of the symmetrized word power against the symmetrized tableau word.
+
+    Equals the sum of sign products over all m-tuples of column permutations
+    whose matrix is a Latin square, i.e. the signed Latin square count.  The
+    symmetrizer image of the m x m tableau word is materialized and
+    contracted: the tensor-side oracle of the identity.  Past m = 4 it is
+    refused with :class:`BudgetExceeded`: at m >= 6 before the image is
+    built, as the Latin squares exceed
+    :data:`~detorbit.latin.MAX_SQUARE_VISITS`, and at m = 5 by the cap of
+    :func:`~detorbit.tensors.apply_symmetrizer`.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    latin._check_square_visits(m, 1)
+    t = rectangular_tableau(m, m)
+    image = apply_symmetrizer(t, word_tensor(t, m))
+    value = _pair_with_symmetrized_power(image, m, m)
+    if value.denominator != 1:
+        raise RuntimeError("internal error: non-integer sign sum")
+    return value.numerator

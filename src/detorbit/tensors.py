@@ -4,13 +4,12 @@ Tensors are sparse maps from fixed-length index words (stored as ``bytes`` of
 0-based symbols) to rationals.  Permutations of {0..k-1} act on tensor slots
 from the left: sigma moves the content of slot j to slot sigma[j].  Young
 symmetrizers of rectangular tableaux applied to symmetrized basis words give
-both sides of the pairing identities that connect this module to the signed
-Latin tallies of :mod:`detorbit.latin`:
-
-* the rectangle symmetrizer pairing equals (1/m!)^i * sum over patterns of
-  (plus - minus)^2, and
-* at i = m the pairing against the tableau word equals the signed Latin
-  square count.
+the pairing identity that ties this module to the signed Latin tallies of
+:mod:`detorbit.latin`: the rectangle symmetrizer pairing, by the Latin route
+(:func:`rectangle_symmetrizer_pairing`) or by full expansion
+(:func:`full_symmetrizer_pairing`), equals (1/m!)^i * sum over patterns of
+(plus - minus)^2.  At i = m the pairing against the tableau word is the
+signed Latin square count (:func:`detorbit.oracles.latin_sign_sum_pairing`).
 
 Dual and primal tensors share one representation; the pairing is the plain
 coefficient contraction in the monomial basis.
@@ -38,9 +37,9 @@ __all__ = [
     "apply_symmetrizer",
     "pairing",
     "rectangle_symmetrizer_pairing",
+    "full_symmetrizer_pairing",
     "pattern_imbalance_pairing",
     "pairing_identity_report",
-    "latin_sign_sum_pairing",
 ]
 
 DEFAULT_WORK_CAP = 2 * 10**6
@@ -278,18 +277,17 @@ def _symmetrizer_stage(
     return data
 
 
-def apply_symmetrizer(
-    t: Tableau, x: SparseTensor, max_work: int = DEFAULT_WORK_CAP
-) -> SparseTensor:
+def apply_symmetrizer(t: Tableau, x: SparseTensor) -> SparseTensor:
     """Row-symmetrize then signed column-sum: (sum_col sign * mu)(sum_row sigma) x.
 
     The input is scaled by the lcm of its denominators, both stages add
     ``int`` numerators, and each output ``Fraction`` is built once at the
     end; no zero coefficient is stored.  Each stage sums over the direct
     product of its blocks' symmetric groups one block at a time.  The work
-    estimate (group order times current support) is checked before each
-    stage and kept as the refusal rule, although it overstates the key moves
-    the block-by-block sum makes.  Composing the output with a column
+    estimate (group order times current support) is checked against
+    :data:`DEFAULT_WORK_CAP`, read at call time, before each stage and kept
+    as the refusal rule, although it overstates the key moves the
+    block-by-block sum makes.  Composing the output with a column
     transposition on the left negates it.
     """
     if x.rank != t.size:
@@ -297,13 +295,13 @@ def apply_symmetrizer(
     row_blocks = [list(row) for row in t.rows]
     col_blocks = t.columns()
     row_order = _group_order(row_blocks)
-    if row_order * max(1, x.nnz()) > max_work:
+    if row_order * max(1, x.nnz()) > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", row_order * x.nnz())
     scale = lcm(*(c.denominator for c in x.data.values()))
     nums = {key: c.numerator * (scale // c.denominator) for key, c in x.data.items()}
     acc = _symmetrizer_stage(x.rank, row_blocks, False, nums)
     col_order = _group_order(col_blocks)
-    if col_order * max(1, len(acc)) > max_work:
+    if col_order * max(1, len(acc)) > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", col_order * len(acc))
     out = _symmetrizer_stage(x.rank, col_blocks, True, acc)
     data = {key: Fraction(n, scale) for key, n in out.items()}
@@ -325,23 +323,6 @@ def word_tensor(t: Tableau, m: int) -> SparseTensor:
 # ---------------------------------------------------------------------------
 # Pairing identities.
 # ---------------------------------------------------------------------------
-
-
-def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
-    """Pairing of t against the i-th tensor power of the symmetrized word.
-
-    Avoids materializing the m!^i support: each key whose i consecutive
-    length-m blocks are permutation words contributes coeff / m!^i.  Keys
-    hold symbols below m, so a block is a permutation word exactly when its
-    m symbols are distinct.
-    """
-    if t.rank != i * m:
-        raise ValueError("rank mismatch")
-    total = Fraction(0)
-    for key, coeff in t.data.items():
-        if all(len(set(key[b * m : (b + 1) * m])) == m for b in range(i)):
-            total += coeff
-    return total / Fraction(factorial(m)) ** i
 
 
 def _rearrangement_leaf(i: int, total: list[int]) -> latin._Leaf:
@@ -374,22 +355,11 @@ def _rearrangement_leaf(i: int, total: list[int]) -> latin._Leaf:
     return per_rectangle
 
 
-def rectangle_symmetrizer_pairing(
-    i: int,
-    m: int,
-    *,
-    method: str = "latin",
-    max_work: int = DEFAULT_WORK_CAP,
-) -> Fraction:
-    """Pairing of the symmetrized word power against its symmetrizer image.
+def rectangle_symmetrizer_pairing(i: int, m: int) -> Fraction:
+    """Pairing of the symmetrized word power against its symmetrizer image,
+    exact, by the cancellation of non-Latin terms.
 
-    ``method='full'`` materializes the symmetrizer image of the i-th power of
-    the symmetrized word under the i x m rectangular tableau and contracts.
-    It is refused with :class:`BudgetExceeded` before the power is built
-    when the row stage's estimate (m!)^i * (m!)^i exceeds ``max_work``.
-
-    ``method='latin'`` exploits the cancellation of non-Latin terms: per
-    Latin (i, m)-rectangle R it sums, over all per-column rearrangement
+    Per Latin (i, m)-rectangle R it sums, over all per-column rearrangement
     tuples whose result still has permutation rows, the product of the
     rearrangement signs.  That term is eps_c(R) * D(pattern of R), where D
     is the pattern's plus - minus.  Relabelling symbols by pi multiplies
@@ -398,27 +368,35 @@ def rectangle_symmetrizer_pairing(
     and row quotient (:func:`latin._row_quotient` with ``symbols``: first
     row 1..m, rows 2..i up to S_{i-1} at even m or A_{i-1} at odd m) are
     scanned, each weighted by m! * |row group|.  The unreduced scan over
-    every rectangle is kept in the tests as this route's oracle.  Both
-    methods return the exact rational value.
+    every rectangle is kept in the tests as this route's oracle, and
+    :func:`full_symmetrizer_pairing` computes the same value by expansion.
     """
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
-    if method == "full":
-        est = factorial(m) ** (2 * i)  # row stage: (m!)^i perms on (m!)^i words
-        if est > max_work:
-            raise BudgetExceeded("symmetrizer too large", est)
-        base = symmetrized_basis_tensor(m)
-        power = base.tensor_power(i)
-        image = apply_symmetrizer(rectangular_tableau(i, m), power, max_work)
-        return pairing(power, image)
-    if method != "latin":
-        raise ValueError("method must be 'latin' or 'full'")
-
     total = [0]
     quotient = latin._row_quotient(i, m, symbols=True)
     leaf = _rearrangement_leaf(i, total)
     latin._run_rows(i, m, (), leaf, quotient)
     return Fraction(total[0] * quotient.order, factorial(m) ** i)
+
+
+def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
+    """:func:`rectangle_symmetrizer_pairing` by full expansion: the
+    symmetrizer image of the i-th power of the symmetrized word under the
+    i x m rectangular tableau, contracted with that power.
+
+    Refused with :class:`BudgetExceeded` before the power is built when the
+    row stage's estimate (m!)^i * (m!)^i exceeds :data:`DEFAULT_WORK_CAP`;
+    :func:`apply_symmetrizer` checks both stages against the same cap.
+    """
+    if not 1 <= i <= m:
+        raise ValueError("need 1 <= i <= m")
+    est = factorial(m) ** (2 * i)  # row stage: (m!)^i perms on (m!)^i words
+    if est > DEFAULT_WORK_CAP:
+        raise BudgetExceeded("symmetrizer too large", est)
+    power = symmetrized_basis_tensor(m).tensor_power(i)
+    image = apply_symmetrizer(rectangular_tableau(i, m), power)
+    return pairing(power, image)
 
 
 def pattern_imbalance_pairing(i: int, m: int) -> Fraction:
@@ -434,7 +412,7 @@ def pattern_imbalance_pairing(i: int, m: int) -> Fraction:
 def pairing_identity_report(i: int, m: int) -> dict:
     """Both sides of the pairing identity, plus the full-expansion cross-check
     when it fits in :data:`DEFAULT_WORK_CAP`."""
-    lhs = rectangle_symmetrizer_pairing(i, m, method="latin")
+    lhs = rectangle_symmetrizer_pairing(i, m)
     rhs = pattern_imbalance_pairing(i, m)
     report = {
         "i": i,
@@ -444,36 +422,9 @@ def pairing_identity_report(i: int, m: int) -> dict:
         "equal": lhs == rhs,
     }
     try:
-        full = rectangle_symmetrizer_pairing(i, m, method="full")
+        full = full_symmetrizer_pairing(i, m)
         report["lhs_full"] = full
         report["equal"] = report["equal"] and full == lhs
     except BudgetExceeded:
         report["lhs_full"] = None
     return report
-
-
-def latin_sign_sum_pairing(m: int, *, method: str = "search") -> int:
-    """Pairing of the symmetrized word power against the symmetrized tableau word.
-
-    Equals the sum of sign products over all m-tuples of column permutations
-    whose matrix is a Latin square, i.e. the signed Latin square count.
-    ``method='search'`` returns that count from the column-major enumeration
-    of :func:`latin.alon_tarsi_difference`, which refuses the squares its
-    quotient keeps past :data:`latin.MAX_SQUARE_VISITS`.
-    ``method='explicit'`` materializes the symmetrizer image and contracts
-    (small m only); it is the independent tensor-side oracle for the
-    identity, refused when the Latin squares themselves exceed that bound.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if method == "search":
-        return latin.alon_tarsi_difference(m, order="columns")
-    if method != "explicit":
-        raise ValueError("method must be 'search' or 'explicit'")
-    latin._check_square_visits(m, 1)
-    t = rectangular_tableau(m, m)
-    image = apply_symmetrizer(t, word_tensor(t, m))
-    value = _pair_with_symmetrized_power(image, m, m)
-    if value.denominator != 1:
-        raise RuntimeError("internal error: non-integer sign sum")
-    return value.numerator

@@ -21,7 +21,7 @@ from random import Random
 from typing import Iterable, Optional, Sequence
 
 import detorbit
-from detorbit import kronecker, latin, tensors
+from detorbit import kronecker, latin, oracles, tensors
 from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
 from detorbit.latin import LatinRectangle
 from detorbit.orbit import RestrictionMatrix
@@ -370,7 +370,7 @@ def translated_pairing_scan(
     """
     t = tensors.rectangular_tableau(m, m)
     image = tensors.apply_symmetrizer(t, tensors.word_tensor(t, m))
-    base = tensors.latin_sign_sum_pairing(m)
+    base = oracles.latin_sign_sum_pairing(m)
     k = m * m
     if taus is None:
         if m == 2:
@@ -388,7 +388,7 @@ def translated_pairing_scan(
     counts: dict[str, int] = {}
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for tau in tau_list:
-        value = tensors._pair_with_symmetrized_power(image.permute_slots(tau), m, m)
+        value = oracles._pair_with_symmetrized_power(image.permute_slots(tau), m, m)
         counts[str(value)] = counts.get(str(value), 0) + 1
         if value not in allowed:
             violations.append((tau, value))

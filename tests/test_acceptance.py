@@ -22,7 +22,7 @@ from helpers import (
     translated_pairing_scan,
     verify_sign_factorization,
 )
-from detorbit import invariant, kronecker, latin, orbit, tensors
+from detorbit import invariant, kronecker, latin, oracles, orbit, tensors
 
 
 def _report(name: str, detail: str = "") -> None:
@@ -62,7 +62,7 @@ def test_criterion_2_alon_tarsi_values():
     assert latin.alon_tarsi_difference(2) == -2
     assert latin.alon_tarsi_difference(3) == 0
     rows4 = latin.alon_tarsi_difference(4)
-    cols4 = latin.alon_tarsi_difference(4, order="columns")
+    cols4 = latin.column_order_difference(4)
     assert rows4 == cols4 == 576
     _report("criterion 2: signed square counts -2, 0, 576 (orders agree)")
 
@@ -70,7 +70,7 @@ def test_criterion_2_alon_tarsi_values():
 def test_criterion_2_stretch_m6():
     # 9,408 reduced squares per order, about 0.1 s each.
     rows = latin.alon_tarsi_difference(6, processes=4)
-    cols = latin.alon_tarsi_difference(6, order="columns")
+    cols = latin.column_order_difference(6)
     assert rows == cols == -199065600  # == -6! * 5! * 2304
     _report("criterion 2 stretch: m=6 signed count, two orders agree")
 
@@ -85,7 +85,7 @@ def test_criterion_3_pairing_identity(i, m):
 
 def test_criterion_4_sign_sum_and_translation_scan():
     for m in (1, 2, 3, 4):
-        assert tensors.latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
+        assert oracles.latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
     scan = translated_pairing_scan(2)
     assert scan.checked == 24 and scan.ok
     assert set(scan.value_counts) == {"-2", "0", "2"}

@@ -309,6 +309,14 @@ def test_malformed_checkpoint_record_is_bad_input(capsys, tmp_path, case):
     assert _run(capsys, "--checkpoint", str(cp), "tally", "3", "4")[0] == 3
 
 
+def test_budget_default_is_the_library_default():
+    from detorbit import invariant
+    from detorbit.cli import build_parser
+
+    args = build_parser().parse_args(["tally", "1", "1"])
+    assert args.budget == invariant.DEFAULT_DET_BUDGET
+
+
 def test_nonpositive_budget_rejected(capsys):
     code, out = _run(capsys, "--budget", "0", "alon-tarsi", "2")
     assert code == 3
@@ -442,6 +450,25 @@ def test_tally_2_6_report_digest(capsys, tmp_path, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert out_path.read_text() == out
+
+
+# stdout sha256 of the signed square count by both routes, the tableau-word
+# pairing, the pairing identity and the battery that replays them.
+_REPORT_DIGESTS = {
+    "alon-tarsi 5": "f832ecc3e99e6131357d454ded888cdf1fe640a6fafd9e40b42f545a2aa93180",
+    "sign-sum 4": "b2e2c1a5f53479d6f177049f7e8ce11d3f11c0755f6a44687b2a9f346febdd6d",
+    "sign-sum 5": "53332930e62fa43f4dc444b437cc5fc42fb3d8ca2debf95635734e6d6c7d9a66",
+    "pairing 2 4": "cc363995013b8a416ae856983047e414be3b73c435df93d1e2cb29b03814bd10",
+    "pairing 2 5": "58e9a81a6b5aa4d27e2893f899b91ab311514c1f872c10bca5cfae4aa60633a1",
+    "verify-all 4": "94fcf4a1528949012705e2017a391f0433da18753094a9ab52558bedd748c7f9",
+}
+
+
+@pytest.mark.parametrize("command", list(_REPORT_DIGESTS))
+def test_certificate_report_digest(capsys, command):
+    code, out = _run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[command]
 
 
 @pytest.mark.parametrize(

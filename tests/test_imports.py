@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 
 import pytest
@@ -32,7 +33,7 @@ _COMPUTATION = {"latin", "tensors", "invariant", "orbit", "kronecker"}
         (["witness", "4", "2"], {"orbit", "invariant"}),
         (["alon-tarsi", "4"], {"latin"}),
         (["pairing", "2", "4"], {"latin", "tensors"}),
-        (["sign-sum", "4"], {"latin", "tensors"}),
+        (["sign-sum", "4"], {"latin"}),
         (["invariant-eval", "2", "2", "FORM"], {"invariant"}),
         (["verify-all", "2"], _COMPUTATION),
     ],
@@ -146,3 +147,35 @@ def test_benchmark_names_still_resolve():
         module = importlib.import_module(f"detorbit.{module_name}")
         for name in names:
             assert not hasattr(module, name), (module_name, name)
+
+
+def _public_parameters() -> dict[str, inspect.Parameter]:
+    """Every parameter of the functions, and the public methods and
+    constructors of the classes, that a computation module, ``cli`` or
+    ``oracles`` lists in ``__all__``, by module.function.parameter."""
+    out = {}
+    for module_name in (*sorted(_COMPUTATION), "cli", "oracles"):
+        module = importlib.import_module(f"detorbit.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            functions = {name: obj} if inspect.isfunction(obj) else {}
+            if inspect.isclass(obj):
+                for attr, value in vars(obj).items():
+                    value = getattr(value, "__func__", value)  # classmethods
+                    if inspect.isfunction(value) and (
+                        attr == "__init__" or not attr.startswith("_")
+                    ):
+                        functions[f"{name}.{attr}"] = value
+            for label, fn in functions.items():
+                for param in inspect.signature(fn).parameters.values():
+                    out[f"{module_name}.{label}.{param.name}"] = param
+    return out
+
+
+def test_no_public_route_selector_and_few_options():
+    # One route per function: no string picks a route, and every option is
+    # read by the one route there is.
+    params = _public_parameters()
+    assert not [key for key in params if key.rsplit(".", 1)[1] in ("order", "method")]
+    optional = sorted(key for key, p in params.items() if p.default is not p.empty)
+    assert len(optional) == 12, optional

@@ -15,6 +15,7 @@ from detorbit.errors import BudgetExceeded
 from detorbit.latin import (
     LatinRectangle,
     alon_tarsi_difference,
+    column_order_difference,
     column_order_tally,
     column_sign,
     enumerate_latin_rectangles,
@@ -33,6 +34,10 @@ from helpers import (
     tally_json_dict,
     verify_sign_factorization,
 )
+
+
+def _no_leaf(_rows, _masks, _parity):
+    """A DFS leaf that records nothing, for tests that count leaves."""
 
 
 def test_column_sign_examples():
@@ -146,7 +151,7 @@ def test_enumeration_errors():
 )
 def test_run_rows_rejects_invalid_prefix_rows(prefix):
     with pytest.raises(ValueError, match="invalid prefix rows"):
-        latin._run_rows(3, 3, prefix, None)
+        latin._run_rows(3, 3, prefix, _no_leaf)
 
 
 def test_signed_tally_small_cases():
@@ -226,7 +231,7 @@ def test_alon_tarsi_values():
     assert alon_tarsi_difference(1) == 1
     assert alon_tarsi_difference(2) == -2
     assert alon_tarsi_difference(3) == 0
-    assert alon_tarsi_difference(2, order="columns") == -2
+    assert column_order_difference(2) == -2
 
 
 def test_alon_tarsi_single_pattern_tally_consistency():
@@ -245,11 +250,14 @@ def test_alon_tarsi_odd_cancellation():
 def test_signed_square_count_past_the_budget_is_refused():
     # m = 7 would keep ~3.4e7 squares on the rows route and ~2.4e10 A_7
     # orbits on the columns route; m = 8 is beyond the table of counts.
-    for m, order, visits in ((7, "rows", 33884160), (7, "columns", 24396595200)):
+    for route, visits in (
+        (alon_tarsi_difference, 33884160),
+        (column_order_difference, 24396595200),
+    ):
         with pytest.raises(BudgetExceeded, match=str(visits)):
-            alon_tarsi_difference(m, order=order)
-    with pytest.raises(BudgetExceeded, match="huge"):
-        alon_tarsi_difference(8)
+            route(7)
+        with pytest.raises(BudgetExceeded, match="huge"):
+            route(8)
 
 
 def test_first_column_reduction_matches_full_enumeration():
@@ -265,17 +273,17 @@ def test_first_column_reduction_matches_full_enumeration():
         weight = _factorial(m) * _factorial(m - 1)
         assert weight * sum(map(rect_sign, reduced)) == full
         assert alon_tarsi_difference(m) == full
-        assert alon_tarsi_difference(m, order="columns") == full
+        assert column_order_difference(m) == full
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_reduced_columns_route_matches_unreduced_oracle(m):
     oracle = column_order_tally(m, m).signed_sum()
-    assert oracle == alon_tarsi_difference(m, order="columns")
+    assert oracle == column_order_difference(m)
     assert oracle == alon_tarsi_difference(m)
     if m == 5:  # 161,280 squares / |A_5|, as on the rows route
         quotient = latin._row_quotient(5, 5)
-        assert latin._run_columns(5, 5, None, quotient) == 2688
+        assert latin._run_columns(5, 5, _no_leaf, quotient) == 2688
 
 
 def test_parallel_tally_matches_serial(monkeypatch):
@@ -455,7 +463,7 @@ def test_totals_only_square_records_are_ignored(tmp_path):
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
     # At even m the orbit tally keeps the reduced squares, weighted by
-    # m! * (m-1)!, as the columns route of alon_tarsi_difference does.
+    # m! * (m-1)!, as column_order_difference does.
     cp = tmp_path / "square.ndjson"
     full = (tuple(range(1, m + 1)),) * m
     plus, minus = latin.orbit_tally(m, m, checkpoint_path=str(cp)).at(full)
@@ -495,8 +503,8 @@ def test_prefix_blocks_partition_the_kept_rectangles(i, m, square, blocks):
         assert prefixes == latin._list_prefixes(i, m)
     if m <= 5:  # every kept rectangle lies in exactly one block
         assert sum(
-            latin._run_rows(i, m, p, None, quotient) for p in prefixes
-        ) == latin._run_rows(i, m, (), None, quotient)
+            latin._run_rows(i, m, p, _no_leaf, quotient) for p in prefixes
+        ) == latin._run_rows(i, m, (), _no_leaf, quotient)
 
 
 @pytest.mark.parametrize(
@@ -511,8 +519,8 @@ def test_orbit_tally_blocks_partition_the_first_row_fixed_rectangles(i, m, block
     assert len(prefixes) == blocks
     assert {len(p) for p in prefixes} == {min(max(i - 1, 1), 2)}
     assert sum(
-        latin._run_rows(i, m, p, None, quotient) for p in prefixes
-    ) == latin._run_rows(i, m, (), None, quotient)
+        latin._run_rows(i, m, p, _no_leaf, quotient) for p in prefixes
+    ) == latin._run_rows(i, m, (), _no_leaf, quotient)
 
 
 def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
@@ -740,9 +748,9 @@ def test_orbit_tally_at_matches_column_oracle(i, m):
 @pytest.mark.parametrize("i,m,total", [(2, 6, 190800), (3, 5, 66240), (5, 5, 161280)])
 def test_quotient_leaf_counts(i, m, total):
     quotient = latin._row_quotient(i, m)
-    leaves = latin._run_rows(i, m, (), None, quotient)
+    leaves = latin._run_rows(i, m, (), _no_leaf, quotient)
     assert leaves * quotient.order == total
-    assert latin._run_columns(i, m, None, quotient) == leaves
+    assert latin._run_columns(i, m, _no_leaf, quotient) == leaves
 
 
 @pytest.mark.parametrize("i,m", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5)])
@@ -797,7 +805,7 @@ def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
         quotient,
     )
     assert leaves == len(kept)
-    assert latin._run_columns(i, m, None, quotient) == leaves
+    assert latin._run_columns(i, m, _no_leaf, quotient) == leaves
     rows_group = [
         (0,) + tuple(1 + t for t in tau)
         for tau in permutations(range(i - 1))
@@ -821,8 +829,8 @@ def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
 def test_reduced_square_leaf_counts(m, reduced):
     # 9,408 is the number of reduced Latin squares of order 6.
     quotient = latin._square_quotient(m)
-    assert latin._run_rows(m, m, (), None, quotient) == reduced
-    assert latin._run_columns(m, m, None, quotient) == reduced
+    assert latin._run_rows(m, m, (), _no_leaf, quotient) == reduced
+    assert latin._run_columns(m, m, _no_leaf, quotient) == reduced
 
 
 def _inversions(perm) -> int:

@@ -9,13 +9,13 @@ from random import Random
 
 import pytest
 
-from detorbit import latin, tensors
+from detorbit import latin, oracles, tensors
 from detorbit.errors import BudgetExceeded
 from detorbit.tensors import (
     SparseTensor,
     Tableau,
     apply_symmetrizer,
-    latin_sign_sum_pairing,
+    full_symmetrizer_pairing,
     pairing,
     pairing_identity_report,
     pattern_imbalance_pairing,
@@ -194,15 +194,17 @@ def test_groups_fix_their_blocks_and_sign_by_parity(t):
     assert all(g.sign == latin.column_sign(g.perm) for g in col_group(t))
 
 
-def test_symmetrizer_budget_counts_only_nonzero_terms():
+def test_symmetrizer_budget_counts_only_nonzero_terms(monkeypatch):
     t = rectangular_tableau(2, 2)
     w = SparseTensor(4, 3, {bytes([0, 1, 2, 0]): Fraction(1)})
     x = w - w.permute_slots((1, 0, 2, 3))
     # The row stage costs 4 * 2 and cancels its 4 image words, so the column
-    # stage is estimated at 4 * 1, not 4 * 4.
-    assert apply_symmetrizer(t, x, max_work=8).nnz() == 0
+    # stage is estimated at 4 * 1, not 4 * 4.  The cap is read at call time.
+    monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 8)
+    assert apply_symmetrizer(t, x).nnz() == 0
+    monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 7)
     with pytest.raises(BudgetExceeded):
-        apply_symmetrizer(t, x, max_work=7)
+        apply_symmetrizer(t, x)
 
 
 def test_permute_slots_rank_below_two():
@@ -315,7 +317,7 @@ def _pairing_double_group_sum(i: int, m: int) -> Fraction:
 
 @pytest.mark.parametrize("i,m", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
 def test_latin_restriction_equals_double_group_sum(i, m):
-    assert rectangle_symmetrizer_pairing(i, m, method="latin") == (
+    assert rectangle_symmetrizer_pairing(i, m) == (
         _pairing_double_group_sum(i, m)
     )
 
@@ -346,25 +348,27 @@ def test_pairing_identity_beyond_the_full_route():
 
 
 def test_full_route_refused_before_building_the_power(monkeypatch):
-    # The estimate and message are apply_symmetrizer's row-stage ones.
     power = symmetrized_basis_tensor(3).tensor_power(2)
-    with pytest.raises(BudgetExceeded) as expected:
-        apply_symmetrizer(rectangular_tableau(2, 3), power, max_work=1000)
-    with pytest.raises(BudgetExceeded) as early:
-        rectangle_symmetrizer_pairing(2, 3, method="full", max_work=1000)
-    for exc in (expected.value, early.value):
-        assert (str(exc), exc.estimate) == ("symmetrizer too large", 6**4)
 
     def no_power(*_args):
         raise AssertionError("power built before the budget check")
 
     monkeypatch.setattr(SparseTensor, "tensor_power", no_power)
     with pytest.raises(BudgetExceeded) as refused:
-        rectangle_symmetrizer_pairing(2, 5, method="full")
+        full_symmetrizer_pairing(2, 5)
     assert (str(refused.value), refused.value.estimate) == (
         "symmetrizer too large",
         120**4,
     )
+    # Under a lower cap, read at call time, the estimate and message are
+    # apply_symmetrizer's row-stage ones.
+    monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 1000)
+    with pytest.raises(BudgetExceeded) as expected:
+        apply_symmetrizer(rectangular_tableau(2, 3), power)
+    with pytest.raises(BudgetExceeded) as early:
+        full_symmetrizer_pairing(2, 3)
+    for exc in (expected.value, early.value):
+        assert (str(exc), exc.estimate) == ("symmetrizer too large", 6**4)
 
 
 def _old_pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
@@ -391,7 +395,7 @@ def test_block_test_matches_sorted_bytes_expression(m):
     ]
     for tau in taus:
         moved = image.permute_slots(tau)
-        assert tensors._pair_with_symmetrized_power(
+        assert oracles._pair_with_symmetrized_power(
             moved, m, m
         ) == _old_pair_with_symmetrized_power(moved, m, m)
 
@@ -427,30 +431,26 @@ def test_pattern_imbalance_from_orbits_matches_per_pattern_sum(i, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_latin_sign_sum_matches_signed_count(m):
-    assert latin_sign_sum_pairing(m) == latin.alon_tarsi_difference(m)
+    # What ``sign-sum`` compares: the tableau-word pairing, as the column
+    # DFS counts it, against the signed square count of the orbit tally.
+    assert latin.column_order_difference(m) == latin.alon_tarsi_difference(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_latin_sign_sum_explicit_route(m):
-    assert latin_sign_sum_pairing(m, method="explicit") == latin_sign_sum_pairing(m)
+    # The expanded symmetrizer image of the tableau word, contracted.
+    assert oracles.latin_sign_sum_pairing(m) == latin.column_order_difference(m)
 
 
 def test_latin_sign_sum_budget():
-    # The explicit route counts every Latin square (812,851,200 at m = 6);
-    # the search route counts the squares its quotient keeps, so it runs
+    # The expanded route counts every Latin square (812,851,200 at m = 6);
+    # the column route counts the squares its quotient keeps, so it runs
     # m = 6 (9,408 reduced squares) and refuses m = 7 (~2.4e10 A_7 orbits).
     with pytest.raises(BudgetExceeded, match="812851200"):
-        latin_sign_sum_pairing(6, method="explicit")
+        oracles.latin_sign_sum_pairing(6)
     with pytest.raises(BudgetExceeded, match="24396595200"):
-        latin_sign_sum_pairing(7)
-    assert latin_sign_sum_pairing(6) == -199065600
-
-
-def test_latin_sign_sum_rejects_an_unknown_method_before_the_budget():
-    # m = 8 is over every budget; a bad method is still bad input (exit 3),
-    # not an infeasible run (exit 2).
-    with pytest.raises(ValueError, match="method"):
-        latin_sign_sum_pairing(8, method="bogus")
+        latin.column_order_difference(7)
+    assert latin.column_order_difference(6) == -199065600
 
 
 def test_translated_pairing_scan_exhaustive_m2():
