@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         "estimated at 20,000 or more)",
     )
     parser.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="work cap for heavy evaluations"
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="work cap for invariant-check, witness, invariant-eval and verify-all",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled schedules")
     parser.add_argument("--out", type=str, default=None, help="also write report here")
@@ -339,6 +342,10 @@ def _run(args, write: Callable[[str], object]) -> int:
         # Each global flag that only some subcommands take: is it set, and
         # which take it.  Checked here, before any work starts.
         for flag, (used, takers) in {
+            "--budget": (
+                args.budget != DEFAULT_BUDGET,
+                ("invariant-check", "witness", "invariant-eval", "verify-all"),
+            ),
             "--checkpoint": (args.checkpoint is not None, ("tally", "alon-tarsi")),
             "--format csv": (args.format == "csv", ("tally",)),
             "--threads": (args.threads > 1, ("tally", "alon-tarsi")),

@@ -23,11 +23,10 @@ budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 
@@ -44,7 +43,6 @@ Pair = tuple[int, int]
 DEFAULT_DET_BUDGET = DEFAULT_BUDGET
 
 
-@dataclass
 class HomPoly:
     """Sparse homogeneous polynomial with exact rational coefficients.
 
@@ -52,33 +50,27 @@ class HomPoly:
     ``degree``) to nonzero rationals.
     """
 
-    nvars: int
-    degree: int
-    coeffs: dict[tuple[int, ...], Fraction]
+    __slots__ = ("nvars", "degree", "coeffs")
 
-    def __post_init__(self):
-        coeffs = {}
-        for exp, c in self.coeffs.items():
-            if len(exp) != self.nvars or any(e < 0 for e in exp):
+    def __init__(
+        self, nvars: int, degree: int, coeffs: dict[tuple[int, ...], Fraction]
+    ):
+        self.nvars, self.degree = nvars, degree
+        self.coeffs = {}  # the caller's mapping is left as it was
+        for exp, c in coeffs.items():
+            if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError("bad exponent vector")
-            if sum(exp) != self.degree:
+            if sum(exp) != degree:
                 raise ValueError("exponent vector of wrong total degree")
             if c != 0:
-                coeffs[exp] = c if isinstance(c, Fraction) else Fraction(c)
-        self.coeffs = coeffs  # the caller's mapping is left as it was
+                self.coeffs[exp] = c if isinstance(c, Fraction) else Fraction(c)
 
-    @classmethod
-    def from_terms(
-        cls,
-        nvars: int,
-        degree: int,
-        terms: Iterable[tuple[Sequence[int], Fraction | int]],
-    ) -> "HomPoly":
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in terms:
-            key = tuple(exp)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(c)
-        return cls(nvars, degree, {k: v for k, v in coeffs.items() if v})
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nvars, self.degree, self.coeffs) == (
+            other.nvars, other.degree, other.coeffs
+        )
 
     @classmethod
     def power_sum(cls, nvars: int, degree: int) -> "HomPoly":
@@ -92,34 +84,6 @@ class HomPoly:
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(exp), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c: Fraction | int) -> "HomPoly":
-        c = Fraction(c)
-        if c == 0:
-            return HomPoly(self.nvars, self.degree, {})
-        return HomPoly(
-            self.nvars, self.degree, {k: v * c for k, v in self.coeffs.items()}
-        )
-
-    def compose_linear(self, g: Sequence[Sequence[Fraction | int]]) -> "HomPoly":
-        """Substitute x_j -> sum_k g[j][k] x_k and re-expand."""
-        n = self.nvars
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("substitution matrix must be nvars x nvars")
-        rows = [[Fraction(x) for x in row] for row in g]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.coeffs.items():
-            factors = [row for row, e in zip(rows, exp) for _ in range(e)]
-            for key, val in _product_form(factors, n).coeffs.items():
-                new = out.get(key, Fraction(0)) + c * val
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return HomPoly(n, self.degree, out)
 
     def to_json_dict(self) -> dict:
         return {

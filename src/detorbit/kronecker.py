@@ -21,11 +21,10 @@ sum aborts, since it can only mean a character bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from threading import Lock
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 
@@ -265,8 +264,7 @@ def alternating_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
     return _square_coeff(lam, mu, -1)
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Symmetric Kronecker values sk(m*lam_bar, rectangle, rectangle) for lam_bar of d."""
 
     m: int

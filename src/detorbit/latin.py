@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, groupby, islice, permutations
 from math import factorial, prod
@@ -60,18 +59,19 @@ __all__ = [
 Pattern = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LatinRectangle:
+class LatinRectangle(
+    NamedTuple("LatinRectangle", [("entries", tuple[tuple[int, ...], ...])])
+):
     """An i x m array with permutation rows and distinct-entry columns.
 
     ``entries`` holds 0-based symbols; :meth:`from_rows` builds it from
     1-based rows.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = self.entries
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> "LatinRectangle":
+        rows = entries
         if not rows or not rows[0]:
             raise ValueError("empty rectangle")
         m = len(rows[0])
@@ -92,6 +92,7 @@ class LatinRectangle:
             col = [row[q] for row in rows]
             if len(set(col)) != len(col):
                 raise ValueError("column has repeated entries")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "LatinRectangle":
@@ -105,13 +106,6 @@ class LatinRectangle:
     @property
     def m(self) -> int:
         return len(self.entries[0])
-
-    def column(self, q: int) -> tuple[int, ...]:
-        """Column q (0-based index), 1-based symbols, top to bottom."""
-        return tuple(row[q] + 1 for row in self.entries)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(s + 1) for s in row) for row in self.entries)
 
 
 def column_sign(column: Sequence[int]) -> int:
@@ -409,8 +403,7 @@ def enumerate_latin_rectangles(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SignedTally:
+class SignedTally(NamedTuple):
     """Per-pattern counts of column-even (plus) and column-odd (minus) rectangles."""
 
     i: int
@@ -419,13 +412,6 @@ class SignedTally:
 
     def total(self) -> int:
         return sum(p + n for p, n in self.counts.values())
-
-    def signed_sum(self) -> int:
-        return sum(p - n for p, n in self.counts.values())
-
-    def imbalance_square_sum(self) -> int:
-        """sum over patterns of (plus - minus)^2."""
-        return sum((p - n) ** 2 for p, n in self.counts.values())
 
 
 # Records per write of a streamed report: about 0.4 MB of (3,6) JSON.  The
@@ -664,8 +650,7 @@ def _tally_by_blocks(
     return folded
 
 
-@dataclass
-class OrbitTally:
+class OrbitTally(NamedTuple):
     """The signed tally at one canonical pattern per symbol-relabelling orbit.
 
     Relabelling symbols by pi maps the rectangles of pattern (S_1..S_m)

@@ -12,12 +12,11 @@ tableau word) against the signed square count of the Latin DFS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
 from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import latin
 from .errors import BudgetExceeded
@@ -39,8 +38,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 MAX_NAIVE_PERMANENT_SIZE = 12
 
 
-@dataclass(frozen=True)
-class MatrixTensorTerm:
+class MatrixTensorTerm(NamedTuple):
     """One elementary-matrix word with its polarized coefficient."""
 
     coefficient: Fraction

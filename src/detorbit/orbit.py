@@ -15,11 +15,10 @@ it is tested against lives in :mod:`detorbit.oracles`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .invariant import DEFAULT_DET_BUDGET, HomPoly, _product_form, det_power_invariant
@@ -89,24 +88,26 @@ def permanent(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class RestrictionMatrix:
+class RestrictionMatrix(
+    NamedTuple("RestrictionMatrix", [("rows", tuple[tuple[Fraction, ...], ...])])
+):
     """An m x i matrix of exact rationals, columns indexed by the i variables."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rows or not self.rows[0]:
+    def __new__(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RestrictionMatrix":
+        if not rows or not rows[0]:
             raise ValueError("empty matrix")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
-        if width > len(self.rows):
+        if width > len(rows):
             raise ValueError("need at least as many rows as columns")
-        for row in self.rows:
+        for row in rows:
             for x in row:
                 if not isinstance(x, Fraction):
                     raise ValueError("entries must be Fractions")
+        return super().__new__(cls, rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "RestrictionMatrix":
@@ -128,29 +129,6 @@ class RestrictionMatrix:
         for j, e in enumerate(d):
             cols.extend([j] * e)
         return [[row[j] for j in cols] for row in self.rows]
-
-    def scale_row(self, p: int, t: Fraction | int) -> "RestrictionMatrix":
-        t = Fraction(t)
-        rows = list(self.rows)
-        rows[p] = tuple(x * t for x in rows[p])
-        return RestrictionMatrix(tuple(rows))
-
-    def permute_rows(self, sigma: Sequence[int]) -> "RestrictionMatrix":
-        return RestrictionMatrix(tuple(self.rows[sigma[p]] for p in range(self.m)))
-
-    def right_multiply(self, g: Sequence[Sequence[Fraction | int]]) -> "RestrictionMatrix":
-        """A @ g for an i x i matrix g."""
-        i = self.i
-        if len(g) != i or any(len(row) != i for row in g):
-            raise ValueError("g must be i x i")
-        rows = tuple(
-            tuple(
-                sum((row[k] * Fraction(g[k][j]) for k in range(i)), Fraction(0))
-                for j in range(i)
-            )
-            for row in self.rows
-        )
-        return RestrictionMatrix(rows)
 
     def to_json_rows(self) -> list[list[str]]:
         return [
@@ -183,8 +161,7 @@ def content_coefficient(A: RestrictionMatrix, d: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """First matrix in the schedule whose restriction has nonzero invariant."""
 
     m: int

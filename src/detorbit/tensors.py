@@ -18,12 +18,11 @@ coefficient contraction in the monomial basis.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from . import latin
@@ -45,26 +44,28 @@ __all__ = [
 DEFAULT_WORK_CAP = 2 * 10**6
 
 
-@dataclass
 class SparseTensor:
     """Rank-k tensor over an m-symbol alphabet with exact rational entries.
 
     Keys are length-k ``bytes`` of 0-based symbols; zero coefficients are
-    never stored.  Iteration for output is over sorted keys.
+    never stored.
     """
 
-    rank: int
-    m: int
-    data: dict[bytes, Fraction]
+    __slots__ = ("rank", "m", "data")
 
-    def __post_init__(self):
-        data = {}
-        for key, coeff in self.data.items():
-            if len(key) != self.rank or any(s >= self.m for s in key):
+    def __init__(self, rank: int, m: int, data: dict[bytes, Fraction]):
+        self.rank, self.m = rank, m
+        self.data = {}  # the caller's mapping is left as it was
+        for key, coeff in data.items():
+            if len(key) != rank or any(s >= m for s in key):
                 raise ValueError("index word out of range")
             if coeff != 0:
-                data[key] = coeff
-        self.data = data  # the caller's mapping is left as it was
+                self.data[key] = coeff
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rank, self.m, self.data) == (other.rank, other.m, other.data)
 
     @classmethod
     def _trusted(cls, rank: int, m: int, data: dict[bytes, Fraction]) -> "SparseTensor":
@@ -75,31 +76,6 @@ class SparseTensor:
 
     def nnz(self) -> int:
         return len(self.data)
-
-    def copy(self) -> "SparseTensor":
-        return SparseTensor._trusted(self.rank, self.m, dict(self.data))
-
-    def scale(self, c: Fraction | int) -> "SparseTensor":
-        c = Fraction(c)
-        if c == 0:
-            return SparseTensor._trusted(self.rank, self.m, {})
-        data = {k: v * c for k, v in self.data.items()}
-        return SparseTensor._trusted(self.rank, self.m, data)
-
-    def __add__(self, other: "SparseTensor") -> "SparseTensor":
-        if (self.rank, self.m) != (other.rank, other.m):
-            raise ValueError("tensor shape mismatch")
-        data = dict(self.data)
-        for key, coeff in other.data.items():
-            new = data.get(key, 0) + coeff
-            if new:
-                data[key] = new
-            else:
-                data.pop(key, None)
-        return SparseTensor._trusted(self.rank, self.m, data)
-
-    def __sub__(self, other: "SparseTensor") -> "SparseTensor":
-        return self + other.scale(-1)
 
     def tensor(self, other: "SparseTensor") -> "SparseTensor":
         """Tensor product: keys are joined end to end, coefficients multiply."""
@@ -116,32 +92,6 @@ class SparseTensor:
         for _ in range(i):
             out = out.tensor(self)
         return out
-
-    def permute_slots(self, perm: Sequence[int]) -> "SparseTensor":
-        """Left action: slot perm[j] of the result carries slot j of self."""
-        if len(perm) != self.rank:
-            raise ValueError("permutation rank mismatch")
-        move = _slot_mover(perm)
-        data = {bytes(move(key)): coeff for key, coeff in self.data.items()}
-        return SparseTensor._trusted(self.rank, self.m, data)
-
-    def items_sorted(self) -> Iterator[tuple[bytes, Fraction]]:
-        for key in sorted(self.data):
-            yield key, self.data[key]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "m": self.m,
-            "entries": [
-                {
-                    "idx": [s + 1 for s in key],
-                    "num": str(coeff.numerator),
-                    "den": str(coeff.denominator),
-                }
-                for key, coeff in self.items_sorted()
-            ],
-        }
 
 
 def _slot_mover(perm: Sequence[int]) -> itemgetter:
@@ -189,19 +139,20 @@ def symmetrized_basis_tensor(m: int) -> SparseTensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[int, ...], ...])])):
     """A filling of a Young diagram with the labels 1..k, one per cell."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        self = super().__new__(cls, rows)
         shape = self.shape
         if any(shape[j] < shape[j + 1] for j in range(len(shape) - 1)):
             raise ValueError("shape must be weakly decreasing")
         labels = [c for row in self.rows for c in row]
         if sorted(labels) != list(range(1, len(labels) + 1)):
             raise ValueError("filling must be a bijection onto 1..k")
+        return self
 
     @property
     def shape(self) -> tuple[int, ...]:

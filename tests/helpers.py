@@ -1,10 +1,12 @@
 """Shared generators for the randomized test suites (all exact arithmetic),
 a runner for code that needs a fresh interpreter, and the claim checks and
-reference builders that only the tests run: the fiberwise sign
-factorization, concatenation and projection of Latin rectangles, the
-slot-translation scan, the expanded symmetrizer groups, the character table
-orthogonality sums, the plain ``json.dumps`` rendering of a tally and the
-bit-by-bit canonical form and orbit fold of the Latin tally."""
+reference builders that only the tests run: the group actions of the
+invariant's weight law on forms and restriction matrices, the slot action
+on tensors, the fiberwise sign factorization, concatenation and projection
+of Latin rectangles, the slot-translation scan, the expanded symmetrizer
+groups, the character table orthogonality sums, the plain ``json.dumps``
+rendering of a tally and the bit-by-bit canonical form and orbit fold of
+the Latin tally."""
 
 from __future__ import annotations
 
@@ -22,7 +24,12 @@ from typing import Iterable, Optional, Sequence
 
 import detorbit
 from detorbit import kronecker, latin, oracles, tensors
-from detorbit.invariant import HomPoly, elementary_det_power, polarized_coefficient
+from detorbit.invariant import (
+    HomPoly,
+    _product_form,
+    elementary_det_power,
+    polarized_coefficient,
+)
 from detorbit.latin import LatinRectangle
 from detorbit.orbit import RestrictionMatrix
 
@@ -70,7 +77,19 @@ def random_hompoly(nvars: int, degree: int, rng: Random, density: float = 0.7) -
     if not terms:
         exp = exps[rng.randrange(len(exps))]
         terms.append((exp, Fraction(1)))
-    return HomPoly.from_terms(nvars, degree, terms)
+    return from_terms(nvars, degree, terms)
+
+
+def from_terms(
+    nvars: int, degree: int, terms: Iterable[tuple[Sequence[int], Fraction | int]]
+) -> HomPoly:
+    """The form with the given (exponent, coefficient) terms; the
+    coefficients of a repeated exponent are added."""
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in terms:
+        key = tuple(exp)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(c)
+    return HomPoly(nvars, degree, coeffs)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -88,6 +107,67 @@ def random_restriction_matrix(m: int, i: int, rng: Random) -> RestrictionMatrix:
     return RestrictionMatrix.from_rows(
         [[rng.randint(-4, 4) for _ in range(i)] for _ in range(m)]
     )
+
+
+# ---------------------------------------------------------------------------
+# The weight law of the invariant: the group actions on forms and on
+# restriction matrices that the invariance tests apply.
+# ---------------------------------------------------------------------------
+
+
+def compose_linear(f: HomPoly, g: Sequence[Sequence[Fraction | int]]) -> HomPoly:
+    """f with x_j -> sum_k g[j][k] x_k substituted and re-expanded."""
+    n = f.nvars
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("substitution matrix must be nvars x nvars")
+    rows = [[Fraction(x) for x in row] for row in g]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in f.coeffs.items():
+        factors = [row for row, e in zip(rows, exp) for _ in range(e)]
+        for key, val in _product_form(factors, n).coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + c * val
+    return HomPoly(n, f.degree, out)
+
+
+def right_multiply(
+    A: RestrictionMatrix, g: Sequence[Sequence[Fraction | int]]
+) -> RestrictionMatrix:
+    """A @ g for an i x i matrix g."""
+    i = A.i
+    if len(g) != i or any(len(row) != i for row in g):
+        raise ValueError("g must be i x i")
+    rows = tuple(
+        tuple(
+            sum((row[k] * Fraction(g[k][j]) for k in range(i)), Fraction(0))
+            for j in range(i)
+        )
+        for row in A.rows
+    )
+    return RestrictionMatrix(rows)
+
+
+def scale_row(A: RestrictionMatrix, p: int, t: Fraction | int) -> RestrictionMatrix:
+    """A with row p multiplied by t."""
+    rows = list(A.rows)
+    rows[p] = tuple(x * Fraction(t) for x in rows[p])
+    return RestrictionMatrix(tuple(rows))
+
+
+def permute_rows(A: RestrictionMatrix, sigma: Sequence[int]) -> RestrictionMatrix:
+    """The matrix whose row p is row sigma[p] of A."""
+    return RestrictionMatrix(tuple(A.rows[sigma[p]] for p in range(A.m)))
+
+
+def permute_slots(
+    t: tensors.SparseTensor, perm: Sequence[int]
+) -> tensors.SparseTensor:
+    """Left action on tensor slots: slot perm[j] of the result carries slot
+    j of t, moved by the library's own ``tensors._slot_mover``."""
+    if len(perm) != t.rank:
+        raise ValueError("permutation rank mismatch")
+    move = tensors._slot_mover(perm)
+    data = {bytes(move(key)): coeff for key, coeff in t.data.items()}
+    return tensors.SparseTensor._trusted(t.rank, t.m, data)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -388,7 +468,7 @@ def translated_pairing_scan(
     counts: dict[str, int] = {}
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for tau in tau_list:
-        value = oracles._pair_with_symmetrized_power(image.permute_slots(tau), m, m)
+        value = oracles._pair_with_symmetrized_power(permute_slots(image, tau), m, m)
         counts[str(value)] = counts.get(str(value), 0) + 1
         if value not in allowed:
             violations.append((tau, value))

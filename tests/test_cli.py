@@ -13,6 +13,7 @@ import pytest
 
 from detorbit import latin
 from detorbit.cli import main
+from detorbit.errors import DEFAULT_BUDGET
 from helpers import tally_json_dict
 
 
@@ -570,6 +571,33 @@ def test_refused_before_the_work_starts(argv, code):
     )
     assert done.returncode == code
     assert json.loads(done.stdout)["kind"] == ("infeasible" if code == 2 else "input")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tally", "2", "3"],
+        ["alon-tarsi", "4"],
+        ["pairing", "2", "4"],
+        ["sign-sum", "4"],
+        ["kronecker", "2", "2"],
+    ],
+    ids=["tally", "alon-tarsi", "pairing", "sign-sum", "kronecker"],
+)
+def test_budget_rejected_where_no_budget_is_read(capsys, argv):
+    code, out = _run(capsys, "--budget", "10", *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert report["kind"] == "input"
+    assert "--budget" in report["error"]
+    # The default, spelled out, is not a budget set.
+    assert _run(capsys, "--budget", str(DEFAULT_BUDGET), *argv)[0] == 0
+
+
+def test_budget_reaches_the_witness_search(capsys):
+    code, out = _run(capsys, "--budget", "10", "witness", "4", "2")
+    assert code == 2
+    assert json.loads(out)["kind"] == "infeasible"
 
 
 def test_threads_rejected_where_nothing_runs_in_blocks(capsys):

@@ -58,6 +58,8 @@ def test_subcommand_loads_only_its_modules(argv, loaded, tmp_path):
     assert ours == {"cli", "errors", *loaded}
     assert "oracles" not in ours
     assert not any(name.split(".")[0] == "multiprocessing" for name in run["modules"])
+    # No value type is a dataclass, so neither module is loaded.
+    assert not {"dataclasses", "inspect"} & set(run["modules"])
     if argv[0] == "kronecker":
         # No Fraction is built, so fractions (and decimal, numbers) stays out.
         assert "fractions" not in run["modules"]
@@ -67,11 +69,13 @@ def test_package_import_loads_no_computation_module():
     out = run_fresh(
         "import sys, detorbit\n"
         "print(sorted(n for n in sys.modules if n.startswith('detorbit')))\n"
-        "print(detorbit.kronecker.__name__)"
+        "print(detorbit.kronecker.__name__)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    assert out.split("\n")[:2] == [
+    assert out.split("\n")[:3] == [
         "['detorbit', 'detorbit.errors']",
         "detorbit.kronecker",  # submodules still resolve as attributes
+        "[]",
     ]
 
 
@@ -143,6 +147,18 @@ def test_benchmark_names_still_resolve():
     assert orbit.MAX_PERMANENT_SIZE == 20
     assert callable(orbit._gray_steps)
     assert callable(orbit.RestrictionMatrix.column_repeated)
+    # Attributes read off return values.
+    from detorbit import kronecker, latin, tensors
+
+    tally = latin.signed_tally(1, 2)
+    assert tally.total() == 2
+    assert tally.counts == {((1,), (2,)): (1, 0), ((2,), (1,)): (1, 0)}
+    assert orbit.witness_search(2, 1).schedule_index == 0
+    report = kronecker.rectangle_sk_positivity(2, 1, max_n=2)
+    assert (report.n, report.to_json_list(), report.all_positive) == (
+        2, report.entries, True
+    )
+    assert tensors.symmetrized_basis_tensor(2).nnz() == 2
     for module_name, names in _DROPPED.items():
         module = importlib.import_module(f"detorbit.{module_name}")
         for name in names:
@@ -163,7 +179,7 @@ def _public_parameters() -> dict[str, inspect.Parameter]:
                 for attr, value in vars(obj).items():
                     value = getattr(value, "__func__", value)  # classmethods
                     if inspect.isfunction(value) and (
-                        attr == "__init__" or not attr.startswith("_")
+                        attr in ("__init__", "__new__") or not attr.startswith("_")
                     ):
                         functions[f"{name}.{attr}"] = value
             for label, fn in functions.items():

@@ -10,7 +10,13 @@ from random import Random
 
 import pytest
 
-from helpers import class_multiset_invariant, random_hompoly, random_sl_matrix
+from helpers import (
+    class_multiset_invariant,
+    compose_linear,
+    from_terms,
+    random_hompoly,
+    random_sl_matrix,
+)
 from detorbit import invariant
 from detorbit.errors import BudgetExceeded
 from detorbit.invariant import (
@@ -41,12 +47,12 @@ I2 = _mat([[1, 0], [0, 1]])
 
 
 def test_hompoly_validation_and_json():
-    f = HomPoly.from_terms(2, 3, [((2, 1), Fraction(1, 2)), ((0, 3), -1)])
+    f = from_terms(2, 3, [((2, 1), Fraction(1, 2)), ((0, 3), -1)])
     obj = f.to_json_dict()
     assert HomPoly.from_json_dict(obj) == f
     with pytest.raises(ValueError):
         HomPoly(2, 3, {(1, 1): Fraction(1)})  # degree mismatch
-    assert HomPoly.from_terms(2, 2, [((1, 1), 1), ((1, 1), -1)]).is_zero()
+    assert from_terms(2, 2, [((1, 1), 1), ((1, 1), -1)]).coeffs == {}
 
 
 def test_hompoly_constructor_leaves_the_caller_mapping_unchanged():
@@ -58,9 +64,9 @@ def test_hompoly_constructor_leaves_the_caller_mapping_unchanged():
 
 
 def test_polarized_coefficient_examples():
-    f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
+    f = from_terms(2, 2, [((1, 1), 1)])
     assert polarized_coefficient(f, (1, 2)) == Fraction(1, 2)
-    g = HomPoly.from_terms(1, 2, [((2,), 1)])
+    g = from_terms(1, 2, [((2,), 1)])
     assert polarized_coefficient(g, (1, 1)) == 1
     zero = HomPoly(2, 2, {})
     assert polarized_coefficient(zero, (1, 2)) == 0
@@ -69,17 +75,17 @@ def test_polarized_coefficient_examples():
 
 
 def test_elementary_matrix_expansion_examples():
-    f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
+    f = from_terms(2, 2, [((1, 1), 1)])
     terms = elementary_matrix_expansion(f)
     assert sorted((t.coefficient, t.matrices) for t in terms) == sorted(
         [(Fraction(1, 2), (E12,)), (Fraction(1, 2), (E21,))]
     )
-    g = HomPoly.from_terms(1, 2, [((2,), 1)])
+    g = from_terms(1, 2, [((2,), 1)])
     (term,) = elementary_matrix_expansion(g)
     assert term.coefficient == 1
     assert term.matrices == (_mat([[1]]),)
     with pytest.raises(ValueError, match="even degree"):
-        elementary_matrix_expansion(HomPoly.from_terms(1, 3, [((3,), 1)]))
+        elementary_matrix_expansion(from_terms(1, 3, [((3,), 1)]))
 
 
 def test_expansion_term_count_bound():
@@ -269,7 +275,7 @@ def test_invariant_weight_under_general_linear_substitution(m, i, density):
     g[0] = [2 * x for x in g[0]]
     base = det_power_invariant(m, i, f)
     assert base
-    assert det_power_invariant(m, i, f.compose_linear(g)) == 2**m * base
+    assert det_power_invariant(m, i, compose_linear(f, g)) == 2**m * base
 
 
 def test_kernel_sees_each_balanced_monomial_once(monkeypatch):
@@ -293,22 +299,22 @@ def test_kernel_sees_each_balanced_monomial_once(monkeypatch):
 
 
 def test_invariant_values_small():
-    f = HomPoly.from_terms(2, 2, [((1, 1), 1)])
+    f = from_terms(2, 2, [((1, 1), 1)])
     assert det_power_invariant(2, 2, f) == Fraction(-1, 4)
-    assert det_power_invariant(2, 2, HomPoly.from_terms(2, 2, [((2, 0), 1)])) == 0
-    assert det_power_invariant(2, 1, HomPoly.from_terms(1, 2, [((2,), 1)])) == 1
+    assert det_power_invariant(2, 2, from_terms(2, 2, [((2, 0), 1)])) == 0
+    assert det_power_invariant(2, 1, from_terms(1, 2, [((2,), 1)])) == 1
     with pytest.raises(ValueError):
-        det_power_invariant(3, 1, HomPoly.from_terms(1, 3, [((3,), 1)]))
+        det_power_invariant(3, 1, from_terms(1, 3, [((3,), 1)]))
     with pytest.raises(ValueError):
         det_power_invariant(2, 3, f)  # i exceeds the variable count
 
 
 def test_invariant_restricts_extra_variables():
     # Evaluation at i below the variable count sets the tail variables to 0.
-    f = HomPoly.from_terms(3, 2, [((1, 1, 0), 1), ((0, 0, 2), 5)])
+    f = from_terms(3, 2, [((1, 1, 0), 1), ((0, 0, 2), 5)])
     assert det_power_invariant(2, 2, f) == Fraction(-1, 4)
     assert det_power_invariant(2, 1, f) == 0
-    g = HomPoly.from_terms(2, 2, [((2, 0), 1), ((0, 2), 3)])
+    g = from_terms(2, 2, [((2, 0), 1), ((0, 2), 3)])
     assert det_power_invariant(2, 1, g) == 1
 
 
@@ -366,14 +372,15 @@ def test_sl_invariance_and_homogeneity_samples():
         for _ in range(5):
             f = random_hompoly(i, m, rng)
             g = random_sl_matrix(i, rng)
-            assert det_power_invariant(m, i, f.compose_linear(g)) == det_power_invariant(m, i, f)
+            assert det_power_invariant(m, i, compose_linear(f, g)) == det_power_invariant(m, i, f)
             c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            assert det_power_invariant(m, i, f.scale(c)) == c**i * det_power_invariant(m, i, f)
+            scaled = HomPoly(f.nvars, f.degree, {e: c * v for e, v in f.coeffs.items()})
+            assert det_power_invariant(m, i, scaled) == c**i * det_power_invariant(m, i, f)
 
 
 def test_compose_linear_identity_and_errors():
-    f = HomPoly.from_terms(2, 2, [((1, 1), 1), ((2, 0), 2)])
+    f = from_terms(2, 2, [((1, 1), 1), ((2, 0), 2)])
     eye = [[1, 0], [0, 1]]
-    assert f.compose_linear(eye) == f
+    assert compose_linear(f, eye) == f
     with pytest.raises(ValueError):
-        f.compose_linear([[1, 0]])
+        compose_linear(f, [[1, 0]])
