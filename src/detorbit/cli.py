@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -19,6 +20,8 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .orbit import RestrictionMatrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,20 +57,29 @@ def _cmd_tally(args) -> tuple[int, Callable]:
     return EXIT_OK, partial(tally.write_report, total=total, seed=args.seed)
 
 
-def _cmd_alon_tarsi(args) -> tuple[int, dict]:
+def _signed_square_counts(args, **fields: str) -> tuple[bool, dict]:
+    """The signed square count by both routes, run in the order ``fields``
+    names them ("rows": the orbit-tally route, "columns": the column-major
+    oracle); returns whether they agree and the report of each value under
+    its field."""
     from . import latin
 
-    rows = latin.alon_tarsi_difference(
-        args.m, processes=args.threads, checkpoint_path=args.checkpoint
-    )
-    cols = latin.column_order_difference(args.m)
-    ok = rows == cols
-    report = {
-        "m": args.m,
-        "difference": str(rows),
-        "difference_column_order": str(cols),
-        "orders_agree": ok,
+    routes = {
+        "rows": lambda: latin.alon_tarsi_difference(
+            args.m, processes=args.threads, checkpoint_path=args.checkpoint
+        ),
+        "columns": lambda: latin.column_order_difference(args.m),
     }
+    values = {field: routes[route]() for field, route in fields.items()}
+    report = {"m": args.m, **{field: str(v) for field, v in values.items()}}
+    return len(set(values.values())) == 1, report
+
+
+def _cmd_alon_tarsi(args) -> tuple[int, dict]:
+    ok, report = _signed_square_counts(
+        args, difference="rows", difference_column_order="columns"
+    )
+    report["orders_agree"] = ok
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
@@ -87,17 +99,10 @@ def _cmd_pairing(args) -> tuple[int, dict]:
 
 
 def _cmd_sign_sum(args) -> tuple[int, dict]:
-    from . import latin
-
-    value = latin.column_order_difference(args.m)
-    cross = latin.alon_tarsi_difference(args.m)
-    ok = value == cross
-    report = {
-        "m": args.m,
-        "pairing": str(value),
-        "signed_square_count": str(cross),
-        "verdict": "equal" if ok else "NOT EQUAL",
-    }
+    ok, report = _signed_square_counts(
+        args, pairing="columns", signed_square_count="rows"
+    )
+    report["verdict"] = "equal" if ok else "NOT EQUAL"
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
@@ -118,6 +123,16 @@ def _cmd_invariant_check(args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
+def _witness_report(m: int, i: int, A: RestrictionMatrix, value: Fraction) -> dict:
+    return {
+        "m": m,
+        "i": i,
+        "A": A.to_json_rows(),
+        "value": _frac(value),
+        "found": value != 0,
+    }
+
+
 def _cmd_witness(args) -> tuple[int, dict]:
     from . import invariant, orbit
 
@@ -129,13 +144,7 @@ def _cmd_witness(args) -> tuple[int, dict]:
         value = invariant.det_power_invariant(
             args.m, args.i, orbit.det_restriction(A), budget=args.budget
         )
-        report = {
-            "m": args.m,
-            "i": args.i,
-            "A": A.to_json_rows(),
-            "value": _frac(value),
-            "found": value != 0,
-        }
+        report = _witness_report(args.m, args.i, A, value)
         return (EXIT_OK if value else EXIT_CHECK_FAILED), report
     result = orbit.witness_search(
         args.m, args.i, seed=args.seed, budget=args.budget
@@ -147,8 +156,10 @@ def _cmd_witness(args) -> tuple[int, dict]:
             "found": False,
             "seed": args.seed,
         }
-    report = result.to_json_dict()
-    report["found"] = True
+    report = _witness_report(result.m, result.i, result.matrix, result.value)
+    report.update(
+        schedule_index=result.schedule_index, label=result.label, seed=result.seed
+    )
     return EXIT_OK, report
 
 
@@ -181,14 +192,7 @@ def _cmd_kronecker(args) -> tuple[int, dict]:
     if args.m % 2 or args.m < 2:
         raise ValueError("kronecker requires even m >= 2")
     rep = kronecker.rectangle_sk_positivity(args.m, args.d)
-    report = {
-        "m": rep.m,
-        "d": rep.d,
-        "n": rep.n,
-        "entries": rep.to_json_list(),
-        "all_positive": rep.all_positive,
-    }
-    return (EXIT_OK if rep.all_positive else EXIT_CHECK_FAILED), report
+    return (EXIT_OK if rep.all_positive else EXIT_CHECK_FAILED), rep._asdict()
 
 
 def _verify_all_checks(m: int, seed: int, budget: int) -> list[dict]:
@@ -362,27 +366,34 @@ def _run(args, write: Callable[[str], object]) -> int:
     except BudgetExceeded as exc:
         _emit({"error": str(exc), "kind": "infeasible"}, write)
         return EXIT_INFEASIBLE
+    except BrokenPipeError:
+        raise  # stdout is closed, so no report can follow; main says so
     except (ValueError, OSError) as exc:
         _emit({"error": str(exc), "kind": "input"}, write)
         return EXIT_INPUT_ERROR
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _same_file(a: str, b: str) -> bool:
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+    )
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except ValueError as exc:  # raised by _Parser.error
+        args = build_parser().parse_args(argv)  # _Parser.error raises ValueError
+        # --out truncates its file, so the checkpoint would be lost.
+        if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
+            raise ValueError("--out and --checkpoint name the same file")
+        # Opened before any work starts; a path that cannot be written is bad
+        # input, reported on stdout alone.
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
+    except (ValueError, OSError) as exc:
         _emit({"error": str(exc), "kind": "input"}, sys.stdout.write)
         return EXIT_INPUT_ERROR
-    if args.out is None:
+    if out is None:
         return _run(args, sys.stdout.write)
-    # Opened before any work starts; a path that cannot be written is bad
-    # input, reported on stdout alone.
-    try:
-        out = open(args.out, "w", encoding="utf-8")
-    except OSError as exc:
-        _emit({"error": str(exc), "kind": "input"}, sys.stdout.write)
-        return EXIT_INPUT_ERROR
     with out:
 
         def write(text: str) -> None:
@@ -390,6 +401,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(text)
 
         return _run(args, write)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        return _main(argv)
+    except OSError as exc:
+        # Only a report that cannot be written gets here: a stdout closed by
+        # its reader (``| head``) or a full disk.  Say so once on stderr, and
+        # point stdout at os.devnull so that its last flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"detorbit: cannot write the report: {exc}\n")
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Shared exception types and the default work budget."""
 
-# The CLI's ``--budget`` default and :data:`detorbit.invariant.DEFAULT_DET_BUDGET`.
+# The CLI's ``--budget`` default and the library's default ``budget``.
 DEFAULT_BUDGET = 10**9
 
 

@@ -40,8 +40,6 @@ __all__ = [
 
 Pair = tuple[int, int]
 
-DEFAULT_DET_BUDGET = DEFAULT_BUDGET
-
 
 class HomPoly:
     """Sparse homogeneous polynomial with exact rational coefficients.
@@ -272,7 +270,7 @@ def _pair_words(i: int, half: int, content: Sequence[int]):
 
 
 def det_power_invariant(
-    m: int, i: int, f: HomPoly, *, budget: int = DEFAULT_DET_BUDGET
+    m: int, i: int, f: HomPoly, *, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Evaluate the degree-i invariant at f (a degree-m form in >= i variables).
 
@@ -342,7 +340,7 @@ def det_power_invariant(
 
 
 def power_sum_invariant_check(
-    m: int, i: int, *, budget: int = DEFAULT_DET_BUDGET
+    m: int, i: int, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, Fraction]:
     """Invariant at the power-sum point next to its closed form.
 

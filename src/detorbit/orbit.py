@@ -20,8 +20,8 @@ from math import factorial
 from random import Random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceeded
-from .invariant import DEFAULT_DET_BUDGET, HomPoly, _product_form, det_power_invariant
+from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .invariant import HomPoly, _product_form, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
@@ -172,20 +172,6 @@ class WitnessResult(NamedTuple):
     label: str
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "i": self.i,
-            "A": self.matrix.to_json_rows(),
-            "value": {
-                "num": str(self.value.numerator),
-                "den": str(self.value.denominator),
-            },
-            "schedule_index": self.schedule_index,
-            "label": self.label,
-            "seed": self.seed,
-        }
-
 
 def candidate_schedule(
     m: int, i: int, seed: int = 0
@@ -227,7 +213,7 @@ def witness_search(
     i: int,
     *,
     seed: int = 0,
-    budget: int = DEFAULT_DET_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Optional[WitnessResult]:
     """Scan the candidate schedule for a nonzero invariant value.
 

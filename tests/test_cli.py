@@ -311,11 +311,19 @@ def test_malformed_checkpoint_record_is_bad_input(capsys, tmp_path, case):
 
 
 def test_budget_default_is_the_library_default():
-    from detorbit import invariant
+    import inspect
+
+    from detorbit import invariant, orbit
     from detorbit.cli import build_parser
 
     args = build_parser().parse_args(["tally", "1", "1"])
-    assert args.budget == invariant.DEFAULT_DET_BUDGET
+    assert args.budget == DEFAULT_BUDGET
+    for fn in (
+        invariant.det_power_invariant,
+        invariant.power_sum_invariant_check,
+        orbit.witness_search,
+    ):
+        assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET
 
 
 def test_nonpositive_budget_rejected(capsys):
@@ -611,3 +619,41 @@ def test_threads_rejected_where_nothing_runs_in_blocks(capsys):
 @pytest.mark.parametrize("m,code", [(6, 2), (3, 3)])
 def test_verify_all_caps(capsys, m, code):
     assert _run(capsys, "verify-all", str(m))[0] == code
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    # The reader stops after 1 byte of the 24 MB report, as ``| head -c 1``.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "detorbit", "tally", "2", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "cannot write the report" in err
+
+
+@pytest.mark.parametrize(
+    "out",
+    ["cp.ndjson", "./sub/../cp.ndjson", "link"],
+    ids=["same", "relative", "hard-link"],
+)
+def test_out_and_checkpoint_on_one_file_is_bad_input(
+    capsys, tmp_path, monkeypatch, out
+):
+    # --out would truncate the checkpoint before the run could resume it.
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, "--checkpoint", "cp.ndjson", "tally", "2", "3")[0] == 0
+    os.link("cp.ndjson", "link")
+    before = (tmp_path / "cp.ndjson").read_bytes()
+    argv = ["--out", out, "--checkpoint", "cp.ndjson", "tally", "2", "3"]
+    code, report = _run(capsys, *argv)
+    assert code == 3
+    assert json.loads(report) == {
+        "error": "--out and --checkpoint name the same file", "kind": "input"
+    }
+    assert (tmp_path / "cp.ndjson").read_bytes() == before

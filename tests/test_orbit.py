@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import islice
 from random import Random
@@ -9,6 +10,7 @@ from random import Random
 import pytest
 
 from helpers import random_restriction_matrix
+from detorbit.cli import main
 from detorbit.errors import BudgetExceeded
 from detorbit.orbit import (
     MAX_CANDIDATES,
@@ -122,14 +124,20 @@ def test_witness_search_first_candidate(m, i, value):
     assert result.value == value
 
 
-def test_witness_json_shape():
-    result = witness_search(2, 2)
-    obj = result.to_json_dict()
-    assert obj["m"] == 2 and obj["i"] == 2
-    assert obj["A"] == [["1", "0"], ["0", "1"]]
-    assert obj["value"] == {"num": "-1", "den": "4"}
-    assert obj["schedule_index"] == 0
-    assert "seed" in obj
+def test_witness_json_shape(capsys):
+    # The witness report is built by the CLI, from the WitnessResult fields.
+    assert main(["witness", "2", "2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {
+        "m": 2,
+        "i": 2,
+        "A": [["1", "0"], ["0", "1"]],
+        "value": {"num": "-1", "den": "4"},
+        "found": True,
+        "schedule_index": 0,
+        "label": "cyclic-identity",
+        "seed": 0,
+    }
 
 
 def test_witness_search_rejects_odd_m():
