@@ -405,7 +405,13 @@ def _main(argv: Optional[Sequence[str]]) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return _main(argv)
+        code = _main(argv)
+        # Flushed here, not at exit, so that a reader already gone fails
+        # below; a stand-in stdout may have no ``flush``.
+        flush = getattr(sys.stdout, "flush", None)
+        if flush is not None:
+            flush()
+        return code
     except OSError as exc:
         # Only a report that cannot be written gets here: a stdout closed by
         # its reader (``| head``) or a full disk.  Say so once on stderr, and

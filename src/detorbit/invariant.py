@@ -24,7 +24,7 @@ budgets.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lgamma, log, log10, prod
 from operator import add
 from typing import Mapping, Sequence
 
@@ -302,10 +302,20 @@ def det_power_invariant(
             raise BudgetExceeded(f"invariant evaluation needs ~{est} {what}", est)
 
     def check_leaves(monomials: int) -> None:
-        check(
-            monomials * factorial(half) ** (i - 1),
-            f"search leaves ({monomials} monomials of P^{i})",
-        )
+        # monomials * (m/2)!^(i-1), multiplied out only until it passes both
+        # the budget and 30 digits: then it is refused with the product so
+        # far as its estimate and ~10^k, from lgamma, as its text.
+        what = f"search leaves ({monomials} monomials of P^{i})"
+        est = monomials
+        for _ in range(i - 1):
+            for k in range(2, half + 1):
+                est *= k
+                if est > budget and est >= 10**30:
+                    power = log10(monomials) + (i - 1) * lgamma(half + 1) / log(10)
+                    raise BudgetExceeded(
+                        f"invariant evaluation needs ~10^{int(power)} {what}", est
+                    )
+        check(est, what)
 
     check_leaves(1)  # one kernel call, before the product is built
     words = []

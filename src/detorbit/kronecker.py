@@ -56,16 +56,20 @@ def _check_partition(lam: Sequence[int]) -> Partition:
     return lam
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _partitions(n, n)
+
+
+def _partitions(n: int, top: int) -> Iterator[Partition]:
+    """The partitions of n with every part at most ``top``."""
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 

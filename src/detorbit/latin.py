@@ -16,8 +16,7 @@ order, expands it (:func:`signed_tally`) or reads one pattern (``at``),
 at i = m the signed square count (:func:`alon_tarsi_difference`).  The
 column-major DFS is their oracle, unreduced per pattern
 (:func:`column_order_tally`) and by reduced squares at i = m
-(:func:`column_order_difference`); :func:`enumerate_latin_rectangles` is
-the visiting reference enumerator.
+(:func:`column_order_difference`).
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -37,15 +36,11 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .errors import BudgetExceeded
 
 __all__ = [
-    "LatinRectangle",
     "Pattern",
     "SignedTally",
     "OrbitTally",
     "column_sign",
-    "rect_sign",
-    "pattern_of",
     "is_valid_pattern",
-    "enumerate_latin_rectangles",
     "signed_tally",
     "orbit_tally",
     "column_order_tally",
@@ -57,55 +52,6 @@ __all__ = [
 
 # Ordered m-tuple of sorted column content sets, 1-based symbols.
 Pattern = tuple[tuple[int, ...], ...]
-
-
-class LatinRectangle(
-    NamedTuple("LatinRectangle", [("entries", tuple[tuple[int, ...], ...])])
-):
-    """An i x m array with permutation rows and distinct-entry columns.
-
-    ``entries`` holds 0-based symbols; :meth:`from_rows` builds it from
-    1-based rows.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> "LatinRectangle":
-        rows = entries
-        if not rows or not rows[0]:
-            raise ValueError("empty rectangle")
-        m = len(rows[0])
-        if len(rows) > m:
-            raise ValueError("too many rows")
-        full = (1 << m) - 1
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("ragged rows")
-            mask = 0
-            for s in row:
-                if not 0 <= s < m:
-                    raise ValueError(f"symbol {s + 1} out of range 1..{m}")
-                mask |= 1 << s
-            if mask != full:
-                raise ValueError("row is not a permutation")
-        for q in range(m):
-            col = [row[q] for row in rows]
-            if len(set(col)) != len(col):
-                raise ValueError("column has repeated entries")
-        return super().__new__(cls, entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "LatinRectangle":
-        """Build from rows of 1-based symbols."""
-        return cls(tuple(tuple(s - 1 for s in row) for row in rows))
-
-    @property
-    def i(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries[0])
 
 
 def column_sign(column: Sequence[int]) -> int:
@@ -121,21 +67,6 @@ def column_sign(column: Sequence[int]) -> int:
 def _inversion_parity(seq: Sequence[int]) -> int:
     """1 if ``seq`` has an odd number of pairs out of order, else 0."""
     return sum(a > b for a, b in combinations(seq, 2)) & 1
-
-
-def rect_sign(rect: LatinRectangle) -> int:
-    """eps_c: product of the column signs."""
-    sign = 1
-    for q in range(rect.m):
-        sign *= column_sign([row[q] for row in rect.entries])
-    return sign
-
-
-def pattern_of(rect: LatinRectangle) -> Pattern:
-    """Ordered tuple of sorted column contents (1-based)."""
-    return tuple(
-        tuple(sorted(row[q] + 1 for row in rect.entries)) for q in range(rect.m)
-    )
 
 
 def is_valid_pattern(pattern: Pattern, i: int, m: int) -> bool:
@@ -161,13 +92,6 @@ def _mask_of(subset: Iterable[int]) -> int:
     for s in subset:
         mask |= 1 << (s - 1)
     return mask
-
-
-def _pattern_masks(pattern: Pattern, i: int, m: int) -> list[int]:
-    """The column masks of a valid pattern; ``ValueError`` for any other."""
-    if not is_valid_pattern(pattern, i, m):
-        raise ValueError("invalid pattern")
-    return [_mask_of(subset) for subset in pattern]
 
 
 @cache
@@ -379,25 +303,6 @@ def _check_dims(i: int, m: int) -> None:
         raise ValueError("alphabet larger than 64 symbols is unsupported")
 
 
-def enumerate_latin_rectangles(
-    i: int,
-    m: int,
-    *,
-    visitor: Callable[[LatinRectangle], None],
-) -> int:
-    """Visit every Latin (i, m)-rectangle once, in row-major lexicographic
-    order, and return how many were visited: the reference enumerator, with
-    no quotient.  Counts come from :func:`orbit_tally`, as ``.total()`` or
-    ``.at(pattern)``.
-    """
-    _check_dims(i, m)
-
-    def leaf(rows, _masks, _parity):
-        visitor(LatinRectangle(tuple(rows)))
-
-    return _run_rows(i, m, (), leaf)
-
-
 # ---------------------------------------------------------------------------
 # Signed tallies.
 # ---------------------------------------------------------------------------
@@ -420,66 +325,6 @@ class SignedTally(NamedTuple):
 _REPORT_CHUNK = 1024
 
 
-def _write_report(
-    write: Callable[[str], object],
-    i: int,
-    m: int,
-    subsets: Sequence[tuple[int, ...]],
-    records: Iterable,
-    fmt: str,
-    extra: dict,
-) -> None:
-    """Write a tally report in chunks of :data:`_REPORT_CHUNK` records.
-
-    ``records`` are (ranks, (plus, minus)) in report order, the ranks
-    indexing ``subsets``; each distinct subset is rendered once.  There is
-    at least one record: every (i, m) that :func:`_check_dims` accepts has
-    a rectangle.  ``fmt`` "json" writes ``json.dumps(report, indent=2,
-    sort_keys=True) + "\\n"`` byte for byte, where ``report`` holds i, m,
-    the fields ``extra`` and ``patterns``, without a dict per pattern or
-    the pure-Python indent encoder; "csv" writes one line per record under
-    a header.
-    """
-    records = iter(records)
-    chunks = iter(lambda: list(islice(records, _REPORT_CHUNK)), [])
-    if fmt == "csv":
-        column = [",".join(map(str, sub)) for sub in subsets].__getitem__
-        head = f"{i},{m},"
-        write("i,m,pattern,plus,minus\n")
-        for chunk in chunks:
-            write("".join(
-                f"{head}{';'.join(map(column, ranks))},{p},{n}\n"
-                for ranks, (p, n) in chunk
-            ))
-        return
-    column = [
-        "        [\n" + ",\n".join(f"          {s}" for s in sub) + "\n        ]"
-        for sub in subsets
-    ].__getitem__
-    record = (
-        '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
-        '      "plus": "%d"\n    }'
-    )
-    report = {"i": i, "m": m, **extra, "patterns": None}
-    pieces = []
-    for k, name in enumerate(sorted(report)):
-        pieces.append((",\n  " if k else "{\n  ") + json.dumps(name) + ": ")
-        if name != "patterns":
-            value = json.dumps(report[name], indent=2, sort_keys=True)
-            pieces.append(value.replace("\n", "\n  "))
-            continue
-        sep = "".join(pieces) + "[\n"
-        for chunk in chunks:
-            write(sep + ",\n".join(
-                record % (n, ",\n".join(map(column, ranks)), p)
-                for ranks, (p, n) in chunk
-            ))
-            sep = ",\n"
-        pieces = ["\n  ]"]
-    pieces.append("\n}\n")
-    write("".join(pieces))
-
-
 def _tally_leaf_factory(bucket: dict):
     def leaf(_rows, col_masks, parity):
         key = tuple(col_masks)
@@ -490,11 +335,6 @@ def _tally_leaf_factory(bucket: dict):
         cur[parity] += 1
 
     return leaf
-
-
-def _bucket_to_tally(i: int, m: int, bucket: dict) -> SignedTally:
-    counts = {tuple(map(_subset_of_mask, key)): (pn[0], pn[1]) for key, pn in bucket.items()}
-    return SignedTally(i, m, counts)
 
 
 def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -542,10 +382,11 @@ def _adopt_memo(memo: dict) -> None:
 def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
     """Enumerate prefix blocks and fold each into ``orbits``.
 
-    ``job`` is (i, m, prefixes, config).  Each block is folded through
-    ``memo`` (:func:`_fold_orbits`).  Returns the leaves visited and, with
-    a checkpoint ``config``, one record line per block
-    (:func:`_record_line`); without one, no lines.
+    ``job`` is (i, m, prefixes, config).  Each block's bucket (column
+    masks -> (plus, minus)) is weighted by the quotient order as soon as it
+    is enumerated, then folded through ``memo`` (:func:`_fold_orbits`).
+    Returns the leaves visited and, with a checkpoint ``config``, one record
+    line per block (:func:`_record_line`); without one, no lines.
     """
     i, m, prefixes, config = job
     quotient = _row_quotient(i, m, symbols=True)
@@ -554,11 +395,11 @@ def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
     lines = []
     for prefix in prefixes:
         bucket: dict = {}
-        leaf = _tally_leaf_factory(bucket)
-        leaves += _run_rows(i, m, prefix, leaf, quotient)
+        leaves += _run_rows(i, m, prefix, _tally_leaf_factory(bucket), quotient)
+        bucket = {key: (p * w, n * w) for key, (p, n) in bucket.items()}
         if config is not None:
-            lines.append(_record_line(prefix, bucket, w, config))
-        _fold_orbits(i, m, bucket, w, memo, orbits)
+            lines.append(_record_line(prefix, bucket, config))
+        _fold_orbits(i, m, bucket, memo, orbits)
     return leaves, lines
 
 
@@ -568,86 +409,6 @@ def _pool_job(job: tuple) -> tuple[dict, list[str]]:
     orbits: dict = {}
     _leaves, lines = _block_job(job, _worker_memo, orbits)
     return orbits, lines
-
-
-def _tally_by_blocks(
-    i: int, m: int, processes: int, checkpoint_path: Optional[str]
-) -> dict:
-    """The orbit counts of all Latin (i, m)-rectangles: canonical profiles ->
-    [plus, minus, stab] (:func:`_fold_orbits`), by prefix blocks; optional
-    worker pool and checkpointing.
-
-    Blocks are the first-row-fixed rectangles of :func:`_row_quotient` with
-    ``symbols`` sharing their first two rows (:func:`_list_prefixes`).  Each
-    block is folded to orbits where it runs (:func:`_block_job`), and its
-    orbit counts are added to the run's as soon as it is resumed or
-    finished; the sums are of integers and do not depend on the order of
-    the blocks.  One memo of canonical forms serves the whole run, so each
-    distinct pattern is canonicalised once per process, and it is dropped
-    with the run.
-
-    Blocks run one by one in this process until the leaves left, estimated
-    as the leaves per block run here so far times the blocks left, reach
-    :data:`_POOL_BREAK_EVEN`; a run that has run no block here estimates
-    none.  Only then, if ``processes`` > 1, do the blocks left go to a pool
-    of min(processes, blocks left, usable CPUs) workers
-    (:func:`_usable_cpus`), which inherit the memo, in eight
-    chunks of adjacent blocks per worker; each chunk's orbit counts come
-    back summed.  So ``multiprocessing`` is imported only by a run large
-    enough to repay it.
-
-    Checkpoint records carry the full configuration (i, m, column masks,
-    quotient group) and weighted per-pattern counts; records of any other
-    configuration, and prefixes outside the current partition, are ignored.
-    A block's record line is rendered where the block runs, and this
-    process appends it (:func:`write_checkpoint_record`).
-    """
-    prefixes = _list_prefixes(i, m)
-    group = _row_quotient(i, m, symbols=True).group
-    # All-ones column masks, kept so that records match old files byte for byte.
-    config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": group}
-    memo: dict = {}
-    folded: dict = {}
-    done: set = set()
-    if checkpoint_path is not None:
-        valid = set(prefixes)
-        for prefix, bucket in load_checkpoint(checkpoint_path, config).items():
-            if prefix in valid:
-                done.add(prefix)
-                _fold_orbits(i, m, bucket, 1, memo, folded)
-    record = None if checkpoint_path is None else config
-    todo = deque(p for p in prefixes if p not in done)
-
-    def write(lines: list[str]) -> None:
-        for line in lines:
-            write_checkpoint_record(checkpoint_path, line)
-
-    cpus = _usable_cpus() if processes > 1 else 1
-    visited = ran = 0
-    while todo and (
-        min(processes, len(todo), cpus) < 2
-        or (visited * len(todo) // ran if ran else 0) < _POOL_BREAK_EVEN
-    ):
-        leaves, lines = _block_job((i, m, (todo.popleft(),), record), memo, folded)
-        visited += leaves
-        ran += 1
-        write(lines)
-    if todo:
-        from multiprocessing import Pool
-
-        workers = min(processes, len(todo), cpus)
-        size = -(-len(todo) // (8 * workers))
-        blocks = list(todo)
-        jobs = [
-            (i, m, tuple(blocks[k : k + size]), record)
-            for k in range(0, len(blocks), size)
-        ]
-        with Pool(workers, _adopt_memo, (memo,)) as pool:
-            for orbits, lines in pool.imap_unordered(_pool_job, jobs):
-                for canon, (p, n, stab) in orbits.items():
-                    _add_orbit(folded, canon, p, n, stab)
-                write(lines)
-    return folded
 
 
 class OrbitTally(NamedTuple):
@@ -682,7 +443,9 @@ class OrbitTally(NamedTuple):
         when the relabelling that sorts it to the canonical pattern flips
         eps_c (:func:`_canonical`)."""
         i, m = self.i, self.m
-        canon, _stab, swap = _canonical(_pattern_masks(pattern, i, m), i, m)
+        if not is_valid_pattern(pattern, i, m):
+            raise ValueError("invalid pattern")
+        canon, _stab, swap = _canonical([_mask_of(sub) for sub in pattern], i, m)
         _size, p, n = self.orbits[canon]
         return (n, p) if swap else (p, n)
 
@@ -750,9 +513,55 @@ class OrbitTally(NamedTuple):
         self, write: Callable[[str], object], fmt: str = "json", **extra
     ) -> None:
         """Stream the report of the expanded tally to ``write``, without
-        building it: JSON with the fields ``extra`` next to i, m and
-        ``patterns``, or CSV with ``fmt`` "csv" (:func:`_write_report`)."""
-        _write_report(write, self.i, self.m, *self._records(), fmt, extra)
+        building it, in chunks of :data:`_REPORT_CHUNK` records.
+
+        ``fmt`` "json" writes ``json.dumps(report, indent=2, sort_keys=True)
+        + "\\n"`` byte for byte, where ``report`` holds i, m, the fields
+        ``extra`` and ``patterns``, without a dict per pattern or the
+        pure-Python indent encoder; "csv" writes one line per record under a
+        header.  Each distinct column subset is rendered once
+        (:meth:`_records`).  There is at least one record: every (i, m) that
+        :func:`_check_dims` accepts has a rectangle.
+        """
+        i, m = self.i, self.m
+        subsets, records = self._records()
+        chunks = iter(lambda: list(islice(records, _REPORT_CHUNK)), [])
+        if fmt == "csv":
+            column = [",".join(map(str, sub)) for sub in subsets].__getitem__
+            head = f"{i},{m},"
+            write("i,m,pattern,plus,minus\n")
+            for chunk in chunks:
+                write("".join(
+                    f"{head}{';'.join(map(column, ranks))},{p},{n}\n"
+                    for ranks, (p, n) in chunk
+                ))
+            return
+        column = [
+            "        [\n" + ",\n".join(f"          {s}" for s in sub) + "\n        ]"
+            for sub in subsets
+        ].__getitem__
+        record = (
+            '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
+            '      "plus": "%d"\n    }'
+        )
+        report = {"i": i, "m": m, **extra, "patterns": None}
+        pieces = []
+        for k, name in enumerate(sorted(report)):
+            pieces.append((",\n  " if k else "{\n  ") + json.dumps(name) + ": ")
+            if name != "patterns":
+                value = json.dumps(report[name], indent=2, sort_keys=True)
+                pieces.append(value.replace("\n", "\n  "))
+                continue
+            sep = "".join(pieces) + "[\n"
+            for chunk in chunks:
+                write(sep + ",\n".join(
+                    record % (n, ",\n".join(map(column, ranks)), p)
+                    for ranks, (p, n) in chunk
+                ))
+                sep = ",\n"
+            pieces = ["\n  ]"]
+        pieces.append("\n}\n")
+        write("".join(pieces))
 
     def expand(self) -> SignedTally:
         """The per-pattern tally, decoded from :meth:`_entries`."""
@@ -821,19 +630,16 @@ def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
     return canon, stab, bool(parity.bit_count() & 1)
 
 
-def _fold_orbits(
-    i: int, m: int, bucket: dict, weight: int, memo: dict, orbits: dict
-) -> None:
-    """Add a first-row-fixed bucket (column masks -> counts, which times
-    ``weight`` are weighted by m! * |G|) to ``orbits``, the counts at the
-    canonical patterns of its S_m-orbits: canonical profiles -> [plus,
-    minus, stab].
+def _fold_orbits(i: int, m: int, bucket: dict, memo: dict, orbits: dict) -> None:
+    """Add a first-row-fixed bucket (column masks -> counts, weighted by
+    m! * |G|) to ``orbits``, the counts at the canonical patterns of its
+    S_m-orbits: canonical profiles -> [plus, minus, stab].
 
     Each rectangle is pi R0 for one first-row-fixed R0 and one pi.  The
     relabellings pi that carry R0's pattern P to its canonical pattern K
     are sigma * stab(P) (:func:`_canonical`): at even i all with sigma's
     sign, at odd i with a non-trivial stab(P) half with each sign.  The
-    counts of K are then the weighted bucket's times stab(P) / m!, exact
+    counts of K are then the bucket's times stab(P) / m!, exact
     for any set of blocks, since each leaf's weight holds m!; with stab(P)
     even at odd i, so is the balanced half.  ``memo`` holds the canonical
     form of every pattern seen so far in the run, and gains the bucket's.
@@ -844,8 +650,7 @@ def _fold_orbits(
         if hit is None:
             hit = memo[key] = _canonical(key, i, m)
         canon, stab, swap = hit
-        scale = weight * stab
-        p, n = p * scale // fact, n * scale // fact
+        p, n = p * stab // fact, n * stab // fact
         if i % 2 and stab > 1:
             p = n = (p + n) // 2
         elif swap:
@@ -872,17 +677,80 @@ def orbit_tally(
     """The signed tally of all Latin (i, m)-rectangles in orbit form.
 
     Enumerates the first-row-fixed rectangles, one per eps_c-preserving
-    orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by blocks
-    cut after row 2, each folded into the orbits where it runs
-    (:func:`_tally_by_blocks`).  The only row-major counter: one pattern's
-    counts (:meth:`OrbitTally.at`) cost the whole tally.  ``processes``
-    workers share the blocks left once their leaves are estimated at
-    :data:`_POOL_BREAK_EVEN` or more; ``checkpoint_path`` holds one record
-    per finished block.
+    orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by prefix
+    blocks sharing their first two rows (:func:`_list_prefixes`).  The only
+    row-major counter: one pattern's counts (:meth:`OrbitTally.at`) cost
+    the whole tally.  Each block is weighted and folded to orbits where it
+    runs (:func:`_block_job`), and its orbit counts are added to the run's
+    as soon as it is resumed or finished; the sums are of integers and do
+    not depend on the order of the blocks.  One memo of canonical forms
+    serves the whole run, so each distinct pattern is canonicalised once
+    per process, and it is dropped with the run.
+
+    Blocks run one by one in this process until the leaves left, estimated
+    as the leaves per block run here so far times the blocks left, reach
+    :data:`_POOL_BREAK_EVEN`; a run that has run no block here estimates
+    none.  Only then, if ``processes`` > 1, do the blocks left go to a pool
+    of min(processes, blocks left, usable CPUs) workers
+    (:func:`_usable_cpus`), which inherit the memo, in eight chunks of
+    adjacent blocks per worker; each chunk's orbit counts come back summed.
+    So ``multiprocessing`` is imported only by a run large enough to repay
+    it.
+
+    ``checkpoint_path`` holds one record per finished block.  Records carry
+    the full configuration (i, m, column masks, quotient group) and
+    weighted per-pattern counts; records of any other configuration, and
+    prefixes outside the current partition, are ignored.  A block's record
+    line is rendered where the block runs, and this process appends it
+    (:func:`write_checkpoint_record`).
     """
     _check_dims(i, m)
+    prefixes = _list_prefixes(i, m)
+    group = _row_quotient(i, m, symbols=True).group
+    # All-ones column masks, kept so that records match old files byte for byte.
+    config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": group}
+    memo: dict = {}
+    folded: dict = {}
+    done: set = set()
+    if checkpoint_path is not None:
+        valid = set(prefixes)
+        for prefix, bucket in load_checkpoint(checkpoint_path, config).items():
+            if prefix in valid:
+                done.add(prefix)
+                _fold_orbits(i, m, bucket, memo, folded)
+    record = None if checkpoint_path is None else config
+    todo = deque(p for p in prefixes if p not in done)
+
+    def write(lines: list[str]) -> None:
+        for line in lines:
+            write_checkpoint_record(checkpoint_path, line)
+
+    cpus = _usable_cpus() if processes > 1 else 1
+    visited = ran = 0
+    while todo and (
+        min(processes, len(todo), cpus) < 2
+        or (visited * len(todo) // ran if ran else 0) < _POOL_BREAK_EVEN
+    ):
+        leaves, lines = _block_job((i, m, (todo.popleft(),), record), memo, folded)
+        visited += leaves
+        ran += 1
+        write(lines)
+    if todo:
+        from multiprocessing import Pool
+
+        workers = min(processes, len(todo), cpus)
+        size = -(-len(todo) // (8 * workers))
+        blocks = list(todo)
+        jobs = [
+            (i, m, tuple(blocks[k : k + size]), record)
+            for k in range(0, len(blocks), size)
+        ]
+        with Pool(workers, _adopt_memo, (memo,)) as pool:
+            for chunk, lines in pool.imap_unordered(_pool_job, jobs):
+                for canon, (p, n, stab) in chunk.items():
+                    _add_orbit(folded, canon, p, n, stab)
+                write(lines)
     fact = factorial(m)
-    folded = _tally_by_blocks(i, m, processes, checkpoint_path)
     orbits = {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
     return OrbitTally(i, m, orbits)
 
@@ -904,7 +772,10 @@ def column_order_tally(i: int, m: int) -> SignedTally:
     _check_dims(i, m)
     bucket: dict = {}
     _run_columns(i, m, _tally_leaf_factory(bucket))
-    return _bucket_to_tally(i, m, bucket)
+    counts = {
+        tuple(map(_subset_of_mask, key)): (p, n) for key, (p, n) in bucket.items()
+    }
+    return SignedTally(i, m, counts)
 
 
 # Latin square counts by order m, and the most squares a signed square
@@ -976,7 +847,7 @@ def column_order_difference(m: int) -> int:
 # its block (the identity row and the second row), the block's "plus" and
 # "minus" totals and its per-pattern counts ("patterns").  It is keyed by
 # the configuration of the run: "i", "m", the column masks (all ones, see
-# :func:`_tally_by_blocks`) and the quotient "group", S<m>xS<i-1> or
+# :func:`orbit_tally`) and the quotient "group", S<m>xS<i-1> or
 # S<m>xA<i-1>.  Counts are already multiplied by the group order, so the
 # records of a run sum to its first-row-fixed bucket: per pattern, not the
 # tally's counts (the fold gives those), but over all patterns its total
@@ -986,13 +857,12 @@ def column_order_difference(m: int) -> int:
 # totals-only records of an earlier format) are ignored.
 # ---------------------------------------------------------------------------
 
-def _record_line(prefix: tuple, bucket: dict, weight: int, config: dict) -> str:
-    """One block's record line: its totals and per-pattern counts, the
-    bucket's times ``weight``, under ``config``, the run's configuration."""
+def _record_line(prefix: tuple, bucket: dict, config: dict) -> str:
+    """One block's record line: its totals and the per-pattern counts of its
+    weighted bucket, under ``config``, the run's configuration."""
     plus = minus = 0
     patterns = []
     for key, (p, n) in sorted(bucket.items()):
-        p, n = p * weight, n * weight
         plus += p
         minus += n
         patterns.append({

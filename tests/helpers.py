@@ -2,7 +2,8 @@
 a runner for code that needs a fresh interpreter, and the claim checks and
 reference builders that only the tests run: the group actions of the
 invariant's weight law on forms and restriction matrices, the slot action
-on tensors, the fiberwise sign factorization, concatenation and projection
+on tensors, every Latin rectangle with its sign and pattern, the
+fiberwise sign factorization, concatenation and projection
 of Latin rectangles, the slot-translation scan, the expanded symmetrizer
 groups, the character table orthogonality sums, the plain ``json.dumps``
 rendering of a tally and the bit-by-bit canonical form and orbit fold of
@@ -30,7 +31,6 @@ from detorbit.invariant import (
     elementary_det_power,
     polarized_coefficient,
 )
-from detorbit.latin import LatinRectangle
 from detorbit.orbit import RestrictionMatrix
 
 SRC = str(Path(detorbit.__file__).resolve().parent.parent)
@@ -238,8 +238,9 @@ def class_multiset_invariant(m: int, i: int, f: HomPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Latin rectangles: the plain tally rendering, projection, concatenation and
-# the fiberwise sign factorization.
+# Latin rectangles: the plain tally rendering, every rectangle with its sign
+# and pattern, projection, concatenation and the fiberwise sign
+# factorization.
 # ---------------------------------------------------------------------------
 
 
@@ -307,27 +308,53 @@ def reference_fold(i: int, m: int) -> dict:
     return {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
 
 
-def project_last_row(rect: LatinRectangle) -> LatinRectangle:
+# A Latin rectangle here is a tuple of rows of 0-based symbols.
+Rect = tuple[tuple[int, ...], ...]
+
+
+def latin_rectangles(i: int, m: int) -> list[Rect]:
+    """Every Latin (i, m)-rectangle, in row-major lexicographic order: the
+    library's row DFS run with no quotient, each leaf checked to have
+    permutation rows and distinct-entry columns."""
+    out: list[Rect] = []
+
+    def leaf(rows, _masks, _parity):
+        rect = tuple(rows)
+        assert all(sorted(row) == list(range(m)) for row in rect), rect
+        assert all(len(set(col)) == i for col in zip(*rect)), rect
+        out.append(rect)
+
+    latin._run_rows(i, m, (), leaf)
+    return out
+
+
+def rect_sign(rows: Rect) -> int:
+    """eps_c: the product of the column signs."""
+    return prod(latin.column_sign(col) for col in zip(*rows))
+
+
+def pattern_of(rows: Rect) -> latin.Pattern:
+    """The ordered tuple of sorted column contents, 1-based."""
+    return tuple(tuple(sorted(s + 1 for s in col)) for col in zip(*rows))
+
+
+def project_last_row(rows: Rect) -> Rect:
     """Drop the last row, yielding an (i-1, m)-rectangle."""
-    if rect.i == 1:
+    if len(rows) == 1:
         raise ValueError("cannot project single row")
-    return LatinRectangle(rect.entries[:-1])
+    return rows[:-1]
 
 
-def concatenate(rect_a: LatinRectangle, rect_b: LatinRectangle) -> LatinRectangle:
-    """Side-by-side join with rect_b's symbols shifted by rect_a's width.
+def concatenate(rows_a: Rect, rows_b: Rect) -> Rect:
+    """Side-by-side join with rows_b's symbols shifted by rows_a's width.
 
     eps_c of the result is the product of the two signs, and the pattern is
-    the pattern of rect_a followed by the shifted pattern of rect_b.
+    the pattern of rows_a followed by the shifted pattern of rows_b.
     """
-    if rect_a.i != rect_b.i:
+    if len(rows_a) != len(rows_b):
         raise ValueError("row counts differ")
-    shift = rect_a.m
-    rows = tuple(
-        ra + tuple(s + shift for s in rb)
-        for ra, rb in zip(rect_a.entries, rect_b.entries)
-    )
-    return LatinRectangle(rows)
+    shift = len(rows_a[0])
+    return tuple(ra + tuple(s + shift for s in rb) for ra, rb in zip(rows_a, rows_b))
 
 
 @dataclass
@@ -344,7 +371,7 @@ class SignFactorizationReport:
     ok: bool
     fibers: int
     rectangles: int
-    counterexample: Optional[tuple[LatinRectangle, LatinRectangle]]
+    counterexample: Optional[tuple[Rect, Rect]]
 
 
 def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
@@ -370,10 +397,7 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
             fiber_sign[key] = ratio
         elif seen != ratio:
             state["ok"] = False
-            state["bad"] = (
-                LatinRectangle(tuple(rows)),
-                LatinRectangle(tuple(rows[:-1])),
-            )
+            state["bad"] = (tuple(rows), tuple(rows[:-1]))
 
     latin._run_rows(i, m, (), leaf)
     return SignFactorizationReport(

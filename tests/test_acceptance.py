@@ -16,10 +16,12 @@ from helpers import (
     column_orthogonality_ok,
     compose_linear,
     concatenate,
+    latin_rectangles,
     permute_rows,
     random_hompoly,
     random_restriction_matrix,
     random_sl_matrix,
+    rect_sign,
     right_multiply,
     row_orthogonality_ok,
     scale_row,
@@ -224,18 +226,14 @@ def test_criterion_9_structural_laws():
     pools: dict = {}
     for i in (1, 2, 3):
         for m in range(i, 4):
-            rects: list = []
-            latin.enumerate_latin_rectangles(i, m, visitor=rects.append)
-            pools[(i, m)] = rects
+            pools[(i, m)] = latin_rectangles(i, m)
     for (i, m), left in pools.items():
         for mp in range(i, 4):
             right = pools[(i, mp)]
             for a in left:
                 for b in right:
                     joined = concatenate(a, b)
-                    assert latin.rect_sign(joined) == latin.rect_sign(
-                        a
-                    ) * latin.rect_sign(b)
+                    assert rect_sign(joined) == rect_sign(a) * rect_sign(b)
     # Concatenation hits each joined pattern bijectively: the filtered count
     # at the joined pattern equals the product of the fiber sizes.
     for (i, m, mp) in [(2, 2, 3), (2, 3, 3), (3, 3, 3)]:

@@ -637,6 +637,45 @@ def test_closed_stdout_exits_3_without_a_traceback():
     assert err.count("\n") == 1 and "cannot write the report" in err
 
 
+def test_stdout_closed_before_the_exit_flush_exits_3():
+    # A small report stays in stdout's buffer until main flushes it; the
+    # reader has gone before that, as in ``| true``.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "detorbit", "kronecker", "2", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Exception ignored" not in err
+    assert err.count("\n") == 1 and "cannot write the report" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant-check", "4000", "2"],
+        ["witness", "4000", "2"],
+        ["invariant-check", "20000000", "2"],
+    ],
+)
+def test_astronomical_leaf_estimate_is_refused_at_once(argv):
+    # (m/2)!^(i-1) leaves is thousands of digits, or millions: it is
+    # refused as infeasible, and written as a power of ten.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "detorbit", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    report = json.loads(done.stdout)
+    assert report["kind"] == "infeasible"
+    assert len(report["error"]) < 200 and "~10^" in report["error"]
+
+
 @pytest.mark.parametrize(
     "out",
     ["cp.ndjson", "./sub/../cp.ndjson", "link"],

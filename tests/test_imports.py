@@ -117,12 +117,16 @@ def test_unknown_attribute_raises():
         exec("from detorbit import no_such_name", {})
 
 
-# Claim checks and reference builders that only the tests run: they live in
+# Claim checks and reference builders that only the tests run, such as the
+# Latin rectangle visitor with its sign and pattern: they live in
 # tests/helpers.py, or, like CharacterTable, were folded into plain sums.
 # Second names of one thing are gone too: the budget default is
 # errors.DEFAULT_BUDGET, and the witness report is the CLI's.
 _DROPPED = {
-    "latin": ("concatenate", "project_last_row", "verify_sign_factorization"),
+    "latin": (
+        "concatenate", "project_last_row", "verify_sign_factorization",
+        "enumerate_latin_rectangles", "LatinRectangle", "rect_sign", "pattern_of",
+    ),
     "tensors": ("translated_pairing_scan",),
     "kronecker": ("CharacterTable",),
     "invariant": ("DEFAULT_DET_BUDGET",),
@@ -217,4 +221,4 @@ def test_no_public_route_selector_and_few_options():
     params = _public_parameters()
     assert not [key for key in params if key.rsplit(".", 1)[1] in ("order", "method")]
     optional = sorted(key for key, p in params.items() if p.default is not p.empty)
-    assert len(optional) == 12, optional
+    assert len(optional) == 11, optional

@@ -344,6 +344,24 @@ def test_budget_guard():
     assert det_power_invariant(6, 6, f) == Fraction(1, 190590400)
 
 
+@pytest.mark.parametrize(
+    "m,text",
+    [
+        (56, f"~{factorial(28)} search"),  # 30 digits: written in full
+        (58, "~10^30 search"),  # 29! has 31 digits
+        (4000, "~10^5735 search"),  # 2000! is never built
+    ],
+    ids=["30-digits", "31-digits", "5736-digits"],
+)
+def test_leaf_estimate_past_30_digits_is_a_power_of_ten(m, text):
+    # One kernel call at i = 2 needs (m/2)! leaves.
+    with pytest.raises(BudgetExceeded) as refused:
+        det_power_invariant(m, 2, HomPoly.power_sum(2, m))
+    assert text in str(refused.value)
+    estimate = refused.value.estimate
+    assert type(estimate) is int and 10**9 < estimate <= factorial(m // 2)
+
+
 def test_binary_quartic_classical_invariant_oracle():
     """Degree-2 invariant of binary quartics: the invariant ring route.
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+from math import prod
 from random import Random
 
 import pytest
@@ -13,20 +14,19 @@ import pytest
 from detorbit import latin
 from detorbit.errors import BudgetExceeded
 from detorbit.latin import (
-    LatinRectangle,
     alon_tarsi_difference,
     column_order_difference,
     column_order_tally,
     column_sign,
-    enumerate_latin_rectangles,
-    pattern_of,
-    rect_sign,
     signed_tally,
 )
 
 from helpers import (
     concatenate,
+    latin_rectangles,
+    pattern_of,
     project_last_row,
+    rect_sign,
     reference_canonical,
     reference_fold,
     reference_transpose,
@@ -52,55 +52,42 @@ def test_column_sign_rejects_duplicates():
         column_sign((1, 1))
 
 
+# Rectangles in these tests are tuples of rows of 0-based symbols.
+
+
 def test_rect_sign_examples():
-    assert rect_sign(LatinRectangle.from_rows([(1, 2), (2, 1)])) == -1
-    assert rect_sign(LatinRectangle.from_rows([(2, 1), (1, 2)])) == -1
-    assert rect_sign(LatinRectangle.from_rows([(1, 2, 3, 4)])) == 1
+    assert rect_sign(((0, 1), (1, 0))) == -1
+    assert rect_sign(((1, 0), (0, 1))) == -1
+    assert rect_sign(((0, 1, 2, 3),)) == 1
 
 
 def test_rect_sign_matches_per_column_product():
-    rects = []
-    enumerate_latin_rectangles(3, 4, visitor=rects.append)
-    for rect in rects:
-        assert rect_sign(rect) == _sign_by_columns(rect)
-
-
-def _sign_by_columns(rect: LatinRectangle) -> int:
-    sign = 1
-    for q in range(rect.m):
-        sign *= column_sign([row[q] for row in rect.entries])
-    return sign
+    # The product of the column signs against the inversion parity that the
+    # row DFS carries from leaf to leaf.
+    leaves = []
+    latin._run_rows(
+        3, 4, (), lambda rows, _masks, parity: leaves.append((tuple(rows), parity))
+    )
+    assert len(leaves) == 576
+    for rect, parity in leaves:
+        signs = [column_sign(col) for col in zip(*rect)]
+        assert rect_sign(rect) == prod(signs) == (-1) ** parity
 
 
 def test_pattern_of_examples():
-    assert pattern_of(LatinRectangle.from_rows([(1, 2), (2, 1)])) == ((1, 2), (1, 2))
-    assert pattern_of(LatinRectangle.from_rows([(2, 1)])) == ((2,), (1,))
-    assert pattern_of(LatinRectangle.from_rows([(1, 2, 3), (2, 3, 1)])) == (
+    assert pattern_of(((0, 1), (1, 0))) == ((1, 2), (1, 2))
+    assert pattern_of(((1, 0),)) == ((2,), (1,))
+    assert pattern_of(((0, 1, 2), (1, 2, 0))) == (
         (1, 2),
         (2, 3),
         (1, 3),
     )
 
 
-def test_invalid_rectangles_rejected():
-    with pytest.raises(ValueError):
-        LatinRectangle.from_rows([(1, 1)])
-    with pytest.raises(ValueError):
-        LatinRectangle.from_rows([(1, 2), (1, 3)])  # not a permutation row
-    with pytest.raises(ValueError):
-        LatinRectangle.from_rows([(1, 2), (1, 2)])  # repeated column entry
-    with pytest.raises(ValueError, match="too many rows"):
-        LatinRectangle.from_rows([(1,), (1,)])
-
-
-def _skip(_rect) -> None:
-    """A visitor that leaves the enumerator only counting."""
-
-
 def test_enumeration_counts():
-    # The visiting enumerator and the orbit tally count the same rectangles.
+    # The reference enumeration and the orbit tally count the same rectangles.
     for i, m, count in [(1, 2, 2), (2, 2, 2), (2, 3, 12), (3, 3, 12), (4, 4, 576)]:
-        assert enumerate_latin_rectangles(i, m, visitor=_skip) == count
+        assert len(latin_rectangles(i, m)) == count
         assert latin.orbit_tally(i, m).total() == count
     # Counted from the symbol quotient: 9,408 reduced squares at (6, 6).
     assert latin.orbit_tally(3, 6).total() == 15321600
@@ -108,10 +95,8 @@ def test_enumeration_counts():
 
 
 def test_enumeration_order_and_validity():
-    seen = []
-    enumerate_latin_rectangles(2, 3, visitor=seen.append)
-    assert len(seen) == 12
-    keys = [tuple(r.entries) for r in seen]
+    keys = latin_rectangles(2, 3)  # each checked to be Latin as it is visited
+    assert len(keys) == 12
     assert keys == sorted(keys)  # row-major lexicographic
     assert len(set(keys)) == 12
 
@@ -121,12 +106,11 @@ def test_reference_pattern_counts_match_orbit_tally(i, m):
     # (plus, minus) per pattern over every rectangle the reference
     # enumerator visits, against one orbit tally read pattern by pattern.
     counts: dict = {}
-
-    def visit(rect):
+    rects = latin_rectangles(i, m)
+    for rect in rects:
         pn = counts.setdefault(pattern_of(rect), [0, 0])
         pn[rect_sign(rect) < 0] += 1
-
-    visited = enumerate_latin_rectangles(i, m, visitor=visit)
+    visited = len(rects)
     tally = latin.orbit_tally(i, m)
     assert visited == tally.total() == sum(map(sum, counts.values()))
     assert set(counts) == set(tally.expand().counts)
@@ -135,8 +119,9 @@ def test_reference_pattern_counts_match_orbit_tally(i, m):
 
 
 def test_enumeration_errors():
-    with pytest.raises(ValueError, match="too many rows"):
-        enumerate_latin_rectangles(3, 2, visitor=_skip)
+    for tally in (latin.orbit_tally, column_order_tally):
+        with pytest.raises(ValueError, match="too many rows"):
+            tally(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -216,14 +201,13 @@ def test_tally_against_first_principles_oracle(i, m):
 def test_tally_signed_sums_match_visitor_recomputation():
     tally = signed_tally(3, 4)
     acc: dict = {}
-    def visit(rect):
+    for rect in latin_rectangles(3, 4):
         key = pattern_of(rect)
         plus, minus = acc.get(key, (0, 0))
         if rect_sign(rect) == 1:
             acc[key] = (plus + 1, minus)
         else:
             acc[key] = (plus, minus + 1)
-    enumerate_latin_rectangles(3, 4, visitor=visit)
     assert acc == tally.counts
 
 
@@ -265,11 +249,10 @@ def test_first_column_reduction_matches_full_enumeration():
     # At even m both routes keep the reduced squares (first row and first
     # column 1..m) and weight each by m! * (m-1)!.
     for m in (2, 4):
-        squares = []
-        enumerate_latin_rectangles(m, m, visitor=squares.append)
+        squares = latin_rectangles(m, m)
         identity = list(range(m))
-        fixed = [sq for sq in squares if [row[0] for row in sq.entries] == identity]
-        reduced = [sq for sq in fixed if list(sq.entries[0]) == identity]
+        fixed = [sq for sq in squares if [row[0] for row in sq] == identity]
+        reduced = [sq for sq in fixed if list(sq[0]) == identity]
         full = sum(map(rect_sign, squares))
         assert _factorial(m) * sum(map(rect_sign, fixed)) == full
         weight = _factorial(m) * _factorial(m - 1)
@@ -403,7 +386,7 @@ def test_even_checkpoint_ignores_records_of_the_row_only_quotient(tmp_path):
     assert quotient.group == "S4xS3" and quotient.order == 24 * 6
     old = {"i": 4, "m": 4, "allowed": allowed, "group": "S4"}
     for prefix in latin._list_prefixes(4, 4):
-        line = latin._record_line(prefix, {(15,) * 4: (999, 0)}, 1, old)
+        line = latin._record_line(prefix, {(15,) * 4: (999, 0)}, old)
         latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
@@ -540,7 +523,7 @@ def test_tally_ignores_records_of_the_two_row_partition(tmp_path):
     )
     assert len(old) == 2376
     for prefix in old:
-        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, config)
+        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, config)
         latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
@@ -573,19 +556,19 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
     assert len(old) == 72
     config = {"i": 3, "m": 5, "allowed": allowed, "group": "S5xA2"}
     order = latin._row_quotient(3, 5, symbols=True).order
-    bogus = latin._record_line(old[0], {(7,) * 5: (999, 0)}, 1, config)
+    bogus = latin._record_line(old[0], {(7,) * 5: (999, 0)}, config)
     (tmp_path / "bogus.ndjson").write_text(bogus)
     with pytest.raises(ValueError):
         latin.load_checkpoint(str(tmp_path / "bogus.ndjson"), config)
     a3 = {**config, "group": "A3"}
     for prefix in old:
-        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, 1, a3)
+        line = latin._record_line(prefix, {(7,) * 5: (999, 0)}, a3)
         latin.write_checkpoint_record(cp, line)
     for prefix in old:
         # A valid pattern of the prefix row: its three cyclic shifts.
         (row,) = prefix
         masks = tuple(sum(1 << row[(q + k) % 5] for k in range(3)) for q in range(5))
-        line = latin._record_line(prefix, {masks: (999, 0)}, order, config)
+        line = latin._record_line(prefix, {masks: (999 * order, 0)}, config)
         latin.write_checkpoint_record(cp, line)
     with open(cp) as fh:
         stale = fh.read()
@@ -600,30 +583,22 @@ def test_tally_ignores_records_of_the_row_quotient_blocks(tmp_path):
 
 
 def test_project_last_row():
-    rect = LatinRectangle.from_rows([(1, 2), (2, 1)])
-    assert project_last_row(rect) == LatinRectangle.from_rows([(1, 2)])
-    rect3 = LatinRectangle.from_rows([(1, 2, 3), (2, 3, 1), (3, 1, 2)])
-    assert project_last_row(rect3) == LatinRectangle.from_rows([(1, 2, 3), (2, 3, 1)])
+    assert project_last_row(((0, 1), (1, 0))) == ((0, 1),)
+    rect3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert project_last_row(rect3) == ((0, 1, 2), (1, 2, 0))
     with pytest.raises(ValueError, match="cannot project single row"):
-        project_last_row(LatinRectangle.from_rows([(1, 2)]))
+        project_last_row(((0, 1),))
 
 
 def test_projection_fibers_recovered_by_filtered_enumeration():
     # Extending each projected rectangle enumerates exactly the fiber.
-    squares = []
-    enumerate_latin_rectangles(3, 3, visitor=squares.append)
+    squares = latin_rectangles(3, 3)
     by_top: dict = {}
     for sq in squares:
-        by_top.setdefault(project_last_row(sq).entries, []).append(sq.entries)
-    pairs = []
-    enumerate_latin_rectangles(2, 3, visitor=pairs.append)
-    for pair in pairs:
-        fiber = by_top.get(pair.entries, [])
-        extensions = [
-            sq.entries
-            for sq in squares
-            if sq.entries[:2] == pair.entries
-        ]
+        by_top.setdefault(project_last_row(sq), []).append(sq)
+    for pair in latin_rectangles(2, 3):
+        fiber = by_top.get(pair, [])
+        extensions = [sq for sq in squares if sq[:2] == pair]
         assert sorted(fiber) == sorted(extensions)
 
 
@@ -634,28 +609,21 @@ def test_sign_factorization(i, m):
 
 
 def test_concatenate_examples():
-    a = LatinRectangle.from_rows([(1,)])
-    b = LatinRectangle.from_rows([(1,)])
-    joined = concatenate(a, b)
-    assert joined == LatinRectangle.from_rows([(1, 2)])
-    with pytest.raises(ValueError):
-        concatenate(
-            LatinRectangle.from_rows([(1, 2)]),
-            LatinRectangle.from_rows([(1, 2), (2, 1)]),
-        )
+    assert concatenate(((0,),), ((0,),)) == ((0, 1),)
+    with pytest.raises(ValueError, match="row counts differ"):
+        concatenate(((0, 1),), ((0, 1), (1, 0)))
 
 
 def test_concatenate_pattern_is_shifted_join():
-    a = LatinRectangle.from_rows([(1, 2), (2, 1)])
-    b = LatinRectangle.from_rows([(1, 2, 3), (3, 1, 2)])
+    a = ((0, 1), (1, 0))
+    b = ((0, 1, 2), (2, 0, 1))
     joined = concatenate(a, b)
-    shifted = tuple(tuple(s + a.m for s in sub) for sub in pattern_of(b))
+    shifted = tuple(tuple(s + len(a[0]) for s in sub) for sub in pattern_of(b))
     assert pattern_of(joined) == pattern_of(a) + shifted
 
 
 def test_concatenate_sign_multiplicative_at_2x2():
-    squares = []
-    enumerate_latin_rectangles(2, 2, visitor=squares.append)
+    squares = latin_rectangles(2, 2)
     for x in squares:
         for y in squares:
             assert rect_sign(concatenate(x, y)) == rect_sign(x) * rect_sign(y)
@@ -773,8 +741,7 @@ def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
     ]
     assert len(group) == quotient.order
     orbits = [tuple(rows[t] for t in tau) for rows in kept for tau in group]
-    everything = []
-    enumerate_latin_rectangles(i, m, visitor=lambda r: everything.append(r.entries))
+    everything = latin_rectangles(i, m)
     assert sorted(orbits) == sorted(everything)  # covers all, each once
     for rows in kept:
         first = [row[0] for row in rows]
@@ -782,11 +749,10 @@ def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
             assert first == sorted(first)
         else:  # the i-2 smallest entries come first, in order
             assert first[: max(i - 2, 0)] == sorted(first)[: max(i - 2, 0)]
-        rect = LatinRectangle(rows)
         for tau in group:
-            image = LatinRectangle(tuple(rows[t] for t in tau))
-            assert pattern_of(image) == pattern_of(rect)
-            assert rect_sign(image) == rect_sign(rect)
+            image = tuple(rows[t] for t in tau)
+            assert pattern_of(image) == pattern_of(rows)
+            assert rect_sign(image) == rect_sign(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +789,7 @@ def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
         for tau in rows_group
         for pi in symbols
     ]
-    everything = []
-    enumerate_latin_rectangles(i, m, visitor=lambda r: everything.append(r.entries))
+    everything = latin_rectangles(i, m)
     assert sorted(images) == sorted(everything)  # covers all, each once
 
 
@@ -1122,5 +1087,8 @@ def test_orbit_route_at_3_6_matches_row_quotient_route():
     bucket: dict = {}
     latin._run_rows(3, 6, (), latin._tally_leaf_factory(bucket), quotient)
     w = quotient.order
-    rows = {key: (p * w, n * w) for key, (p, n) in bucket.items()}
-    assert signed_tally(3, 6).counts == latin._bucket_to_tally(3, 6, rows).counts
+    rows = {
+        tuple(map(latin._subset_of_mask, key)): (p * w, n * w)
+        for key, (p, n) in bucket.items()
+    }
+    assert signed_tally(3, 6).counts == rows

@@ -10,7 +10,7 @@ import pytest
 
 from detorbit.invariant import HomPoly
 from detorbit.kronecker import PositivityReport
-from detorbit.latin import LatinRectangle, OrbitTally, SignedTally
+from detorbit.latin import OrbitTally, SignedTally
 from detorbit.oracles import MatrixTensorTerm
 from detorbit.orbit import RestrictionMatrix, WitnessResult
 from detorbit.tensors import SparseTensor, Tableau
@@ -22,11 +22,6 @@ _M = ((Fraction(1),),)
 # Per type: a factory of a fresh value, an equal value built apart from it,
 # and a different value.
 _VALUES = {
-    "LatinRectangle": lambda: (
-        LatinRectangle.from_rows([(1, 2), (2, 1)]),
-        LatinRectangle(((0, 1), (1, 0))),
-        LatinRectangle.from_rows([(2, 1), (1, 2)]),
-    ),
     "Tableau": lambda: (
         Tableau(((1, 2), (3, 4))),
         Tableau.row_reading((2, 2)),
@@ -75,7 +70,6 @@ _VALUES = {
 }
 
 _FROZEN = {
-    "LatinRectangle": "entries",
     "Tableau": "rows",
     "RestrictionMatrix": "rows",
     "MatrixTensorTerm": "coefficient",
@@ -100,24 +94,6 @@ def test_frozen_types_hash_by_value_and_reject_assignment(name):
     with pytest.raises(AttributeError):
         setattr(value, field, before)
     assert getattr(value, field) is before
-
-
-@pytest.mark.parametrize(
-    "entries,message",
-    [
-        ((), "empty rectangle"),
-        (((),), "empty rectangle"),
-        (((0, 1), (1, 0), (0, 1)), "too many rows"),
-        (((0, 1), (1,)), "ragged rows"),
-        (((0, 2),), r"symbol 3 out of range 1\.\.2"),
-        (((0, -1),), r"symbol 0 out of range 1\.\.2"),
-        (((0, 0),), "row is not a permutation"),
-        (((0, 1), (0, 1)), "column has repeated entries"),
-    ],
-)
-def test_latin_rectangle_constructor_checks(entries, message):
-    with pytest.raises(ValueError, match=message):
-        LatinRectangle(entries)
 
 
 @pytest.mark.parametrize(
