@@ -28,6 +28,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
+# The global flags that only some subcommands take, and those takers: the
+# flags' help names them, and ``_run`` refuses a flag set for any other.
+_TAKERS = {
+    "--budget": ("invariant-check", "witness", "invariant-eval", "verify-all"),
+    "--checkpoint": ("tally", "alon-tarsi"),
+    "--format csv": ("tally",),
+    "--threads": ("tally", "alon-tarsi"),
+}
+
 
 def _frac(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
@@ -86,16 +95,22 @@ def _cmd_alon_tarsi(args) -> tuple[int, dict]:
 def _cmd_pairing(args) -> tuple[int, dict]:
     from . import tensors
 
-    rep = tensors.pairing_identity_report(args.i, args.m)
+    lhs = tensors.rectangle_symmetrizer_pairing(args.i, args.m)
+    rhs = tensors.pattern_imbalance_pairing(args.i, args.m)
+    try:  # the full expansion cross-checks lhs where it fits the work cap
+        full = tensors.full_symmetrizer_pairing(args.i, args.m)
+    except BudgetExceeded:
+        full = None
+    ok = lhs == rhs and (full is None or full == lhs)
     report = {
-        "i": rep["i"],
-        "m": rep["m"],
-        "lhs_latin": _frac(rep["lhs_latin"]),
-        "lhs_full": _frac(rep["lhs_full"]) if rep["lhs_full"] is not None else None,
-        "rhs": _frac(rep["rhs"]),
-        "verdict": "equal" if rep["equal"] else "NOT EQUAL",
+        "i": args.i,
+        "m": args.m,
+        "lhs_latin": _frac(lhs),
+        "lhs_full": None if full is None else _frac(full),
+        "rhs": _frac(rhs),
+        "verdict": "equal" if ok else "NOT EQUAL",
     }
-    return (EXIT_OK if rep["equal"] else EXIT_CHECK_FAILED), report
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
 def _cmd_sign_sum(args) -> tuple[int, dict]:
@@ -249,6 +264,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _listed(flag: str) -> str:
+    """The takers of a restricted flag as help text: "a, b and c"."""
+    *rest, last = _TAKERS[flag]
+    return f"{', '.join(rest)} and {last}" if rest else last
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="detorbit",
@@ -259,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for tally and alon-tarsi (at most one per "
+        help=f"worker processes for {_listed('--threads')} (at most one per "
         "block and per usable CPU; started once the leaves left are "
-        "estimated at 20,000 or more)",
+        "estimated at 20,000 or more)",  # latin._POOL_BREAK_EVEN
     )
     parser.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="work cap for invariant-check, witness, invariant-eval and verify-all",
+        help=f"work cap for {_listed('--budget')}",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled schedules")
     parser.add_argument("--out", type=str, default=None, help="also write report here")
@@ -275,10 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         type=str,
         default=None,
-        help="checkpoint file (tally and alon-tarsi only)",
+        help=f"checkpoint file ({_listed('--checkpoint')} only)",
     )
     parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="csv: tally only"
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help=f"csv: {_listed('--format csv')} only",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -343,18 +367,14 @@ def _run(args, write: Callable[[str], object]) -> int:
     try:
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
-        # Each global flag that only some subcommands take: is it set, and
-        # which take it.  Checked here, before any work starts.
-        for flag, (used, takers) in {
-            "--budget": (
-                args.budget != DEFAULT_BUDGET,
-                ("invariant-check", "witness", "invariant-eval", "verify-all"),
-            ),
-            "--checkpoint": (args.checkpoint is not None, ("tally", "alon-tarsi")),
-            "--format csv": (args.format == "csv", ("tally",)),
-            "--threads": (args.threads > 1, ("tally", "alon-tarsi")),
-        }.items():
-            if used and args.command not in takers:
+        used = {
+            "--budget": args.budget != DEFAULT_BUDGET,
+            "--checkpoint": args.checkpoint is not None,
+            "--format csv": args.format == "csv",
+            "--threads": args.threads > 1,
+        }
+        for flag, takers in _TAKERS.items():
+            if used[flag] and args.command not in takers:
                 raise ValueError(
                     f"{flag} applies only to {' and '.join(takers)}, "
                     f"not {args.command}"

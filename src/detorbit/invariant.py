@@ -325,9 +325,12 @@ def det_power_invariant(
         scale = coeff * Fraction(
             factorial(half) * prod(map(factorial, exp)), factorial(m)
         )
-        for vec in _pair_words(i, half, exp[:i]):
-            words.append((vec, scale / prod(map(factorial, vec[:n]))))
-            check(len(words), "pair words")
+        try:  # the pair-word walk recurses once per pair, n deep
+            for vec in _pair_words(i, half, exp[:i]):
+                words.append((vec, scale / prod(map(factorial, vec[:n]))))
+                check(len(words), "pair words")
+        except RecursionError:
+            raise BudgetExceeded(f"invariant evaluation needs a {n}-deep walk") from None
     partial = {(0,) * (n + 2 * i): Fraction(1)}
     for _ in range(i):
         check(

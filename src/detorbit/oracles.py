@@ -22,7 +22,7 @@ from . import latin
 from .errors import BudgetExceeded
 from .invariant import HomPoly, polarized_coefficient
 from .orbit import _gray_steps
-from .tensors import SparseTensor, apply_symmetrizer, rectangular_tableau, word_tensor
+from .tensors import SparseTensor, apply_symmetrizer
 
 __all__ = [
     "MatrixTensorTerm",
@@ -31,6 +31,7 @@ __all__ = [
     "latin_sign_sum_pairing",
     "polarized_det_power",
     "permanent_naive",
+    "word_tensor",
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -151,6 +152,12 @@ def permanent_naive(mat: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return total
 
 
+def word_tensor(i: int, m: int) -> SparseTensor:
+    """Basis word of the i x m rectangle: slot r*m + c carries its row r."""
+    word = bytes(r for r in range(i) for _ in range(m))
+    return SparseTensor(i * m, m, {word: Fraction(1)})
+
+
 def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
     """Pairing of t against the i-th tensor power of the symmetrized word.
 
@@ -183,8 +190,7 @@ def latin_sign_sum_pairing(m: int) -> int:
     if m < 1:
         raise ValueError("m must be positive")
     latin._check_square_visits(m, 1)
-    t = rectangular_tableau(m, m)
-    image = apply_symmetrizer(t, word_tensor(t, m))
+    image = apply_symmetrizer(m, m, word_tensor(m, m))
     value = _pair_with_symmetrized_power(image, m, m)
     if value.denominator != 1:
         raise RuntimeError("internal error: non-integer sign sum")

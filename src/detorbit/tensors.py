@@ -20,25 +20,21 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceeded
 from . import latin
 
 __all__ = [
     "SparseTensor",
-    "Tableau",
     "symmetrized_basis_tensor",
-    "word_tensor",
-    "rectangular_tableau",
     "apply_symmetrizer",
     "pairing",
     "rectangle_symmetrizer_pairing",
     "full_symmetrizer_pairing",
     "pattern_imbalance_pairing",
-    "pairing_identity_report",
 ]
 
 DEFAULT_WORK_CAP = 2 * 10**6
@@ -135,92 +131,29 @@ def symmetrized_basis_tensor(m: int) -> SparseTensor:
 
 
 # ---------------------------------------------------------------------------
-# Tableaux and Young symmetrizers.
+# Young symmetrizers of rectangles.
 # ---------------------------------------------------------------------------
 
 
-class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[int, ...], ...])])):
-    """A filling of a Young diagram with the labels 1..k, one per cell."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
-        self = super().__new__(cls, rows)
-        shape = self.shape
-        if any(shape[j] < shape[j + 1] for j in range(len(shape) - 1)):
-            raise ValueError("shape must be weakly decreasing")
-        labels = [c for row in self.rows for c in row]
-        if sorted(labels) != list(range(1, len(labels) + 1)):
-            raise ValueError("filling must be a bijection onto 1..k")
-        return self
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
-    def columns(self) -> list[list[int]]:
-        ncols = self.shape[0] if self.rows else 0
-        return [
-            [row[c] for row in self.rows if len(row) > c] for c in range(ncols)
-        ]
-
-    @classmethod
-    def row_reading(cls, shape: Sequence[int]) -> "Tableau":
-        rows = []
-        nxt = 1
-        for length in shape:
-            rows.append(tuple(range(nxt, nxt + length)))
-            nxt += length
-        return cls(tuple(rows))
-
-
-def rectangular_tableau(i: int, m: int) -> Tableau:
-    """The row-reading tableau with i rows of length m."""
-    return Tableau.row_reading((m,) * i)
-
-
-def _group_order(cells: list[list[int]]) -> int:
-    return prod(factorial(len(block)) for block in cells)
-
-
-def _block_tables(
-    k: int, blocks: list[list[int]], signed: bool
-) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Per block, every permutation of its cells as a (slot map, sign) pair.
-
-    Cell labels are 1-based; slots are 0-based.  Each slot map is the
-    identity off its block.  With ``signed`` the sign is the parity of the
-    permutation of positions within the block, otherwise +1.
-    """
-    tables = []
-    for block in blocks:
-        table = []
-        for pos in permutations(range(len(block))):
-            perm = list(range(k))
-            for src, p in zip(block, pos):
-                perm[src - 1] = block[p] - 1
-            table.append((tuple(perm), latin.column_sign(pos) if signed else 1))
-        tables.append(table)
-    return tables
-
-
 def _symmetrizer_stage(
-    k: int, blocks: list[list[int]], signed: bool, data: dict[bytes, int]
+    k: int, blocks: list[range], signed: bool, data: dict[bytes, int]
 ) -> dict[bytes, int]:
     """sum over the block group of sign * g acting on data, zeros dropped.
 
     The group is the direct product of the blocks' symmetric groups, so the
-    sum is taken one block at a time: each block's table acts on the
-    previous block's output, and every key moves sum_b b! times rather than
-    prod_b b! times.  Zeros are dropped after each block.
+    sum is taken one block at a time: every permutation of a block's slots,
+    the identity off the block, acts on the previous block's output, and
+    every key moves sum_b b! times rather than prod_b b! times.  With
+    ``signed`` the sign is the parity of the permutation of positions within
+    the block, otherwise +1.  Zeros are dropped after each block.
     """
-    for table in _block_tables(k, blocks, signed):
+    for block in blocks:
         out: dict[bytes, int] = defaultdict(int)
-        for perm, sign in table:
+        for pos in permutations(range(len(block))):
+            perm = list(range(k))
+            for src, p in zip(block, pos):
+                perm[src] = block[p]
+            sign = latin.column_sign(pos) if signed else 1
             move = _slot_mover(perm)
             for key, num in data.items():
                 out[bytes(move(key))] += num if sign > 0 else -num
@@ -228,47 +161,35 @@ def _symmetrizer_stage(
     return data
 
 
-def apply_symmetrizer(t: Tableau, x: SparseTensor) -> SparseTensor:
-    """Row-symmetrize then signed column-sum: (sum_col sign * mu)(sum_row sigma) x.
+def apply_symmetrizer(i: int, m: int, x: SparseTensor) -> SparseTensor:
+    """Row-symmetrize then signed column-sum over the i x m rectangle:
+    (sum_col sign * mu)(sum_row sigma) x.
 
-    The input is scaled by the lcm of its denominators, both stages add
-    ``int`` numerators, and each output ``Fraction`` is built once at the
-    end; no zero coefficient is stored.  Each stage sums over the direct
-    product of its blocks' symmetric groups one block at a time.  The work
-    estimate (group order times current support) is checked against
-    :data:`DEFAULT_WORK_CAP`, read at call time, before each stage and kept
-    as the refusal rule, although it overstates the key moves the
-    block-by-block sum makes.  Composing the output with a column
-    transposition on the left negates it.
+    Slot r*m + c is row r, column c (the rectangle read row by row).  The
+    input is scaled by the lcm of its denominators, both stages add ``int``
+    numerators block by block, and each output ``Fraction`` is built once at
+    the end; no zero coefficient is stored.  Before each stage the group
+    order ((m!)^i for the rows, (i!)^m for the columns) times the current
+    support is checked against :data:`DEFAULT_WORK_CAP`, read at call time;
+    it overstates the key moves of the block-by-block sum.  Composing the
+    output with a column transposition on the left negates it.
     """
-    if x.rank != t.size:
-        raise ValueError("tensor rank must equal the tableau size")
-    row_blocks = [list(row) for row in t.rows]
-    col_blocks = t.columns()
-    row_order = _group_order(row_blocks)
+    if x.rank != i * m:
+        raise ValueError("tensor rank must equal i * m")
+    row_order = factorial(m) ** i
     if row_order * max(1, x.nnz()) > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", row_order * x.nnz())
     scale = lcm(*(c.denominator for c in x.data.values()))
     nums = {key: c.numerator * (scale // c.denominator) for key, c in x.data.items()}
-    acc = _symmetrizer_stage(x.rank, row_blocks, False, nums)
-    col_order = _group_order(col_blocks)
+    rows = [range(r * m, (r + 1) * m) for r in range(i)]
+    acc = _symmetrizer_stage(x.rank, rows, False, nums)
+    col_order = factorial(i) ** m
     if col_order * max(1, len(acc)) > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", col_order * len(acc))
-    out = _symmetrizer_stage(x.rank, col_blocks, True, acc)
+    cols = [range(c, i * m, m) for c in range(m)]
+    out = _symmetrizer_stage(x.rank, cols, True, acc)
     data = {key: Fraction(n, scale) for key, n in out.items()}
     return SparseTensor._trusted(x.rank, x.m, data)
-
-
-def word_tensor(t: Tableau, m: int) -> SparseTensor:
-    """Basis word of a tableau: slot (label-1) carries the 0-based row index."""
-    k = t.size
-    if len(t.rows) > m:
-        raise ValueError("more rows than alphabet symbols")
-    word = bytearray(k)
-    for r, row in enumerate(t.rows):
-        for c in row:
-            word[c - 1] = r
-    return SparseTensor(k, m, {bytes(word): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +255,7 @@ def rectangle_symmetrizer_pairing(i: int, m: int) -> Fraction:
 def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
     """:func:`rectangle_symmetrizer_pairing` by full expansion: the
     symmetrizer image of the i-th power of the symmetrized word under the
-    i x m rectangular tableau, contracted with that power.
+    i x m rectangle, contracted with that power.
 
     Refused with :class:`BudgetExceeded` before the power is built when the
     row stage's estimate (m!)^i * (m!)^i exceeds :data:`DEFAULT_WORK_CAP`;
@@ -346,7 +267,7 @@ def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
     if est > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", est)
     power = symmetrized_basis_tensor(m).tensor_power(i)
-    image = apply_symmetrizer(rectangular_tableau(i, m), power)
+    image = apply_symmetrizer(i, m, power)
     return pairing(power, image)
 
 
@@ -359,23 +280,3 @@ def pattern_imbalance_pairing(i: int, m: int) -> Fraction:
     tally = latin.orbit_tally(i, m)
     return Fraction(tally.imbalance_square_sum(), factorial(m) ** i)
 
-
-def pairing_identity_report(i: int, m: int) -> dict:
-    """Both sides of the pairing identity, plus the full-expansion cross-check
-    when it fits in :data:`DEFAULT_WORK_CAP`."""
-    lhs = rectangle_symmetrizer_pairing(i, m)
-    rhs = pattern_imbalance_pairing(i, m)
-    report = {
-        "i": i,
-        "m": m,
-        "lhs_latin": lhs,
-        "rhs": rhs,
-        "equal": lhs == rhs,
-    }
-    try:
-        full = full_symmetrizer_pairing(i, m)
-        report["lhs_full"] = full
-        report["equal"] = report["equal"] and full == lhs
-    except BudgetExceeded:
-        report["lhs_full"] = None
-    return report

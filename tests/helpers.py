@@ -424,11 +424,19 @@ class SignedGroupElement:
 
 
 def _signed_group(
-    k: int, blocks: list[list[int]], signed: bool
+    k: int, blocks: list[range], signed: bool
 ) -> list[SignedGroupElement]:
-    """The direct product of the block tables, first block outermost."""
+    """The direct product of the blocks' symmetric groups on k slots, first
+    block outermost; with ``signed`` each factor is signed by the parity of
+    its permutation of positions within the block."""
     group = [(tuple(range(k)), 1)]
-    for table in tensors._block_tables(k, blocks, signed):
+    for block in blocks:
+        table = []
+        for pos in permutations(range(len(block))):
+            perm = list(range(k))
+            for src, p in zip(block, pos):
+                perm[src] = block[p]
+            table.append((perm, latin.column_sign(pos) if signed else 1))
         # The blocks are disjoint, so composing with perm fills in its block.
         group = [
             (tuple(perm[j] for j in g), g_sign * sign)
@@ -438,14 +446,16 @@ def _signed_group(
     return [SignedGroupElement(perm, sign) for perm, sign in group]
 
 
-def row_group(t: tensors.Tableau) -> list[SignedGroupElement]:
-    """All row-preserving slot permutations, every sign +1."""
-    return _signed_group(t.size, [list(row) for row in t.rows], False)
+def row_group(i: int, m: int) -> list[SignedGroupElement]:
+    """All slot permutations of the i x m rectangle, read row by row, that
+    keep each row (slots r*m .. r*m + m-1), every sign +1."""
+    return _signed_group(i * m, [range(r * m, (r + 1) * m) for r in range(i)], False)
 
 
-def col_group(t: tensors.Tableau) -> list[SignedGroupElement]:
-    """All column-preserving slot permutations, signed by parity."""
-    return _signed_group(t.size, t.columns(), True)
+def col_group(i: int, m: int) -> list[SignedGroupElement]:
+    """All slot permutations of the i x m rectangle that keep each column
+    (slots c, c + m, .., c + (i-1)*m), signed by parity."""
+    return _signed_group(i * m, [range(c, i * m, m) for c in range(m)], True)
 
 
 @dataclass
@@ -472,8 +482,7 @@ def translated_pairing_scan(
     With ``taus`` omitted, scans all of S_{m^2} when m = 2 and a seeded
     sample otherwise.
     """
-    t = tensors.rectangular_tableau(m, m)
-    image = tensors.apply_symmetrizer(t, tensors.word_tensor(t, m))
+    image = tensors.apply_symmetrizer(m, m, oracles.word_tensor(m, m))
     base = oracles.latin_sign_sum_pairing(m)
     k = m * m
     if taus is None:

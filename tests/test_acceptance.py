@@ -83,10 +83,11 @@ def test_criterion_2_stretch_m6():
 
 @pytest.mark.parametrize("i,m", [(1, 2), (2, 2), (1, 4), (2, 4)])
 def test_criterion_3_pairing_identity(i, m):
-    report = tensors.pairing_identity_report(i, m)
-    assert report["equal"], report
-    assert report["lhs_full"] == report["lhs_latin"] == report["rhs"]
-    _report(f"criterion 3: pairing identity at (i,m)=({i},{m})", str(report["rhs"]))
+    lhs = tensors.rectangle_symmetrizer_pairing(i, m)
+    full = tensors.full_symmetrizer_pairing(i, m)
+    rhs = tensors.pattern_imbalance_pairing(i, m)
+    assert full == lhs == rhs, (lhs, full, rhs)
+    _report(f"criterion 3: pairing identity at (i,m)=({i},{m})", str(rhs))
 
 
 def test_criterion_4_sign_sum_and_translation_scan():

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from detorbit import latin
+from detorbit import cli, latin
 from detorbit.cli import main
-from detorbit.errors import DEFAULT_BUDGET
+from detorbit.errors import DEFAULT_BUDGET, BudgetExceeded
 from helpers import tally_json_dict
 
 
@@ -209,6 +212,41 @@ def test_large_degree_invariant_check_is_refused_quickly():
     )
     assert done.returncode == 2
     assert json.loads(done.stdout)["kind"] == "infeasible"
+
+
+@pytest.mark.parametrize("i", ["32", "40"])
+def test_pair_word_walk_too_deep_is_infeasible(capsys, i):
+    # The pair-word walk recurses once per pair, i * i deep: past the
+    # interpreter's recursion limit it is refused, not a traceback.
+    start = time.perf_counter()
+    code, out = _run(capsys, "invariant-check", "2", i)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["kind"] == "infeasible"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "detorbit", "invariant-check", "2", i],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["kind"] == "infeasible"
+    assert "Traceback" not in done.stderr
+    code, out = _run(capsys, "invariant-check", "2", "10")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+
+
+def test_restricted_flags_help_names_their_takers():
+    parser = cli.build_parser()
+    helps = {opt: a.help for a in parser._actions for opt in a.option_strings}
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for flag, takers in cli._TAKERS.items():
+        text = helps[flag.split()[0]]
+        named = {c for c in commands if re.search(rf"\b{re.escape(c)}\b", text)}
+        assert named == set(takers), flag
+    assert f"{latin._POOL_BREAK_EVEN:,}" in helps["--threads"]
 
 
 def test_input_error_exit_code(capsys):
@@ -467,8 +505,10 @@ _REPORT_DIGESTS = {
     "alon-tarsi 5": "f832ecc3e99e6131357d454ded888cdf1fe640a6fafd9e40b42f545a2aa93180",
     "sign-sum 4": "b2e2c1a5f53479d6f177049f7e8ce11d3f11c0755f6a44687b2a9f346febdd6d",
     "sign-sum 5": "53332930e62fa43f4dc444b437cc5fc42fb3d8ca2debf95635734e6d6c7d9a66",
+    "pairing 1 4": "fd97507050ed550d26c7a7ea37e0701741f44f51638cb121453c2b09c0e40f15",
     "pairing 2 4": "cc363995013b8a416ae856983047e414be3b73c435df93d1e2cb29b03814bd10",
     "pairing 2 5": "58e9a81a6b5aa4d27e2893f899b91ab311514c1f872c10bca5cfae4aa60633a1",
+    "pairing 3 3": "e458b3e59997fb6dbe1c810f72d2a8025f7b0c8669ca942273eda6a4207d96de",
     "verify-all 4": "94fcf4a1528949012705e2017a391f0433da18753094a9ab52558bedd748c7f9",
 }
 
@@ -478,6 +518,42 @@ def test_certificate_report_digest(capsys, command):
     code, out = _run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[command]
+
+
+@pytest.mark.parametrize(
+    "route,expected",
+    [
+        ("rectangle_symmetrizer_pairing", {"lhs_latin": "2", "lhs_full": "1"}),
+        ("pattern_imbalance_pairing", {"rhs": "2"}),
+        ("full_symmetrizer_pairing", {"lhs_full": "2"}),
+    ],
+    ids=["latin", "tally", "full"],
+)
+def test_pairing_mismatch_is_a_failed_check(capsys, monkeypatch, route, expected):
+    # A Latin/tally mismatch, or a full route that differs from the Latin
+    # one, is exit 1 with the values as the routes gave them.
+    from fractions import Fraction
+
+    monkeypatch.setattr(f"detorbit.tensors.{route}", lambda i, m: Fraction(2))
+    code, out = _run(capsys, "pairing", "1", "4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "NOT EQUAL"
+    values = {"lhs_latin": "1", "lhs_full": "1", "rhs": "1", **expected}
+    for field, num in values.items():
+        assert report[field] == {"num": num, "den": "1"}, field
+
+
+def test_refused_full_route_reports_null(capsys, monkeypatch):
+    def refuse(i, m):
+        raise BudgetExceeded("symmetrizer too large", 1)
+
+    monkeypatch.setattr("detorbit.tensors.full_symmetrizer_pairing", refuse)
+    code, out = _run(capsys, "pairing", "1", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lhs_full"] is None
+    assert report["verdict"] == "equal"
 
 
 @pytest.mark.parametrize(

@@ -121,13 +121,18 @@ def test_unknown_attribute_raises():
 # Latin rectangle visitor with its sign and pattern: they live in
 # tests/helpers.py, or, like CharacterTable, were folded into plain sums.
 # Second names of one thing are gone too: the budget default is
-# errors.DEFAULT_BUDGET, and the witness report is the CLI's.
+# errors.DEFAULT_BUDGET, the witness and pairing reports are the CLI's, and
+# the tableau word is oracles.word_tensor.  The symmetrizer takes the i x m
+# rectangle alone, so the general-shape Tableau is gone.
 _DROPPED = {
     "latin": (
         "concatenate", "project_last_row", "verify_sign_factorization",
         "enumerate_latin_rectangles", "LatinRectangle", "rect_sign", "pattern_of",
     ),
-    "tensors": ("translated_pairing_scan",),
+    "tensors": (
+        "translated_pairing_scan", "Tableau", "rectangular_tableau",
+        "pairing_identity_report", "word_tensor",
+    ),
     "kronecker": ("CharacterTable",),
     "invariant": ("DEFAULT_DET_BUDGET",),
     "orbit": ("WitnessResult.to_json_dict",),

@@ -13,16 +13,12 @@ from detorbit import latin, oracles, tensors
 from detorbit.errors import BudgetExceeded
 from detorbit.tensors import (
     SparseTensor,
-    Tableau,
     apply_symmetrizer,
     full_symmetrizer_pairing,
     pairing,
-    pairing_identity_report,
     pattern_imbalance_pairing,
     rectangle_symmetrizer_pairing,
-    rectangular_tableau,
     symmetrized_basis_tensor,
-    word_tensor,
 )
 
 from helpers import (
@@ -62,26 +58,20 @@ def test_pairing_errors():
 
 
 def test_tableau_validation_and_groups():
-    t = rectangular_tableau(2, 2)
-    assert t.shape == (2, 2)
-    assert len(row_group(t)) == 4
-    assert len(col_group(t)) == 4
-    single = Tableau.row_reading((3,))
-    assert [g.perm for g in col_group(single)] == [(0, 1, 2)]
-    assert all(g.sign == 1 for g in row_group(t))
-    signs = sorted(g.sign for g in col_group(t))
+    assert len(row_group(2, 2)) == 4
+    assert len(col_group(2, 2)) == 4
+    assert [g.perm for g in col_group(1, 3)] == [(0, 1, 2)]
+    assert all(g.sign == 1 for g in row_group(2, 2))
+    signs = sorted(g.sign for g in col_group(2, 2))
     assert signs == [-1, -1, 1, 1]
-    with pytest.raises(ValueError):
-        Tableau(((1, 2), (3, 4, 5)))  # shape not weakly decreasing
-    with pytest.raises(ValueError):
-        Tableau(((1, 2), (2, 3)))  # not a bijection
+    with pytest.raises(ValueError, match="tensor rank must equal i \\* m"):
+        apply_symmetrizer(2, 2, SparseTensor(3, 2, {}))
 
 
 def test_symmetrizer_single_row_scales_symmetric_input():
     for m in (2, 3):
-        t = Tableau.row_reading((m,))
         v = symmetrized_basis_tensor(m)
-        image = apply_symmetrizer(t, v)
+        image = apply_symmetrizer(1, m, v)
         assert image == _scaled(v, _factorial(m))
 
 
@@ -104,22 +94,21 @@ def _factorial(n: int) -> int:
 
 def test_symmetrizer_column_transposition_negates_output():
     # Composing the output with a column transposition on the left flips it.
-    t = rectangular_tableau(2, 2)
     x = symmetrized_basis_tensor(2).tensor_power(2)
-    image = apply_symmetrizer(t, x)
+    image = apply_symmetrizer(2, 2, x)
     assert image.nnz() > 0
     tau = (2, 1, 0, 3)  # swap the slots of the first column
     assert permute_slots(image, tau) == _scaled(image, -1)
     # And for a non-symmetric input word too.
     y = SparseTensor(4, 2, {bytes([0, 1, 1, 0]): Fraction(1)})
-    image_y = apply_symmetrizer(t, y)
+    image_y = apply_symmetrizer(2, 2, y)
     assert permute_slots(image_y, tau) == _scaled(image_y, -1)
 
 
 def test_symmetrizer_budget_guard():
     x = symmetrized_basis_tensor(4).tensor_power(4)
     with pytest.raises(BudgetExceeded, match="symmetrizer too large"):
-        apply_symmetrizer(rectangular_tableau(4, 4), x)
+        apply_symmetrizer(4, 4, x)
 
 
 def _reference_act(group, data: dict) -> dict:
@@ -144,77 +133,69 @@ def _random_tensor(rng, rank: int, m: int, terms: int) -> SparseTensor:
     return SparseTensor(rank, m, data)
 
 
-# A filling per shape whose blocks are not increasing, so a sign read from
-# slot labels instead of block positions would differ from the reference.
-_SCRAMBLED = {
-    (2, 1): ((3, 1), (2,)),
-    (2, 2): ((4, 2), (3, 1)),
-    (3, 2): ((3, 1, 5), (2, 4)),
-    (2, 2, 1): ((5, 3), (1, 4), (2,)),
-}
+# Rectangles (i, m): one row, square, and both orientations of a long one.
+# Their column blocks are not contiguous slots, so the slot action matters.
+_RECTANGLES = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
 
 
-@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2), (2, 2, 1)])
+@pytest.mark.parametrize("shape", _RECTANGLES)
 def test_symmetrizer_matches_fraction_reference(shape):
-    rng = Random(sum(shape) * 10 + len(shape))
-    for t in (Tableau.row_reading(shape), Tableau(_SCRAMBLED[shape])):
-        _check_against_reference(t, rng)
+    i, m = shape
+    _check_against_reference(i, m, Random(i * 10 + m))
 
 
-def _check_against_reference(t: Tableau, rng: Random) -> None:
-    rows, cols = row_group(t), col_group(t)
-    for m in (2, 3):
+def _check_against_reference(i: int, m: int, rng: Random) -> None:
+    k = i * m
+    rows, cols = row_group(i, m), col_group(i, m)
+    for alphabet in (2, 3):
         for terms in (1, 3, 8):
-            x = _random_tensor(rng, t.size, m, terms)
-            image = apply_symmetrizer(t, x)
+            x = _random_tensor(rng, k, alphabet, terms)
+            image = apply_symmetrizer(i, m, x)
             assert image.data == _reference_act(cols, _reference_act(rows, x.data))
             assert all(type(c) is Fraction and c for c in image.data.values())
         for g in rows + cols:
             assert permute_slots(x, g.perm).data == _reference_act(
                 [SignedGroupElement(g.perm, 1)], x.data
             )
-    # An image that cancels in the column stage, and one already in the row stage.
-    constant = SparseTensor(t.size, 2, {bytes(t.size): Fraction(5, 3)})
-    assert apply_symmetrizer(t, constant).data == {}
-    swap = list(range(t.size))
-    a, b = t.rows[0][0] - 1, t.rows[0][1] - 1  # two slots of the first row
-    swap[a], swap[b] = b, a
-    w = _random_tensor(rng, t.size, 3, 4)
+    # An image that cancels in the column stage (unless every column is one
+    # slot), and one already in the row stage.
+    constant = SparseTensor(k, 2, {bytes(k): Fraction(5, 3)})
+    expected = {} if i > 1 else {bytes(k): Fraction(5, 3) * _factorial(m)}
+    assert apply_symmetrizer(i, m, constant).data == expected
+    swap = list(range(k))
+    swap[0], swap[1] = 1, 0  # two slots of the first row
+    w = _random_tensor(rng, k, 3, 4)
     antisymmetric = _difference(w, permute_slots(w, swap))
     assert antisymmetric.nnz() > 0
-    assert apply_symmetrizer(t, antisymmetric).data == {}
+    assert apply_symmetrizer(i, m, antisymmetric).data == {}
 
 
-@pytest.mark.parametrize(
-    "t",
-    [Tableau.row_reading((3, 3, 2))] + [Tableau(rows) for rows in _SCRAMBLED.values()],
-    ids=["row-reading-332", "scrambled-21", "scrambled-22", "scrambled-32", "scrambled-221"],
-)
-def test_groups_fix_their_blocks_and_sign_by_parity(t):
+@pytest.mark.parametrize("i,m", _RECTANGLES, ids=[f"{i}x{m}" for i, m in _RECTANGLES])
+def test_groups_fix_their_blocks_and_sign_by_parity(i, m):
     # Checked slot by slot on the returned elements, independently of how
     # the groups are built: the Fraction reference above trusts them.
-    for group, blocks in ((row_group(t), t.rows), (col_group(t), t.columns())):
+    rows = [{r * m + c for c in range(m)} for r in range(i)]
+    cols = [{r * m + c for r in range(i)} for c in range(m)]
+    for group, blocks in ((row_group(i, m), rows), (col_group(i, m), cols)):
         order = prod(_factorial(len(block)) for block in blocks)
         assert len({g.perm for g in group}) == len(group) == order
         for g in group:
-            for block in blocks:
-                slots = {c - 1 for c in block}
+            for slots in blocks:
                 assert {g.perm[s] for s in slots} == slots
-    assert all(g.sign == 1 for g in row_group(t))
-    assert all(g.sign == latin.column_sign(g.perm) for g in col_group(t))
+    assert all(g.sign == 1 for g in row_group(i, m))
+    assert all(g.sign == latin.column_sign(g.perm) for g in col_group(i, m))
 
 
 def test_symmetrizer_budget_counts_only_nonzero_terms(monkeypatch):
-    t = rectangular_tableau(2, 2)
     w = SparseTensor(4, 3, {bytes([0, 1, 2, 0]): Fraction(1)})
     x = _difference(w, permute_slots(w, (1, 0, 2, 3)))
     # The row stage costs 4 * 2 and cancels its 4 image words, so the column
     # stage is estimated at 4 * 1, not 4 * 4.  The cap is read at call time.
     monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 8)
-    assert apply_symmetrizer(t, x).nnz() == 0
+    assert apply_symmetrizer(2, 2, x).nnz() == 0
     monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 7)
     with pytest.raises(BudgetExceeded):
-        apply_symmetrizer(t, x)
+        apply_symmetrizer(2, 2, x)
 
 
 def test_permute_slots_rank_below_two():
@@ -222,7 +203,7 @@ def test_permute_slots_rank_below_two():
     assert permute_slots(one, (0,)) == one
     empty = SparseTensor(0, 3, {b"": Fraction(4)})
     assert permute_slots(empty, ()) == empty
-    assert apply_symmetrizer(Tableau.row_reading((1,)), one) == one
+    assert apply_symmetrizer(1, 1, one) == one
 
 
 def test_permute_slots_is_left_action():
@@ -265,8 +246,8 @@ def test_library_built_tensors_pass_public_validation():
         x.tensor(y),
         y.tensor_power(2),
         permute_slots(x, (2, 0, 3, 1)),
-        apply_symmetrizer(Tableau.row_reading((2, 2)), x),
-        apply_symmetrizer(Tableau.row_reading((2, 2)), _difference(x, y)),
+        apply_symmetrizer(2, 2, x),
+        apply_symmetrizer(2, 2, _difference(x, y)),
     ]
     for r in results:
         assert r == SparseTensor(r.rank, r.m, dict(r.data))
@@ -274,17 +255,14 @@ def test_library_built_tensors_pass_public_validation():
 
 
 def test_word_tensor_row_reading():
-    t = rectangular_tableau(2, 2)
-    w = word_tensor(t, 2)
-    assert w.data == {bytes([0, 0, 1, 1]): Fraction(1)}
+    assert oracles.word_tensor(2, 2).data == {bytes([0, 0, 1, 1]): Fraction(1)}
+    assert oracles.word_tensor(2, 3).data == {bytes([0, 0, 0, 1, 1, 1]): Fraction(1)}
 
 
 @pytest.mark.parametrize("i,m", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
 def test_pairing_identity(i, m):
-    report = pairing_identity_report(i, m)
-    assert report["equal"]
-    assert report["lhs_full"] is not None
-    assert report["lhs_latin"] == report["rhs"] == report["lhs_full"]
+    lhs = rectangle_symmetrizer_pairing(i, m)
+    assert lhs == pattern_imbalance_pairing(i, m) == full_symmetrizer_pairing(i, m)
 
 
 def _pairing_double_group_sum(i: int, m: int) -> Fraction:
@@ -348,10 +326,10 @@ def test_pairing_identity_beyond_the_full_route():
     # Nonzero even-m values and an odd-m zero, where the full expansion is
     # refused and the quotiented Latin route meets the tally side alone.
     for (i, m), value in {(2, 6): 1, (3, 5): 0, (4, 4): 1}.items():
-        report = pairing_identity_report(i, m)
-        assert report["lhs_full"] is None
-        assert report["lhs_latin"] == report["rhs"] == value
-        assert report["equal"]
+        with pytest.raises(BudgetExceeded):
+            full_symmetrizer_pairing(i, m)
+        assert rectangle_symmetrizer_pairing(i, m) == value
+        assert pattern_imbalance_pairing(i, m) == value
 
 
 def test_full_route_refused_before_building_the_power(monkeypatch):
@@ -371,7 +349,7 @@ def test_full_route_refused_before_building_the_power(monkeypatch):
     # apply_symmetrizer's row-stage ones.
     monkeypatch.setattr(tensors, "DEFAULT_WORK_CAP", 1000)
     with pytest.raises(BudgetExceeded) as expected:
-        apply_symmetrizer(rectangular_tableau(2, 3), power)
+        apply_symmetrizer(2, 3, power)
     with pytest.raises(BudgetExceeded) as early:
         full_symmetrizer_pairing(2, 3)
     for exc in (expected.value, early.value):
@@ -394,8 +372,7 @@ def test_block_test_matches_sorted_bytes_expression(m):
     # A block of symbols below m is a permutation word iff its m symbols are
     # distinct; checked on the tableau word images (where some blocks repeat
     # a symbol), slot-translated too below m = 4.
-    t = rectangular_tableau(m, m)
-    image = apply_symmetrizer(t, word_tensor(t, m))
+    image = apply_symmetrizer(m, m, oracles.word_tensor(m, m))
     rng = Random(m)
     taus = [tuple(range(m * m))] + [
         tuple(rng.sample(range(m * m), m * m)) for _ in range(6 if m < 4 else 0)
@@ -478,8 +455,7 @@ def test_translated_scan_identity_and_row_translations():
     m = 2
     report = translated_pairing_scan(m, taus=[tuple(range(4))])
     assert report.value_counts == {str(report.base_value): 1}
-    t = rectangular_tableau(m, m)
-    taus = [g.perm for g in row_group(t)]
+    taus = [g.perm for g in row_group(m, m)]
     report = translated_pairing_scan(m, taus=taus)
     assert report.ok
     assert report.value_counts == {str(report.base_value): len(taus)}

@@ -13,7 +13,7 @@ from detorbit.kronecker import PositivityReport
 from detorbit.latin import OrbitTally, SignedTally
 from detorbit.oracles import MatrixTensorTerm
 from detorbit.orbit import RestrictionMatrix, WitnessResult
-from detorbit.tensors import SparseTensor, Tableau
+from detorbit.tensors import SparseTensor
 
 _A = RestrictionMatrix.from_rows([[1, 0], [0, 1]])
 _B = RestrictionMatrix.from_rows([[1, 1], [0, 1]])
@@ -22,11 +22,6 @@ _M = ((Fraction(1),),)
 # Per type: a factory of a fresh value, an equal value built apart from it,
 # and a different value.
 _VALUES = {
-    "Tableau": lambda: (
-        Tableau(((1, 2), (3, 4))),
-        Tableau.row_reading((2, 2)),
-        Tableau(((1, 3), (2, 4))),
-    ),
     "RestrictionMatrix": lambda: (
         RestrictionMatrix.from_rows([[1, 0], [0, 1]]),
         RestrictionMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))),
@@ -70,7 +65,6 @@ _VALUES = {
 }
 
 _FROZEN = {
-    "Tableau": "rows",
     "RestrictionMatrix": "rows",
     "MatrixTensorTerm": "coefficient",
 }
