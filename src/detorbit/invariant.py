@@ -32,7 +32,6 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded
 
 __all__ = [
     "HomPoly",
-    "polarized_coefficient",
     "elementary_det_power",
     "det_power_invariant",
     "power_sum_invariant_check",
@@ -79,9 +78,6 @@ class HomPoly:
             exp[j] = degree
             coeffs[tuple(exp)] = Fraction(1)
         return cls(nvars, degree, coeffs)
-
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(exp), Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,26 +146,11 @@ def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:
     return HomPoly(i, len(rows), poly)
 
 
-def polarized_coefficient(f: HomPoly, word: Sequence[int]) -> Fraction:
-    """Full polarization of f evaluated on a basis word (1-based symbols).
-
-    Equals coeff(exponent = content of word) * prod_j content_j! / m!.
-    """
-    m = f.degree
-    if len(word) != m:
-        raise ValueError("word length must equal the degree")
-    content = [0] * f.nvars
-    for s in word:
-        if not 1 <= s <= f.nvars:
-            raise ValueError("symbol out of range")
-        content[s - 1] += 1
-    c = f.coefficient(content)
-    if not c:
-        return Fraction(0)
-    num = 1
-    for e in content:
-        num *= factorial(e)
-    return c * Fraction(num, factorial(m))
+def _check_even_m(m: int) -> None:
+    """The invariant reads a degree-m form along m/2 pairs of indices, so m
+    must be an even integer >= 2."""
+    if not isinstance(m, int) or m < 2 or m % 2:
+        raise ValueError("the invariant requires even m >= 2")
 
 
 def elementary_det_power(size: int, power: int, pairs: Sequence[Pair]) -> Fraction:
@@ -288,8 +269,7 @@ def det_power_invariant(
     The first cap refuses even an f whose P^i keeps no monomial (and whose
     value is 0) once a single kernel call would exceed ``budget``.
     """
-    if m % 2:
-        raise ValueError("the invariant requires even degree")
+    _check_even_m(m)
     if f.degree != m:
         raise ValueError("degree mismatch")
     if not 1 <= i <= f.nvars:
@@ -359,6 +339,7 @@ def power_sum_invariant_check(
 
     Returns (computed, i! * (m/2)!^i / (i*m/2)!); the two must be equal.
     """
+    _check_even_m(m)
     computed = det_power_invariant(m, i, HomPoly.power_sum(i, m), budget=budget)
     half = m // 2
     closed = Fraction(factorial(i) * factorial(half) ** i, factorial(i * half))

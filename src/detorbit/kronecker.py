@@ -1,4 +1,4 @@
-"""Symmetric group characters and (symmetric) Kronecker coefficients.
+"""Symmetric Kronecker coefficients from symmetric group characters.
 
 Characters come from one Murnaghan-Nakayama kernel over beta-sets held as
 ``int`` bead bitmasks.  Cycle types are interned once each as integer ids
@@ -7,16 +7,15 @@ a bead mask to the character at that cycle type: the recursion builds no
 tuple per step and the memo holds only ``int`` keys and values.  The class
 data of S_n (ids, class sizes from z_rho, ids of the squared classes) is
 built once per n.
-Kronecker coefficients are class-weighted triple character sums; the
-symmetric variant adds the square-class trick: the multiplicity of W_lam in
-the symmetric square of W_mu is
+The symmetric Kronecker coefficient uses the square-class trick: the
+multiplicity of W_lam in the symmetric square of W_mu is
 (1/n!) sum_g chi_lam(g) (chi_mu(g)^2 + chi_mu(g^2)) / 2, evaluated
 classwise with the cycle type of g^2 derived combinatorially (an l-cycle
 squares to one l-cycle for odd l, two l/2-cycles for even l).  The bracket
 depends on mu only, so it is cached per mu, zero classes dropped.
 
-Every public result is an exact nonnegative integer; a non-integral class
-sum aborts, since it can only mean a character bug.
+Every result is an exact nonnegative integer; a non-integral class sum
+aborts, since it can only mean a character bug.
 """
 
 from __future__ import annotations
@@ -32,13 +31,8 @@ __all__ = [
     "Partition",
     "PositivityReport",
     "partitions",
-    "class_size",
-    "mn_character",
-    "partition_dimension",
     "square_cycle_type",
-    "kronecker_coeff",
     "symmetric_kronecker_coeff",
-    "alternating_kronecker_coeff",
     "rectangle_sk_positivity",
 ]
 
@@ -71,12 +65,6 @@ def _partitions(n: int, top: int) -> Iterator[Partition]:
     for first in range(min(n, top), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def class_size(mu: Sequence[int]) -> int:
-    """Size of the conjugacy class with cycle type mu: n! / z_mu."""
-    mu = _check_partition(mu)
-    return factorial(sum(mu)) // _z(mu)
 
 
 def _z(mu: Partition) -> int:
@@ -169,28 +157,6 @@ def _character(mask: int, sid: int) -> int:
     return value
 
 
-def mn_character(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Exact character value chi_lam at cycle type mu (border-strip recursion)."""
-    lam, mu = map(_check_partition, (lam, mu))
-    if sum(lam) != sum(mu):
-        raise ValueError("partition sizes differ")
-    return _character(_mask(lam), _intern(mu))
-
-
-def partition_dimension(lam: Sequence[int]) -> int:
-    """Dimension of the irreducible module: hook length formula."""
-    lam = _check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    conj = [sum(1 for a in lam if a > j) for j in range(lam[0])]
-    hooks = 1
-    for r, length in enumerate(lam):
-        for c in range(length):
-            hooks *= length - c + conj[c] - r - 1
-    return factorial(n) // hooks
-
-
 def square_cycle_type(mu: Sequence[int]) -> Partition:
     """Cycle type of g^2 given the cycle type of g."""
     parts = [p for part in mu for p in ((part,) if part % 2 else (part // 2,) * 2)]
@@ -208,64 +174,32 @@ def _classes(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
     )
 
 
-def _class_sum_divided(terms: Iterator[int], divisor: int) -> int:
-    """Sum the class-weighted terms, divided exactly by divisor."""
-    result, rem = divmod(sum(terms), divisor)
-    if rem:
-        raise RuntimeError("internal error: non-integer character sum")
-    if result < 0:
-        raise RuntimeError("internal error: negative multiplicity")
-    return result
-
-
-def kronecker_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
-    """Multiplicity of W_lam in W_mu ox W_nu: (1/n!) sum |C| chi chi chi."""
-    lam, mu, nu = map(_check_partition, (lam, mu, nu))
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise ValueError("partition sizes differ")
-    a, b, c = _mask(lam), _mask(mu), _mask(nu)
-    return _class_sum_divided(
-        (
-            size * _character(a, sid) * _character(b, sid) * _character(c, sid)
-            for _, sid, size, _ in _classes(n)
-        ),
-        factorial(n),
-    )
-
-
 @cache
-def _square_weights(mu: Partition, sign: int) -> tuple[tuple[int, int], ...]:
-    """(id of rho, |C_rho| (chi_mu(rho)^2 + sign chi_mu(rho^2))) where that is
+def _square_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
+    """(id of rho, |C_rho| (chi_mu(rho)^2 + chi_mu(rho^2))) where that is
     nonzero."""
     b = _mask(mu)
     weights = (
-        (sid, size * (_character(b, sid) ** 2 + sign * _character(b, sq)))
+        (sid, size * (_character(b, sid) ** 2 + _character(b, sq)))
         for _, sid, size, sq in _classes(sum(mu))
     )
     return tuple((sid, w) for sid, w in weights if w)
 
 
-def _square_coeff(lam: Sequence[int], mu: Sequence[int], sign: int) -> int:
+def symmetric_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Multiplicity of W_lam in the symmetric square of W_mu."""
     lam, mu = map(_check_partition, (lam, mu))
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError("partition sizes differ")
     a = _mask(lam)
-    return _class_sum_divided(
-        (w * _character(a, sid) for sid, w in _square_weights(mu, sign)),
-        2 * factorial(n),
-    )
-
-
-def symmetric_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Multiplicity of W_lam in the symmetric square of W_mu."""
-    return _square_coeff(lam, mu, 1)
-
-
-def alternating_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Multiplicity of W_lam in the alternating square of W_mu."""
-    return _square_coeff(lam, mu, -1)
+    total = sum(w * _character(a, sid) for sid, w in _square_weights(mu))
+    result, rem = divmod(total, 2 * factorial(n))
+    if rem:
+        raise RuntimeError("internal error: non-integer character sum")
+    if result < 0:
+        raise RuntimeError("internal error: negative multiplicity")
+    return result
 
 
 class PositivityReport(NamedTuple):

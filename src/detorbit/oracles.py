@@ -2,7 +2,8 @@
 
 No production path of the library or the CLI imports this module.  Each
 function is a deliberate second route built from other ingredients:
-:func:`elementary_matrix_expansion` and :func:`polarized_det_power`
+:func:`elementary_matrix_expansion` (over the polarization
+:func:`polarized_coefficient`) and :func:`polarized_det_power`
 (Gray-code inclusion-exclusion over :func:`exact_det`) against the pruned
 P^i expansion and :func:`~detorbit.invariant.elementary_det_power`,
 :func:`permanent_naive` against Ryser's :func:`~detorbit.orbit.permanent`,
@@ -14,21 +15,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from . import latin
 from .errors import BudgetExceeded
-from .invariant import HomPoly, polarized_coefficient
+from .invariant import HomPoly
 from .orbit import _gray_steps
-from .tensors import SparseTensor, apply_symmetrizer
+from .tensors import SparseTensor, apply_symmetrizer, symmetrized_power_pairing
 
 __all__ = [
     "MatrixTensorTerm",
     "elementary_matrix_expansion",
     "exact_det",
     "latin_sign_sum_pairing",
+    "polarized_coefficient",
     "polarized_det_power",
     "permanent_naive",
     "word_tensor",
@@ -44,6 +46,18 @@ class MatrixTensorTerm(NamedTuple):
 
     coefficient: Fraction
     matrices: tuple[Matrix, ...]
+
+
+def polarized_coefficient(f: HomPoly, word: Sequence[int]) -> Fraction:
+    """Full polarization of f evaluated on a basis word (1-based symbols):
+    coeff(exponent = content of word) * prod_j content_j! / m!."""
+    content = [0] * f.nvars
+    for s in word:
+        content[s - 1] += 1
+    c = f.coeffs.get(tuple(content))
+    if c is None:
+        return Fraction(0)
+    return c * Fraction(prod(map(factorial, content)), factorial(f.degree))
 
 
 def _elementary(i: int, r: int, c: int) -> Matrix:
@@ -158,23 +172,6 @@ def word_tensor(i: int, m: int) -> SparseTensor:
     return SparseTensor(i * m, m, {word: Fraction(1)})
 
 
-def _pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
-    """Pairing of t against the i-th tensor power of the symmetrized word.
-
-    Avoids materializing the m!^i support: each key whose i consecutive
-    length-m blocks are permutation words contributes coeff / m!^i.  Keys
-    hold symbols below m, so a block is a permutation word exactly when its
-    m symbols are distinct.
-    """
-    if t.rank != i * m:
-        raise ValueError("rank mismatch")
-    total = Fraction(0)
-    for key, coeff in t.data.items():
-        if all(len(set(key[b * m : (b + 1) * m])) == m for b in range(i)):
-            total += coeff
-    return total / Fraction(factorial(m)) ** i
-
-
 def latin_sign_sum_pairing(m: int) -> int:
     """Pairing of the symmetrized word power against the symmetrized tableau word.
 
@@ -191,7 +188,7 @@ def latin_sign_sum_pairing(m: int) -> int:
         raise ValueError("m must be positive")
     latin._check_square_visits(m, 1)
     image = apply_symmetrizer(m, m, word_tensor(m, m))
-    value = _pair_with_symmetrized_power(image, m, m)
+    value = symmetrized_power_pairing(image, m, m)
     if value.denominator != 1:
         raise RuntimeError("internal error: non-integer sign sum")
     return value.numerator

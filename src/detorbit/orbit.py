@@ -21,7 +21,7 @@ from random import Random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .invariant import HomPoly, _product_form, det_power_invariant
+from .invariant import HomPoly, _check_even_m, _product_form, det_power_invariant
 
 __all__ = [
     "RestrictionMatrix",
@@ -220,8 +220,7 @@ def witness_search(
     Returns the first hit (schedule order fixes the winner) or None when the
     schedule is exhausted; ``budget`` caps each invariant evaluation.
     """
-    if m % 2:
-        raise ValueError("the invariant requires even m")
+    _check_even_m(m)
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
     for index, (label, A) in enumerate(candidate_schedule(m, i, seed)):

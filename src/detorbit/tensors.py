@@ -1,9 +1,10 @@
-"""Exact sparse tensor algebra over the symbol alphabet {1..m}.
+"""Exact sparse tensors over the symbol alphabet {1..m}, and the Young
+symmetrizer of the i x m rectangle.
 
 Tensors are sparse maps from fixed-length index words (stored as ``bytes`` of
 0-based symbols) to rationals.  Permutations of {0..k-1} act on tensor slots
-from the left: sigma moves the content of slot j to slot sigma[j].  Young
-symmetrizers of rectangular tableaux applied to symmetrized basis words give
+from the left: sigma moves the content of slot j to slot sigma[j].  The
+rectangle symmetrizer applied to the i-th power of the symmetrized word gives
 the pairing identity that ties this module to the signed Latin tallies of
 :mod:`detorbit.latin`: the rectangle symmetrizer pairing, by the Latin route
 (:func:`rectangle_symmetrizer_pairing`) or by full expansion
@@ -11,15 +12,16 @@ the pairing identity that ties this module to the signed Latin tallies of
 (plus - minus)^2.  At i = m the pairing against the tableau word is the
 signed Latin square count (:func:`detorbit.oracles.latin_sign_sum_pairing`).
 
-Dual and primal tensors share one representation; the pairing is the plain
-coefficient contraction in the monomial basis.
+Every pairing with the power of the symmetrized word is one scan,
+:func:`symmetrized_power_pairing`: the power is the same in the dual and
+the primal basis, so the pairing is the plain coefficient contraction.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, lcm
 from operator import itemgetter
 from typing import Sequence
@@ -29,9 +31,8 @@ from . import latin
 
 __all__ = [
     "SparseTensor",
-    "symmetrized_basis_tensor",
     "apply_symmetrizer",
-    "pairing",
+    "symmetrized_power_pairing",
     "rectangle_symmetrizer_pairing",
     "full_symmetrizer_pairing",
     "pattern_imbalance_pairing",
@@ -73,22 +74,6 @@ class SparseTensor:
     def nnz(self) -> int:
         return len(self.data)
 
-    def tensor(self, other: "SparseTensor") -> "SparseTensor":
-        """Tensor product: keys are joined end to end, coefficients multiply."""
-        if self.m != other.m:
-            raise ValueError("alphabet mismatch")
-        data = {}
-        for ka, va in self.data.items():
-            for kb, vb in other.data.items():
-                data[ka + kb] = va * vb
-        return SparseTensor._trusted(self.rank + other.rank, self.m, data)
-
-    def tensor_power(self, i: int) -> "SparseTensor":
-        out = SparseTensor(0, self.m, {b"": Fraction(1)})
-        for _ in range(i):
-            out = out.tensor(self)
-        return out
-
 
 def _slot_mover(perm: Sequence[int]) -> itemgetter:
     """Getter whose ``bytes`` of a key is the key moved by the left action of perm.
@@ -102,32 +87,21 @@ def _slot_mover(perm: Sequence[int]) -> itemgetter:
     return itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
 
 
-def pairing(dual: SparseTensor, primal: SparseTensor) -> Fraction:
-    """Coefficient contraction over common index words."""
-    if dual.rank != primal.rank:
-        raise ValueError("rank mismatch")
-    if dual.m != primal.m:
-        raise ValueError("alphabet mismatch")
-    small, big = sorted((dual.data, primal.data), key=len)
-    total = Fraction(0)
-    for key, coeff in small.items():
-        other = big.get(key)
-        if other is not None:
-            total += coeff * other
-    return total
+def symmetrized_power_pairing(t: SparseTensor, m: int, i: int) -> Fraction:
+    """Pairing of t against the i-th tensor power of the symmetrized word.
 
-
-def symmetrized_basis_tensor(m: int) -> SparseTensor:
-    """Average of all permutation words: every word carries coefficient 1/m!.
-
-    Serves as both the dual- and primal-side symmetrized word (the two sides
-    have identical coordinates in the monomial basis).
+    The power gives every key whose i consecutive length-m blocks are
+    permutation words the coefficient 1/m!^i, so the pairing scans t and
+    never builds the m!^i support.  Keys hold symbols below m, so a block
+    is a permutation word exactly when its m symbols are distinct.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    coeff = Fraction(1, factorial(m))
-    data = {bytes(word): coeff for word in permutations(range(m))}
-    return SparseTensor(m, m, data)
+    if t.rank != i * m:
+        raise ValueError("rank mismatch")
+    total = Fraction(0)
+    for key, coeff in t.data.items():
+        if all(len(set(key[b * m : (b + 1) * m])) == m for b in range(i)):
+            total += coeff
+    return total / factorial(m) ** i
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +229,8 @@ def rectangle_symmetrizer_pairing(i: int, m: int) -> Fraction:
 def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
     """:func:`rectangle_symmetrizer_pairing` by full expansion: the
     symmetrizer image of the i-th power of the symmetrized word under the
-    i x m rectangle, contracted with that power.
+    i x m rectangle, contracted with that power
+    (:func:`symmetrized_power_pairing`).
 
     Refused with :class:`BudgetExceeded` before the power is built when the
     row stage's estimate (m!)^i * (m!)^i exceeds :data:`DEFAULT_WORK_CAP`;
@@ -266,9 +241,11 @@ def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
     est = factorial(m) ** (2 * i)  # row stage: (m!)^i perms on (m!)^i words
     if est > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", est)
-    power = symmetrized_basis_tensor(m).tensor_power(i)
-    image = apply_symmetrizer(i, m, power)
-    return pairing(power, image)
+    coeff = Fraction(1, factorial(m) ** i)
+    words = [bytes(word) for word in permutations(range(m))]
+    power = {b"".join(blocks): coeff for blocks in product(words, repeat=i)}
+    image = apply_symmetrizer(i, m, SparseTensor._trusted(i * m, m, power))
+    return symmetrized_power_pairing(image, m, i)
 
 
 def pattern_imbalance_pairing(i: int, m: int) -> Fraction:

@@ -2,12 +2,14 @@
 a runner for code that needs a fresh interpreter, and the claim checks and
 reference builders that only the tests run: the group actions of the
 invariant's weight law on forms and restriction matrices, the slot action
-on tensors, every Latin rectangle with its sign and pattern, the
-fiberwise sign factorization, concatenation and projection
-of Latin rectangles, the slot-translation scan, the expanded symmetrizer
-groups, the character table orthogonality sums, the plain ``json.dumps``
-rendering of a tally and the bit-by-bit canonical form and orbit fold of
-the Latin tally."""
+on tensors and the materialized power of the symmetrized word, every Latin
+rectangle with its sign and pattern, the fiberwise sign factorization,
+concatenation and projection of Latin rectangles, the slot-translation
+scan, the expanded symmetrizer groups, the class sizes, character values,
+dimensions and (alternating) Kronecker coefficients of S_n with the
+character table orthogonality sums, the plain ``json.dumps`` rendering of a
+tally and the bit-by-bit canonical form and orbit fold of the Latin
+tally."""
 
 from __future__ import annotations
 
@@ -25,12 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 import detorbit
 from detorbit import kronecker, latin, oracles, tensors
-from detorbit.invariant import (
-    HomPoly,
-    _product_form,
-    elementary_det_power,
-    polarized_coefficient,
-)
+from detorbit.invariant import HomPoly, _product_form, elementary_det_power
+from detorbit.oracles import polarized_coefficient
 from detorbit.orbit import RestrictionMatrix
 
 SRC = str(Path(detorbit.__file__).resolve().parent.parent)
@@ -168,6 +166,15 @@ def permute_slots(
     move = tensors._slot_mover(perm)
     data = {bytes(move(key)): coeff for key, coeff in t.data.items()}
     return tensors.SparseTensor._trusted(t.rank, t.m, data)
+
+
+def symmetrized_power(m: int, i: int) -> tensors.SparseTensor:
+    """The i-th tensor power of the symmetrized word: every key whose i
+    length-m blocks are permutation words, with coefficient 1/m!^i."""
+    coeff = Fraction(1, factorial(m) ** i)
+    words = [bytes(word) for word in permutations(range(m))]
+    data = {b"".join(blocks): coeff for blocks in product(words, repeat=i)}
+    return tensors.SparseTensor(i * m, m, data)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -501,7 +508,7 @@ def translated_pairing_scan(
     counts: dict[str, int] = {}
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for tau in tau_list:
-        value = oracles._pair_with_symmetrized_power(permute_slots(image, tau), m, m)
+        value = tensors.symmetrized_power_pairing(permute_slots(image, tau), m, m)
         counts[str(value)] = counts.get(str(value), 0) + 1
         if value not in allowed:
             violations.append((tau, value))
@@ -516,16 +523,81 @@ def translated_pairing_scan(
 
 
 # ---------------------------------------------------------------------------
-# Characters: the orthogonality relations of the character table of S_n.
+# Characters of S_n: class sizes, character values, dimensions, the
+# Kronecker and alternating Kronecker coefficients, and the orthogonality
+# relations of the character table.  The values come from the library's
+# character kernel; the rest is summed here.
 # ---------------------------------------------------------------------------
+
+
+def class_size(mu: Sequence[int]) -> int:
+    """Size of the conjugacy class with cycle type mu: n! / z_mu, where
+    z_mu = prod over the distinct parts p of p^k k!, k the multiplicity of p."""
+    z = prod(p**k * factorial(k) for p, k in Counter(mu).items())
+    return factorial(sum(mu)) // z
+
+
+def mn_character(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """chi_lam at cycle type mu, from the library's bead-bitmask kernel."""
+    mask, sid = kronecker._mask(tuple(lam)), kronecker._intern(tuple(mu))
+    return kronecker._character(mask, sid)
+
+
+def partition_dimension(lam: Sequence[int]) -> int:
+    """Dimension of the irreducible module: hook length formula."""
+    n = sum(lam)
+    if n == 0:
+        return 1
+    conj = [sum(1 for a in lam if a > j) for j in range(lam[0])]
+    hooks = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            hooks *= length - c + conj[c] - r - 1
+    return factorial(n) // hooks
+
+
+def _class_sum(terms: Iterable[int], divisor: int) -> int:
+    """The class-weighted sum divided by divisor, which must divide it."""
+    result, rem = divmod(sum(terms), divisor)
+    assert rem == 0 and result >= 0, "a multiplicity is a nonnegative integer"
+    return result
+
+
+def kronecker_coeff(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
+    """Multiplicity of W_lam in W_mu ox W_nu: (1/n!) sum |C| chi chi chi."""
+    n = sum(lam)
+    a, b, c = (kronecker._mask(tuple(p)) for p in (lam, mu, nu))
+    chi = kronecker._character
+    return _class_sum(
+        (
+            size * chi(a, sid) * chi(b, sid) * chi(c, sid)
+            for _, sid, size, _ in kronecker._classes(n)
+        ),
+        factorial(n),
+    )
+
+
+def alternating_kronecker_coeff(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Multiplicity of W_lam in the alternating square of W_mu:
+    (1/2n!) sum |C_rho| (chi_mu(rho)^2 - chi_mu(rho^2)) chi_lam(rho)."""
+    n = sum(lam)
+    a, b = kronecker._mask(tuple(lam)), kronecker._mask(tuple(mu))
+    chi = kronecker._character
+    return _class_sum(
+        (
+            size * (chi(b, sid) ** 2 - chi(b, sq)) * chi(a, sid)
+            for _, sid, size, sq in kronecker._classes(n)
+        ),
+        2 * factorial(n),
+    )
 
 
 def character_table(n: int) -> tuple[list, list[int], list[list[int]]]:
     """The partitions of n, the class sizes in that order, and the table
     ``values[a][c]`` = chi of the a-th partition at the c-th cycle type."""
     parts = list(kronecker.partitions(n))
-    sizes = [kronecker.class_size(mu) for mu in parts]
-    values = [[kronecker.mn_character(lam, mu) for mu in parts] for lam in parts]
+    sizes = [class_size(mu) for mu in parts]
+    values = [[mn_character(lam, mu) for mu in parts] for lam in parts]
     return parts, sizes, values
 
 

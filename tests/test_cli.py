@@ -258,6 +258,28 @@ def test_input_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["invariant-check", "0", "2"],
+        ["invariant-check", "-2", "2"],
+        ["witness", "-2", "1"],
+        ["invariant-check", "3", "2"],
+        ["witness", "3", "1"],
+    ],
+    ids=["check-0", "check-negative", "witness-negative", "check-odd", "witness-odd"],
+)
+def test_invariant_commands_refuse_m_not_even_at_least_2(capsys, argv):
+    # One check, made before any form is built, says the same for every such
+    # m; m = 2 runs (its reports are pinned in _REPORT_DIGESTS).
+    code, out = _run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "the invariant requires even m >= 2",
+        "kind": "input",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["tally", "x", "5"],
         ["no-such-command"],
         [],
@@ -500,16 +522,23 @@ def test_tally_2_6_report_digest(capsys, tmp_path, argv, digest):
 
 
 # stdout sha256 of the signed square count by both routes, the tableau-word
-# pairing, the pairing identity and the battery that replays them.
+# pairing, the pairing identity, the symmetric Kronecker positivity report,
+# the invariant checks at the smallest m and the battery that replays them.
 _REPORT_DIGESTS = {
     "alon-tarsi 5": "f832ecc3e99e6131357d454ded888cdf1fe640a6fafd9e40b42f545a2aa93180",
     "sign-sum 4": "b2e2c1a5f53479d6f177049f7e8ce11d3f11c0755f6a44687b2a9f346febdd6d",
     "sign-sum 5": "53332930e62fa43f4dc444b437cc5fc42fb3d8ca2debf95635734e6d6c7d9a66",
     "pairing 1 4": "fd97507050ed550d26c7a7ea37e0701741f44f51638cb121453c2b09c0e40f15",
+    "pairing 1 5": "c313ee4a27f6deb74c2c0b4900679a1f1cbad5a978f3e1c0ae115e5202d9b473",
     "pairing 2 4": "cc363995013b8a416ae856983047e414be3b73c435df93d1e2cb29b03814bd10",
     "pairing 2 5": "58e9a81a6b5aa4d27e2893f899b91ab311514c1f872c10bca5cfae4aa60633a1",
     "pairing 3 3": "e458b3e59997fb6dbe1c810f72d2a8025f7b0c8669ca942273eda6a4207d96de",
     "verify-all 4": "94fcf4a1528949012705e2017a391f0433da18753094a9ab52558bedd748c7f9",
+    "kronecker 2 6": "9fb8e4110de7a1c8351c70a744da0f049b5d9387de32fcba1679eeba6b6eb09a",
+    "kronecker 4 3": "ddf63dcd660a4c0051ad30634494dddebc2fca2e1f0be1b179f1128805a1cbdc",
+    "kronecker 6 2": "ed13428284829dc925e5e30a1657874507c286c4c11ef62af045df53b56ca58a",
+    "invariant-check 2 1": "d86e59b53bdad1cd6168a65e39eeb18a662a26263c3d08a99aa72f37372caad1",
+    "witness 2 1": "c2d57447259d431f0e7c58d88f470f45b7b0dd494ed6fac52c7c4e2f6a7cc655",
 }
 
 

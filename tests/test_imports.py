@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,11 +121,15 @@ def test_unknown_attribute_raises():
 
 
 # Claim checks and reference builders that only the tests run, such as the
-# Latin rectangle visitor with its sign and pattern: they live in
+# Latin rectangle visitor with its sign and pattern, or the class sizes,
+# characters and non-symmetric Kronecker coefficients: they live in
 # tests/helpers.py, or, like CharacterTable, were folded into plain sums.
 # Second names of one thing are gone too: the budget default is
-# errors.DEFAULT_BUDGET, the witness and pairing reports are the CLI's, and
-# the tableau word is oracles.word_tensor.  The symmetrizer takes the i x m
+# errors.DEFAULT_BUDGET, the witness and pairing reports are the CLI's, the
+# tableau word is oracles.word_tensor, the polarization is
+# oracles.polarized_coefficient, a coefficient of a form is read off
+# ``coeffs``, and every pairing with the power of the symmetrized word is
+# tensors.symmetrized_power_pairing.  The symmetrizer takes the i x m
 # rectangle alone, so the general-shape Tableau is gone.
 _DROPPED = {
     "latin": (
@@ -131,10 +138,15 @@ _DROPPED = {
     ),
     "tensors": (
         "translated_pairing_scan", "Tableau", "rectangular_tableau",
-        "pairing_identity_report", "word_tensor",
+        "pairing_identity_report", "word_tensor", "pairing",
+        "symmetrized_basis_tensor", "SparseTensor.tensor",
+        "SparseTensor.tensor_power",
     ),
-    "kronecker": ("CharacterTable",),
-    "invariant": ("DEFAULT_DET_BUDGET",),
+    "kronecker": (
+        "CharacterTable", "class_size", "mn_character", "partition_dimension",
+        "kronecker_coeff", "alternating_kronecker_coeff",
+    ),
+    "invariant": ("DEFAULT_DET_BUDGET", "polarized_coefficient", "HomPoly.coefficient"),
     "orbit": ("WitnessResult.to_json_dict",),
 }
 
@@ -190,11 +202,59 @@ def test_benchmark_names_still_resolve():
     assert (report.n, report.to_json_list(), report.all_positive) == (
         2, report.entries, True
     )
-    assert tensors.symmetrized_basis_tensor(2).nnz() == 2
+    word = tensors.SparseTensor(2, 2, {bytes([0, 1]): Fraction(1)})
+    assert tensors.apply_symmetrizer(1, 2, word).nnz() == 2
     for module_name, names in _DROPPED.items():
         module = importlib.import_module(f"detorbit.{module_name}")
         for name in names:
             assert not hasattr(module, name), (module_name, name)
+
+
+def _production_references() -> tuple[set[str], set[str]]:
+    """The names (``Name`` ids and imported names) and the attributes that
+    the library outside ``oracles``, the CLI and perfbench refer to.  A
+    definition or an ``__all__`` string is neither, so listing a name is not
+    a use of it."""
+    package = Path(detorbit.__file__).resolve().parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    files = [path for path in package.glob("*.py") if path.name != "oracles.py"]
+    files += perfbench.glob("*.py")
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_public_name_has_a_production_caller():
+    # Each name a computation module lists, and each public method or
+    # property of its public classes, is used by the library (oracles
+    # aside), the CLI or perfbench.  What only the tests call lives in
+    # tests/helpers.py.
+    names, attrs = _production_references()
+    unused = []
+    for module_name in sorted(_COMPUTATION):
+        module = importlib.import_module(f"detorbit.{module_name}")
+        for name in module.__all__:
+            if name not in names and name not in attrs:
+                unused.append(f"{module_name}.{name}")
+            obj = getattr(module, name)
+            if not inspect.isclass(obj):
+                continue
+            for attr, value in vars(obj).items():
+                value = getattr(value, "__func__", value)  # classmethods
+                public = not attr.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, property)
+                )
+                if public and attr not in attrs:
+                    unused.append(f"{module_name}.{name}.{attr}")
+    assert unused == []
 
 
 def _public_parameters() -> dict[str, inspect.Parameter]:

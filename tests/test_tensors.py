@@ -15,10 +15,9 @@ from detorbit.tensors import (
     SparseTensor,
     apply_symmetrizer,
     full_symmetrizer_pairing,
-    pairing,
     pattern_imbalance_pairing,
     rectangle_symmetrizer_pairing,
-    symmetrized_basis_tensor,
+    symmetrized_power_pairing,
 )
 
 from helpers import (
@@ -26,35 +25,33 @@ from helpers import (
     col_group,
     permute_slots,
     row_group,
+    symmetrized_power,
     translated_pairing_scan,
     unreduced_latin_pairing,
 )
 
 
-def test_symmetrized_basis_tensor():
-    t1 = symmetrized_basis_tensor(1)
-    assert t1.data == {bytes([0]): Fraction(1)}
-    t2 = symmetrized_basis_tensor(2)
-    assert t2.data == {bytes([0, 1]): Fraction(1, 2), bytes([1, 0]): Fraction(1, 2)}
-    t3 = symmetrized_basis_tensor(3)
-    assert t3.nnz() == 6
-    assert all(c == Fraction(1, 6) for c in t3.data.values())
-
-
-def test_pairing_examples():
-    v2 = symmetrized_basis_tensor(2)
-    assert pairing(v2, v2) == Fraction(1, 2)
-    a = SparseTensor(2, 2, {bytes([0, 1]): Fraction(1)})
-    b = SparseTensor(2, 2, {bytes([1, 0]): Fraction(1)})
-    assert pairing(a, b) == 0
-    assert pairing(v2.tensor_power(2), v2.tensor_power(2)) == Fraction(1, 4)
-
-
-def test_pairing_errors():
-    a = SparseTensor(2, 2, {})
-    b = SparseTensor(3, 2, {})
+def test_symmetrized_power_pairing_examples():
+    # Against the power itself: the sum of its squared coefficients, m!^i
+    # words of (1/m!^i)^2 each.
+    for m, i in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        power = symmetrized_power(m, i)
+        assert power.nnz() == _factorial(m) ** i
+        expected = Fraction(1, _factorial(m) ** i)
+        assert symmetrized_power_pairing(power, m, i) == expected
+    # Only keys made of permutation blocks count, each by coefficient / m!^i.
+    t = SparseTensor(
+        4,
+        2,
+        {
+            bytes([0, 1, 1, 0]): Fraction(3),
+            bytes([0, 0, 1, 0]): Fraction(7),
+            bytes([1, 0, 0, 1]): Fraction(-1, 2),
+        },
+    )
+    assert symmetrized_power_pairing(t, 2, 2) == Fraction(5, 8)
     with pytest.raises(ValueError, match="rank mismatch"):
-        pairing(a, b)
+        symmetrized_power_pairing(SparseTensor(3, 2, {}), 2, 2)
 
 
 def test_tableau_validation_and_groups():
@@ -70,7 +67,7 @@ def test_tableau_validation_and_groups():
 
 def test_symmetrizer_single_row_scales_symmetric_input():
     for m in (2, 3):
-        v = symmetrized_basis_tensor(m)
+        v = symmetrized_power(m, 1)
         image = apply_symmetrizer(1, m, v)
         assert image == _scaled(v, _factorial(m))
 
@@ -94,7 +91,7 @@ def _factorial(n: int) -> int:
 
 def test_symmetrizer_column_transposition_negates_output():
     # Composing the output with a column transposition on the left flips it.
-    x = symmetrized_basis_tensor(2).tensor_power(2)
+    x = symmetrized_power(2, 2)
     image = apply_symmetrizer(2, 2, x)
     assert image.nnz() > 0
     tau = (2, 1, 0, 3)  # swap the slots of the first column
@@ -106,7 +103,7 @@ def test_symmetrizer_column_transposition_negates_output():
 
 
 def test_symmetrizer_budget_guard():
-    x = symmetrized_basis_tensor(4).tensor_power(4)
+    x = symmetrized_power(4, 4)
     with pytest.raises(BudgetExceeded, match="symmetrizer too large"):
         apply_symmetrizer(4, 4, x)
 
@@ -243,8 +240,6 @@ def test_library_built_tensors_pass_public_validation():
     )
     y = SparseTensor(4, 3, {key: -c for key, c in list(x.data.items())[:5]})
     results = [
-        x.tensor(y),
-        y.tensor_power(2),
         permute_slots(x, (2, 0, 3, 1)),
         apply_symmetrizer(2, 2, x),
         apply_symmetrizer(2, 2, _difference(x, y)),
@@ -333,12 +328,13 @@ def test_pairing_identity_beyond_the_full_route():
 
 
 def test_full_route_refused_before_building_the_power(monkeypatch):
-    power = symmetrized_basis_tensor(3).tensor_power(2)
+    power = symmetrized_power(3, 2)
 
-    def no_power(*_args):
+    def no_power(*_args, **_kwargs):
         raise AssertionError("power built before the budget check")
 
-    monkeypatch.setattr(SparseTensor, "tensor_power", no_power)
+    # The power's words are the product of the permutation words.
+    monkeypatch.setattr(tensors, "product", no_power)
     with pytest.raises(BudgetExceeded) as refused:
         full_symmetrizer_pairing(2, 5)
     assert (str(refused.value), refused.value.estimate) == (
@@ -356,7 +352,7 @@ def test_full_route_refused_before_building_the_power(monkeypatch):
         assert (str(exc), exc.estimate) == ("symmetrizer too large", 6**4)
 
 
-def _old_pair_with_symmetrized_power(t: SparseTensor, m: int, i: int) -> Fraction:
+def _sorted_bytes_pairing(t: SparseTensor, m: int, i: int) -> Fraction:
     target = bytes(range(m))
     total = Fraction(0)
     for key, coeff in t.data.items():
@@ -379,9 +375,9 @@ def test_block_test_matches_sorted_bytes_expression(m):
     ]
     for tau in taus:
         moved = permute_slots(image, tau)
-        assert oracles._pair_with_symmetrized_power(
+        assert symmetrized_power_pairing(moved, m, m) == _sorted_bytes_pairing(
             moved, m, m
-        ) == _old_pair_with_symmetrized_power(moved, m, m)
+        )
 
 
 def test_pairing_identity_known_values():
