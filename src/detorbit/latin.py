@@ -28,9 +28,9 @@ import json
 import os
 from collections import deque
 from functools import cache
-from itertools import combinations, groupby, islice, permutations
+from itertools import combinations, groupby, repeat
 from math import factorial, prod
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -319,10 +319,11 @@ class SignedTally(NamedTuple):
         return sum(p + n for p, n in self.counts.values())
 
 
-# Records per write of a streamed report: about 0.4 MB of (3,6) JSON.  The
+# Records per write of a streamed report: about 0.2 MB of (3,6) JSON.  The
 # chunk's text, held in a few copies while it is joined and written, sets
-# the peak.
-_REPORT_CHUNK = 1024
+# the peak: 512 records keep `tally 2 6` 0.7 MB under 1,024, at no cost in
+# time.
+_REPORT_CHUNK = 512
 
 
 def _tally_leaf_factory(bucket: dict):
@@ -449,65 +450,78 @@ class OrbitTally(NamedTuple):
         _size, p, n = self.orbits[canon]
         return (n, p) if swap else (p, n)
 
-    def _entries(self) -> tuple[list, list[bytes]]:
-        """The i-subsets of 1..m in lexicographic order, and every pattern
-        pi K of each orbit K as one ``bytes`` entry, sorted.
+    def _entries(self) -> tuple[list, dict, list[bytes]]:
+        """The i-subsets of 1..m in lexicographic order, the (plus, minus)
+        of each entry tail, and every pattern pi K of each orbit K as one
+        ``bytes`` entry, sorted.
 
         An entry holds the ranks of the pattern's m column subsets in that
-        list, one byte each, then, big-endian, 2 * (the orbit's index in
-        ``orbits``) + 1 if pi flips eps_c.  So the entries sort as
-        ``sorted(counts.items())`` of the expanded tally.  For each pi, the
-        image rank and inversion parity of every subset that occurs are
-        tabled once, and each entry is two ``bytes.translate`` calls.
+        list, one byte each, then the tail: big-endian, 2 * (the orbit's
+        index in ``orbits``) + 1 if pi flips eps_c.  So the entries sort as
+        ``sorted(counts.items())`` of the expanded tally.
+
+        pi runs over S_m by swaps of two adjacent values v, v + 1
+        (:func:`_plain_changes`), and ``image`` (subset rank -> rank of its
+        image under pi) follows with one ``bytes.translate`` per swap.  Such
+        a swap reverses the order of the two symbols that pi sends to v and
+        v + 1 and of no other pair, since no third value lies between v and
+        v + 1; so the set ``inv`` of pi's inverted symbol pairs, one bit per
+        pair, toggles one bit.  pi flips eps_c of K by the product over K's
+        columns of sgn(pi) on the column, so by the parity of the inverted
+        pairs counted once per column that holds both: the popcount of
+        ``inv`` and the pairs that share an odd number of K's columns.
 
         Relabellings that differ by a swap of two symbols of equal profile
         give the same pattern, so for each orbit only the pi increasing on
-        each run of equal profiles in K (adjacent symbols) are taken: each
-        pattern is made once.
+        each run of equal profiles in K (adjacent symbols) are taken, a test
+        of ``inv`` against those adjacent pairs: each pattern is made once.
         """
         i, m = self.i, self.m
         subsets = list(combinations(range(1, m + 1), i))
         if len(subsets) > 256:  # never at m <= 8, which has at most 70
             raise ValueError(f"({i},{m}) has more than 256 column subsets")
         rank = {_mask_of(sub): r for r, sub in enumerate(subsets)}
+        swap = []  # per v, the translate table of the relabelling v <-> v + 1
+        for v in range(m - 1):
+            table = bytearray(range(256))
+            for mask, r in rank.items():
+                if mask >> v & 3 in (1, 2):
+                    table[r] = rank[mask ^ 3 << v]
+            swap.append(bytes(table))
+        pair = [[1 << m * min(a, b) + max(a, b) for b in range(m)] for a in range(m)]
         width = ((2 * len(self.orbits)).bit_length() + 7) // 8
-        by_ties: dict[tuple[int, ...], list] = {}
-        occurring: set[int] = set()  # ranks of the subsets that occur
-        for k, key in enumerate(self.orbits):
-            ties = tuple(s for s in range(m - 1) if key[s] == key[s + 1])
+        counts: dict[bytes, tuple[int, int]] = {}
+        by_ties: dict[int, list] = {}
+        for k, (key, (_size, p, n)) in enumerate(self.orbits.items()):
             tails = tuple((2 * k + f).to_bytes(width, "big") for f in (0, 1))
+            counts[tails[0]], counts[tails[1]] = (p, n), (n, p)
+            ties = sum(pair[s][s + 1] for s in range(m - 1) if key[s] == key[s + 1])
+            odd = sum(
+                pair[a][b]
+                for a, b in combinations(range(m), 2)
+                if (key[a] & key[b]).bit_count() & 1
+            )
             cols = bytes(map(rank.__getitem__, _transpose(key, m)))
-            occurring.update(cols)
-            by_ties.setdefault(ties, []).append((cols, tails))
+            by_ties.setdefault(ties, []).append((cols, odd, tails))
+        holder = list(range(m))  # holder[v]: the symbol that pi sends to v
+        steps = [(bytes(range(256)), 0)]  # from the identity
+        for v in _plain_changes(m):
+            a, b = holder[v], holder[v + 1]
+            holder[v], holder[v + 1] = b, a
+            steps.append((swap[v], pair[a][b]))
         entries: list[bytes] = []
-        for perm in permutations(range(m)):
-            image, parity = bytearray(256), bytearray(256)
-            for r in occurring:
-                moved = [perm[s - 1] for s in subsets[r]]
-                image[r] = rank[sum(1 << t for t in moved)]
-                parity[r] = _inversion_parity(moved)
-            image, parity = bytes(image), bytes(parity)
+        image, inv = steps[0][0], 0
+        for table, toggled in steps:
+            image = image.translate(table)
+            inv ^= toggled
             for ties, orbits in by_ties.items():
-                if any(perm[s] > perm[s + 1] for s in ties):
-                    continue
-                for cols, tails in orbits:
-                    flip = sum(cols.translate(parity)) & 1
-                    entries.append(cols.translate(image) + tails[flip])
+                if not inv & ties:
+                    entries += [
+                        cols.translate(image) + tails[(odd & inv).bit_count() & 1]
+                        for cols, odd, tails in orbits
+                    ]
         entries.sort()
-        return subsets, entries
-
-    def _records(self) -> tuple[list, Iterable]:
-        """The subsets that :meth:`_entries` ranks, and the report records
-        (ranks, (plus, minus)) of the expanded tally, in report order."""
-        m = self.m
-        counts = []
-        for _size, p, n in self.orbits.values():
-            counts += [(p, n), (n, p)]
-        subsets, entries = self._entries()
-        records = (
-            (entry[:m], counts[int.from_bytes(entry[m:], "big")]) for entry in entries
-        )
-        return subsets, records
+        return subsets, counts, entries
 
     def write_report(
         self, write: Callable[[str], object], fmt: str = "json", **extra
@@ -519,56 +533,100 @@ class OrbitTally(NamedTuple):
         + "\\n"`` byte for byte, where ``report`` holds i, m, the fields
         ``extra`` and ``patterns``, without a dict per pattern or the
         pure-Python indent encoder; "csv" writes one line per record under a
-        header.  Each distinct column subset is rendered once
-        (:meth:`_records`).  There is at least one record: every (i, m) that
+        header.  There is at least one record: every (i, m) that
         :func:`_check_dims` accepts has a rectangle.
+
+        Each record is pasted from text rendered ahead, keyed by the bytes
+        of its entry (:meth:`_entries`): the head and foot, which hold the
+        counts, by the tail; the columns of the pattern's left half once per
+        run of sorted entries that share them; those of its right half by
+        their ranks, in a dict as large as the distinct right halves.
         """
         i, m = self.i, self.m
-        subsets, records = self._records()
-        chunks = iter(lambda: list(islice(records, _REPORT_CHUNK)), [])
+        subsets, counts, entries = self._entries()
         if fmt == "csv":
-            column = [",".join(map(str, sub)) for sub in subsets].__getitem__
-            head = f"{i},{m},"
-            write("i,m,pattern,plus,minus\n")
-            for chunk in chunks:
-                write("".join(
-                    f"{head}{';'.join(map(column, ranks))},{p},{n}\n"
-                    for ranks, (p, n) in chunk
-                ))
-            return
-        column = [
-            "        [\n" + ",\n".join(f"          {s}" for s in sub) + "\n        ]"
-            for sub in subsets
-        ].__getitem__
-        record = (
-            '    {\n      "minus": "%d",\n      "pattern": [\n%s\n      ],\n'
-            '      "plus": "%d"\n    }'
+            column = [",".join(map(str, sub)) for sub in subsets]
+            colsep, sep = ";", ""
+            head = dict.fromkeys(counts, f"{i},{m},")
+            foot = {t: f",{p},{n}\n" for t, (p, n) in counts.items()}
+            lead, close = "i,m,pattern,plus,minus\n", ""
+        else:
+            column = [
+                "        [\n" + ",\n".join(f"          {s}" for s in sub) + "\n        ]"
+                for sub in subsets
+            ]
+            colsep, sep = ",\n", ",\n"
+            head = {
+                t: f'    {{\n      "minus": "{n}",\n      "pattern": [\n'
+                for t, (_p, n) in counts.items()
+            }
+            foot = {
+                t: f'\n      ],\n      "plus": "{p}"\n    }}'
+                for t, (p, _n) in counts.items()
+            }
+            # At the top level alone a key follows a newline and two spaces.
+            report = {"i": i, "m": m, **extra, "patterns": None}
+            text = json.dumps(report, indent=2, sort_keys=True)
+            before, _, after = text.partition('\n  "patterns": null')
+            lead = before + '\n  "patterns": [\n'
+            close = "\n  ]" + after + "\n"
+        half = m // 2
+        left, right, tail = (
+            itemgetter(slice(half)), itemgetter(slice(half, m)), itemgetter(slice(m, None))
         )
-        report = {"i": i, "m": m, **extra, "patterns": None}
-        pieces = []
-        for k, name in enumerate(sorted(report)):
-            pieces.append((",\n  " if k else "{\n  ") + json.dumps(name) + ": ")
-            if name != "patterns":
-                value = json.dumps(report[name], indent=2, sort_keys=True)
-                pieces.append(value.replace("\n", "\n  "))
-                continue
-            sep = "".join(pieces) + "[\n"
-            for chunk in chunks:
-                write(sep + ",\n".join(
-                    record % (n, ",\n".join(map(column, ranks)), p)
-                    for ranks, (p, n) in chunk
+        right_text = _ColumnText(column, colsep)
+        write(lead)
+        records: list[str] = []
+        for k in range(0, len(entries), _REPORT_CHUNK):
+            for ranks, run in groupby(entries[k : k + _REPORT_CHUNK], left):
+                run = list(run)
+                tails = list(map(tail, run))
+                records += map("".join, zip(
+                    map(head.__getitem__, tails),
+                    repeat("".join(column[r] + colsep for r in ranks)),
+                    map(right_text.__getitem__, map(right, run)),
+                    map(foot.__getitem__, tails),
                 ))
-                sep = ",\n"
-            pieces = ["\n  ]"]
-        pieces.append("\n}\n")
-        write("".join(pieces))
+            write(sep.join(records))
+            records = [""]  # so the next chunk opens with a separator
+        write(close)
 
     def expand(self) -> SignedTally:
         """The per-pattern tally, decoded from :meth:`_entries`."""
-        subsets, records = self._records()
+        m = self.m
+        subsets, counts, entries = self._entries()
         column = subsets.__getitem__
-        counts = {tuple(map(column, ranks)): pn for ranks, pn in records}
-        return SignedTally(self.i, self.m, counts)
+        patterns = {tuple(map(column, e[:m])): counts[e[m:]] for e in entries}
+        return SignedTally(self.i, m, patterns)
+
+
+class _ColumnText(dict):
+    """Rank bytes -> the report text of those columns joined by ``sep``,
+    rendered at the first lookup."""
+
+    def __init__(self, column: list[str], sep: str) -> None:
+        super().__init__()
+        self.column, self.sep = column, sep
+
+    def __missing__(self, ranks: bytes) -> str:
+        text = self[ranks] = self.sep.join(map(self.column.__getitem__, ranks))
+        return text
+
+
+def _plain_changes(m: int) -> list[int]:
+    """The Steinhaus-Johnson-Trotter walk of S_m from the identity: the
+    m! - 1 positions v whose entries v and v + 1 are swapped in turn.  The
+    largest entry sweeps down across the others and back up, and between
+    two sweeps the others take one step of the walk of S_{m-1}: shifted by
+    one after a down sweep, which leaves the largest entry first."""
+    if m < 2:
+        return []
+    sweeps = (range(m - 2, -1, -1), range(m - 1))
+    walk = list(sweeps[0])
+    for k, v in enumerate(_plain_changes(m - 1)):
+        walk.append(v + 1 - k % 2)
+        walk += sweeps[(k + 1) % 2]
+    return walk
 
 
 def _spread_lanes() -> tuple:

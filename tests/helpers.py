@@ -8,8 +8,8 @@ concatenation and projection of Latin rectangles, the slot-translation
 scan, the expanded symmetrizer groups, the class sizes, character values,
 dimensions and (alternating) Kronecker coefficients of S_n with the
 character table orthogonality sums, the plain ``json.dumps`` rendering of a
-tally and the bit-by-bit canonical form and orbit fold of the Latin
-tally."""
+tally and the bit-by-bit canonical form, orbit fold and pattern entries of
+the Latin tally."""
 
 from __future__ import annotations
 
@@ -19,7 +19,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    permutations,
+    product,
+)
 from math import factorial, prod
 from pathlib import Path
 from random import Random
@@ -313,6 +319,40 @@ def reference_fold(i: int, m: int) -> dict:
         cur[0] += p
         cur[1] += n
     return {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
+
+
+def reference_entries(tally: latin.OrbitTally) -> tuple[list, dict, list[bytes]]:
+    """``tally._entries()`` built the direct way, the deliberate independent
+    oracle of its adjacent-transposition walk: every pi of S_m in
+    ``itertools.permutations`` order, each subset's image rank and inversion
+    parity (``latin._inversion_parity``) tabled per pi, the flip as the sum
+    of those parities over the orbit's columns, and the tie test as pi
+    increasing on each run of equal profiles."""
+    i, m = tally.i, tally.m
+    subsets = list(combinations(range(1, m + 1), i))
+    rank = {latin._mask_of(sub): r for r, sub in enumerate(subsets)}
+    width = ((2 * len(tally.orbits)).bit_length() + 7) // 8
+    counts: dict[bytes, tuple[int, int]] = {}
+    orbits = []
+    for k, (key, (_size, p, n)) in enumerate(tally.orbits.items()):
+        tails = tuple((2 * k + f).to_bytes(width, "big") for f in (0, 1))
+        counts[tails[0]], counts[tails[1]] = (p, n), (n, p)
+        ties = [s for s in range(m - 1) if key[s] == key[s + 1]]
+        cols = bytes(map(rank.__getitem__, reference_transpose(key, m)))
+        orbits.append((ties, cols, tails))
+    entries: list[bytes] = []
+    for perm in permutations(range(m)):
+        image, parity = bytearray(256), bytearray(256)
+        for r, sub in enumerate(subsets):
+            moved = [perm[s - 1] for s in sub]
+            image[r] = rank[sum(1 << t for t in moved)]
+            parity[r] = latin._inversion_parity(moved)
+        for ties, cols, tails in orbits:
+            if all(perm[s] < perm[s + 1] for s in ties):
+                flip = sum(cols.translate(parity)) & 1
+                entries.append(cols.translate(image) + tails[flip])
+    entries.sort()
+    return subsets, counts, entries
 
 
 # A Latin rectangle here is a tuple of rows of 0-based symbols.

@@ -6,7 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from math import prod
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -28,6 +28,7 @@ from helpers import (
     project_last_row,
     rect_sign,
     reference_canonical,
+    reference_entries,
     reference_fold,
     reference_transpose,
     run_fresh,
@@ -876,22 +877,28 @@ def test_tally_does_not_depend_on_block_order(monkeypatch):
     assert sizes == [2]
 
 
-def _json_reference(tally, **extra) -> str:
-    return json.dumps({**tally_json_dict(tally), **extra}, indent=2, sort_keys=True) + "\n"
+def _json_reference(tally, **extra) -> list[str]:
+    text = json.dumps({**tally_json_dict(tally), **extra}, indent=2, sort_keys=True)
+    return (text + "\n").splitlines(True)
 
 
-def _json_text(i: int, m: int, **extra) -> str:
+def _json_text(i: int, m: int, **extra) -> list[str]:
+    """The streamed report's lines: a failure names the first differing line
+    instead of diffing megabytes of text."""
     pieces: list[str] = []
     latin.orbit_tally(i, m).write_report(pieces.append, **extra)
-    return "".join(pieces)
+    return "".join(pieces).splitlines(True)
 
 
 def test_tally_json_text_matches_indent_encoder():
-    for i, m in [(1, 1), (2, 3), (2, 4), (3, 4)]:
+    # At m = 1 the left half of each pattern is empty; the extra fields sit
+    # outside the records, so the 24 MB (2,6) text is encoded once.
+    extra = {"a": {"z": [1, {"y": None}], "b": []}, "seed": -3, "total": "7"}
+    for i, m in [(1, 1), (2, 3), (2, 4), (3, 4), (1, 5), (3, 5), (5, 5), (1, 6), (2, 6)]:
         tally = signed_tally(i, m)
         assert _json_text(i, m) == _json_reference(tally)
-        extra = {"a": {"z": [1, {"y": None}], "b": []}, "seed": -3, "total": "7"}
-        assert _json_text(i, m, **extra) == _json_reference(tally, **extra)
+        if m < 6:
+            assert _json_text(i, m, **extra) == _json_reference(tally, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -938,6 +945,26 @@ def test_orbit_form_matches_its_expansion(i, m):
             # A swap of two symbols of equal profile fixes the pattern and
             # has sign (-1)^i, so at odd i those orbits are balanced.
             assert i % 2 == 0 or plus == minus
+
+
+def test_plain_changes_visit_every_permutation_once():
+    for m in range(1, 8):
+        perm = list(range(m))
+        seen = {tuple(perm)}
+        for v in latin._plain_changes(m):
+            perm[v], perm[v + 1] = perm[v + 1], perm[v]
+            seen.add(tuple(perm))
+        assert len(latin._plain_changes(m)) + 1 == len(seen) == factorial(m)
+
+
+@pytest.mark.parametrize(
+    "i,m", [(i, m) for m in range(1, 7) for i in range(1, m + 1)]
+)
+def test_entry_walk_matches_permutation_oracle(i, m):
+    # The adjacent-transposition walk against itertools.permutations with
+    # every subset's parity recomputed: same subsets, tails and entries.
+    tally = latin.orbit_tally(i, m)
+    assert tally._entries() == reference_entries(tally)
 
 
 def _first_row_fixed_keys(i: int, m: int) -> list[tuple[int, ...]]:
