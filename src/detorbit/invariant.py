@@ -96,14 +96,15 @@ class HomPoly:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "HomPoly":
         """Parse a form literal (:meth:`to_json_dict`).  A missing key, a
-        value of the wrong type or a zero denominator is a ``ValueError``."""
+        value of the wrong type or a zero denominator is a ``ValueError``;
+        ``terms`` and each ``exp`` are JSON lists."""
         try:
             nvars, degree = _json_int(obj["vars"]), _json_int(obj["degree"])
             coeffs = {
-                tuple(map(_json_int, rec["exp"])): Fraction(
+                tuple(map(_json_int, _json_list(rec["exp"]))): Fraction(
                     _json_int(rec["num"]), _json_int(rec["den"])
                 )
-                for rec in obj["terms"]
+                for rec in _json_list(obj["terms"])
             }
         except KeyError as exc:
             raise ValueError(f"form literal lacks the key {exc}") from None
@@ -115,13 +116,22 @@ class HomPoly:
 
 
 def _json_int(value) -> int:
-    """A JSON integer or decimal string as an ``int``; a float, a bool or
-    anything else is a ``TypeError``, not silently truncated."""
+    """A JSON integer, or a string of an optional sign and ASCII digits, as
+    an ``int``; anything else (a float, a bool, ``"1_000"``, ``" 7 "``,
+    non-ASCII digits) is a ``TypeError``, not silently read."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        return int(value)
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
     raise TypeError(f"{value!r} is not an integer")
+
+
+def _json_list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a list")
+    return value
 
 
 def _product_form(rows: Sequence[Sequence[Fraction]], i: int) -> HomPoly:

@@ -362,9 +362,9 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
 # 20,000 at all three.  No tally 3 5, 3 6, 5 5 or 6 6 reaches it.
 _POOL_BREAK_EVEN = 20_000
 
-# A pool worker's memo of canonical forms: the parent's, inherited when the
-# pool starts (:func:`_adopt_memo`).  The parent itself never sets it.
-_worker_memo: Optional[dict] = None
+# A pool worker's memo of canonical forms, filled by the blocks it runs.
+# The parent never touches it, so each worker starts from an empty one.
+_worker_memo: dict = {}
 
 
 def _usable_cpus() -> int:
@@ -373,11 +373,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _adopt_memo(memo: dict) -> None:
-    global _worker_memo
-    _worker_memo = memo
 
 
 def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
@@ -405,7 +400,7 @@ def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
 
 
 def _pool_job(job: tuple) -> tuple[dict, list[str]]:
-    """:func:`_block_job` in a pool worker, through the memo it inherited:
+    """:func:`_block_job` in a pool worker, through the worker's own memo:
     the orbit counts of the job's blocks and their record lines."""
     orbits: dict = {}
     _leaves, lines = _block_job(job, _worker_memo, orbits)
@@ -742,15 +737,16 @@ def orbit_tally(
     runs (:func:`_block_job`), and its orbit counts are added to the run's
     as soon as it is resumed or finished; the sums are of integers and do
     not depend on the order of the blocks.  One memo of canonical forms
-    serves the whole run, so each distinct pattern is canonicalised once
-    per process, and it is dropped with the run.
+    serves the run in this process and each worker keeps its own, so each
+    distinct pattern is canonicalised once per process; this process's
+    memo is dropped with the run.
 
     Blocks run one by one in this process until the leaves left, estimated
     as the leaves per block run here so far times the blocks left, reach
     :data:`_POOL_BREAK_EVEN`; a run that has run no block here estimates
     none.  Only then, if ``processes`` > 1, do the blocks left go to a pool
     of min(processes, blocks left, usable CPUs) workers
-    (:func:`_usable_cpus`), which inherit the memo, in eight chunks of
+    (:func:`_usable_cpus`), each with a memo of its own, in eight chunks of
     adjacent blocks per worker; each chunk's orbit counts come back summed.
     So ``multiprocessing`` is imported only by a run large enough to repay
     it.
@@ -803,7 +799,7 @@ def orbit_tally(
             (i, m, tuple(blocks[k : k + size]), record)
             for k in range(0, len(blocks), size)
         ]
-        with Pool(workers, _adopt_memo, (memo,)) as pool:
+        with Pool(workers) as pool:
             for chunk, lines in pool.imap_unordered(_pool_job, jobs):
                 for canon, (p, n, stab) in chunk.items():
                     _add_orbit(folded, canon, p, n, stab)
@@ -948,12 +944,18 @@ def _record_block(rec: dict, i: int, m: int, order: int) -> tuple[tuple, dict]:
     """The 0-based prefix and the bucket (column masks -> (plus, minus)) of
     a record of the run.  ``ValueError`` unless the prefix is rows that
     permute 1..m, each pattern is valid for (i, m), given once and holds
-    the prefix's symbols in its columns, and each count is a decimal string
-    of a multiple of the quotient ``order``: only for those is the resume
-    fold's division by m! exact (:func:`_fold_orbits`).  Totals are not read."""
+    the prefix's symbols in its columns, and each count is a string of ASCII
+    digits of a multiple of the quotient ``order``: only for those is the
+    resume fold's division by m! exact (:func:`_fold_orbits`).  Totals are
+    not read."""
 
     def count(value) -> int:
-        if isinstance(value, str) and value.isdecimal() and int(value) % order == 0:
+        if (
+            isinstance(value, str)
+            and value.isascii()
+            and value.isdigit()
+            and int(value) % order == 0
+        ):
             return int(value)
         raise ValueError(f"checkpoint count {value!r} is not a multiple of {order}")
 

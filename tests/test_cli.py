@@ -351,6 +351,10 @@ _MALFORMED_RECORDS = {
     "count-not-a-string": lambda rec: {
         **rec, "patterns": [{**rec["patterns"][0], "plus": 48}]
     },
+    # 48 in Arabic-Indic digits: a count is ASCII digits only.
+    "non-ascii-count": lambda rec: {
+        **rec, "patterns": [{**rec["patterns"][0], "plus": "\u0664\u0668"}]
+    },
 }
 
 
@@ -454,11 +458,21 @@ def _form(exp, num="1", den="1") -> str:
         (["invariant-eval", "2", "2", "-"], _form([True, True])),
         # Nested deeper than the decoder recurses.
         (["invariant-eval", "2", "2", "-"], "[" * 100_000 + "]" * 100_000),
+        # terms and each exp are lists, not strings or objects to iterate.
+        (["invariant-eval", "2", "2", "-"], _form("11")),
+        (["invariant-eval", "2", "2", "-"], _form({"1": 0, "1 ": 0})),
+        (["invariant-eval", "2", "2", "-"], '{"vars": 2, "degree": 2, "terms": {}}'),
+        # Integers are an optional sign, then ASCII digits, as in CSV cells.
+        (["invariant-eval", "2", "2", "-"], _form([1, 1], num="1_000")),
+        (["invariant-eval", "2", "2", "-"], _form([1, 1], den=" 7 ")),
+        (["invariant-eval", "2", "2", "-"], _form([1, 1], num="\u0664")),
     ],
     ids=[
         "no-terms", "zero-den", "not-an-object", "string-exponent", "csv-zero-den",
         "csv-exponent", "csv-decimal",
         "float-numerator", "bool-exponent", "deep-nesting",
+        "exp-string", "exp-object", "terms-object",
+        "underscore-numerator", "spaced-denominator", "arabic-indic-numerator",
     ],
 )
 def test_malformed_input_is_bad_input(capsys, monkeypatch, tmp_path, argv, text):
@@ -525,14 +539,18 @@ def test_tally_2_6_report_digest(capsys, tmp_path, argv, digest):
 # stdout sha256 of the signed square count by both routes, the tableau-word
 # pairing, the pairing identity, the symmetric Kronecker positivity report,
 # the invariant checks at the smallest m and the battery that replays them.
+# At m = 6 both signed square count reports give -199065600.
 _REPORT_DIGESTS = {
     "alon-tarsi 5": "f832ecc3e99e6131357d454ded888cdf1fe640a6fafd9e40b42f545a2aa93180",
+    "alon-tarsi 6": "13238f3a965b8d2611664cfa47146bc556a9266eaf86a33adb0ceac1c3cd66ac",
     "sign-sum 4": "b2e2c1a5f53479d6f177049f7e8ce11d3f11c0755f6a44687b2a9f346febdd6d",
     "sign-sum 5": "53332930e62fa43f4dc444b437cc5fc42fb3d8ca2debf95635734e6d6c7d9a66",
+    "sign-sum 6": "dad90b74ccd3e227fc19a278365c617471c06d36ae0c0e126e3a000c4e26ae42",
     "pairing 1 4": "fd97507050ed550d26c7a7ea37e0701741f44f51638cb121453c2b09c0e40f15",
     "pairing 1 5": "c313ee4a27f6deb74c2c0b4900679a1f1cbad5a978f3e1c0ae115e5202d9b473",
     "pairing 2 4": "cc363995013b8a416ae856983047e414be3b73c435df93d1e2cb29b03814bd10",
     "pairing 2 5": "58e9a81a6b5aa4d27e2893f899b91ab311514c1f872c10bca5cfae4aa60633a1",
+    "pairing 2 6": "9ca58e0ed0c2f54d8c2b7fbdff64f590b83976a9103fc435060a54b31f3da4aa",
     "pairing 3 3": "e458b3e59997fb6dbe1c810f72d2a8025f7b0c8669ca942273eda6a4207d96de",
     "verify-all 4": "94fcf4a1528949012705e2017a391f0433da18753094a9ab52558bedd748c7f9",
     "kronecker 2 6": "9fb8e4110de7a1c8351c70a744da0f049b5d9387de32fcba1679eeba6b6eb09a",
@@ -783,22 +801,28 @@ def test_astronomical_leaf_estimate_is_refused_at_once(argv):
 
 
 @pytest.mark.parametrize(
-    "out",
-    ["cp.ndjson", "./sub/../cp.ndjson", "link"],
-    ids=["same", "relative", "hard-link"],
+    "out,checkpoint",
+    [
+        ("cp.ndjson", "cp.ndjson"),
+        ("./sub/../cp.ndjson", "cp.ndjson"),
+        ("link", "cp.ndjson"),
+        ("new.ndjson", "new.ndjson"),
+    ],
+    ids=["same", "relative", "hard-link", "neither-exists"],
 )
 def test_out_and_checkpoint_on_one_file_is_bad_input(
-    capsys, tmp_path, monkeypatch, out
+    capsys, tmp_path, monkeypatch, out, checkpoint
 ):
     # --out would truncate the checkpoint before the run could resume it.
     monkeypatch.chdir(tmp_path)
     assert _run(capsys, "--checkpoint", "cp.ndjson", "tally", "2", "3")[0] == 0
     os.link("cp.ndjson", "link")
-    before = (tmp_path / "cp.ndjson").read_bytes()
-    argv = ["--out", out, "--checkpoint", "cp.ndjson", "tally", "2", "3"]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["--out", out, "--checkpoint", checkpoint, "tally", "2", "3"]
     code, report = _run(capsys, *argv)
     assert code == 3
     assert json.loads(report) == {
         "error": "--out and --checkpoint name the same file", "kind": "input"
     }
-    assert (tmp_path / "cp.ndjson").read_bytes() == before
+    # No file is created, truncated or appended to.
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

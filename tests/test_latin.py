@@ -333,9 +333,14 @@ def test_alon_tarsi_checkpoint_records(tmp_path):
 # The runs whose checkpoint files are pinned, and the sha256 of each file.
 # The record format is pinned byte for byte, its constant all-ones
 # "allowed" column masks included, so files written earlier still resume.
+# Two processes write the serial file: tally 3 5 starts no pool.
 PINNED_CHECKPOINTS = {
     "tally-3-5": (
         lambda cp: latin.orbit_tally(3, 5, checkpoint_path=cp).expand(),
+        "78c7fade20692246032b0748ea96d91a00d038e5e2f50da89e133830187d2bff",
+    ),
+    "tally-3-5-processes-2": (
+        lambda cp: latin.orbit_tally(3, 5, processes=2, checkpoint_path=cp).expand(),
         "78c7fade20692246032b0748ea96d91a00d038e5e2f50da89e133830187d2bff",
     ),
     "alon-tarsi-5": (
@@ -810,9 +815,8 @@ def test_worker_count_is_capped(monkeypatch):
     sizes = []
 
     class FakePool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -825,10 +829,10 @@ def test_worker_count_is_capped(monkeypatch):
 
     # latin imports Pool only when a run hands blocks to workers: patch it
     # where it is read, and hand them over from the first block.  The fake
-    # runs the workers' initializer here, so the memo it sets is restored.
+    # runs the jobs here, so the worker memo they fill is restored.
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.setattr(latin, "_worker_memo", None)
+    monkeypatch.setattr(latin, "_worker_memo", {})
     # The host has 64 CPUs, but this process may run on 3 of them.
     monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(
@@ -854,9 +858,8 @@ def test_tally_does_not_depend_on_block_order(monkeypatch):
     sizes = []
 
     class ReversingPool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -869,7 +872,7 @@ def test_tally_does_not_depend_on_block_order(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
     monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.setattr(latin, "_worker_memo", None)
+    monkeypatch.setattr(latin, "_worker_memo", {})
     monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     serial = signed_tally(3, 4)
     reversed_blocks = latin.orbit_tally(3, 4, processes=2).expand()
@@ -1039,7 +1042,7 @@ def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
         calls.clear()
         latin.orbit_tally(3, 6, checkpoint_path=str(cp))
         assert len(calls) == len(set(calls)) == distinct
-    assert latin._worker_memo is None
+    assert latin._worker_memo == {}
 
 
 def test_handoff_to_workers_matches_serial(monkeypatch):
@@ -1049,15 +1052,16 @@ def test_handoff_to_workers_matches_serial(monkeypatch):
     monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     serial = latin.orbit_tally(3, 6)
     assert latin.orbit_tally(3, 6, processes=2).orbits == serial.orbits
-    assert latin._worker_memo is None
+    # Each worker filled its own memo; the parent's stays empty.
+    assert latin._worker_memo == {}
 
 
 def test_pool_starts_once_leaves_left_pass_break_even(monkeypatch):
     handed = []
 
     class RecordingPool:
-        def __init__(self, processes, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, processes):
+            pass
 
         def __enter__(self):
             return self
@@ -1070,7 +1074,7 @@ def test_pool_starts_once_leaves_left_pass_break_even(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(latin, "_worker_memo", None)
+    monkeypatch.setattr(latin, "_worker_memo", {})
     monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
     # Fewer leaves in all than the break-even: never estimated past it.
     for i, m in [(3, 5), (5, 5), (3, 6), (6, 6)]:
