@@ -29,7 +29,8 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
 # The global flags that only some subcommands take, and those takers: the
-# flags' help names them, and ``_run`` refuses a flag set for any other.
+# flags' help names them, and ``_main`` refuses a flag set for any other, a
+# flag being set when its value is not the parser's default.
 _TAKERS = {
     "--budget": ("invariant-check", "witness", "invariant-eval", "verify-all"),
     "--checkpoint": ("tally", "alon-tarsi"),
@@ -54,6 +55,7 @@ def _emit(report, write) -> None:
 def _cmd_tally(args) -> tuple[int, Callable]:
     from . import latin
 
+    latin._column_subsets(args.i, args.m)  # a report it cannot render is refused now
     tally = latin.orbit_tally(
         args.i,
         args.m,
@@ -362,19 +364,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args, write: Callable[[str], object]) -> int:
-    """Run the parsed command and write its report, or the error it raises."""
+def _same_file(a: str, b: str) -> bool:
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+    )
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
+    """Run the command and write its report, or the error it raises, to
+    stdout and to ``--out`` once that is open."""
+    out = None
+
+    def write(text: str) -> None:
+        if out is not None:
+            out.write(text)
+        sys.stdout.write(text)
+
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)  # _Parser.error raises ValueError
+        # --out truncates its file, so a file the run reads would be lost.
+        form = getattr(args, "form", "-")
+        read = {
+            "--checkpoint": args.checkpoint,
+            "--matrix": getattr(args, "matrix", None),
+            "the form": None if form == "-" else form,
+        }
+        for name, path in read.items():
+            if args.out and path and _same_file(args.out, path):
+                raise ValueError(f"--out and {name} name the same file")
+        # Opened before any work starts; a path that cannot be written is bad
+        # input, reported on stdout alone.
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
-        used = {
-            "--budget": args.budget != DEFAULT_BUDGET,
-            "--checkpoint": args.checkpoint is not None,
-            "--format csv": args.format == "csv",
-            "--threads": args.threads > 1,
-        }
         for flag, takers in _TAKERS.items():
-            if used[flag] and args.command not in takers:
+            dest = flag.split()[0].lstrip("-")
+            if getattr(args, dest) != parser.get_default(dest) and (
+                args.command not in takers
+            ):
                 raise ValueError(
                     f"{flag} applies only to {' and '.join(takers)}, "
                     f"not {args.command}"
@@ -391,36 +419,10 @@ def _run(args, write: Callable[[str], object]) -> int:
     except (ValueError, OSError) as exc:
         _emit({"error": str(exc), "kind": "input"}, write)
         return EXIT_INPUT_ERROR
+    finally:
+        if out is not None:
+            out.close()
     return code
-
-
-def _same_file(a: str, b: str) -> bool:
-    return os.path.realpath(a) == os.path.realpath(b) or (
-        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-    )
-
-
-def _main(argv: Optional[Sequence[str]]) -> int:
-    try:
-        args = build_parser().parse_args(argv)  # _Parser.error raises ValueError
-        # --out truncates its file, so the checkpoint would be lost.
-        if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
-            raise ValueError("--out and --checkpoint name the same file")
-        # Opened before any work starts; a path that cannot be written is bad
-        # input, reported on stdout alone.
-        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
-    except (ValueError, OSError) as exc:
-        _emit({"error": str(exc), "kind": "input"}, sys.stdout.write)
-        return EXIT_INPUT_ERROR
-    if out is None:
-        return _run(args, sys.stdout.write)
-    with out:
-
-        def write(text: str) -> None:
-            out.write(text)
-            sys.stdout.write(text)
-
-        return _run(args, write)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -29,7 +29,7 @@ import os
 from collections import deque
 from functools import cache
 from itertools import combinations, groupby, repeat
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -359,7 +359,12 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
 # blocks of a size from the start, against the same blocks in one process,
 # lost 3-47 ms at about 5,000 leaves at (4,6), (5,6) and (3,7), lost up to
 # 42 or gained up to 38 ms at 10,000 to 15,000, and gained 9-66 ms at about
-# 20,000 at all three.  No tally 3 5, 3 6, 5 5 or 6 6 reaches it.
+# 20,000 at all three.  These differences are smaller than the spread of
+# such runs: later runs of the same tallies had parent quartiles about 50 ms
+# apart, and one median moved from 0.164 to 0.224 s between sessions on one
+# tree and host.  So the value is kept as a rough estimate, not a measured
+# optimum.  No tally 3 5, 3 6, 5 5 or 6 6 reaches it, nor any alon-tarsi
+# the CLI accepts: m <= 6 visits at most 9,408 leaves.
 _POOL_BREAK_EVEN = 20_000
 
 # A pool worker's memo of canonical forms, filled by the blocks it runs.
@@ -472,13 +477,11 @@ class OrbitTally(NamedTuple):
         of ``inv`` against those adjacent pairs: each pattern is made once.
         """
         i, m = self.i, self.m
-        subsets = list(combinations(range(1, m + 1), i))
-        if len(subsets) > 256:  # never at m <= 8, which has at most 70
-            raise ValueError(f"({i},{m}) has more than 256 column subsets")
+        subsets = _column_subsets(i, m)
         rank = {_mask_of(sub): r for r, sub in enumerate(subsets)}
         swap = []  # per v, the translate table of the relabelling v <-> v + 1
         for v in range(m - 1):
-            table = bytearray(range(256))
+            table = bytearray(_BYTES)
             for mask, r in rank.items():
                 if mask >> v & 3 in (1, 2):
                     table[r] = rank[mask ^ 3 << v]
@@ -499,7 +502,7 @@ class OrbitTally(NamedTuple):
             cols = bytes(map(rank.__getitem__, _transpose(key, m)))
             by_ties.setdefault(ties, []).append((cols, odd, tails))
         holder = list(range(m))  # holder[v]: the symbol that pi sends to v
-        steps = [(bytes(range(256)), 0)]  # from the identity
+        steps = [(_BYTES, 0)]  # from the identity
         for v in _plain_changes(m):
             a, b = holder[v], holder[v + 1]
             holder[v], holder[v + 1] = b, a
@@ -593,6 +596,23 @@ class OrbitTally(NamedTuple):
         column = subsets.__getitem__
         patterns = {tuple(map(column, e[:m])): counts[e[m:]] for e in entries}
         return SignedTally(self.i, m, patterns)
+
+
+# Every byte value in order: a report entry holds each column subset's rank
+# in one byte, and relabellings move the ranks by ``bytes.translate`` tables.
+_BYTES = bytes(range(256))
+
+
+def _column_subsets(i: int, m: int) -> list[tuple[int, ...]]:
+    """The i-subsets of 1..m in lexicographic order, which a report of
+    (i, m) ranks in one byte each (:meth:`OrbitTally._entries`).  Past
+    ``len(_BYTES)`` of them the report cannot be rendered, so
+    ``ValueError`` before any is built, as the CLI checks before a tally
+    starts; never at m <= 8, which has at most 70."""
+    _check_dims(i, m)
+    if comb(m, i) > len(_BYTES):
+        raise ValueError(f"({i},{m}) has more than {len(_BYTES)} column subsets")
+    return list(combinations(range(1, m + 1), i))
 
 
 class _ColumnText(dict):

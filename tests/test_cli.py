@@ -26,54 +26,6 @@ def _run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
-def test_alon_tarsi_report(capsys):
-    code, out = _run(capsys, "alon-tarsi", "3")
-    assert code == 0
-    report = json.loads(out)
-    assert report["difference"] == "0"
-    assert report["orders_agree"] is True
-
-
-def test_pairing_report(capsys):
-    code, out = _run(capsys, "pairing", "2", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["verdict"] == "equal"
-    assert report["lhs_latin"] == {"num": "1", "den": "1"}
-
-
-def test_sign_sum_report(capsys):
-    code, out = _run(capsys, "sign-sum", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["pairing"] == "-2"
-    assert report["signed_square_count"] == "-2"
-
-
-def test_invariant_check_report(capsys):
-    code, out = _run(capsys, "invariant-check", "4", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["computed"] == {"num": "1", "den": "3"}
-    assert report["verdict"] == "equal"
-
-
-def test_witness_report(capsys):
-    code, out = _run(capsys, "witness", "2", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["found"] is True
-    assert report["value"] == {"num": "-1", "den": "4"}
-    assert report["seed"] == 0
-
-
-def test_kronecker_report(capsys):
-    code, out = _run(capsys, "kronecker", "2", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["all_positive"] is True
-
-
 def test_kronecker_odd_m_is_input_error(capsys):
     # The statement concerns even m; the library still computes odd m.
     code, out = _run(capsys, "kronecker", "3", "2")
@@ -492,7 +444,7 @@ def test_malformed_input_is_bad_input(capsys, monkeypatch, tmp_path, argv, text)
 
 
 @pytest.mark.parametrize(
-    "i,m", [(2, 4), (3, 4), (2, 5), (3, 5), (1, 5), (5, 5), (1, 6), (2, 6)]
+    "i,m", [(2, 4), (3, 4), (2, 5), (3, 5), (1, 5), (5, 5), (1, 6)]
 )
 def test_tally_report_bytes(capsys, tmp_path, i, m):
     # References rendered the plain way from the unreduced column oracle,
@@ -538,14 +490,19 @@ def test_tally_2_6_report_digest(capsys, tmp_path, argv, digest):
 
 # stdout sha256 of the signed square count by both routes, the tableau-word
 # pairing, the pairing identity, the symmetric Kronecker positivity report,
-# the invariant checks at the smallest m and the battery that replays them.
-# At m = 6 both signed square count reports give -199065600.
+# the invariant checks and witnesses at the smallest m and the battery that
+# replays them.  At m = 6 both signed square count reports give -199065600;
+# alon-tarsi 3 gives 0, sign-sum 2 gives -2 twice, pairing 2 2 has lhs 1,
+# invariant-check 4 2 computes 1/3 and witness 2 2 finds -1/4 at seed 0.
 _REPORT_DIGESTS = {
+    "alon-tarsi 3": "7df264d1d462ec528f7b7f43392381b6e8862b4e268ffbc945e439d90b9398db",
     "alon-tarsi 5": "f832ecc3e99e6131357d454ded888cdf1fe640a6fafd9e40b42f545a2aa93180",
     "alon-tarsi 6": "13238f3a965b8d2611664cfa47146bc556a9266eaf86a33adb0ceac1c3cd66ac",
+    "sign-sum 2": "44ceb87fe63ea2e6773bd03d154332a18e99f5e910d65c245d6c3b8409b9578a",
     "sign-sum 4": "b2e2c1a5f53479d6f177049f7e8ce11d3f11c0755f6a44687b2a9f346febdd6d",
     "sign-sum 5": "53332930e62fa43f4dc444b437cc5fc42fb3d8ca2debf95635734e6d6c7d9a66",
     "sign-sum 6": "dad90b74ccd3e227fc19a278365c617471c06d36ae0c0e126e3a000c4e26ae42",
+    "pairing 2 2": "a1e2f55f1db66276c27837a0969d52209e24172b1e8eb6b279d21fbccd5d0cc4",
     "pairing 1 4": "fd97507050ed550d26c7a7ea37e0701741f44f51638cb121453c2b09c0e40f15",
     "pairing 1 5": "c313ee4a27f6deb74c2c0b4900679a1f1cbad5a978f3e1c0ae115e5202d9b473",
     "pairing 2 4": "cc363995013b8a416ae856983047e414be3b73c435df93d1e2cb29b03814bd10",
@@ -553,11 +510,14 @@ _REPORT_DIGESTS = {
     "pairing 2 6": "9ca58e0ed0c2f54d8c2b7fbdff64f590b83976a9103fc435060a54b31f3da4aa",
     "pairing 3 3": "e458b3e59997fb6dbe1c810f72d2a8025f7b0c8669ca942273eda6a4207d96de",
     "verify-all 4": "94fcf4a1528949012705e2017a391f0433da18753094a9ab52558bedd748c7f9",
+    "kronecker 2 2": "09358edd9b3426de8c800a887182cf0bcd8712af12bbfa63706c9999fef86b4d",
     "kronecker 2 6": "9fb8e4110de7a1c8351c70a744da0f049b5d9387de32fcba1679eeba6b6eb09a",
     "kronecker 4 3": "ddf63dcd660a4c0051ad30634494dddebc2fca2e1f0be1b179f1128805a1cbdc",
     "kronecker 6 2": "ed13428284829dc925e5e30a1657874507c286c4c11ef62af045df53b56ca58a",
     "invariant-check 2 1": "d86e59b53bdad1cd6168a65e39eeb18a662a26263c3d08a99aa72f37372caad1",
+    "invariant-check 4 2": "2954a65a364c92a560e2c4029eb0c62a3198141937fcb14d3a41c2e707002a50",
     "witness 2 1": "c2d57447259d431f0e7c58d88f470f45b7b0dd494ed6fac52c7c4e2f6a7cc655",
+    "witness 2 2": "42327f2f62daacdf86744c33c51b54f745e40ac49b4b4c8e5247fc2917ec51d5",
 }
 
 
@@ -693,6 +653,9 @@ def test_verify_all_checks_replay_as_subcommands(capsys, m, count):
         (["--format", "csv", "alon-tarsi", "8"], 3),
         # About 3.4e7 orbit-tally leaves at m = 7: refused before they start.
         (["alon-tarsi", "7"], 2),
+        # C(11, 4) = 330 column subsets, more than a report can rank in a
+        # byte: refused before the tally starts.
+        (["tally", "4", "11"], 3),
     ],
 )
 def test_refused_before_the_work_starts(argv, code):
@@ -800,29 +763,38 @@ def test_astronomical_leaf_estimate_is_refused_at_once(argv):
     assert len(report["error"]) < 200 and "~10^" in report["error"]
 
 
+_TALLY = ["tally", "2", "3"]
+
+
 @pytest.mark.parametrize(
-    "out,checkpoint",
+    "argv,read",
     [
-        ("cp.ndjson", "cp.ndjson"),
-        ("./sub/../cp.ndjson", "cp.ndjson"),
-        ("link", "cp.ndjson"),
-        ("new.ndjson", "new.ndjson"),
+        (["--out", "cp.ndjson", "--checkpoint", "cp.ndjson", *_TALLY], "--checkpoint"),
+        (
+            ["--out", "./sub/../cp.ndjson", "--checkpoint", "cp.ndjson", *_TALLY],
+            "--checkpoint",
+        ),
+        (["--out", "link", "--checkpoint", "cp.ndjson", *_TALLY], "--checkpoint"),
+        (["--out", "new.ndjson", "--checkpoint", "new.ndjson", *_TALLY], "--checkpoint"),
+        (["--out", "A.csv", "witness", "4", "2", "--matrix", "A.csv"], "--matrix"),
+        (["--out", "form.json", "invariant-eval", "2", "2", "./form.json"], "the form"),
     ],
-    ids=["same", "relative", "hard-link", "neither-exists"],
+    ids=["same", "relative", "hard-link", "neither-exists", "matrix", "form"],
 )
 def test_out_and_checkpoint_on_one_file_is_bad_input(
-    capsys, tmp_path, monkeypatch, out, checkpoint
+    capsys, tmp_path, monkeypatch, argv, read
 ):
-    # --out would truncate the checkpoint before the run could resume it.
+    # --out would truncate a file the run reads before the run could read it.
     monkeypatch.chdir(tmp_path)
-    assert _run(capsys, "--checkpoint", "cp.ndjson", "tally", "2", "3")[0] == 0
+    assert _run(capsys, "--checkpoint", "cp.ndjson", *_TALLY)[0] == 0
     os.link("cp.ndjson", "link")
+    (tmp_path / "A.csv").write_text("1,0\n0,1\n1,1\n0,1\n")
+    (tmp_path / "form.json").write_text(_form([1, 1]))
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    argv = ["--out", out, "--checkpoint", checkpoint, "tally", "2", "3"]
     code, report = _run(capsys, *argv)
     assert code == 3
     assert json.loads(report) == {
-        "error": "--out and --checkpoint name the same file", "kind": "input"
+        "error": f"--out and {read} name the same file", "kind": "input"
     }
     # No file is created, truncated or appended to.
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
