@@ -56,12 +56,7 @@ def _cmd_tally(args) -> tuple[int, Callable]:
     from . import latin
 
     latin._column_subsets(args.i, args.m)  # a report it cannot render is refused now
-    tally = latin.orbit_tally(
-        args.i,
-        args.m,
-        processes=args.threads,
-        checkpoint_path=args.checkpoint,
-    )
+    tally = latin.orbit_tally(args.i, args.m, checkpoint_path=args.checkpoint)
     if args.format == "csv":
         return EXIT_OK, partial(tally.write_report, fmt="csv")
     total = str(tally.total())
@@ -77,7 +72,7 @@ def _signed_square_counts(args, **fields: str) -> tuple[bool, dict]:
 
     routes = {
         "rows": lambda: latin.alon_tarsi_difference(
-            args.m, processes=args.threads, checkpoint_path=args.checkpoint
+            args.m, checkpoint_path=args.checkpoint
         ),
         "columns": lambda: latin.column_order_difference(args.m),
     }
@@ -282,9 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker processes for {_listed('--threads')} (at most one per "
-        "block and per usable CPU; started once the leaves left are "
-        "estimated at 20,000 or more)",  # latin._POOL_BREAK_EVEN
+        help=f"no effect, accepted by {_listed('--threads')} only: every "
+        "count runs in one process",
     )
     parser.add_argument(
         "--budget",
@@ -393,9 +387,6 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         for name, path in read.items():
             if args.out and path and _same_file(args.out, path):
                 raise ValueError(f"--out and {name} name the same file")
-        # Opened before any work starts; a path that cannot be written is bad
-        # input, reported on stdout alone.
-        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
         if args.threads < 1 or args.budget < 1:
             raise ValueError("threads and budget must be positive")
         for flag, takers in _TAKERS.items():
@@ -407,6 +398,10 @@ def _main(argv: Optional[Sequence[str]]) -> int:
                     f"{flag} applies only to {' and '.join(takers)}, "
                     f"not {args.command}"
                 )
+        # Opened after every refusal of the command line and before any work
+        # starts; a path that cannot be written is bad input, reported on
+        # stdout alone.
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
         code, report = args.func(args)
         if isinstance(report, dict):
             report.setdefault("seed", args.seed)

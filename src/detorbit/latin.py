@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from functools import cache
 from itertools import combinations, groupby, repeat
 from math import comb, factorial, prod
@@ -353,65 +352,6 @@ def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-# Leaves left, estimated from the blocks this run has finished here, past
-# which the blocks left go to a worker pool.  Measured on a 2-vCPU host
-# (Python 3.11), median of 9 interleaved runs: a pool of two given the last
-# blocks of a size from the start, against the same blocks in one process,
-# lost 3-47 ms at about 5,000 leaves at (4,6), (5,6) and (3,7), lost up to
-# 42 or gained up to 38 ms at 10,000 to 15,000, and gained 9-66 ms at about
-# 20,000 at all three.  These differences are smaller than the spread of
-# such runs: later runs of the same tallies had parent quartiles about 50 ms
-# apart, and one median moved from 0.164 to 0.224 s between sessions on one
-# tree and host.  So the value is kept as a rough estimate, not a measured
-# optimum.  No tally 3 5, 3 6, 5 5 or 6 6 reaches it, nor any alon-tarsi
-# the CLI accepts: m <= 6 visits at most 9,408 leaves.
-_POOL_BREAK_EVEN = 20_000
-
-# A pool worker's memo of canonical forms, filled by the blocks it runs.
-# The parent never touches it, so each worker starts from an empty one.
-_worker_memo: dict = {}
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the system
-    reports one, else the host's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_job(job: tuple, memo: dict, orbits: dict) -> tuple[int, list[str]]:
-    """Enumerate prefix blocks and fold each into ``orbits``.
-
-    ``job`` is (i, m, prefixes, config).  Each block's bucket (column
-    masks -> (plus, minus)) is weighted by the quotient order as soon as it
-    is enumerated, then folded through ``memo`` (:func:`_fold_orbits`).
-    Returns the leaves visited and, with a checkpoint ``config``, one record
-    line per block (:func:`_record_line`); without one, no lines.
-    """
-    i, m, prefixes, config = job
-    quotient = _row_quotient(i, m, symbols=True)
-    w = quotient.order
-    leaves = 0
-    lines = []
-    for prefix in prefixes:
-        bucket: dict = {}
-        leaves += _run_rows(i, m, prefix, _tally_leaf_factory(bucket), quotient)
-        bucket = {key: (p * w, n * w) for key, (p, n) in bucket.items()}
-        if config is not None:
-            lines.append(_record_line(prefix, bucket, config))
-        _fold_orbits(i, m, bucket, memo, orbits)
-    return leaves, lines
-
-
-def _pool_job(job: tuple) -> tuple[dict, list[str]]:
-    """:func:`_block_job` in a pool worker, through the worker's own memo:
-    the orbit counts of the job's blocks and their record lines."""
-    orbits: dict = {}
-    _leaves, lines = _block_job(job, _worker_memo, orbits)
-    return orbits, lines
-
-
 class OrbitTally(NamedTuple):
     """The signed tally at one canonical pattern per symbol-relabelling orbit.
 
@@ -728,102 +668,51 @@ def _fold_orbits(i: int, m: int, bucket: dict, memo: dict, orbits: dict) -> None
             p = n = (p + n) // 2
         elif swap:
             p, n = n, p
-        _add_orbit(orbits, canon, p, n, stab)
+        cur = orbits.get(canon)
+        if cur is None:
+            orbits[canon] = [p, n, stab]
+        else:
+            cur[0] += p
+            cur[1] += n
 
 
-def _add_orbit(orbits: dict, canon: tuple, p: int, n: int, stab: int) -> None:
-    cur = orbits.get(canon)
-    if cur is None:
-        orbits[canon] = [p, n, stab]
-    else:
-        cur[0] += p
-        cur[1] += n
-
-
-def orbit_tally(
-    i: int,
-    m: int,
-    *,
-    processes: int = 1,
-    checkpoint_path: Optional[str] = None,
-) -> OrbitTally:
+def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> OrbitTally:
     """The signed tally of all Latin (i, m)-rectangles in orbit form.
 
     Enumerates the first-row-fixed rectangles, one per eps_c-preserving
     orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by prefix
-    blocks sharing their first two rows (:func:`_list_prefixes`).  The only
-    row-major counter: one pattern's counts (:meth:`OrbitTally.at`) cost
-    the whole tally.  Each block is weighted and folded to orbits where it
-    runs (:func:`_block_job`), and its orbit counts are added to the run's
-    as soon as it is resumed or finished; the sums are of integers and do
-    not depend on the order of the blocks.  One memo of canonical forms
-    serves the run in this process and each worker keeps its own, so each
-    distinct pattern is canonicalised once per process; this process's
-    memo is dropped with the run.
-
-    Blocks run one by one in this process until the leaves left, estimated
-    as the leaves per block run here so far times the blocks left, reach
-    :data:`_POOL_BREAK_EVEN`; a run that has run no block here estimates
-    none.  Only then, if ``processes`` > 1, do the blocks left go to a pool
-    of min(processes, blocks left, usable CPUs) workers
-    (:func:`_usable_cpus`), each with a memo of its own, in eight chunks of
-    adjacent blocks per worker; each chunk's orbit counts come back summed.
-    So ``multiprocessing`` is imported only by a run large enough to repay
-    it.
+    blocks sharing their first two rows (:func:`_list_prefixes`), in order.
+    The only row-major counter: one pattern's counts (:meth:`OrbitTally.at`)
+    cost the whole tally.  Each block is weighted by the quotient order and
+    folded to orbits (:func:`_fold_orbits`) through one memo of canonical
+    forms, so each distinct pattern is canonicalised once; the memo is
+    dropped with the run.
 
     ``checkpoint_path`` holds one record per finished block.  Records carry
     the full configuration (i, m, column masks, quotient group) and
     weighted per-pattern counts; records of any other configuration, and
-    prefixes outside the current partition, are ignored.  A block's record
-    line is rendered where the block runs, and this process appends it
-    (:func:`write_checkpoint_record`).
+    prefixes outside the current partition, are ignored.  A block with a
+    record is folded from it; any other block is enumerated and its record
+    appended (:func:`write_checkpoint_record`) before it is folded.
     """
     _check_dims(i, m)
-    prefixes = _list_prefixes(i, m)
-    group = _row_quotient(i, m, symbols=True).group
+    quotient = _row_quotient(i, m, symbols=True)
+    w = quotient.order
     # All-ones column masks, kept so that records match old files byte for byte.
-    config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": group}
+    config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": quotient.group}
+    done = {} if checkpoint_path is None else load_checkpoint(checkpoint_path, config)
     memo: dict = {}
     folded: dict = {}
-    done: set = set()
-    if checkpoint_path is not None:
-        valid = set(prefixes)
-        for prefix, bucket in load_checkpoint(checkpoint_path, config).items():
-            if prefix in valid:
-                done.add(prefix)
-                _fold_orbits(i, m, bucket, memo, folded)
-    record = None if checkpoint_path is None else config
-    todo = deque(p for p in prefixes if p not in done)
-
-    def write(lines: list[str]) -> None:
-        for line in lines:
-            write_checkpoint_record(checkpoint_path, line)
-
-    cpus = _usable_cpus() if processes > 1 else 1
-    visited = ran = 0
-    while todo and (
-        min(processes, len(todo), cpus) < 2
-        or (visited * len(todo) // ran if ran else 0) < _POOL_BREAK_EVEN
-    ):
-        leaves, lines = _block_job((i, m, (todo.popleft(),), record), memo, folded)
-        visited += leaves
-        ran += 1
-        write(lines)
-    if todo:
-        from multiprocessing import Pool
-
-        workers = min(processes, len(todo), cpus)
-        size = -(-len(todo) // (8 * workers))
-        blocks = list(todo)
-        jobs = [
-            (i, m, tuple(blocks[k : k + size]), record)
-            for k in range(0, len(blocks), size)
-        ]
-        with Pool(workers) as pool:
-            for chunk, lines in pool.imap_unordered(_pool_job, jobs):
-                for canon, (p, n, stab) in chunk.items():
-                    _add_orbit(folded, canon, p, n, stab)
-                write(lines)
+    for prefix in _list_prefixes(i, m):
+        bucket = done.pop(prefix, None)
+        if bucket is None:
+            bucket = {}
+            _run_rows(i, m, prefix, _tally_leaf_factory(bucket), quotient)
+            bucket = {key: (p * w, n * w) for key, (p, n) in bucket.items()}
+            if checkpoint_path is not None:
+                line = _record_line(prefix, bucket, config)
+                write_checkpoint_record(checkpoint_path, line)
+        _fold_orbits(i, m, bucket, memo, folded)
     fact = factorial(m)
     orbits = {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
     return OrbitTally(i, m, orbits)
@@ -832,8 +721,8 @@ def orbit_tally(
 def signed_tally(i: int, m: int) -> SignedTally:
     """Exact per-pattern (plus, minus) counts over all Latin (i, m)-rectangles:
     :func:`orbit_tally` expanded to every pattern.  For one pattern read
-    :meth:`OrbitTally.at` instead; for a worker pool or a checkpoint, expand
-    the :func:`orbit_tally` that takes them.  :func:`column_order_tally` is
+    :meth:`OrbitTally.at` instead; for a checkpoint, expand the
+    :func:`orbit_tally` that takes it.  :func:`column_order_tally` is
     the unreduced oracle.
     """
     return orbit_tally(i, m).expand()
@@ -869,21 +758,19 @@ def _check_square_visits(m: int, order: int) -> None:
         )
 
 
-def alon_tarsi_difference(
-    m: int, *, processes: int = 1, checkpoint_path: Optional[str] = None
-) -> int:
+def alon_tarsi_difference(m: int, *, checkpoint_path: Optional[str] = None) -> int:
     """Signed sum of eps_c over all Latin (m, m)-squares: plus - minus of
     the one pattern of :func:`orbit_tally` at i = m (:meth:`OrbitTally.at`),
-    which takes ``processes`` and ``checkpoint_path``.  At odd m > 1 the
-    value 0 comes from the fold's balance rule.  A run that would keep more
-    than :data:`MAX_SQUARE_VISITS` first-row-fixed squares, or m > 7, is
-    refused with :class:`BudgetExceeded` before it starts.
+    which takes ``checkpoint_path``.  At odd m > 1 the value 0 comes from
+    the fold's balance rule.  A run that would keep more than
+    :data:`MAX_SQUARE_VISITS` first-row-fixed squares, or m > 7, is refused
+    with :class:`BudgetExceeded` before it starts.
     :func:`column_order_difference` is its oracle.
     """
     _check_dims(m, m)
     _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
     full = (tuple(range(1, m + 1)),) * m
-    tally = orbit_tally(m, m, processes=processes, checkpoint_path=checkpoint_path)
+    tally = orbit_tally(m, m, checkpoint_path=checkpoint_path)
     plus, minus = tally.at(full)
     return plus - minus
 

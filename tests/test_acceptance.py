@@ -78,7 +78,7 @@ def test_criterion_2_alon_tarsi_values():
 
 def test_criterion_2_stretch_m6():
     # 9,408 reduced squares per order, about 0.1 s each.
-    rows = latin.alon_tarsi_difference(6, processes=4)
+    rows = latin.alon_tarsi_difference(6)
     cols = latin.column_order_difference(6)
     assert rows == cols == -199065600  # == -6! * 5! * 2304
     _report("criterion 2 stretch: m=6 signed count, two orders agree")

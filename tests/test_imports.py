@@ -33,6 +33,7 @@ _COMPUTATION = {"latin", "tensors", "invariant", "orbit", "kronecker"}
         (["kronecker", "2", "1"], {"kronecker"}),
         (["invariant-check", "4", "2"], {"invariant"}),
         (["tally", "2", "3"], {"latin"}),
+        (["--threads", "2", "tally", "5", "6"], {"latin"}),
         (["witness", "4", "2"], {"orbit", "invariant"}),
         (["alon-tarsi", "4"], {"latin"}),
         (["pairing", "2", "4"], {"latin", "tensors"}),
@@ -41,8 +42,8 @@ _COMPUTATION = {"latin", "tensors", "invariant", "orbit", "kronecker"}
         (["verify-all", "2"], _COMPUTATION),
     ],
     ids=[
-        "kronecker", "invariant-check", "tally", "witness", "alon-tarsi",
-        "pairing", "sign-sum", "invariant-eval", "verify-all",
+        "kronecker", "invariant-check", "tally", "threads-tally-5-6", "witness",
+        "alon-tarsi", "pairing", "sign-sum", "invariant-eval", "verify-all",
     ],
 )
 def test_subcommand_loads_only_its_modules(argv, loaded, tmp_path):
@@ -282,4 +283,4 @@ def test_no_public_route_selector_and_few_options():
     params = _public_parameters()
     assert not [key for key in params if key.rsplit(".", 1)[1] in ("order", "method")]
     optional = sorted(key for key, p in params.items() if p.default is not p.empty)
-    assert len(optional) == 11, optional
+    assert len(optional) == 9, optional

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from math import factorial, prod
 from random import Random
@@ -31,7 +30,6 @@ from helpers import (
     reference_entries,
     reference_fold,
     reference_transpose,
-    run_fresh,
     tally_json_dict,
     verify_sign_factorization,
 )
@@ -266,14 +264,6 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
         assert latin._run_columns(5, 5, _no_leaf, quotient) == 2688
 
 
-def test_parallel_tally_matches_serial(monkeypatch):
-    # A run this small never starts workers on its own.
-    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
-    serial = signed_tally(3, 4)
-    parallel = latin.orbit_tally(3, 4, processes=2).expand()
-    assert serial.counts == parallel.counts
-
-
 def test_checkpoint_resume(tmp_path):
     cp = str(tmp_path / "tally.ndjson")
     full = latin.orbit_tally(3, 4, checkpoint_path=cp).expand()
@@ -326,14 +316,9 @@ def test_alon_tarsi_checkpoint_records(tmp_path):
 # The runs whose checkpoint files are pinned, and the sha256 of each file.
 # The record format is pinned byte for byte, its constant all-ones
 # "allowed" column masks included, so files written earlier still resume.
-# Two processes write the serial file: tally 3 5 starts no pool.
 PINNED_CHECKPOINTS = {
     "tally-3-5": (
         lambda cp: latin.orbit_tally(3, 5, checkpoint_path=cp).expand(),
-        "78c7fade20692246032b0748ea96d91a00d038e5e2f50da89e133830187d2bff",
-    ),
-    "tally-3-5-processes-2": (
-        lambda cp: latin.orbit_tally(3, 5, processes=2, checkpoint_path=cp).expand(),
         "78c7fade20692246032b0748ea96d91a00d038e5e2f50da89e133830187d2bff",
     ),
     "alon-tarsi-5": (
@@ -718,75 +703,6 @@ def _inversions(perm) -> int:
     return sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
 
 
-def test_worker_count_is_capped(monkeypatch):
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    # latin imports Pool only when a run hands blocks to workers: patch it
-    # where it is read, and hand them over from the first block.  The fake
-    # runs the jobs here, so the worker memo they fill is restored.
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.setattr(latin, "_worker_memo", {})
-    # The host has 64 CPUs, but this process may run on 3 of them.
-    monkeypatch.setattr(latin.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(
-        latin.os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False
-    )
-    expected = column_order_tally(3, 4).counts
-    # (3,4) has 6 prefix blocks: capped by the usable CPUs, then by the blocks.
-    assert latin.orbit_tally(3, 4, processes=1000).expand().counts == expected
-    monkeypatch.setattr(latin.os, "sched_getaffinity", lambda _pid: set(range(64)))
-    assert latin.orbit_tally(3, 4, processes=1000).expand().counts == expected
-    assert latin.orbit_tally(3, 4, processes=4).expand().counts == expected
-    assert sizes == [3, 6, 4]
-    # Without an affinity set, the host's CPU count caps the pool.
-    monkeypatch.delattr(latin.os, "sched_getaffinity")
-    monkeypatch.setattr(latin.os, "cpu_count", lambda: 5)
-    assert latin.orbit_tally(3, 4, processes=1000).expand().counts == expected
-    monkeypatch.setattr(latin.os, "cpu_count", lambda: None)
-    assert latin.orbit_tally(3, 4, processes=4).expand().counts == expected  # serial
-    assert sizes == [3, 6, 4, 5]
-
-
-def test_tally_does_not_depend_on_block_order(monkeypatch):
-    sizes = []
-
-    class ReversingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, jobs, chunksize=1):
-            return reversed([fn(job) for job in jobs])
-
-    monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
-    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.setattr(latin, "_worker_memo", {})
-    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
-    serial = signed_tally(3, 4)
-    reversed_blocks = latin.orbit_tally(3, 4, processes=2).expand()
-    assert reversed_blocks.counts == serial.counts
-    assert sizes == [2]
-
-
 def _json_reference(tally, **extra) -> list[str]:
     text = json.dumps({**tally_json_dict(tally), **extra}, indent=2, sort_keys=True)
     return (text + "\n").splitlines(True)
@@ -948,69 +864,6 @@ def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
         calls.clear()
         latin.orbit_tally(3, 6, checkpoint_path=str(cp))
         assert len(calls) == len(set(calls)) == distinct
-    assert latin._worker_memo == {}
-
-
-def test_handoff_to_workers_matches_serial(monkeypatch):
-    # Blocks go to a real pool of two, on any host, once the leaves left
-    # are estimated at 1,000: after the first of the 212 blocks.
-    monkeypatch.setattr(latin, "_POOL_BREAK_EVEN", 1000)
-    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
-    serial = latin.orbit_tally(3, 6)
-    assert latin.orbit_tally(3, 6, processes=2).orbits == serial.orbits
-    # Each worker filled its own memo; the parent's stays empty.
-    assert latin._worker_memo == {}
-
-
-def test_pool_starts_once_leaves_left_pass_break_even(monkeypatch):
-    handed = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, jobs, chunksize=1):
-            handed.append(sum(len(job[2]) for job in jobs))
-            return map(fn, jobs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(latin, "_worker_memo", {})
-    monkeypatch.setattr(latin, "_usable_cpus", lambda: 2)
-    # Fewer leaves in all than the break-even: never estimated past it.
-    for i, m in [(3, 5), (5, 5), (3, 6), (6, 6)]:
-        assert latin.orbit_tally(i, m, processes=2).orbits == reference_fold(i, m)
-    assert handed == []
-    # 47,040 leaves in 106 blocks: the first block's 896 leaves give an
-    # estimate of 94,080 left, and the other 105 blocks go to the pool.
-    first = latin._list_prefixes(5, 6)[:1]
-    assert latin._block_job((5, 6, first, None), {}, {})[0] == 896
-    serial = latin.orbit_tally(5, 6)
-    assert latin.orbit_tally(5, 6, processes=2).orbits == serial.orbits
-    assert handed == [105]
-
-
-def test_resumed_run_loads_no_multiprocessing(tmp_path):
-    cp = str(tmp_path / "tally.ndjson")
-    argv = ["--threads", "2", "--checkpoint", cp, "tally", "3", "5"]
-    probe = (
-        "import io, sys\n"
-        "from contextlib import redirect_stdout\n"
-        "from detorbit import cli\n"
-        "with redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(any(n.split('.')[0] == 'multiprocessing' for n in sys.modules))\n"
-    )
-    assert run_fresh(probe, *argv).split() == ["False"]  # fresh, below the bar
-    written = open(cp).read()
-    assert len(written.splitlines()) == 44
-    assert run_fresh(probe, *argv).split() == ["False"]  # resumed
-    assert open(cp).read() == written
 
 
 @pytest.mark.skipif(
