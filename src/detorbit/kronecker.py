@@ -2,11 +2,13 @@
 
 Characters come from one Murnaghan-Nakayama kernel over beta-sets held as
 ``int`` bead bitmasks.  Cycle types are interned once each as integer ids
-(first part, id of the tail), and the memo is one ``dict`` per id, mapping
-a bead mask to the character at that cycle type: the recursion builds no
-tuple per step and the memo holds only ``int`` keys and values.  The class
-data of S_n (ids, class sizes from z_rho, ids of the squared classes) is
-built once per n.
+(first part, id of the tail).  The t-strips of a bead mask (new mask and
+sign) are found once per (mask, t) and kept in one table.  The memo is one
+``dict`` per id, mapping a bead mask to the character at that cycle type,
+with only ``int`` keys and values; it holds only the values at tails, the
+ones the recursion reads again, and a top-level character is not stored.
+The class data of S_n (ids, class sizes from z_rho, ids of the squared
+classes) is built once per n.
 The symmetric Kronecker coefficient uses the square-class trick: the
 multiplicity of W_lam in the symmetric square of W_mu is
 (1/n!) sum_g chi_lam(g) (chi_mu(g)^2 + chi_mu(g^2)) / 2, evaluated
@@ -96,8 +98,10 @@ _first = [0]
 _tail = [0]
 _child: list[dict[int, int]] = [{}]
 _memo: list[dict[int, int]] = [{0: 1}]
-# Two threads interning at once must not hand out the same id.  A memo race
-# only computes one value twice.
+# _strips maps (canonical bead mask, t) to the _removals of its t-strips.
+_strips: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+# Two threads interning at once must not hand out the same id.  A race on a
+# memo or on _strips only computes one value or one table twice.
 _intern_lock = Lock()
 
 
@@ -120,41 +124,57 @@ def _intern(mu: Partition) -> int:
     return sid
 
 
-def _chi(mask: int, sid: int) -> int:
-    """chi at cycle type sid (not 0) of the partition with canonical bead mask mask.
+def _removals(mask: int, t: int) -> tuple[tuple[int, int], ...]:
+    """(new mask, sign bit) for every t-strip of the canonical bead mask mask.
 
-    Removing a t-strip, t the first part, moves a bead b to an empty b - t;
-    its sign is the parity of the beads jumped over.  Masks are canonical
+    Removing a t-strip moves a bead b to an empty b - t; its sign bit is the
+    parity of the beads jumped over.  The new mask is made canonical again
     (no trailing 1-bits, i.e. no beads for zero parts), so one entry serves
-    every bead count.  The values at the tail come from its memo, filled
-    here on a miss.
+    every bead count.
     """
-    t = _first[sid]
-    rest = _tail[sid]
-    memo = _memo[rest]
     between = (1 << (t - 1)) - 1
     movable = mask & ~(mask << t) & ~((1 << t) - 1)
-    total = 0
+    out = []
     while movable:
         bead = movable & -movable
         movable ^= bead
         b = bead.bit_length() - 1
         new = mask ^ bead ^ (bead >> t)
         new >>= (new ^ (new + 1)).bit_length() - 1
+        out.append((new, (mask >> (b - t + 1) & between).bit_count() & 1))
+    return tuple(out)
+
+
+def _chi(mask: int, sid: int) -> int:
+    """chi at cycle type sid (not 0) of the partition with canonical bead mask mask.
+
+    The strips of the first part t come from ``_strips``, and the values at
+    the tail from its memo; both are filled here on a miss.
+    """
+    t = _first[sid]
+    rest = _tail[sid]
+    memo = _memo[rest]
+    key = (mask, t)
+    strips = _strips.get(key)
+    if strips is None:
+        strips = _strips[key] = _removals(mask, t)
+    total = 0
+    for new, odd in strips:
         value = memo.get(new)
         if value is None:
             value = memo[new] = _chi(new, rest)
-        total += -value if (mask >> (b - t + 1) & between).bit_count() & 1 else value
+        total += -value if odd else value
     return total
 
 
 def _character(mask: int, sid: int) -> int:
-    """Memoized chi at cycle type sid of the partition with bead mask mask."""
-    memo = _memo[sid]
-    value = memo.get(mask)
-    if value is None:
-        value = memo[mask] = _chi(mask, sid)
-    return value
+    """chi at cycle type sid of the partition with bead mask mask.
+
+    The value is not stored: each (partition, class) is asked for once per
+    report, and only the tails' values are read again.
+    """
+    value = _memo[sid].get(mask)
+    return _chi(mask, sid) if value is None else value
 
 
 def square_cycle_type(mu: Sequence[int]) -> Partition:

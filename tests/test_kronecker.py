@@ -232,7 +232,7 @@ def test_rectangle_positivity_pinned_digest(m, d, digest):
 
 @pytest.mark.skipif(
     os.environ.get("DETORBIT_STRETCH") != "1",
-    reason="n = 36 positivity report (about 3 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+    reason="n = 36 positivity report (about 1 s on 2 vCPUs); set DETORBIT_STRETCH=1",
 )
 def test_rectangle_positivity_stretch_4_9():
     report = rectangle_sk_positivity(4, 9, max_n=36)
@@ -256,6 +256,25 @@ def test_rectangle_positivity_accepts_odd_m():
 # ---------------------------------------------------------------------------
 
 
+def _oracle_strips(lam: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
+    """(shape left, height parity) for every t-rim hook of lam, by beta lists."""
+    k = len(lam)
+    beta = [lam[j] + (k - 1 - j) for j in range(k)]
+    bset = set(beta)
+    out = []
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((c if c != b else nb for c in beta), reverse=True)
+        new_lam = tuple(nb_j - (k - 1 - j) for j, nb_j in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        out.append((new_lam, height & 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _mn_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Murnaghan-Nakayama over explicit beta lists: a deliberate slow oracle.
@@ -266,24 +285,22 @@ def _mn_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """
     if not mu:
         return 1
-    t = mu[0]
-    rest = mu[1:]
-    k = len(lam)
-    beta = [lam[j] + (k - 1 - j) for j in range(k)]
-    bset = set(beta)
     total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c if c != b else nb for c in beta), reverse=True)
-        new_lam = tuple(nb_j - (k - 1 - j) for j, nb_j in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        value = _mn_oracle(new_lam, rest)
-        total += -value if height & 1 else value
+    for new_lam, odd in _oracle_strips(lam, mu[0]):
+        value = _mn_oracle(new_lam, mu[1:])
+        total += -value if odd else value
     return total
+
+
+def test_strip_table_matches_oracle_rim_hooks():
+    for n in range(1, 11):
+        for lam in partitions(n):
+            for t in range(1, n + 1):
+                got = sorted(kronecker._removals(kronecker._mask(lam), t))
+                want = sorted(
+                    (kronecker._mask(shape), odd) for shape, odd in _oracle_strips(lam, t)
+                )
+                assert got == want, (lam, t)
 
 
 def test_character_kernel_matches_oracle_up_to_12():
@@ -351,25 +368,46 @@ from detorbit import kronecker
 sys.setswitchinterval(1e-6)
 parts = [list(kronecker.partitions(n)) for n in (14, 15, 16, 17, 18)]
 ids = [None] * len(parts)
+chars = [None] * len(parts)
 def work(k):
     ids[k] = [kronecker._intern(mu) for mu in parts[k]]
+    pairs = zip(parts[k][::3], ids[k][::-3])
+    chars[k] = [kronecker._character(kronecker._mask(lam), sid) for lam, sid in pairs]
 threads = [threading.Thread(target=work, args=(k,)) for k in range(len(parts))]
 for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=60)
 assert not any(t.is_alive() for t in threads)
-json.dump([parts, ids, kronecker._first, kronecker._tail], sys.stdout)
+json.dump([parts, ids, chars, kronecker._first, kronecker._tail], sys.stdout)
 """
 
 
 def test_interning_from_threads_gives_distinct_ids():
     # Five threads intern partitions with shared tails at once; every id must
-    # read back to the partition it was handed out for.
-    parts, ids, first, tail = json.loads(run_fresh(_THREADED_INTERN))
-    for group, group_ids in zip(parts, ids):
+    # read back to the partition it was handed out for.  Each thread then
+    # evaluates characters through the shared memos and strip table.
+    parts, ids, chars, first, tail = json.loads(run_fresh(_THREADED_INTERN))
+    for group, group_ids, group_chars in zip(parts, ids, chars):
         for mu, sid in zip(group, group_ids):
             assert _interned(sid, first, tail) == tuple(mu)
+        pairs = zip(group[::3], group[::-3])
+        for (lam, mu), value in zip(pairs, group_chars, strict=True):
+            assert value == _mn_oracle(tuple(lam), tuple(mu)), (lam, mu)
+
+
+_WORK_COUNTS = """
+import json, sys
+from detorbit import kronecker
+kronecker.rectangle_sk_positivity(4, 7, max_n=28)
+json.dump([sum(map(len, kronecker._memo)), len(kronecker._strips)], sys.stdout)
+"""
+
+
+def test_kernel_work_counts_at_4_7():
+    # Memo entries (tails only) and strip tables (one per bead mask and part)
+    # after the n = 28 report in a fresh interpreter.
+    assert json.loads(run_fresh(_WORK_COUNTS)) == [85_009, 4_810]
 
 
 # ---------------------------------------------------------------------------
