@@ -197,12 +197,12 @@ def _classes(n: int) -> tuple[tuple[Partition, int, int, int], ...]:
 @cache
 def _square_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
     """(id of rho, |C_rho| (chi_mu(rho)^2 + chi_mu(rho^2))) where that is
-    nonzero."""
+    nonzero.  rho^2 is a class of the same n, so both values are read from
+    one table of chi_mu, one character per class."""
     b = _mask(mu)
-    weights = (
-        (sid, size * (_character(b, sid) ** 2 + _character(b, sq)))
-        for _, sid, size, sq in _classes(sum(mu))
-    )
+    classes = _classes(sum(mu))
+    chi = {sid: _character(b, sid) for _, sid, _, _ in classes}
+    weights = ((sid, size * (chi[sid] ** 2 + chi[sq])) for _, sid, size, sq in classes)
     return tuple((sid, w) for sid, w in weights if w)
 
 

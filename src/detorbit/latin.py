@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from functools import cache
-from itertools import combinations, groupby, repeat
+from itertools import chain, combinations, groupby, islice, repeat
 from math import comb, factorial, prod
 from operator import getitem, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -319,8 +320,9 @@ class SignedTally(NamedTuple):
 
 
 # Records per write of a streamed report: about 0.2 MB of (3,6) JSON.  The
-# chunk's text, held in a few copies while it is joined and written, sets
-# the peak: 512 records keep `tally 2 6` 0.7 MB under 1,024, at no cost in
+# chunk's text, held in a few copies while it is joined and written, and the
+# one bucket of entries held (`OrbitTally._entries`) set the peak: 512
+# records keep the growth of `tally 2 6` 0.5 MB under 1,024, at no cost in
 # time.
 _REPORT_CHUNK = 512
 
@@ -390,10 +392,10 @@ class OrbitTally(NamedTuple):
         _size, p, n = self.orbits[canon]
         return (n, p) if swap else (p, n)
 
-    def _entries(self) -> tuple[list, dict, list[bytes]]:
+    def _entries(self) -> tuple[list, dict, Iterator[bytes]]:
         """The i-subsets of 1..m in lexicographic order, the (plus, minus)
-        of each entry tail, and every pattern pi K of each orbit K as one
-        ``bytes`` entry, sorted.
+        of each entry tail, and an iterator over every pattern pi K of each
+        orbit K as one ``bytes`` entry, in sorted order.
 
         An entry holds the ranks of the pattern's m column subsets in that
         list, one byte each, then the tail: big-endian, 2 * (the orbit's
@@ -415,6 +417,18 @@ class OrbitTally(NamedTuple):
         give the same pattern, so for each orbit only the pi increasing on
         each run of equal profiles in K (adjacent symbols) are taken, a test
         of ``inv`` against those adjacent pairs: each pattern is made once.
+
+        The walk builds no entry.  The orbits are grouped by that tie test
+        and by the rank of K's first column, so every entry that one pi
+        makes from one group starts with the same byte, the image of that
+        rank.  The walk keeps each pi's (image, inv) once, the image as
+        C(m, i) bytes of one ``bytearray``, and files one integer code,
+        pi's index times the number of groups plus the group's, per pi and
+        passing group in the bucket of that first byte.  The iterator then
+        builds, sorts and yields one bucket at a time, in rank order, and
+        releases it: at most one bucket of entries is held, and their
+        concatenation is the sorted list of all entries.  Each call walks
+        afresh, so no two callers share an iterator.
         """
         i, m = self.i, self.m
         subsets = _column_subsets(i, m)
@@ -429,7 +443,7 @@ class OrbitTally(NamedTuple):
         pair = [[1 << m * min(a, b) + max(a, b) for b in range(m)] for a in range(m)]
         width = ((2 * len(self.orbits)).bit_length() + 7) // 8
         counts: dict[bytes, tuple[int, int]] = {}
-        by_ties: dict[int, list] = {}
+        groups: dict[tuple[int, int], list] = {}  # (ties, first rank) -> orbits
         for k, (key, (_size, p, n)) in enumerate(self.orbits.items()):
             tails = tuple((2 * k + f).to_bytes(width, "big") for f in (0, 1))
             counts[tails[0]], counts[tails[1]] = (p, n), (n, p)
@@ -440,32 +454,62 @@ class OrbitTally(NamedTuple):
                 if (key[a] & key[b]).bit_count() & 1
             )
             cols = bytes(map(rank.__getitem__, _transpose(key, m)))
-            by_ties.setdefault(ties, []).append((cols, odd, tails))
-        holder = list(range(m))  # holder[v]: the symbol that pi sends to v
-        steps = [(_BYTES, 0)]  # from the identity
-        for v in _plain_changes(m):
-            a, b = holder[v], holder[v + 1]
-            holder[v], holder[v + 1] = b, a
-            steps.append((swap[v], pair[a][b]))
-        entries: list[bytes] = []
-        image, inv = steps[0][0], 0
-        for table, toggled in steps:
-            image = image.translate(table)
-            inv ^= toggled
-            for ties, orbits in by_ties.items():
+            groups.setdefault((ties, cols[0]), []).append((cols, odd, tails))
+        by_ties: dict[int, list[tuple[int, int]]] = {}  # ties -> (first, group)
+        for g, (ties, first) in enumerate(groups):
+            by_ties.setdefault(ties, []).append((first, g))
+        members = list(groups.values())
+        span, pad = len(subsets), _BYTES[len(subsets) :]
+
+        def relabellings() -> Iterator[tuple[bytes, int]]:
+            holder = list(range(m))  # holder[v]: the symbol that pi sends to v
+            image, inv = _BYTES[:span], 0  # the identity
+            yield image, inv
+            for v in _plain_changes(m):
+                a, b = holder[v], holder[v + 1]
+                holder[v], holder[v + 1] = b, a
+                image, inv = image.translate(swap[v]), inv ^ pair[a][b]
+                yield image, inv
+
+        # The k-th pi's image is images[k * span : (k + 1) * span].
+        images, invs = bytearray(), []
+        size = factorial(m) * len(members)
+        typecode = "I" if size <= 1 << 8 * array("I").itemsize else "Q"
+        buckets = [array(typecode) for _ in subsets]
+        for k, (image, inv) in enumerate(relabellings()):
+            images += image
+            invs.append(inv)
+            for ties, firsts in by_ties.items():
                 if not inv & ties:
-                    entries += [
-                        cols.translate(image) + tails[(odd & inv).bit_count() & 1]
-                        for cols, odd, tails in orbits
-                    ]
-        entries.sort()
-        return subsets, counts, entries
+                    for first, g in firsts:
+                        buckets[image[first]].append(k * len(members) + g)
+
+        def sorted_bucket(codes: array) -> list[bytes]:
+            entries: list[bytes] = []
+            for code in codes:
+                k, g = divmod(code, len(members))
+                table, inv = images[k * span : k * span + span] + pad, invs[k]
+                entries += [
+                    cols.translate(table) + tails[(odd & inv).bit_count() & 1]
+                    for cols, odd, tails in members[g]
+                ]
+            entries.sort()
+            return entries
+
+        def in_rank_order() -> Iterator[list[bytes]]:
+            for r in range(span):
+                codes, buckets[r] = buckets[r], None
+                yield sorted_bucket(codes)
+
+        return subsets, counts, chain.from_iterable(in_rank_order())
 
     def write_report(
         self, write: Callable[[str], object], fmt: str = "json", **extra
     ) -> None:
         """Stream the report of the expanded tally to ``write``, without
-        building it, in chunks of :data:`_REPORT_CHUNK` records.
+        building it, in chunks of :data:`_REPORT_CHUNK` records taken from
+        the iterator of :meth:`_entries`, which holds one bucket of entries
+        at a time.
 
         ``fmt`` "json" writes ``json.dumps(report, indent=2, sort_keys=True)
         + "\\n"`` byte for byte, where ``report`` holds i, m, the fields
@@ -515,8 +559,8 @@ class OrbitTally(NamedTuple):
         right_text = _ColumnText(column, colsep)
         write(lead)
         records: list[str] = []
-        for k in range(0, len(entries), _REPORT_CHUNK):
-            for ranks, run in groupby(entries[k : k + _REPORT_CHUNK], left):
+        while chunk := list(islice(entries, _REPORT_CHUNK)):
+            for ranks, run in groupby(chunk, left):
                 run = list(run)
                 tails = list(map(tail, run))
                 records += map("".join, zip(
@@ -530,7 +574,7 @@ class OrbitTally(NamedTuple):
         write(close)
 
     def expand(self) -> SignedTally:
-        """The per-pattern tally, decoded from :meth:`_entries`."""
+        """The per-pattern tally, decoded from the entries of :meth:`_entries`."""
         m = self.m
         subsets, counts, entries = self._entries()
         column = subsets.__getitem__

@@ -322,8 +322,9 @@ def reference_fold(i: int, m: int) -> dict:
 
 
 def reference_entries(tally: latin.OrbitTally) -> tuple[list, dict, list[bytes]]:
-    """``tally._entries()`` built the direct way, the deliberate independent
-    oracle of its adjacent-transposition walk: every pi of S_m in
+    """``tally._entries()`` built the direct way, its entries as one sorted
+    list, the deliberate independent oracle of its adjacent-transposition
+    walk and leading-rank buckets: every pi of S_m in
     ``itertools.permutations`` order, each subset's image rank and inversion
     parity (``latin._inversion_parity``) tabled per pi, the flip as the sum
     of those parities over the orbit's columns, and the tie test as pi

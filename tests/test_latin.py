@@ -728,6 +728,19 @@ def test_tally_json_text_matches_indent_encoder():
             assert _json_text(i, m, **extra) == _json_reference(tally, **extra)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tally_report_repeats_from_one_tally(fmt):
+    # Each report walks afresh: a second report from the same OrbitTally
+    # gets its own entries, not an iterator the first one exhausted.
+    tally = latin.orbit_tally(3, 5)
+    first: list[str] = []
+    second: list[str] = []
+    tally.write_report(first.append, fmt)
+    tally.write_report(second.append, fmt)
+    assert len(first) > 3
+    assert "".join(second) == "".join(first)
+
+
 # ---------------------------------------------------------------------------
 # Orbit form: the tally at one canonical pattern per S_m-orbit, from the
 # first-row-fixed rectangles.
@@ -791,7 +804,8 @@ def test_entry_walk_matches_permutation_oracle(i, m):
     # The adjacent-transposition walk against itertools.permutations with
     # every subset's parity recomputed: same subsets, tails and entries.
     tally = latin.orbit_tally(i, m)
-    assert tally._entries() == reference_entries(tally)
+    subsets, counts, entries = tally._entries()
+    assert (subsets, counts, list(entries)) == reference_entries(tally)
 
 
 def _first_row_fixed_keys(i: int, m: int) -> list[tuple[int, ...]]:
