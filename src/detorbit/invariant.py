@@ -225,9 +225,12 @@ def _pair_words(i: int, half: int, content: Sequence[int]):
 
     Each is yielded as one vector: the multiplicity of (r, c) at r*i + c,
     then the row counts, then the column counts, so that one addition
-    updates all three.  Pairs are decided in index order, and a variable
-    whose last pair is decided must have its content used up, so a branch
-    fails as soon as a variable is left short.
+    updates all three.  Pairs are decided in index order, depth first, and
+    ``vec`` itself is the stack: backtracking to pair p reads its
+    multiplicity there, so the walk needs no recursion and the vectors come
+    in lexicographic order.  A variable whose last pair is decided must have
+    its content used up, so a branch fails as soon as a variable is left
+    short.
     """
     n = i * i
     rem = list(content)
@@ -236,28 +239,45 @@ def _pair_words(i: int, half: int, content: Sequence[int]):
     closing: list[list[int]] = [[] for _ in range(n)]
     for v in range(i):
         closing[max((i - 1) * i + v, v * i + i - 1)].append(v)
-
-    def walk(p: int, left: int):
-        if left == 0:  # the content, which sums to 2 * half, is used up
-            yield tuple(vec)
-            return
-        r, c = divmod(p, i)
-        top = min(left, rem[r] // 2 if r == c else min(rem[r], rem[c]))
-        for k in range(top + 1):
-            rem[r] -= k
-            rem[c] -= k
-            if not any(rem[v] for v in closing[p]):
+    pairs = [divmod(p, i) for p in range(n)]
+    tops = [0] * n  # the most that pair p can take, set as it is opened
+    p, left, k = 0, half, 0  # next: pair p, from multiplicity k up
+    while True:
+        if left:
+            r, c = pairs[p]
+            if not k:
+                tops[p] = min(left, rem[r] // 2 if r == c else min(rem[r], rem[c]))
+            for k in range(k, tops[p] + 1):
+                rem[r] -= k
+                rem[c] -= k
+                if not any(rem[v] for v in closing[p]):
+                    break
+                rem[r] += k
+                rem[c] += k
+            else:
+                k = -1
+            if k >= 0:
                 vec[p] = k
                 vec[n + r] += k
                 vec[n + i + c] += k
-                yield from walk(p + 1, left - k)
-                vec[p] = 0
-                vec[n + r] -= k
-                vec[n + i + c] -= k
-            rem[r] += k
-            rem[c] += k
-
-    yield from walk(0, half)
+                left -= k
+                p, k = p + 1, 0
+                continue
+        else:  # the content, which sums to 2 * half, is used up
+            yield tuple(vec)
+        # Back to the last decided pair, to try its next multiplicity.
+        p -= 1
+        if p < 0:
+            return
+        r, c = pairs[p]
+        k = vec[p]
+        rem[r] += k
+        rem[c] += k
+        vec[p] = 0
+        vec[n + r] -= k
+        vec[n + i + c] -= k
+        left += k
+        k += 1
 
 
 def det_power_invariant(
@@ -277,7 +297,8 @@ def det_power_invariant(
     as they are made, partial monomials x pair words before each product
     step, and surviving monomials x (m/2)!^(i-1) leaves before the kernel.
     The first cap refuses even an f whose P^i keeps no monomial (and whose
-    value is 0) once a single kernel call would exceed ``budget``.
+    value is 0) once a single kernel call would exceed ``budget``; i >= 32
+    is refused whatever the budget.
     """
     _check_even_m(m)
     if f.degree != m:
@@ -308,6 +329,10 @@ def det_power_invariant(
         check(est, what)
 
     check_leaves(1)  # one kernel call, before the product is built
+    # i * i >= 1,000 pair positions (i >= 32) is refused by i alone: at
+    # m = 2 the product runs past 10 s from i = 31 on.
+    if n >= 1000:
+        raise BudgetExceeded(f"invariant evaluation needs a {n}-deep walk")
     words = []
     for exp, coeff in f.coeffs.items():
         if any(exp[i:]):
@@ -315,12 +340,9 @@ def det_power_invariant(
         scale = coeff * Fraction(
             factorial(half) * prod(map(factorial, exp)), factorial(m)
         )
-        try:  # the pair-word walk recurses once per pair, n deep
-            for vec in _pair_words(i, half, exp[:i]):
-                words.append((vec, scale / prod(map(factorial, vec[:n]))))
-                check(len(words), "pair words")
-        except RecursionError:
-            raise BudgetExceeded(f"invariant evaluation needs a {n}-deep walk") from None
+        for vec in _pair_words(i, half, exp[:i]):
+            words.append((vec, scale / prod(map(factorial, vec[:n]))))
+            check(len(words), "pair words")
     partial = {(0,) * (n + 2 * i): Fraction(1)}
     for _ in range(i):
         check(

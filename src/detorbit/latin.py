@@ -15,8 +15,10 @@ visited.  :class:`OrbitTally` streams the per-pattern report in sorted
 order, expands it (:func:`signed_tally`) or reads one pattern (``at``),
 at i = m the signed square count (:func:`alon_tarsi_difference`).  The
 column-major DFS is their oracle, unreduced per pattern
-(:func:`column_order_tally`) and by reduced squares at i = m
-(:func:`column_order_difference`).
+(:func:`column_order_tally`) and, at i = m, over the same symbol and row
+quotient as the orbit tally (:func:`column_order_difference`): the reduced
+squares at even m, and at odd m those together with their images under a
+swap of the last two rows.
 
 Symbols are stored 0-based (bitmask friendly) and rendered 1-based in all
 public input and output.
@@ -135,7 +137,10 @@ class _RowQuotient(NamedTuple):
     1..i-1 only (S_{i-1} or A_{i-1}).  The same bounds select its orbit
     representatives, since row 0's first entry 0 is below every other.  Each
     kept rectangle then stands for ``order`` = m! * |G| rectangles; the
-    caller must sum a quantity that relabelling leaves unchanged.
+    caller must sum a quantity that relabelling leaves unchanged.  One
+    exception: at i = m, :func:`column_order_difference` sums eps_c, which
+    an odd relabelling flips at odd m, and its docstring shows why the sum
+    is still exact.
     """
 
     group: str  # "S3", "A5", "S6xS5": as written into checkpoint records
@@ -165,18 +170,6 @@ def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
     return _RowQuotient(
         group, order, tuple(ref), tuple(m - 1 - a for a in above), symbols
     )
-
-
-def _square_quotient(m: int) -> _RowQuotient:
-    """The quotient of :func:`column_order_difference`, which sums eps_c
-    square by square.
-
-    At even m every symbol relabelling pi multiplies each column sign by
-    sgn(pi), so eps_c by sgn(pi)^m = 1: the reduced squares (first row and
-    first column 1..m) are kept, as in the orbit tally.  At odd m an odd pi
-    flips eps_c, so only the rows are quotiented (A_m).
-    """
-    return _row_quotient(m, m, symbols=m % 2 == 0)
 
 
 def _run_rows(
@@ -825,14 +818,32 @@ def column_order_difference(m: int) -> int:
     ``column_order_tally(m, m)``.
 
     It shares no counting code with the orbit tally: it sums eps_c square
-    by square over :func:`_square_quotient`, the reduced squares at even m.
-    At odd m it sums the signs of the A_m row orbits it enumerates, and
-    each S_m orbit splits into two of opposite sign.  Past
-    :data:`MAX_SQUARE_VISITS` kept squares, or m > 7, it is refused with
-    :class:`BudgetExceeded` before it starts.
+    by square over the symbol and row quotient ``_row_quotient(m, m,
+    symbols=True)``, the one the orbit tally takes at i = m, and weights
+    the sum by its order.  That is exact at every m:
+
+    * relabelling symbols by pi and permuting rows 1..m-1 by tau multiply
+      eps_c by sgn(pi)^m * sgn(tau)^m, since every column is a permutation;
+    * G = S_m x S_{m-1} of these (pi, tau) acts freely on squares, and the
+      reduced squares R (first row and first column 1..m) are a transversal
+      of G;
+    * at even m all of G keeps eps_c, and the quotient keeps R, with order
+      |G| = m! * (m-1)!;
+    * at odd m the subgroup H = {sgn pi = sgn tau}, of index 2, keeps eps_c.
+      The quotient's A_{m-1} first-column bound keeps R and R', which is R
+      with its last two rows swapped.  That swap lies in G but not in H,
+      and G acts freely, so no square of R' is in H.R: R and R' together
+      are a transversal of H, and the order is |H| = m! * (m-1)! / 2.  A
+      square of R and its image in R' have opposite signs, so the sum
+      cancels pair by pair: 112 squares at m = 5.  The rows-only quotient
+      A_m (2,688 squares at m = 5) cancels pair by pair too, so this
+      oracle is no less independent of the orbit tally's balance rule.
+
+    Past :data:`MAX_SQUARE_VISITS` kept squares, or m > 7, it is refused
+    with :class:`BudgetExceeded` before it starts.
     """
     _check_dims(m, m)
-    quotient = _square_quotient(m)
+    quotient = _row_quotient(m, m, symbols=True)
     _check_square_visits(m, quotient.order)
     acc = [0, 0]
 

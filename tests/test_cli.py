@@ -155,8 +155,8 @@ def test_large_degree_invariant_check_is_refused_quickly():
 
 @pytest.mark.parametrize("i", ["32", "40"])
 def test_pair_word_walk_too_deep_is_infeasible(capsys, i):
-    # The pair-word walk recurses once per pair, i * i deep: past the
-    # interpreter's recursion limit it is refused, not a traceback.
+    # From i = 32 on (i * i >= 1,000 pairs) the pair-word walk is refused
+    # by i alone, at once and without a traceback.
     start = time.perf_counter()
     code, out = _run(capsys, "invariant-check", "2", i)
     assert time.perf_counter() - start < 1

@@ -343,6 +343,38 @@ def test_budget_guard():
 
 
 @pytest.mark.parametrize(
+    "i,half,content",
+    [(1, 1, [2]), (2, 2, [2, 2]), (3, 2, [1, 2, 1]), (3, 3, [2, 2, 2]),
+     (4, 3, [2, 1, 0, 3]), (4, 4, [2, 2, 2, 2]), (5, 3, [1, 1, 1, 1, 2])],
+)
+def test_pair_words_are_every_pair_multiset_once_in_order(i, half, content):
+    # Every multiset of ``half`` pairs, kept when its row plus column
+    # counts are ``content``: the walk must list these, sorted.
+    n = i * i
+    expected = []
+    for word in combinations_with_replacement(range(n), half):
+        vec = [0] * (n + 2 * i)
+        for p in word:
+            r, c = divmod(p, i)
+            vec[p] += 1
+            vec[n + r] += 1
+            vec[n + i + c] += 1
+        if [a + b for a, b in zip(vec[n:n + i], vec[n + i:])] == content:
+            expected.append(tuple(vec))
+    assert expected
+    assert list(invariant._pair_words(i, half, content)) == sorted(expected)
+
+
+def test_invariant_does_not_depend_on_the_callers_stack_depth():
+    # The pair-word walk is i * i = 100 pairs deep here; 900 frames below
+    # the caller it must give the value it gives at the top.
+    def deep(k):
+        return power_sum_invariant_check(2, 10) if k == 0 else deep(k - 1)
+
+    assert deep(900) == power_sum_invariant_check(2, 10)
+
+
+@pytest.mark.parametrize(
     "m,text",
     [
         (56, f"~{factorial(28)} search"),  # 30 digits: written in full

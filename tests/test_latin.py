@@ -225,13 +225,10 @@ def test_alon_tarsi_odd_cancellation():
 
 
 def test_signed_square_count_past_the_budget_is_refused():
-    # m = 7 would keep ~3.4e7 squares on the rows route and ~2.4e10 A_7
-    # orbits on the columns route; m = 8 is beyond the table of counts.
-    for route, visits in (
-        (alon_tarsi_difference, 33884160),
-        (column_order_difference, 24396595200),
-    ):
-        with pytest.raises(BudgetExceeded, match=str(visits)):
+    # m = 7 would keep ~3.4e7 squares of the symbol and row quotient on
+    # both routes; m = 8 is beyond the table of counts.
+    for route in (alon_tarsi_difference, column_order_difference):
+        with pytest.raises(BudgetExceeded, match="33884160"):
             route(7)
         with pytest.raises(BudgetExceeded, match="huge"):
             route(8)
@@ -259,7 +256,7 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
     oracle = plus - minus
     assert oracle == column_order_difference(m)
     assert oracle == alon_tarsi_difference(m)
-    if m == 5:  # 161,280 squares / |A_5|, as on the rows route
+    if m == 5:  # 161,280 squares / |A_5|, the rows-only quotient
         quotient = latin._row_quotient(5, 5)
         assert latin._run_columns(5, 5, _no_leaf, quotient) == 2688
 
@@ -450,11 +447,10 @@ def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
 
 
 @pytest.mark.parametrize(
-    "i,m,square,blocks",
+    "i,m,symbols,blocks",
     [
         (3, 5, False, 72),
         (5, 5, False, 24),
-        (5, 5, True, 24),
         (3, 4, False, 12),
         (3, 6, False, 480),
         (2, 6, False, 600),
@@ -462,21 +458,21 @@ def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
         (4, 4, True, 3),
     ],
 )
-def test_prefix_blocks_partition_the_kept_rectangles(i, m, square, blocks):
+def test_prefix_blocks_partition_the_kept_rectangles(i, m, symbols, blocks):
     # Cut at the first row the quotient leaves free (row 0, or row 1 when
     # row 0 is fixed to the identity), the prefixes of the row quotient or
-    # the square quotient partition its kept rectangles.  These are the
-    # blocks of the records that earlier runs wrote; at even m the square
-    # quotient's are the blocks of the orbit tally.
-    quotient = latin._square_quotient(m) if square else latin._row_quotient(i, m)
-    depth = 2 if quotient.symbols else 1
+    # the symbol and row quotient partition its kept rectangles.  These are
+    # the blocks of the records that earlier runs wrote; with symbols they
+    # are the blocks of the orbit tally.
+    quotient = latin._row_quotient(i, m, symbols=symbols)
+    depth = 2 if symbols else 1
     prefixes = []
     latin._run_rows(
         depth, m, (), lambda rows, _c, _p: prefixes.append(tuple(rows)),
         quotient,
     )
     assert len(prefixes) == blocks
-    if quotient == latin._row_quotient(i, m, symbols=True):
+    if symbols:
         assert prefixes == latin._list_prefixes(i, m)
     if m <= 5:  # every kept rectangle lies in exactly one block
         assert sum(
@@ -691,12 +687,63 @@ def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
     assert sorted(images) == sorted(everything)  # covers all, each once
 
 
-@pytest.mark.parametrize("m,reduced", [(1, 1), (2, 1), (4, 4), (6, 9408)])
-def test_reduced_square_leaf_counts(m, reduced):
-    # 9,408 is the number of reduced Latin squares of order 6.
-    quotient = latin._square_quotient(m)
-    assert latin._run_rows(m, m, (), _no_leaf, quotient) == reduced
-    assert latin._run_columns(m, m, _no_leaf, quotient) == reduced
+@pytest.mark.parametrize(
+    "m",
+    [
+        3,
+        pytest.param(
+            5,
+            marks=pytest.mark.skipif(
+                os.environ.get("DETORBIT_STRETCH") != "1",
+                reason="161,280 images at m = 5 (a few s); set DETORBIT_STRETCH=1",
+            ),
+        ),
+    ],
+)
+def test_square_quotient_transversal_at_odd_m(m):
+    # column_order_difference sums eps_c over the symbol and row quotient,
+    # whose order at odd m is that of H = {(pi, tau) : sgn pi = sgn tau},
+    # pi relabelling symbols and tau permuting rows 1..m-1.  The images of
+    # the kept squares under H cover every square exactly once, and H keeps
+    # eps_c, so each image has its kept square's sign.
+    from itertools import permutations
+
+    quotient = latin._row_quotient(m, m, symbols=True)
+    kept = []
+    latin._run_rows(
+        m, m, (), lambda rows, _c, _p: kept.append(list(map(bytes, rows))),
+        quotient,
+    )
+    assert latin._run_columns(m, m, _no_leaf, quotient) == len(kept)
+    group = [
+        (bytes(pi) + bytes(range(m, 256)), (0,) + tuple(1 + t for t in tau))
+        for pi in permutations(range(m))
+        for tau in permutations(range(m - 1))
+        if _inversions(pi) % 2 == _inversions(tau) % 2
+    ]
+    assert len(group) == quotient.order
+    everything = {b"".join(map(bytes, sq)) for sq in latin_rectangles(m, m)}
+    images = set()
+    for rows in kept:
+        sign = rect_sign(rows)
+        for table, tau in group:
+            image = [rows[t].translate(table) for t in tau]
+            assert rect_sign(image) == sign
+            images.add(b"".join(image))
+    assert len(images) == len(kept) * len(group)  # no square twice
+    assert images == everything
+
+
+@pytest.mark.parametrize(
+    "m,kept", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 112), (6, 9408)]
+)
+def test_reduced_square_leaf_counts(m, kept):
+    # 9,408 is the number of reduced Latin squares of order 6.  At odd m the
+    # quotient keeps the reduced squares and their images under a swap of
+    # the last two rows: 2 * 56 at m = 5.
+    quotient = latin._row_quotient(m, m, symbols=True)
+    assert latin._run_rows(m, m, (), _no_leaf, quotient) == kept
+    assert latin._run_columns(m, m, _no_leaf, quotient) == kept
 
 
 def _inversions(perm) -> int:

@@ -416,10 +416,10 @@ def test_latin_sign_sum_explicit_route(m):
 def test_latin_sign_sum_budget():
     # The expanded route counts every Latin square (812,851,200 at m = 6);
     # the column route counts the squares its quotient keeps, so it runs
-    # m = 6 (9,408 reduced squares) and refuses m = 7 (~2.4e10 A_7 orbits).
+    # m = 6 (9,408 reduced squares) and refuses m = 7 (~3.4e7 squares).
     with pytest.raises(BudgetExceeded, match="812851200"):
         oracles.latin_sign_sum_pairing(6)
-    with pytest.raises(BudgetExceeded, match="24396595200"):
+    with pytest.raises(BudgetExceeded, match="33884160"):
         latin.column_order_difference(7)
     assert latin.column_order_difference(6) == -199065600
 
