@@ -9,11 +9,13 @@ identities in :mod:`detorbit.tensors`, and the single-pattern signed count at
 i = m is the quantity of the Alon-Tarsi / column Latin square conjecture.
 
 Every count is read from one row-major counter, the orbit form
-(:func:`orbit_tally`): symbol relabellings carry a pattern's counts to its
-whole S_m-orbit, so only the rectangles whose first row is 1..m are
-visited.  :class:`OrbitTally` streams the per-pattern report in sorted
-order, expands it (:func:`signed_tally`) or reads one pattern (``at``),
-at i = m the signed square count (:func:`alon_tarsi_difference`).  The
+(:func:`orbit_tally`), over one quotient (:func:`_row_quotient`): symbol
+relabellings carry a pattern's counts to its whole S_m-orbit, so only the
+rectangles whose first row is 1..m are visited, with rows 2..i up to the
+row permutations that fix eps_c.  :class:`OrbitTally` streams the
+per-pattern report in sorted order, expands it (:func:`signed_tally`) or
+reads one pattern (``at``), at i = m the signed square count
+(:func:`alon_tarsi_difference`).  The
 column-major DFS is their oracle, unreduced per pattern
 (:func:`column_order_tally`) and, at i = m, over the same symbol and row
 quotient as the orbit tally (:func:`column_order_difference`): the reduced
@@ -117,43 +119,41 @@ _Leaf = Callable[[Optional[list[tuple[int, ...]]], list[int], int], None]
 
 
 class _RowQuotient(NamedTuple):
-    """One Latin rectangle per orbit of the row permutations that fix eps_c.
+    """One Latin rectangle per orbit of the symbol relabellings and the row
+    permutations that fix eps_c.
 
-    Permuting the rows by tau keeps the pattern and multiplies eps_c by
-    sgn(tau)^m, so those permutations form G = S_i for even m and G = A_i for
-    odd m.  Rows have distinct first entries, so G acts freely and each orbit
-    has exactly one rectangle whose first column c satisfies
+    Relabelling symbols by S_m acts freely, so row 0 is fixed to the
+    identity.  Permuting rows 1..i-1 by tau keeps the pattern and multiplies
+    eps_c by sgn(tau)^m, so those permutations form G = S_{i-1} for even m
+    and G = A_{i-1} for odd m.  Rows have distinct first entries, so G acts
+    freely and each orbit has exactly one rectangle with first row 1..m
+    whose first column c satisfies
 
     * even m: c_0 < c_1 < ... < c_{i-1};
-    * odd m:  c_0 < ... < c_{i-3} < min(c_{i-2}, c_{i-1}).
+    * odd m:  c_0 < ... < c_{i-3} < min(c_{i-2}, c_{i-1}),
 
-    As a DFS bound, row p's first entry must exceed that of row ``ref[p]``
-    (-1: no bound) and be at most ``cap[p]``, which leaves room for the rows
-    that must exceed it.  Each kept rectangle stands for ``order`` = |G|
-    rectangles of the same pattern and sign.
+    with c_0 = 0 below every other entry.  As a DFS bound, row p's first
+    entry must exceed that of row ``ref[p]`` (-1: no bound) and be at most
+    ``cap[p]``, which leaves room for the rows that must exceed it.
 
-    With ``symbols`` the quotient also takes the symbol relabellings S_m,
-    which act freely too: row 0 is fixed to the identity, and G acts on rows
-    1..i-1 only (S_{i-1} or A_{i-1}).  The same bounds select its orbit
-    representatives, since row 0's first entry 0 is below every other.  Each
-    kept rectangle then stands for ``order`` = m! * |G| rectangles; the
-    caller must sum a quantity that relabelling leaves unchanged.  One
-    exception: at i = m, :func:`column_order_difference` sums eps_c, which
-    an odd relabelling flips at odd m, and its docstring shows why the sum
-    is still exact.
+    Each kept rectangle stands for |G| first-row-fixed rectangles of its
+    pattern and sign, and for ``order`` = m! * |G| rectangles in all; the
+    caller must sum a quantity that relabelling leaves unchanged, or fold
+    the relabellings (:func:`_fold_orbits`).  One exception: at i = m,
+    :func:`column_order_difference` sums eps_c, which an odd relabelling
+    flips at odd m, and its docstring shows why the sum is still exact.
     """
 
-    group: str  # "S3", "A5", "S6xS5": as written into checkpoint records
+    group: str  # "S4xS1", "S5xA4": as written into checkpoint records
     order: int
     ref: tuple[int, ...]
     cap: tuple[int, ...]
-    symbols: bool = False
 
 
-def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
-    """The eps_c-preserving row-orbit quotient of the Latin (i, m)-rectangles,
-    also by symbol relabelling with ``symbols``."""
-    k = i - 1 if symbols else i  # rows the group permutes
+def _row_quotient(i: int, m: int) -> _RowQuotient:
+    """The symbol and eps_c-preserving row quotient of the Latin
+    (i, m)-rectangles."""
+    k = i - 1  # rows the group permutes
     if m % 2 == 0:
         name, order = "S", factorial(k)
         ref = [p - 1 for p in range(i)]
@@ -164,12 +164,8 @@ def _row_quotient(i: int, m: int, symbols: bool = False) -> _RowQuotient:
     for p in reversed(range(i)):
         if ref[p] >= 0:
             above[ref[p]] += 1 + above[p]
-    group = f"{name}{k}"
-    if symbols:
-        group, order = f"S{m}x{group}", factorial(m) * order
-    return _RowQuotient(
-        group, order, tuple(ref), tuple(m - 1 - a for a in above), symbols
-    )
+    group, order = f"S{m}x{name}{k}", factorial(m) * order
+    return _RowQuotient(group, order, tuple(ref), tuple(m - 1 - a for a in above))
 
 
 def _run_rows(
@@ -184,13 +180,13 @@ def _run_rows(
     ``on_leaf(rows, col_masks, parity)`` sees transient state; parity is the
     inversion parity of eps_c.  Returns the number of leaves visited.
     With ``quotient`` (built for i or more rows) only the rectangles it keeps
-    are visited, one per orbit; each leaf then stands for
+    are visited, one per orbit, so row 0 is the identity: the DFS starts
+    from it when ``prefix`` is empty.  Each leaf then stands for
     ``quotient.order`` rectangles, which the caller weights.  Every sign is
     still computed leaf by leaf.  A ``prefix`` symbol outside 0..m-1 or
-    repeated in its column is a ``ValueError``; a quotient with ``symbols``
-    starts from the identity row when ``prefix`` is empty.
+    repeated in its column is a ``ValueError``.
     """
-    if quotient is not None and quotient.symbols and not prefix:
+    if quotient is not None and not prefix:
         prefix = (tuple(range(m)),)
     full = (1 << m) - 1
     col_mask = [0] * m
@@ -208,13 +204,13 @@ def _run_rows(
 
     def fill(p: int, q: int, row_mask: int, parity: int) -> None:
         nonlocal count
+        if p == i:
+            count += 1
+            on_leaf(rows, col_mask, parity)
+            return
         if q == m:
             rows.append(tuple(bufs[p]))
-            if p + 1 == i:
-                count += 1
-                on_leaf(rows, col_mask, parity)
-            else:
-                fill(p + 1, 0, 0, parity)
+            fill(p + 1, 0, 0, parity)
             rows.pop()
             return
         avail = full & ~(col_mask[q] | row_mask)
@@ -232,11 +228,7 @@ def _run_rows(
             fill(p, q + 1, row_mask | bit, parity ^ inv)
             col_mask[q] ^= bit
 
-    if len(prefix) == i:
-        count = 1
-        on_leaf(rows, col_mask, parity0)
-    else:
-        fill(len(prefix), 0, 0, parity0)
+    fill(len(prefix), 0, 0, parity0)
     return count
 
 
@@ -248,24 +240,25 @@ def _run_columns(
 ) -> int:
     """Column-by-column DFS; ``on_leaf(None, col_masks, parity)`` per rectangle.
 
-    ``quotient`` keeps one rectangle per orbit, as in :func:`_run_rows`.
-    With ``symbols`` row 0 of column q is q, placed before each column's DFS.
+    ``quotient`` keeps one rectangle per orbit, as in :func:`_run_rows`:
+    row 0 is the identity, so row 0 of column q is q, placed before each
+    column's DFS.
     """
     full = (1 << m) - 1
     col_masks = [0] * m
     row_mask = [0] * i
     count = 0
-    first = 1 if quotient is not None and quotient.symbols else 0
+    first = 0 if quotient is None else 1  # the rows placed before the DFS
 
     def fill(q: int, p: int, cmask: int, parity: int) -> None:
         nonlocal count
+        if q == m:
+            count += 1
+            on_leaf(None, col_masks, parity)
+            return
         if p == i:
             col_masks[q] = cmask
-            if q + 1 == m:
-                count += 1
-                on_leaf(None, col_masks, parity)
-            else:
-                fill(q + 1, first, first << (q + 1), parity)
+            fill(q + 1, first, first << (q + 1), parity)
             col_masks[q] = 0
             return
         avail = full & ~(cmask | row_mask[p])
@@ -333,16 +326,16 @@ def _tally_leaf_factory(bucket: dict):
 
 
 def _list_prefixes(i: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The prefix blocks of the first-row-fixed rectangles: the identity
-    row and the second row, or the identity row alone for i <= 2, whose
-    only free row is the last."""
+    """The prefix blocks of the rectangles that :func:`_row_quotient` keeps:
+    the identity row and the second row, or the identity row alone for
+    i <= 2, whose only free row is the last."""
     out: list[tuple[tuple[int, ...], ...]] = []
     _run_rows(
         max(min(i - 1, 2), 1),
         m,
         (),
         lambda rows, _m, _p: out.append(tuple(rows)),
-        _row_quotient(i, m, symbols=True),
+        _row_quotient(i, m),
     )
     return out
 
@@ -717,8 +710,8 @@ def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> Orb
     """The signed tally of all Latin (i, m)-rectangles in orbit form.
 
     Enumerates the first-row-fixed rectangles, one per eps_c-preserving
-    orbit of rows 2..i (:func:`_row_quotient` with ``symbols``), by prefix
-    blocks sharing their first two rows (:func:`_list_prefixes`), in order.
+    orbit of rows 2..i (:func:`_row_quotient`), by prefix blocks sharing
+    their first two rows (:func:`_list_prefixes`), in order.
     The only row-major counter: one pattern's counts (:meth:`OrbitTally.at`)
     cost the whole tally.  Each block is weighted by the quotient order and
     folded to orbits (:func:`_fold_orbits`) through one memo of canonical
@@ -733,7 +726,7 @@ def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> Orb
     appended (:func:`write_checkpoint_record`) before it is folded.
     """
     _check_dims(i, m)
-    quotient = _row_quotient(i, m, symbols=True)
+    quotient = _row_quotient(i, m)
     w = quotient.order
     # All-ones column masks, kept so that records match old files byte for byte.
     config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": quotient.group}
@@ -778,9 +771,11 @@ def column_order_tally(i: int, m: int) -> SignedTally:
     return SignedTally(i, m, counts)
 
 
-# Latin square counts by order m, and the most squares a signed square
-# count may visit.
-_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280, 6: 812851200, 7: 61479419904000}
+# Latin square counts by order m (at m = 8, 8! * 7! * 535,281,401,856: Wells
+# 1967; McKay and Wanless, Ann. Comb. 2005), and the most squares a signed
+# square count may visit.
+_SQUARE_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280, 6: 812851200,
+                  7: 61479419904000, 8: 108776032459082956800}
 MAX_SQUARE_VISITS = 10**6
 
 
@@ -800,12 +795,12 @@ def alon_tarsi_difference(m: int, *, checkpoint_path: Optional[str] = None) -> i
     the one pattern of :func:`orbit_tally` at i = m (:meth:`OrbitTally.at`),
     which takes ``checkpoint_path``.  At odd m > 1 the value 0 comes from
     the fold's balance rule.  A run that would keep more than
-    :data:`MAX_SQUARE_VISITS` first-row-fixed squares, or m > 7, is refused
+    :data:`MAX_SQUARE_VISITS` first-row-fixed squares, or m > 8, is refused
     with :class:`BudgetExceeded` before it starts.
     :func:`column_order_difference` is its oracle.
     """
     _check_dims(m, m)
-    _check_square_visits(m, _row_quotient(m, m, symbols=True).order)
+    _check_square_visits(m, _row_quotient(m, m).order)
     full = (tuple(range(1, m + 1)),) * m
     tally = orbit_tally(m, m, checkpoint_path=checkpoint_path)
     plus, minus = tally.at(full)
@@ -818,9 +813,9 @@ def column_order_difference(m: int) -> int:
     ``column_order_tally(m, m)``.
 
     It shares no counting code with the orbit tally: it sums eps_c square
-    by square over the symbol and row quotient ``_row_quotient(m, m,
-    symbols=True)``, the one the orbit tally takes at i = m, and weights
-    the sum by its order.  That is exact at every m:
+    by square over the symbol and row quotient ``_row_quotient(m, m)``, the
+    one the orbit tally takes at i = m, and weights the sum by its order.
+    That is exact at every m:
 
     * relabelling symbols by pi and permuting rows 1..m-1 by tau multiply
       eps_c by sgn(pi)^m * sgn(tau)^m, since every column is a permutation;
@@ -835,15 +830,15 @@ def column_order_difference(m: int) -> int:
       and G acts freely, so no square of R' is in H.R: R and R' together
       are a transversal of H, and the order is |H| = m! * (m-1)! / 2.  A
       square of R and its image in R' have opposite signs, so the sum
-      cancels pair by pair: 112 squares at m = 5.  The rows-only quotient
-      A_m (2,688 squares at m = 5) cancels pair by pair too, so this
-      oracle is no less independent of the orbit tally's balance rule.
+      cancels pair by pair: 112 squares at m = 5.  So at odd m this oracle
+      gets its 0 from the squares' own signs, not from the orbit tally's
+      balance rule.
 
-    Past :data:`MAX_SQUARE_VISITS` kept squares, or m > 7, it is refused
+    Past :data:`MAX_SQUARE_VISITS` kept squares, or m > 8, it is refused
     with :class:`BudgetExceeded` before it starts.
     """
     _check_dims(m, m)
-    quotient = _row_quotient(m, m, symbols=True)
+    quotient = _row_quotient(m, m)
     _check_square_visits(m, quotient.order)
     acc = [0, 0]
 
@@ -867,10 +862,11 @@ def column_order_difference(m: int) -> int:
 # S<m>xA<i-1>.  Counts are already multiplied by the group order, so the
 # records of a run sum to its first-row-fixed bucket: per pattern, not the
 # tally's counts (the fold gives those), but over all patterns its total
-# and, as permuting columns keeps eps_c, its signed sum.  Records of another configuration (such as
-# the S<i> or A<i> of the row-only quotient, or odd-m squares under A<m>),
-# whose prefix is not a block of the run, or without "patterns" (the
-# totals-only records of an earlier format) are ignored.
+# and, as permuting columns keeps eps_c, its signed sum.  Records of another
+# configuration (such as the S<i> or A<i> groups that earlier versions wrote
+# for a quotient of rows alone, or odd-m squares under A<m>), whose prefix
+# is not a block of the run, or without "patterns" (the totals-only records
+# of an earlier format) are ignored.
 # ---------------------------------------------------------------------------
 
 def _record_line(prefix: tuple, bucket: dict, config: dict) -> str:
@@ -958,7 +954,7 @@ def load_checkpoint(path: str, config: dict) -> dict[tuple, dict]:
     """
     done: dict[tuple, dict] = {}
     i, m = config["i"], config["m"]
-    order = _row_quotient(i, m, symbols=True).order
+    order = _row_quotient(i, m).order
     try:
         fh = open(path, "rb")
     except FileNotFoundError:

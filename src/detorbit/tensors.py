@@ -211,16 +211,16 @@ def rectangle_symmetrizer_pairing(i: int, m: int) -> Fraction:
     is the pattern's plus - minus.  Relabelling symbols by pi multiplies
     eps_c(R) and D by the same sign, so it keeps the term; permuting rows by
     tau multiplies it by sgn(tau)^m.  So only the rectangles of the symbol
-    and row quotient (:func:`latin._row_quotient` with ``symbols``: first
-    row 1..m, rows 2..i up to S_{i-1} at even m or A_{i-1} at odd m) are
-    scanned, each weighted by m! * |row group|.  The unreduced scan over
+    and row quotient (:func:`latin._row_quotient`: first row 1..m, rows
+    2..i up to S_{i-1} at even m or A_{i-1} at odd m) are scanned, each
+    weighted by m! * |row group|.  The unreduced scan over
     every rectangle is kept in the tests as this route's oracle, and
     :func:`full_symmetrizer_pairing` computes the same value by expansion.
     """
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
     total = [0]
-    quotient = latin._row_quotient(i, m, symbols=True)
+    quotient = latin._row_quotient(i, m)
     leaf = _rearrangement_leaf(i, total)
     latin._run_rows(i, m, (), leaf, quotient)
     return Fraction(total[0] * quotient.order, factorial(m) ** i)

@@ -8,8 +8,8 @@ concatenation and projection of Latin rectangles, the slot-translation
 scan, the expanded symmetrizer groups, the class sizes, character values,
 dimensions and (alternating) Kronecker coefficients of S_n with the
 character table orthogonality sums, the plain ``json.dumps`` rendering of a
-tally and the bit-by-bit canonical form, orbit fold and pattern entries of
-the Latin tally."""
+tally and the bit-by-bit canonical form, orbit fold, relabelled tally and
+pattern entries of the Latin tally."""
 
 from __future__ import annotations
 
@@ -301,7 +301,7 @@ def reference_fold(i: int, m: int) -> dict:
     """The orbit form of the (i, m) tally from one unblocked first-row-fixed
     enumeration, folded key by key through :func:`reference_canonical`: the
     reference of ``orbit_tally(i, m).orbits``, keyed by canonical profiles."""
-    quotient = latin._row_quotient(i, m, symbols=True)
+    quotient = latin._row_quotient(i, m)
     bucket: dict = {}
     latin._run_rows(
         i, m, (), latin._tally_leaf_factory(bucket), quotient
@@ -319,6 +319,40 @@ def reference_fold(i: int, m: int) -> dict:
         cur[0] += p
         cur[1] += n
     return {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
+
+
+def relabelled_tally(i: int, m: int) -> dict:
+    """``signed_tally(i, m).counts`` by brute relabelling, a reference of
+    the orbit fold that shares no code with it (``_canonical``,
+    ``_transpose``, ``_fold_orbits``, ``_entries``).
+
+    Every rectangle is pi R0 for one first-row-fixed R0 and one pi in S_m.
+    The first-row-fixed bucket of ``latin._row_quotient`` is carried by
+    every pi: each column mask through a table of the 2^m masks, and the
+    sign flipped by the parity of pi on the columns, each column's
+    ``latin._inversion_parity`` of pi on its symbols in ascending order.
+    """
+    quotient = latin._row_quotient(i, m)
+    bucket: dict = {}
+    latin._run_rows(i, m, (), latin._tally_leaf_factory(bucket), quotient)
+    w = quotient.order // factorial(m)  # first-row-fixed rectangles per leaf
+    counts: dict = {}
+    for pi in permutations(range(m)):
+        image, flip = [], []
+        for mask in range(1 << m):
+            column = [pi[s] for s in range(m) if mask >> s & 1]
+            image.append(sum(1 << s for s in column))
+            flip.append(latin._inversion_parity(column))
+        for key, (p, n) in bucket.items():
+            if sum(map(flip.__getitem__, key)) & 1:
+                p, n = n, p
+            cur = counts.setdefault(tuple(map(image.__getitem__, key)), [0, 0])
+            cur[0] += p * w
+            cur[1] += n * w
+    return {
+        tuple(map(latin._subset_of_mask, key)): (p, n)
+        for key, (p, n) in counts.items()
+    }
 
 
 def reference_entries(tally: latin.OrbitTally) -> tuple[list, dict, list[bytes]]:

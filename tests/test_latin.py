@@ -30,6 +30,7 @@ from helpers import (
     reference_entries,
     reference_fold,
     reference_transpose,
+    relabelled_tally,
     tally_json_dict,
     verify_sign_factorization,
 )
@@ -226,12 +227,17 @@ def test_alon_tarsi_odd_cancellation():
 
 def test_signed_square_count_past_the_budget_is_refused():
     # m = 7 would keep ~3.4e7 squares of the symbol and row quotient on
-    # both routes; m = 8 is beyond the table of counts.
+    # both routes, m = 8 its 535,281,401,856 reduced squares; m = 9 is
+    # beyond the table of counts.
     for route in (alon_tarsi_difference, column_order_difference):
         with pytest.raises(BudgetExceeded, match="33884160"):
             route(7)
-        with pytest.raises(BudgetExceeded, match="huge"):
+        with pytest.raises(BudgetExceeded, match="535281401856") as refused:
             route(8)
+        assert refused.value.estimate == 535281401856
+        with pytest.raises(BudgetExceeded, match="huge") as refused:
+            route(9)
+        assert refused.value.estimate is None
 
 
 def test_first_column_reduction_matches_full_enumeration():
@@ -256,9 +262,6 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
     oracle = plus - minus
     assert oracle == column_order_difference(m)
     assert oracle == alon_tarsi_difference(m)
-    if m == 5:  # 161,280 squares / |A_5|, the rows-only quotient
-        quotient = latin._row_quotient(5, 5)
-        assert latin._run_columns(5, 5, _no_leaf, quotient) == 2688
 
 
 def test_checkpoint_resume(tmp_path):
@@ -314,6 +317,10 @@ def test_alon_tarsi_checkpoint_records(tmp_path):
 # The record format is pinned byte for byte, its constant all-ones
 # "allowed" column masks included, so files written earlier still resume.
 PINNED_CHECKPOINTS = {
+    "tally-2-4": (  # group S4xS1: an even m, as perfbench's traced prelude
+        lambda cp: latin.orbit_tally(2, 4, checkpoint_path=cp).expand(),
+        "c16e3dd0d42ddb28e48169b9301089fc5ca74c918fa825bdcd04c5ea9763b364",
+    ),
     "tally-3-5": (
         lambda cp: latin.orbit_tally(3, 5, checkpoint_path=cp).expand(),
         "78c7fade20692246032b0748ea96d91a00d038e5e2f50da89e133830187d2bff",
@@ -447,47 +454,16 @@ def test_full_pattern_tally_is_the_signed_square_count(tmp_path, m):
 
 
 @pytest.mark.parametrize(
-    "i,m,symbols,blocks",
-    [
-        (3, 5, False, 72),
-        (5, 5, False, 24),
-        (3, 4, False, 12),
-        (3, 6, False, 480),
-        (2, 6, False, 600),
-        (6, 6, True, 53),
-        (4, 4, True, 3),
-    ],
-)
-def test_prefix_blocks_partition_the_kept_rectangles(i, m, symbols, blocks):
-    # Cut at the first row the quotient leaves free (row 0, or row 1 when
-    # row 0 is fixed to the identity), the prefixes of the row quotient or
-    # the symbol and row quotient partition its kept rectangles.  These are
-    # the blocks of the records that earlier runs wrote; with symbols they
-    # are the blocks of the orbit tally.
-    quotient = latin._row_quotient(i, m, symbols=symbols)
-    depth = 2 if symbols else 1
-    prefixes = []
-    latin._run_rows(
-        depth, m, (), lambda rows, _c, _p: prefixes.append(tuple(rows)),
-        quotient,
-    )
-    assert len(prefixes) == blocks
-    if symbols:
-        assert prefixes == latin._list_prefixes(i, m)
-    if m <= 5:  # every kept rectangle lies in exactly one block
-        assert sum(
-            latin._run_rows(i, m, p, _no_leaf, quotient) for p in prefixes
-        ) == latin._run_rows(i, m, (), _no_leaf, quotient)
-
-
-@pytest.mark.parametrize(
     "i,m,blocks",
-    [(1, 4, 1), (2, 6, 1), (3, 4, 6), (3, 5, 44), (5, 5, 11), (3, 6, 212), (4, 4, 3)],
+    [
+        (1, 4, 1), (2, 6, 1), (3, 4, 6), (3, 5, 44), (5, 5, 11), (3, 6, 212),
+        (4, 4, 3), (6, 6, 53),
+    ],
 )
 def test_orbit_tally_blocks_partition_the_first_row_fixed_rectangles(i, m, blocks):
     # Blocks share the identity row and the second row; with i <= 2 the
     # identity row alone, so the run is one block.
-    quotient = latin._row_quotient(i, m, symbols=True)
+    quotient = latin._row_quotient(i, m)
     prefixes = latin._list_prefixes(i, m)
     assert len(prefixes) == blocks
     assert {len(p) for p in prefixes} == {min(max(i - 1, 1), 2)}
@@ -618,37 +594,6 @@ def test_quotient_leaf_counts(i, m, total):
     assert latin._run_columns(i, m, _no_leaf, quotient) == leaves
 
 
-@pytest.mark.parametrize("i,m", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5)])
-def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
-    from itertools import permutations
-
-    quotient = latin._row_quotient(i, m)
-    kept = []
-    latin._run_rows(
-        i, m, (), lambda rows, _c, _p: kept.append(tuple(rows)),
-        quotient,
-    )
-    group = [
-        tau
-        for tau in permutations(range(i))
-        if m % 2 == 0 or _inversions(tau) % 2 == 0
-    ]
-    assert len(group) == quotient.order
-    orbits = [tuple(rows[t] for t in tau) for rows in kept for tau in group]
-    everything = latin_rectangles(i, m)
-    assert sorted(orbits) == sorted(everything)  # covers all, each once
-    for rows in kept:
-        first = [row[0] for row in rows]
-        if m % 2 == 0:
-            assert first == sorted(first)
-        else:  # the i-2 smallest entries come first, in order
-            assert first[: max(i - 2, 0)] == sorted(first)[: max(i - 2, 0)]
-        for tau in group:
-            image = tuple(rows[t] for t in tau)
-            assert pattern_of(image) == pattern_of(rows)
-            assert rect_sign(image) == rect_sign(rows)
-
-
 # ---------------------------------------------------------------------------
 # Symbol quotient: first row 1..m, rows 2..i up to S_{i-1} (even m) or
 # A_{i-1} (odd m), weighted by m! times that group's order.
@@ -661,7 +606,7 @@ def test_quotient_keeps_exactly_one_rectangle_per_row_orbit(i, m):
 def test_symbol_quotient_keeps_exactly_one_rectangle_per_orbit(i, m):
     from itertools import permutations
 
-    quotient = latin._row_quotient(i, m, symbols=True)
+    quotient = latin._row_quotient(i, m)
     kept = []
     leaves = latin._run_rows(
         i, m, (), lambda rows, _c, _p: kept.append(tuple(rows)),
@@ -708,7 +653,7 @@ def test_square_quotient_transversal_at_odd_m(m):
     # eps_c, so each image has its kept square's sign.
     from itertools import permutations
 
-    quotient = latin._row_quotient(m, m, symbols=True)
+    quotient = latin._row_quotient(m, m)
     kept = []
     latin._run_rows(
         m, m, (), lambda rows, _c, _p: kept.append(list(map(bytes, rows))),
@@ -741,7 +686,7 @@ def test_reduced_square_leaf_counts(m, kept):
     # 9,408 is the number of reduced Latin squares of order 6.  At odd m the
     # quotient keeps the reduced squares and their images under a swap of
     # the last two rows: 2 * 56 at m = 5.
-    quotient = latin._row_quotient(m, m, symbols=True)
+    quotient = latin._row_quotient(m, m)
     assert latin._run_rows(m, m, (), _no_leaf, quotient) == kept
     assert latin._run_columns(m, m, _no_leaf, quotient) == kept
 
@@ -860,7 +805,7 @@ def _first_row_fixed_keys(i: int, m: int) -> list[tuple[int, ...]]:
     keys: set = set()
     latin._run_rows(
         i, m, (), lambda _rows, masks, _p: keys.add(tuple(masks)),
-        latin._row_quotient(i, m, symbols=True),
+        latin._row_quotient(i, m),
     )
     return sorted(keys)
 
@@ -927,19 +872,26 @@ def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
         assert len(calls) == len(set(calls)) == distinct
 
 
+@pytest.mark.parametrize(
+    "i,m", [(1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (4, 5), (2, 6)]
+)
+def test_relabelled_tally_matches_signed_tally(i, m):
+    assert relabelled_tally(i, m) == signed_tally(i, m).counts
+
+
+def test_relabelled_tally_needs_its_parity_flip(monkeypatch):
+    # With no sign flip under relabelling the reference disagrees, so it
+    # checks the fold's swaps and not only its orbits.
+    expected = signed_tally(2, 4).counts
+    monkeypatch.setattr(latin, "_inversion_parity", lambda _seq: 0)
+    assert relabelled_tally(2, 4) != expected
+
+
 @pytest.mark.skipif(
     os.environ.get("DETORBIT_STRETCH") != "1",
-    reason="row-quotient (3,6) tally (about 13 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+    reason="(3,6) relabelled tally (about 11 s on 2 vCPUs); set DETORBIT_STRETCH=1",
 )
-def test_orbit_route_at_3_6_matches_row_quotient_route():
-    # The row-only quotient: one rectangle per S_3 row orbit, no symbol
-    # relabelling, every pattern counted leaf by leaf.
-    quotient = latin._row_quotient(3, 6)
-    bucket: dict = {}
-    latin._run_rows(3, 6, (), latin._tally_leaf_factory(bucket), quotient)
-    w = quotient.order
-    rows = {
-        tuple(map(latin._subset_of_mask, key)): (p * w, n * w)
-        for key, (p, n) in bucket.items()
-    }
-    assert signed_tally(3, 6).counts == rows
+def test_relabelled_tally_at_3_6():
+    counts = signed_tally(3, 6).counts
+    assert len(counts) == 297200
+    assert relabelled_tally(3, 6) == counts
