@@ -472,6 +472,30 @@ def test_orbit_tally_blocks_partition_the_first_row_fixed_rectangles(i, m, block
     ) == latin._run_rows(i, m, (), _no_leaf, quotient)
 
 
+@pytest.mark.parametrize(
+    "i,m,from_empty,blocks",
+    [(6, 6, True, 53), (4, 4, True, 3), (6, 6, False, 53), (4, 4, False, 3)],
+)
+def test_prefix_blocks_partition_the_kept_rectangles(i, m, from_empty, blocks):
+    # Cut at the first row the quotient leaves free (row 1, as row 0 is the
+    # identity), the two-row prefixes partition its kept rectangles.  The
+    # kernel starts from the identity row whether the prefix is empty or
+    # names that row itself; either way the prefixes are the orbit tally's.
+    quotient = latin._row_quotient(i, m)
+    start = () if from_empty else (tuple(range(m)),)
+    prefixes = []
+    latin._run_rows(
+        2, m, start, lambda rows, _c, _p: prefixes.append(tuple(rows)),
+        quotient,
+    )
+    assert len(prefixes) == blocks
+    assert prefixes == latin._list_prefixes(i, m)
+    if m <= 5:  # every kept rectangle lies in exactly one block
+        assert sum(
+            latin._run_rows(i, m, p, _no_leaf, quotient) for p in prefixes
+        ) == latin._run_rows(i, m, start, _no_leaf, quotient)
+
+
 def test_project_last_row():
     assert project_last_row(((0, 1), (1, 0))) == ((0, 1),)
     rect3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
