@@ -173,29 +173,26 @@ def _run_rows(
     m: int,
     prefix: Sequence[Sequence[int]],
     on_leaf: _Leaf,
-    quotient: Optional[_RowQuotient] = None,
+    quotient: _RowQuotient,
 ) -> int:
-    """DFS over rectangles extending ``prefix`` (0-based rows).
+    """DFS over the rectangles extending ``prefix`` (0-based rows) that
+    ``quotient`` (built for i or more rows) keeps, one per orbit.
 
     ``on_leaf(rows, col_masks, parity)`` sees transient state; parity is the
-    inversion parity of eps_c.  Returns the number of leaves visited.
-    With ``quotient`` (built for i or more rows) only the rectangles it keeps
-    are visited, one per orbit, so row 0 is the identity: the DFS starts
-    from it when ``prefix`` is empty.  Each leaf then stands for
-    ``quotient.order`` rectangles, which the caller weights.  Every sign is
-    still computed leaf by leaf.  A ``prefix`` symbol outside 0..m-1 or
-    repeated in its column is a ``ValueError``.
+    inversion parity of eps_c, computed leaf by leaf.  Returns the number of
+    leaves visited; each stands for ``quotient.order`` rectangles, which the
+    caller weights.  Row 0 is the identity, where the DFS starts when
+    ``prefix`` is empty; a given ``prefix`` (a block of
+    :func:`_list_prefixes`) is not checked.
     """
-    if quotient is not None and not prefix:
+    if not prefix:
         prefix = (tuple(range(m)),)
     full = (1 << m) - 1
     col_mask = [0] * m
     parity0 = 0
     rows: list[tuple[int, ...]] = []
-    for p, row in enumerate(prefix):
+    for row in prefix:
         for q, s in enumerate(row):
-            if not 0 <= s < m or col_mask[q] >> s & 1:
-                raise ValueError("invalid prefix rows")
             parity0 ^= (col_mask[q] >> (s + 1)).bit_count() & 1
             col_mask[q] |= 1 << s
         rows.append(tuple(row))
@@ -214,7 +211,7 @@ def _run_rows(
             rows.pop()
             return
         avail = full & ~(col_mask[q] | row_mask)
-        if q == 0 and quotient is not None:
+        if q == 0:
             r = quotient.ref[p]
             low = rows[r][0] + 1 if r >= 0 else 0
             avail &= ((2 << quotient.cap[p]) - 1) >> low << low
@@ -673,37 +670,34 @@ def _canonical(masks: Sequence[int], i: int, m: int) -> tuple[tuple, int, bool]:
     return canon, stab, bool(parity.bit_count() & 1)
 
 
-def _fold_orbits(i: int, m: int, bucket: dict, memo: dict, orbits: dict) -> None:
-    """Add a first-row-fixed bucket (column masks -> counts, weighted by
-    m! * |G|) to ``orbits``, the counts at the canonical patterns of its
-    S_m-orbits: canonical profiles -> [plus, minus, stab].
+def _fold_orbits(i: int, m: int, bucket: dict) -> dict:
+    """The orbit form (:attr:`OrbitTally.orbits`) of a run's first-row-fixed
+    bucket: column masks -> (plus, minus), weighted by m! * |G|.
 
     Each rectangle is pi R0 for one first-row-fixed R0 and one pi.  The
     relabellings pi that carry R0's pattern P to its canonical pattern K
     are sigma * stab(P) (:func:`_canonical`): at even i all with sigma's
     sign, at odd i with a non-trivial stab(P) half with each sign.  The
-    counts of K are then the bucket's times stab(P) / m!, exact
-    for any set of blocks, since each leaf's weight holds m!; with stab(P)
-    even at odd i, so is the balanced half.  ``memo`` holds the canonical
-    form of every pattern seen so far in the run, and gains the bucket's.
+    counts of K are then the bucket's times stab(P) / m!, exact since each
+    leaf's weight holds m!; with stab(P) even at odd i, so is the balanced
+    half.  Each pattern of the run is canonicalised once.
     """
     fact = factorial(m)
+    folded: dict = {}  # canonical profiles -> [plus, minus, stab]
     for key, (p, n) in bucket.items():
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _canonical(key, i, m)
-        canon, stab, swap = hit
+        canon, stab, swap = _canonical(key, i, m)
         p, n = p * stab // fact, n * stab // fact
         if i % 2 and stab > 1:
             p = n = (p + n) // 2
         elif swap:
             p, n = n, p
-        cur = orbits.get(canon)
+        cur = folded.get(canon)
         if cur is None:
-            orbits[canon] = [p, n, stab]
+            folded[canon] = [p, n, stab]
         else:
             cur[0] += p
             cur[1] += n
+    return {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
 
 
 def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> OrbitTally:
@@ -713,17 +707,16 @@ def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> Orb
     orbit of rows 2..i (:func:`_row_quotient`), by prefix blocks sharing
     their first two rows (:func:`_list_prefixes`), in order.
     The only row-major counter: one pattern's counts (:meth:`OrbitTally.at`)
-    cost the whole tally.  Each block is weighted by the quotient order and
-    folded to orbits (:func:`_fold_orbits`) through one memo of canonical
-    forms, so each distinct pattern is canonicalised once; the memo is
-    dropped with the run.
+    cost the whole tally.  Each block's counts, weighted by the quotient
+    order, are added into one bucket of the run, which is folded to orbits
+    once at the end (:func:`_fold_orbits`).
 
     ``checkpoint_path`` holds one record per finished block.  Records carry
     the full configuration (i, m, column masks, quotient group) and
     weighted per-pattern counts; records of any other configuration, and
     prefixes outside the current partition, are ignored.  A block with a
-    record is folded from it; any other block is enumerated and its record
-    appended (:func:`write_checkpoint_record`) before it is folded.
+    record is added from it; any other block is enumerated and its record
+    appended (:func:`write_checkpoint_record`) before it is added.
     """
     _check_dims(i, m)
     quotient = _row_quotient(i, m)
@@ -731,8 +724,7 @@ def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> Orb
     # All-ones column masks, kept so that records match old files byte for byte.
     config = {"i": i, "m": m, "allowed": [(1 << m) - 1] * m, "group": quotient.group}
     done = {} if checkpoint_path is None else load_checkpoint(checkpoint_path, config)
-    memo: dict = {}
-    folded: dict = {}
+    run: dict = {}  # column masks -> [plus, minus], weighted, over every block
     for prefix in _list_prefixes(i, m):
         bucket = done.pop(prefix, None)
         if bucket is None:
@@ -742,10 +734,14 @@ def orbit_tally(i: int, m: int, *, checkpoint_path: Optional[str] = None) -> Orb
             if checkpoint_path is not None:
                 line = _record_line(prefix, bucket, config)
                 write_checkpoint_record(checkpoint_path, line)
-        _fold_orbits(i, m, bucket, memo, folded)
-    fact = factorial(m)
-    orbits = {canon: (fact // stab, p, n) for canon, (p, n, stab) in folded.items()}
-    return OrbitTally(i, m, orbits)
+        for key, (p, n) in bucket.items():
+            cur = run.get(key)
+            if cur is None:
+                run[key] = [p, n]
+            else:
+                cur[0] += p
+                cur[1] += n
+    return OrbitTally(i, m, _fold_orbits(i, m, run))
 
 
 def signed_tally(i: int, m: int) -> SignedTally:

@@ -217,8 +217,7 @@ def rectangle_symmetrizer_pairing(i: int, m: int) -> Fraction:
     every rectangle is kept in the tests as this route's oracle, and
     :func:`full_symmetrizer_pairing` computes the same value by expansion.
     """
-    if not 1 <= i <= m:
-        raise ValueError("need 1 <= i <= m")
+    latin._check_dims(i, m)
     total = [0]
     quotient = latin._row_quotient(i, m)
     leaf = _rearrangement_leaf(i, total)
@@ -236,8 +235,7 @@ def full_symmetrizer_pairing(i: int, m: int) -> Fraction:
     row stage's estimate (m!)^i * (m!)^i exceeds :data:`DEFAULT_WORK_CAP`;
     :func:`apply_symmetrizer` checks both stages against the same cap.
     """
-    if not 1 <= i <= m:
-        raise ValueError("need 1 <= i <= m")
+    latin._check_dims(i, m)
     est = factorial(m) ** (2 * i)  # row stage: (m!)^i perms on (m!)^i words
     if est > DEFAULT_WORK_CAP:
         raise BudgetExceeded("symmetrizer too large", est)

@@ -204,17 +204,18 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 def unreduced_latin_pairing(i: int, m: int) -> Fraction:
     """The Latin route of ``rectangle_symmetrizer_pairing`` without a quotient.
 
-    Walks every Latin (i, m)-rectangle, with no row or symbol quotient, and
-    sums each one's rearrangement-sign term; the oracle of the quotiented
-    route.  The walk is this oracle's own; the per-rectangle term is the
-    library's ``tensors._rearrangement_leaf``, shared rather than copied,
-    since what is checked here is the quotient and its weight
-    m! * |row group|.  The term itself is checked against the full
-    symmetrizer expansion and the pattern-imbalance side.
+    Walks every Latin (i, m)-rectangle (:func:`latin_rectangles`), with no
+    row or symbol quotient, and sums each one's rearrangement-sign term; the
+    oracle of the quotiented route.  The walk is this oracle's own; the
+    per-rectangle term is the library's ``tensors._rearrangement_leaf``,
+    shared rather than copied, since what is checked here is the quotient
+    and its weight m! * |row group|.  The term itself is checked against
+    the full symmetrizer expansion and the pattern-imbalance side.
     """
     total = [0]
     leaf = tensors._rearrangement_leaf(i, total)
-    latin._run_rows(i, m, (), leaf)
+    for rect in latin_rectangles(i, m):
+        leaf(rect, None, None)
     return Fraction(total[0], factorial(m) ** i)
 
 
@@ -395,18 +396,22 @@ Rect = tuple[tuple[int, ...], ...]
 
 
 def latin_rectangles(i: int, m: int) -> list[Rect]:
-    """Every Latin (i, m)-rectangle, in row-major lexicographic order: the
-    library's row DFS run with no quotient, each leaf checked to have
-    permutation rows and distinct-entry columns."""
+    """Every Latin (i, m)-rectangle, in row-major lexicographic order, by an
+    enumerator of the tests' own that shares nothing with the library's
+    DFS.  Each permutation of 0..m-1, in ``itertools.permutations`` order,
+    is the set of its (column, symbol) cells; the next row is any of them
+    whose set is disjoint from every row's so far."""
+    rows = [(row, frozenset(enumerate(row))) for row in permutations(range(m))]
     out: list[Rect] = []
 
-    def leaf(rows, _masks, _parity):
-        rect = tuple(rows)
-        assert all(sorted(row) == list(range(m)) for row in rect), rect
-        assert all(len(set(col)) == i for col in zip(*rect)), rect
-        out.append(rect)
+    def extend(rect: Rect, free: list) -> None:
+        if len(rect) == i:
+            out.append(rect)
+            return
+        for row, cells in free:
+            extend(rect + (row,), [r for r in free if cells.isdisjoint(r[1])])
 
-    latin._run_rows(i, m, (), leaf)
+    extend((), rows)
     return out
 
 
@@ -461,34 +466,22 @@ def verify_sign_factorization(i: int, m: int) -> SignFactorizationReport:
     if not 2 <= i <= m:
         raise ValueError("need 2 <= i <= m")
     fiber_sign: dict[tuple, int] = {}
-    state = {"ok": True, "count": 0, "bad": None}
-
-    def leaf(rows, col_masks, _parity):
-        if not state["ok"]:
-            return
-        state["count"] += 1
-        # eps_c(R) / eps_c(top) is the parity the last row adds: placing s
-        # under a column of mask ``top`` adds popcount(top >> (s+1)).
-        last = rows[-1]
-        tops = [mask ^ 1 << s for mask, s in zip(col_masks, last)]
-        odd = sum((top >> (s + 1)).bit_count() for top, s in zip(tops, last)) & 1
-        key = (tuple(col_masks), tuple(tops))
-        ratio = -1 if odd else 1
-        seen = fiber_sign.get(key)
-        if seen is None:
-            fiber_sign[key] = ratio
-        elif seen != ratio:
-            state["ok"] = False
-            state["bad"] = (tuple(rows), tuple(rows[:-1]))
-
-    latin._run_rows(i, m, (), leaf)
+    rects = latin_rectangles(i, m)
+    bad = None
+    for rect in rects:
+        top = project_last_row(rect)
+        key = (pattern_of(rect), pattern_of(top))
+        ratio = rect_sign(rect) * rect_sign(top)
+        if fiber_sign.setdefault(key, ratio) != ratio:
+            bad = (rect, top)
+            break
     return SignFactorizationReport(
         i=i,
         m=m,
-        ok=state["ok"],
+        ok=bad is None,
         fibers=len(fiber_sign),
-        rectangles=state["count"],
-        counterexample=state["bad"],
+        rectangles=len(rects),
+        counterexample=bad,
     )
 
 

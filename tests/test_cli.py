@@ -194,6 +194,27 @@ def test_input_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["pairing", "2", "70"], "alphabet larger than 64 symbols is unsupported"),
+        (["pairing", "3", "2"], "too many rows"),
+        (["pairing", "0", "3"], "dimensions must be positive"),
+    ],
+    ids=["m-past-64", "i-past-m", "i-0"],
+)
+def test_pairing_dimensions_are_refused_before_any_walk(capsys, monkeypatch, argv, error):
+    # The pairing routes take the Latin routes' dimension rule, checked
+    # before the row DFS starts.
+    def walk(*_args):
+        raise AssertionError("the row DFS ran")
+
+    monkeypatch.setattr("detorbit.latin._run_rows", walk)
+    code, out = _run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": error, "kind": "input"}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["invariant-check", "0", "2"],

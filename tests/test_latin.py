@@ -63,15 +63,18 @@ def test_rect_sign_examples():
 
 def test_rect_sign_matches_per_column_product():
     # The product of the column signs against the inversion parity that the
-    # row DFS carries from leaf to leaf.
-    leaves = []
-    latin._run_rows(
-        3, 4, (), lambda rows, _masks, parity: leaves.append((tuple(rows), parity))
-    )
-    assert len(leaves) == 576
-    for rect, parity in leaves:
-        signs = [column_sign(col) for col in zip(*rect)]
-        assert rect_sign(rect) == prod(signs) == (-1) ** parity
+    # row DFS carries to each leaf of the quotient, both parities seen.
+    for i, m, kept in [(2, 4, 9), (3, 5, 552), (4, 5, 448), (2, 6, 265)]:
+        leaves = []
+        latin._run_rows(
+            i, m, (), lambda rows, _c, parity: leaves.append((tuple(rows), parity)),
+            latin._row_quotient(i, m),
+        )
+        assert len(leaves) == kept
+        for rect, parity in leaves:
+            signs = [column_sign(col) for col in zip(*rect)]
+            assert rect_sign(rect) == prod(signs) == (-1) ** parity
+        assert {parity for _rect, parity in leaves} == {0, 1}
 
 
 def test_pattern_of_examples():
@@ -95,7 +98,9 @@ def test_enumeration_counts():
 
 
 def test_enumeration_order_and_validity():
-    keys = latin_rectangles(2, 3)  # each checked to be Latin as it is visited
+    keys = latin_rectangles(2, 3)
+    assert all(sorted(row) == [0, 1, 2] for rect in keys for row in rect)
+    assert all(len(set(col)) == 2 for rect in keys for col in zip(*rect))
     assert len(keys) == 12
     assert keys == sorted(keys)  # row-major lexicographic
     assert len(set(keys)) == 12
@@ -122,21 +127,6 @@ def test_enumeration_errors():
     for tally in (latin.orbit_tally, column_order_tally):
         with pytest.raises(ValueError, match="too many rows"):
             tally(3, 2)
-
-
-@pytest.mark.parametrize(
-    "prefix",
-    [
-        ((0, 1, 3),),  # symbol 3 is past m = 3 (0-based)
-        ((0, 1, -1),),
-        ((0, 1, 2), (1, 0, 2)),  # symbol 2 twice in column 2
-        ((0, 1, 2), (0, 2, 1)),  # symbol 0 twice in column 0
-    ],
-    ids=["symbol-past-m", "negative-symbol", "clash-last-column", "clash-first-column"],
-)
-def test_run_rows_rejects_invalid_prefix_rows(prefix):
-    with pytest.raises(ValueError, match="invalid prefix rows"):
-        latin._run_rows(3, 3, prefix, _no_leaf)
 
 
 def test_signed_tally_small_cases():
@@ -265,17 +255,23 @@ def test_reduced_columns_route_matches_unreduced_oracle(m):
 
 
 def test_checkpoint_resume(tmp_path):
-    cp = str(tmp_path / "tally.ndjson")
-    full = latin.orbit_tally(3, 4, checkpoint_path=cp).expand()
-    lines = open(cp).read().strip().splitlines()
-    assert lines
-    rec = json.loads(lines[0])
-    assert set(rec) >= {"prefix", "plus", "minus"}
-    # Drop half of the completed blocks and resume.
-    with open(cp, "w") as fh:
-        fh.write("\n".join(lines[: len(lines) // 2]) + "\n")
-    resumed = latin.orbit_tally(3, 4, checkpoint_path=cp).expand()
-    assert resumed.counts == full.counts
+    # At (4,6) every pattern lies in more than one block, so resumed and
+    # fresh counts of one pattern meet in the run's bucket.
+    for i, m in [(3, 4), (4, 6)]:
+        cp = str(tmp_path / f"tally_{i}_{m}.ndjson")
+        full = latin.orbit_tally(i, m, checkpoint_path=cp)
+        lines = open(cp).read().strip().splitlines()
+        assert lines
+        rec = json.loads(lines[0])
+        assert set(rec) >= {"prefix", "plus", "minus"}
+        # Drop half of the completed blocks and resume.
+        with open(cp, "w") as fh:
+            fh.write("\n".join(lines[: len(lines) // 2]) + "\n")
+        resumed = latin.orbit_tally(i, m, checkpoint_path=cp)
+        assert resumed.orbits == full.orbits
+        assert len(open(cp).read().splitlines()) == len(lines)
+        if m == 4:
+            assert resumed.expand().counts == full.expand().counts
 
 
 def test_torn_checkpoint_tail_is_dropped_before_appending(tmp_path):
@@ -520,6 +516,16 @@ def test_projection_fibers_recovered_by_filtered_enumeration():
 def test_sign_factorization(i, m):
     report = verify_sign_factorization(i, m)
     assert report.ok, report.counterexample
+
+
+def test_sign_factorization_check_can_fail(monkeypatch):
+    # A column "sign" read off the first and last entries alone does not
+    # factor through the projected pattern at (3,4), and the check says so.
+    monkeypatch.setattr(latin, "column_sign", lambda col: -1 if col[-1] > col[0] else 1)
+    report = verify_sign_factorization(3, 4)
+    assert not report.ok
+    rect, top = report.counterexample
+    assert top == project_last_row(rect) and rect in latin_rectangles(3, 4)
 
 
 def test_concatenate_examples():
@@ -876,9 +882,9 @@ def test_orbit_tally_matches_reference_fold(i, m):
     assert tally.orbits == reference_fold(i, m)
 
 
-def test_canonical_forms_are_memoised_per_run(monkeypatch, tmp_path):
+def test_each_pattern_is_canonicalised_once_per_run(monkeypatch, tmp_path):
     # One _canonical call per distinct pattern of the run, resumed records
-    # included, and no memo left behind.
+    # included.
     calls = []
     canonical = latin._canonical
 
@@ -919,3 +925,20 @@ def test_relabelled_tally_at_3_6():
     counts = signed_tally(3, 6).counts
     assert len(counts) == 297200
     assert relabelled_tally(3, 6) == counts
+
+
+@pytest.mark.skipif(
+    os.environ.get("DETORBIT_STRETCH") != "1",
+    reason="(3,7) orbit tally (about 3 s on 2 vCPUs); set DETORBIT_STRETCH=1",
+)
+def test_orbit_tally_at_3_7():
+    # 1,854 blocks hold 1,073,760 block patterns but 357,435 distinct ones,
+    # each canonicalised once.  The total is A000186(7), the number of
+    # 3 x 7 Latin rectangles.
+    tally = latin.orbit_tally(3, 7)
+    orbits = tally.orbits
+    assert len(orbits) == 16700
+    assert tally.total() == 5411750400
+    text = json.dumps(sorted((list(k), list(v)) for k, v in orbits.items()))
+    digest = "ed40de4ebc3ff6ed77948a5daf1c7b632d5e800ddc8d1be352f04af6343c37e7"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
