@@ -2,11 +2,14 @@
 
 Characters come from one Murnaghan-Nakayama kernel over beta-sets held as
 ``int`` bead bitmasks.  Cycle types are interned once each as integer ids
-(first part, id of the tail).  The t-strips of a bead mask (new mask and
-sign) are found once per (mask, t) and kept in one table.  The memo is one
-``dict`` per id, mapping a bead mask to the character at that cycle type,
-with only ``int`` keys and values; it holds only the values at tails, the
-ones the recursion reads again, and a top-level character is not stored.
+(first part, id of the tail).  The t-strips of a bead mask are found once
+per (mask, t) and kept in one table per part size t, as a flat tuple of new
+masks with an odd strip's sign folded in as ``~new``.  The memo is one
+``dict`` per id that is the tail of some interned partition, mapping a bead
+mask to the character at that cycle type, with only ``int`` keys and
+values; a leaf id has none.  Only the recursion below a top-level character
+stores: the top level reads the memo at its class's tail but writes nothing,
+since each (partition, class) is asked for once per report.
 The class data of S_n (ids, class sizes from z_rho, ids of the squared
 classes) is built once per n.
 The symmetric Kronecker coefficient uses the square-class trick: the
@@ -90,47 +93,63 @@ def _mask(lam: Partition) -> int:
 
 
 # Interned partitions.  Id 0 is the empty partition; id s > 0 has first part
-# _first[s] and tail (s without its first part) _tail[s], and _child[s] maps
-# a part p to the id of (p,) + s.  _memo[s] maps the canonical bead mask of a
-# partition of |s| to its character at cycle type s.  Ids and memos are
+# _first[s] and tail (s without its first part) _tail[s].  Once s is the tail
+# of some interned partition, _child[s] maps a part p to the id of (p,) + s,
+# and _memo[s] maps the canonical bead mask of a partition of |s| to its
+# character at cycle type s; a leaf holds None in both.  Ids and memos are
 # shared by every n, since an id fixes its size.
 _first = [0]
 _tail = [0]
-_child: list[dict[int, int]] = [{}]
-_memo: list[dict[int, int]] = [{0: 1}]
-# _strips maps (canonical bead mask, t) to the _removals of its t-strips.
-_strips: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-# Two threads interning at once must not hand out the same id.  A race on a
-# memo or on _strips only computes one value or one table twice.
+_child: list[dict[int, int] | None] = [{}]
+_memo: list[dict[int, int] | None] = [{0: 1}]
+# _strips[t] maps a canonical bead mask to the _removals of its t-strips; it
+# exists for every part t of an interned partition.
+_strips: list[dict[int, tuple[int, ...]]] = [{}]
+# Two threads interning at once must not hand out the same id or lose a
+# node's dicts.  A race on a memo or a strip table only computes one value
+# or one table twice.
 _intern_lock = Lock()
 
 
 def _intern(mu: Partition) -> int:
-    """Id of the partition mu, interning it and its tails on first sight."""
+    """Id of the partition mu, interning it and its tails on first sight.
+
+    A node's child and memo dicts, and the strip table of a new part size,
+    are made under the lock before the new child id is published, so a
+    reader that finds the child finds everything the kernel reads for it.
+    """
     sid = 0
     for part in reversed(mu):
-        parent = _child[sid].get(part)
+        children = _child[sid]
+        parent = None if children is None else children.get(part)
         if parent is None:
             with _intern_lock:
-                parent = _child[sid].get(part)
+                children = _child[sid]
+                if children is None:
+                    _memo[sid] = {}
+                    children = _child[sid] = {}
+                parent = children.get(part)
                 if parent is None:
                     parent = len(_first)
                     _first.append(part)
                     _tail.append(sid)
-                    _child.append({})
-                    _memo.append({})
-                    _child[sid][part] = parent
+                    _child.append(None)
+                    _memo.append(None)
+                    _strips.extend({} for _ in range(len(_strips), part + 1))
+                    children[part] = parent
         sid = parent
     return sid
 
 
-def _removals(mask: int, t: int) -> tuple[tuple[int, int], ...]:
-    """(new mask, sign bit) for every t-strip of the canonical bead mask mask.
+def _removals(mask: int, t: int) -> tuple[int, ...]:
+    """The new mask of every t-strip of the canonical bead mask mask, as
+    ``~new`` for a strip of odd sign.
 
-    Removing a t-strip moves a bead b to an empty b - t; its sign bit is the
+    Removing a t-strip moves a bead b to an empty b - t; its sign is the
     parity of the beads jumped over.  The new mask is made canonical again
     (no trailing 1-bits, i.e. no beads for zero parts), so one entry serves
-    every bead count.
+    every bead count.  A canonical mask is nonnegative, so ``~new < 0``
+    marks the odd strips, the empty partition's mask 0 included.
     """
     between = (1 << (t - 1)) - 1
     movable = mask & ~(mask << t) & ~((1 << t) - 1)
@@ -141,40 +160,54 @@ def _removals(mask: int, t: int) -> tuple[tuple[int, int], ...]:
         b = bead.bit_length() - 1
         new = mask ^ bead ^ (bead >> t)
         new >>= (new ^ (new + 1)).bit_length() - 1
-        out.append((new, (mask >> (b - t + 1) & between).bit_count() & 1))
+        out.append(~new if (mask >> (b - t + 1) & between).bit_count() & 1 else new)
     return tuple(out)
 
 
-def _chi(mask: int, sid: int) -> int:
+def _chi(mask: int, sid: int, store: bool = True) -> int:
     """chi at cycle type sid (not 0) of the partition with canonical bead mask mask.
 
-    The strips of the first part t come from ``_strips``, and the values at
-    the tail from its memo; both are filled here on a miss.
+    The strips of the first part t come from ``_strips[t]``, filled on a
+    miss, and the values at the tail from its memo, which is filled on a
+    miss unless ``store`` is false.
     """
     t = _first[sid]
     rest = _tail[sid]
     memo = _memo[rest]
-    key = (mask, t)
-    strips = _strips.get(key)
+    table = _strips[t]
+    strips = table.get(mask)
     if strips is None:
-        strips = _strips[key] = _removals(mask, t)
+        strips = table[mask] = _removals(mask, t)
     total = 0
-    for new, odd in strips:
+    for new in strips:
+        odd = new < 0
+        if odd:
+            new = ~new
         value = memo.get(new)
         if value is None:
-            value = memo[new] = _chi(new, rest)
-        total += -value if odd else value
+            value = _chi(new, rest)
+            if store:
+                memo[new] = value
+        if odd:
+            total -= value
+        else:
+            total += value
     return total
 
 
 def _character(mask: int, sid: int) -> int:
     """chi at cycle type sid of the partition with bead mask mask.
 
-    The value is not stored: each (partition, class) is asked for once per
-    report, and only the tails' values are read again.
+    The top-level entry: it reads the memos but stores nothing at its class
+    or at its class's tail, since each (partition, class) is asked for once
+    per report; the recursion below it stores at the deeper tails, whose
+    values are read again.
     """
-    value = _memo[sid].get(mask)
-    return _chi(mask, sid) if value is None else value
+    memo = _memo[sid]
+    value = None if memo is None else memo.get(mask)
+    if value is None:
+        value = _chi(mask, sid, False)
+    return value
 
 
 def square_cycle_type(mu: Sequence[int]) -> Partition:

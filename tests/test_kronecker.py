@@ -293,10 +293,12 @@ def _mn_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 def test_strip_table_matches_oracle_rim_hooks():
+    # An entry is the new mask, or its complement ~new for an odd strip.
     for n in range(1, 11):
         for lam in partitions(n):
             for t in range(1, n + 1):
-                got = sorted(kronecker._removals(kronecker._mask(lam), t))
+                entries = kronecker._removals(kronecker._mask(lam), t)
+                got = sorted((~e, 1) if e < 0 else (e, 0) for e in entries)
                 want = sorted(
                     (kronecker._mask(shape), odd) for shape, odd in _oracle_strips(lam, t)
                 )
@@ -367,47 +369,114 @@ import json, sys, threading
 from detorbit import kronecker
 sys.setswitchinterval(1e-6)
 parts = [list(kronecker.partitions(n)) for n in (14, 15, 16, 17, 18)]
+# Partitions of 8 are leaves once interned: no node of the same size is
+# another's tail.  Every thread hangs a first child on each of them.
+leaves = list(kronecker.partitions(8))
+leaf_ids = [kronecker._intern(mu) for mu in leaves]
+were_leaves = all(
+    kronecker._child[s] is None and kronecker._memo[s] is None for s in leaf_ids
+)
+hung = [[[mu[0] + k, *mu] for mu in leaves] for k in range(len(parts))]
 ids = [None] * len(parts)
 chars = [None] * len(parts)
+hung_ids = [None] * len(parts)
+hung_chars = [None] * len(parts)
 def work(k):
+    hung_ids[k] = [kronecker._intern(mu) for mu in hung[k]]
     ids[k] = [kronecker._intern(mu) for mu in parts[k]]
     pairs = zip(parts[k][::3], ids[k][::-3])
     chars[k] = [kronecker._character(kronecker._mask(lam), sid) for lam, sid in pairs]
+    pairs = zip(hung[k], hung_ids[k])
+    hung_chars[k] = [kronecker._character(kronecker._mask(lam), sid) for lam, sid in pairs]
 threads = [threading.Thread(target=work, args=(k,)) for k in range(len(parts))]
 for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=60)
 assert not any(t.is_alive() for t in threads)
-json.dump([parts, ids, chars, kronecker._first, kronecker._tail], sys.stdout)
+children = [kronecker._child[s] for s in leaf_ids]
+json.dump(
+    [parts, ids, chars, hung, hung_ids, hung_chars, were_leaves, leaf_ids,
+     children, kronecker._first, kronecker._tail],
+    sys.stdout,
+)
 """
 
 
 def test_interning_from_threads_gives_distinct_ids():
     # Five threads intern partitions with shared tails at once; every id must
-    # read back to the partition it was handed out for.  Each thread then
-    # evaluates characters through the shared memos and strip table.
-    parts, ids, chars, first, tail = json.loads(run_fresh(_THREADED_INTERN))
+    # read back to the partition it was handed out for.  They also hang first
+    # children on the same leaves at once, so each leaf's child and memo
+    # dicts are made under contention.  Each thread then evaluates characters
+    # through the shared memos and strip tables.
+    (parts, ids, chars, hung, hung_ids, hung_chars, were_leaves, leaf_ids,
+     children, first, tail) = json.loads(run_fresh(_THREADED_INTERN))
+    assert were_leaves
     for group, group_ids, group_chars in zip(parts, ids, chars):
         for mu, sid in zip(group, group_ids):
             assert _interned(sid, first, tail) == tuple(mu)
         pairs = zip(group[::3], group[::-3])
         for (lam, mu), value in zip(pairs, group_chars, strict=True):
             assert value == _mn_oracle(tuple(lam), tuple(mu)), (lam, mu)
+    for group, group_ids, group_chars in zip(hung, hung_ids, hung_chars):
+        for mu, sid, value in zip(group, group_ids, group_chars, strict=True):
+            assert _interned(sid, first, tail) == tuple(mu)
+            assert value == _mn_oracle(tuple(mu), tuple(mu)), mu
+    # Each leaf's one child dict holds the child every thread hung on it.
+    for j, (leaf, kids) in enumerate(zip(leaf_ids, children, strict=True)):
+        for group, group_ids in zip(hung, hung_ids):
+            assert kids[str(group[j][0])] == group_ids[j]
+        assert all(tail[sid] == leaf for sid in kids.values())
 
 
 _WORK_COUNTS = """
 import json, sys
 from detorbit import kronecker
 kronecker.rectangle_sk_positivity(4, 7, max_n=28)
-json.dump([sum(map(len, kronecker._memo)), len(kronecker._strips)], sys.stdout)
+memos = [memo for memo in kronecker._memo if memo is not None]
+tables = sum(map(len, kronecker._strips))
+json.dump([sum(map(len, memos)), len(memos), len(kronecker._memo), tables], sys.stdout)
 """
 
 
 def test_kernel_work_counts_at_4_7():
-    # Memo entries (tails only) and strip tables (one per bead mask and part)
-    # after the n = 28 report in a fresh interpreter.
-    assert json.loads(run_fresh(_WORK_COUNTS)) == [85_009, 4_810]
+    # Memo entries (below the top level only), memo dicts (one per id that is
+    # a tail, out of every interned id) and strip tables (one per bead mask
+    # and part) after the n = 28 report in a fresh interpreter.
+    assert json.loads(run_fresh(_WORK_COUNTS)) == [46_096, 3_718, 7_436, 4_810]
+
+
+_SECOND_PASS = """
+import json, sys
+from math import factorial
+from detorbit import kronecker
+def entries():
+    return sum(len(memo) for memo in kronecker._memo if memo is not None)
+weights = kronecker._square_weights((7,) * 4)
+lams = [[4 * a for a in lam] for lam in kronecker.partitions(7) if len(lam) <= 4]
+def class_sums():
+    return [
+        sum(w * kronecker._character(kronecker._mask(lam), sid) for sid, w in weights)
+        for lam in lams
+    ]
+counts = [entries()]
+passes = []
+for _ in range(2):
+    passes.append(class_sums())
+    counts.append(entries())
+sk = [total // (2 * factorial(28)) for total in passes[0]]
+json.dump([counts, passes, sk], sys.stdout)
+"""
+
+
+def test_second_pass_of_class_sums_stores_nothing():
+    # The lambda side of the (4,7) report, run twice after the rectangle's
+    # square weights: the top-level characters are not stored, so the first
+    # pass adds only the deeper tails' values and the second adds nothing.
+    counts, (first, second), sk = json.loads(run_fresh(_SECOND_PASS))
+    assert first == second
+    assert counts == [16_605, 46_096, 46_096]
+    assert sk == [1, 2, 3, 8, 3, 34, 54, 13, 24, 440, 93]
 
 
 # ---------------------------------------------------------------------------
